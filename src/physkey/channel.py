@@ -81,22 +81,42 @@ class SimulatedRun:
     seed: int
 
 
+def _sample_chain(cum_pi: np.ndarray, cum_trans: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Hidden state indices for uniforms u by inverse-CDF sampling.
+
+    Step t moves from state s to searchsorted(cum_trans[s], u[t]).  Rather
+    than walking the chain one sample at a time, tabulate that move for
+    every (t, s) with k vectorised searches, then compose the table by
+    pointer doubling: after the pass with stride d, row t maps the state at
+    t - 2d to the state at t.  Row 0 is the constant map onto the initial
+    state, so after ceil(log2 n) passes every column of row t holds the
+    state at t.  The searches make the same comparisons as a one-sample
+    walk, so the path is identical to it.
+    """
+    n, k = u.size, cum_trans.shape[0]
+    table = np.empty((n, k), dtype=np.intp)
+    table[0] = np.searchsorted(cum_pi, u[0], side="right")
+    for s in range(k):
+        table[1:, s] = np.searchsorted(cum_trans[s], u[1:], side="right")
+    np.minimum(table, k - 1, out=table)
+    d = 1
+    while d < n:
+        table[d:] = np.take_along_axis(table[d:], table[:-d], axis=1)
+        d *= 2
+    return table[:, 0].astype(np.int64)
+
+
 def simulate_run(config: ChannelConfig) -> SimulatedRun:
     """Draw one run; bit-identical for a fixed config (including seed)."""
     model = config.model
     rng = np.random.default_rng(config.seed)
-    n, k = config.n, model.k
+    n = config.n
 
     state_vals = np.array(model.states, dtype=np.int64)
     symbol_vals = np.array(model.symbols, dtype=np.int64)
 
-    cum_trans = np.cumsum(model.trans, axis=1)
     u = rng.random(n)
-    idx = np.empty(n, dtype=np.int64)
-    idx[0] = np.searchsorted(np.cumsum(model.pi), u[0], side="right")
-    for t in range(1, n):
-        idx[t] = np.searchsorted(cum_trans[idx[t - 1]], u[t], side="right")
-    idx = np.minimum(idx, k - 1)
+    idx = _sample_chain(np.cumsum(model.pi), np.cumsum(model.trans, axis=1), u)
     alice_levels = state_vals[idx]
 
     cum_emit = np.cumsum(model.emit, axis=1)
@@ -155,6 +175,16 @@ def family_config(levels: int = 9, decay: float = 1.0, spread: float = 0.5,
     return ChannelConfig(model=model, bob_error=bob_error, n=n, seed=seed)
 
 
+def _measure_length(n_samples: int, slice_len: int) -> int:
+    # whole slices only, and at least one
+    n = max(n_samples, slice_len)
+    return n - n % slice_len
+
+
+def _word_error_rate(run: SimulatedRun) -> float:
+    return float(np.mean(run.alice.levels != run.bob.levels))
+
+
 def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
                   slice_len: int = 100, seed: int = 7) -> dict:
     """Simulate and report per-sample entropy and per-word error rates.
@@ -165,20 +195,18 @@ def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
     level differs from Alice's (one 8-bit word per sample under the default
     quantizer).
     """
-    n = max(n_samples, slice_len)
-    n -= n % slice_len
+    n = _measure_length(n_samples, slice_len)
     run = simulate_run(replace(config, n=n, seed=seed))
     experiments = [
         obs_from_values(config.model, run.eve.levels[i:i + slice_len])
         for i in range(0, n, slice_len)
     ]
     est = estimate_avg_conditional_min_entropy(config.model, experiments)
-    word_error = float(np.mean(run.alice.levels != run.bob.levels))
     return {
         "per_sample_entropy_bits": est.mean_bits / slice_len,
         "per_experiment_entropy_bits": est.mean_bits,
         "entropy_std_bits": est.std_bits,
-        "word_error_rate_per_word": word_error,
+        "word_error_rate_per_word": _word_error_rate(run),
         "slice_len": slice_len,
         "n_samples": n,
     }
@@ -243,9 +271,10 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     spread, band, achieved_entropy = chosen
 
     def word_error_of(q: float) -> float:
-        cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band,
-                            q=q, n=n_samples, seed=seed)
-        return measure_rates(cfg, n_samples, slice_len, seed)["word_error_rate_per_word"]
+        # the run measure_rates would simulate, without its entropy estimate
+        cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band, q=q,
+                            n=_measure_length(n_samples, slice_len), seed=seed)
+        return _word_error_rate(simulate_run(cfg))
 
     lo_q, hi_q = 1e-5, 0.49
     if not (word_error_of(lo_q) <= word_error_per_word <= word_error_of(hi_q)):

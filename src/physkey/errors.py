@@ -6,7 +6,14 @@ class PhyskeyError(Exception):
 
 
 class ImpossibleObservationError(PhyskeyError):
-    """An observation sequence has zero probability under the model."""
+    """An observation sequence has zero probability under the model.
+
+    ``row`` names the offending sequence when it came from a batch.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        self.row = row
+        super().__init__(message)
 
 
 class UncorrectableBlockError(PhyskeyError):

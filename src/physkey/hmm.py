@@ -298,26 +298,6 @@ def _viterbi_log2_batch(model: HmmModel, obs_matrix: np.ndarray) -> np.ndarray:
     return delta.max(axis=1)
 
 
-def _forward_log2_batch(model: HmmModel, obs_matrix: np.ndarray) -> np.ndarray:
-    """log2 P for each row of an (r, n) matrix of symbol indices (scaled)."""
-    r, n = obs_matrix.shape
-    alpha = model.pi[None, :] * model.emit[:, obs_matrix[:, 0]].T
-    log_p = np.zeros(r)
-    scale = alpha.sum(axis=1)
-    if np.any(scale <= 0):
-        raise ImpossibleObservationError("impossible observation sequence in batch")
-    alpha /= scale[:, None]
-    log_p += np.log2(scale)
-    for t in range(1, n):
-        alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
-        scale = alpha.sum(axis=1)
-        if np.any(scale <= 0):
-            raise ImpossibleObservationError("impossible observation sequence in batch")
-        alpha /= scale[:, None]
-        log_p += np.log2(scale)
-    return log_p
-
-
 def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
                            checkpoints: Sequence[int]) -> np.ndarray:
     """Per-row -log2(P*/P) at several prefix lengths, in one sweep.
@@ -326,10 +306,27 @@ def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
     expose their prefix quantities at every step, so growth curves come from a
     single pass per sequence.
     """
+    return _entropy_profile(model, obs_matrix, checkpoints)
+
+
+def _impossible(scale: np.ndarray, t: int) -> None:
+    bad = np.flatnonzero(scale <= 0)
+    if bad.size:
+        raise ImpossibleObservationError(
+            f"impossible observation sequence: zero probability at step {t}",
+            row=int(bad[0]))
+
+
+def _entropy_profile(model: HmmModel, obs_matrix: np.ndarray,
+                     checkpoints: Sequence[int]) -> np.ndarray:
+    # the batched kernel behind entropy_profile_batch and the estimator: a
+    # log-domain Viterbi and a scaled forward recursion over all rows at once
     checkpoints = sorted(checkpoints)
     r, n = obs_matrix.shape
     if checkpoints[-1] > n:
         raise ValueError("checkpoint beyond sequence length")
+    if obs_matrix.min() < 0 or obs_matrix.max() >= model.m:
+        raise ValueError(f"observation index out of range [0, {model.m})")
     log_pi = _log2_safe(model.pi)
     log_a = _log2_safe(model.trans)
     log_b = _log2_safe(model.emit)
@@ -337,8 +334,7 @@ def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
     delta = log_pi[None, :] + log_b[:, obs_matrix[:, 0]].T
     alpha = model.pi[None, :] * model.emit[:, obs_matrix[:, 0]].T
     scale = alpha.sum(axis=1)
-    if np.any(scale <= 0):
-        raise ImpossibleObservationError("impossible observation sequence in batch")
+    _impossible(scale, 0)
     alpha /= scale[:, None]
     log_fwd = np.log2(scale)
 
@@ -352,8 +348,7 @@ def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
         delta = cand.max(axis=1) + log_b[:, obs_matrix[:, t]].T
         alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
         scale = alpha.sum(axis=1)
-        if np.any(scale <= 0):
-            raise ImpossibleObservationError("impossible observation sequence in batch")
+        _impossible(scale, t)
         alpha /= scale[:, None]
         log_fwd += np.log2(scale)
         if pos < len(checkpoints) and checkpoints[pos] == t + 1:
@@ -404,20 +399,19 @@ def estimate_avg_conditional_min_entropy(
     lengths = {len(e) for e in experiments}
     if len(lengths) != 1:
         raise ValueError(f"experiments have mixed lengths {sorted(lengths)}")
-    per = []
-    for j, exp in enumerate(experiments):
-        try:
-            per.append(conditional_min_entropy_given_obs(model, exp))
-        except ImpossibleObservationError as exc:
-            raise ImpossibleObservationError(f"experiment {j}: {exc}") from None
-    arr = np.array(per)
+    n = lengths.pop()
+    obs_matrix = np.stack([e.symbols for e in experiments])
+    try:
+        arr = _entropy_profile(model, obs_matrix, [n])[:, 0]
+    except ImpossibleObservationError as exc:
+        raise ImpossibleObservationError(f"experiment {exc.row}: {exc}") from None
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return EntropyEstimate(
         mean_bits=float(arr.mean()),
         std_bits=std,
-        per_experiment_bits=[float(v) for v in per],
-        n_samples_per_experiment=int(lengths.pop()),
-        n_experiments=len(per),
+        per_experiment_bits=arr.tolist(),
+        n_samples_per_experiment=int(n),
+        n_experiments=int(arr.size),
     )
 
 

@@ -77,3 +77,20 @@ def random_model(rng: np.random.Generator, k: int, m: int):
 
     return HmmModel(states=tuple(range(k)), symbols=tuple(range(m)),
                     pi=rows(1, k)[0], trans=rows(k, k), emit=rows(k, m))
+
+
+def walk_chain(model, n: int, seed: int) -> np.ndarray:
+    """Hidden state indices of simulate_run's chain, one sample at a time.
+
+    Draws the same uniforms as simulate_run (its generator's first n
+    doubles) and inverts each row's cumulative distribution with one
+    searchsorted call per sample.
+    """
+    u = np.random.default_rng(seed).random(n)
+    k = model.k
+    cum_trans = np.cumsum(model.trans, axis=1)
+    idx = np.empty(n, dtype=np.int64)
+    idx[0] = min(np.searchsorted(np.cumsum(model.pi), u[0], side="right"), k - 1)
+    for t in range(1, n):
+        idx[t] = min(np.searchsorted(cum_trans[idx[t - 1]], u[t], side="right"), k - 1)
+    return idx

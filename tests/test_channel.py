@@ -9,6 +9,7 @@ from physkey.errors import CalibrationError
 from physkey.hmm import HmmModel
 from physkey.stats import lag_correlation_profile, pearson_significance
 
+from .oracles import walk_chain
 
 
 def two_state_config(n=1000, seed=0, q=0.1):
@@ -66,6 +67,20 @@ class TestSimulate:
         run = simulate_run(cfg)
         assert run.bob.levels.min() >= -2
         assert run.bob.levels.max() <= 0
+
+    @pytest.mark.parametrize("levels,decay", [(2, 1.0), (2, 0.3), (9, 1.0), (9, 0.5), (4, 0.9)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 2325, 10_000])
+    def test_chain_matches_per_sample_walk(self, levels, decay, n):
+        cfg = family_config(levels=levels, decay=decay, spread=0.4, band=1, n=n, seed=n + levels)
+        run = simulate_run(cfg)
+        states = np.array(cfg.model.states)
+        assert np.array_equal(run.alice.levels, states[walk_chain(cfg.model, n, cfg.seed)])
+
+    def test_sticky_chain_matches_per_sample_walk(self):
+        cfg = two_state_config(n=4097, seed=11)
+        run = simulate_run(cfg)
+        states = np.array(cfg.model.states)
+        assert np.array_equal(run.alice.levels, states[walk_chain(cfg.model, 4097, 11)])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="bob_error"):

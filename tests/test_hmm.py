@@ -215,6 +215,35 @@ class TestEstimator:
         with pytest.raises(ImpossibleObservationError, match="experiment 1"):
             estimate_avg_conditional_min_entropy(model, [good, bad])
 
+    def test_impossible_first_symbol_named(self):
+        model = HmmModel(states=(0, 1), symbols=(0, 1, 2), pi=[1.0, 0.0],
+                         trans=[[0.6, 0.4], [0.2, 0.8]],
+                         emit=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        exps = [ObservationSequence([0, 1, 1])] * 2 + [ObservationSequence([1, 1, 0])]
+        with pytest.raises(ImpossibleObservationError,
+                           match="experiment 2: .* at step 0"):
+            estimate_avg_conditional_min_entropy(model, exps)
+
+    def test_out_of_range_symbol_rejected(self, two_state):
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_avg_conditional_min_entropy(
+                two_state, [ObservationSequence([0, 1]), ObservationSequence([0, 2])])
+
+    def test_batched_matches_per_sequence(self, rng):
+        # one batched pass gives each experiment's -log2(P*/P) as computed
+        # by the single-sequence Viterbi and forward recursions
+        for _ in range(40):
+            k, m = (int(v) for v in rng.integers(1, 6, size=2))
+            model = random_model(rng, k, m)
+            n = int(rng.integers(1, 60))
+            exps = [ObservationSequence(rng.integers(0, m, size=n))
+                    for _ in range(int(rng.integers(1, 25)))]
+            est = estimate_avg_conditional_min_entropy(model, exps)
+            expected = [conditional_min_entropy_given_obs(model, e) for e in exps]
+            assert est.n_experiments == len(exps)
+            assert est.n_samples_per_experiment == n
+            assert np.allclose(est.per_experiment_bits, expected, rtol=0, atol=1e-12)
+
     def test_mixed_lengths_rejected(self, two_state):
         with pytest.raises(ValueError, match="mixed lengths"):
             estimate_avg_conditional_min_entropy(

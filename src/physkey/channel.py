@@ -14,7 +14,11 @@ The calibration search walks a fixed two-parameter family:
 * bob_error    {-1: q, 0: 1-2q, +1: q}.
 
 Emission spread is bisected against the measured per-sample conditional
-min-entropy and q against the measured word error rate.
+min-entropy and q against the measured word error rate.  Each bisection
+returns the first probe that lands within 0.5% of its target, with the rate
+measured there; only when 40 steps run out does it take the bracket
+midpoint.  The q search simulates runs and counts Bob's level errors; it
+never needs the entropy estimate.
 """
 
 from __future__ import annotations
@@ -252,16 +256,17 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
         if not (h_lo <= entropy_per_sample <= h_hi):
             continue
         for _ in range(40):
-            mid = math.sqrt(lo_s * hi_s)
-            h_mid = entropy_of(mid, band)
-            if h_mid < entropy_per_sample:
-                lo_s = mid
-            else:
-                hi_s = mid
-            if abs(h_mid - entropy_per_sample) / entropy_per_sample < 0.005:
+            spread = math.sqrt(lo_s * hi_s)
+            achieved = entropy_of(spread, band)
+            if abs(achieved - entropy_per_sample) / entropy_per_sample < 0.005:
                 break
-        spread = math.sqrt(lo_s * hi_s)
-        achieved = entropy_of(spread, band)
+            if achieved < entropy_per_sample:
+                lo_s = spread
+            else:
+                hi_s = spread
+        else:
+            spread = math.sqrt(lo_s * hi_s)
+            achieved = entropy_of(spread, band)
         if abs(achieved - entropy_per_sample) / entropy_per_sample <= rel_tol:
             chosen = (spread, band, achieved)
             break
@@ -280,16 +285,17 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     if not (word_error_of(lo_q) <= word_error_per_word <= word_error_of(hi_q)):
         raise CalibrationError("calibration failed: word error target out of reach")
     for _ in range(40):
-        mid_q = 0.5 * (lo_q + hi_q)
-        we = word_error_of(mid_q)
-        if we < word_error_per_word:
-            lo_q = mid_q
-        else:
-            hi_q = mid_q
-        if abs(we - word_error_per_word) / word_error_per_word < 0.005:
+        q = 0.5 * (lo_q + hi_q)
+        achieved_we = word_error_of(q)
+        if abs(achieved_we - word_error_per_word) / word_error_per_word < 0.005:
             break
-    q = 0.5 * (lo_q + hi_q)
-    achieved_we = word_error_of(q)
+        if achieved_we < word_error_per_word:
+            lo_q = q
+        else:
+            hi_q = q
+    else:
+        q = 0.5 * (lo_q + hi_q)
+        achieved_we = word_error_of(q)
     if abs(achieved_we - word_error_per_word) / word_error_per_word > rel_tol:
         raise CalibrationError(
             f"calibration failed: word error {achieved_we:.5f} misses "

@@ -115,6 +115,19 @@ class TestCalibration:
         per100 = rates["word_error_rate_per_word"] * 100
         assert per100 == pytest.approx(4.29, rel=0.12)
 
+    @pytest.mark.parametrize("seed", [1177726414, 284816770])
+    def test_probe_within_criterion_is_returned(self, seed):
+        # these seeds once failed: the bisection met its 0.5% criterion at a
+        # probe, then returned and re-measured the bracket midpoint instead
+        cfg = calibrate_to_reference_rates(0.1248, 0.0054, levels=9, seed=seed)
+        cal = cfg.calibration
+        for what in ("entropy_per_sample_bits", "word_error_per_word"):
+            target = cal[f"target_{what}"]
+            assert abs(cal[f"achieved_{what}"] - target) <= 0.10 * target
+        rates = measure_rates(cfg, seed=seed)
+        assert rates["per_sample_entropy_bits"] == cal["achieved_entropy_per_sample_bits"]
+        assert rates["word_error_rate_per_word"] == cal["achieved_word_error_per_word"]
+
     def test_zero_entropy_target_fails(self):
         with pytest.raises(CalibrationError, match="calibration failed"):
             calibrate_to_reference_rates(0.0, 0.0054)

@@ -94,20 +94,23 @@ def _sample_chain(cum_pi: np.ndarray, cum_trans: np.ndarray, u: np.ndarray) -> n
     pointer doubling: after the pass with stride d, row t maps the state at
     t - 2d to the state at t.  Row 0 is the constant map onto the initial
     state, so after ceil(log2 n) passes every column of row t holds the
-    state at t.  The searches make the same comparisons as a one-sample
-    walk, so the path is identical to it.
+    state at t.  A row that is a constant map already holds that state
+    whatever came before it, and stays constant under further passes; the
+    scan stops once every row is constant (at once for an i.i.d. chain,
+    after a few passes for one that mixes quickly).  The searches make the
+    same comparisons as a one-sample walk, so the path is identical to it.
     """
     n, k = u.size, cum_trans.shape[0]
-    table = np.empty((n, k), dtype=np.intp)
+    table = np.empty((n, k), dtype=np.int64)
     table[0] = np.searchsorted(cum_pi, u[0], side="right")
     for s in range(k):
         table[1:, s] = np.searchsorted(cum_trans[s], u[1:], side="right")
     np.minimum(table, k - 1, out=table)
     d = 1
-    while d < n:
+    while d < n and not (table == table[:, :1]).all():
         table[d:] = np.take_along_axis(table[d:], table[:-d], axis=1)
         d *= 2
-    return table[:, 0].astype(np.int64)
+    return table[:, 0]
 
 
 def simulate_run(config: ChannelConfig) -> SimulatedRun:

@@ -11,6 +11,13 @@ sequence is -log2(P*/P); averaging it over independent experiments
 approximates the average-case conditional min-entropy, and an exact
 enumeration over all observation sequences (-log2 sum_y P*(y)) is kept as a
 desk-scale reference for small models.
+
+The single-sequence functions (viterbi_max_joint, forward_likelihood) keep
+the argmax path and serve as references.  The sampled estimator and the
+growth profiles stack their experiments into one (rows, n) matrix and run
+both recursions over all rows at once; the batched forward pass multiplies
+matrices rather than vectors, so its per-row values may differ from the
+single-sequence ones in the last bits (about 1e-13).
 """
 
 from __future__ import annotations
@@ -298,17 +305,6 @@ def _viterbi_log2_batch(model: HmmModel, obs_matrix: np.ndarray) -> np.ndarray:
     return delta.max(axis=1)
 
 
-def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
-                           checkpoints: Sequence[int]) -> np.ndarray:
-    """Per-row -log2(P*/P) at several prefix lengths, in one sweep.
-
-    Returns an array of shape (rows, len(checkpoints)).  Both dynamic programs
-    expose their prefix quantities at every step, so growth curves come from a
-    single pass per sequence.
-    """
-    return _entropy_profile(model, obs_matrix, checkpoints)
-
-
 def _impossible(scale: np.ndarray, t: int) -> None:
     bad = np.flatnonzero(scale <= 0)
     if bad.size:
@@ -317,10 +313,15 @@ def _impossible(scale: np.ndarray, t: int) -> None:
             row=int(bad[0]))
 
 
-def _entropy_profile(model: HmmModel, obs_matrix: np.ndarray,
-                     checkpoints: Sequence[int]) -> np.ndarray:
-    # the batched kernel behind entropy_profile_batch and the estimator: a
-    # log-domain Viterbi and a scaled forward recursion over all rows at once
+def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
+                           checkpoints: Sequence[int]) -> np.ndarray:
+    """Per-row -log2(P*/P) at several prefix lengths, in one sweep.
+
+    Returns an array of shape (rows, len(checkpoints)).  Both dynamic programs
+    expose their prefix quantities at every step, so growth curves come from a
+    single pass per sequence.  An impossible row raises
+    ImpossibleObservationError carrying its index as ``row``.
+    """
     checkpoints = sorted(checkpoints)
     r, n = obs_matrix.shape
     if checkpoints[-1] > n:
@@ -402,7 +403,7 @@ def estimate_avg_conditional_min_entropy(
     n = lengths.pop()
     obs_matrix = np.stack([e.symbols for e in experiments])
     try:
-        arr = _entropy_profile(model, obs_matrix, [n])[:, 0]
+        arr = entropy_profile_batch(model, obs_matrix, [n])[:, 0]
     except ImpossibleObservationError as exc:
         raise ImpossibleObservationError(f"experiment {exc.row}: {exc}") from None
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0

@@ -76,11 +76,17 @@ class TestSimulate:
         states = np.array(cfg.model.states)
         assert np.array_equal(run.alice.levels, states[walk_chain(cfg.model, n, cfg.seed)])
 
-    def test_sticky_chain_matches_per_sample_walk(self):
-        cfg = two_state_config(n=4097, seed=11)
+    @pytest.mark.parametrize("stay", [0.9, 0.9995])
+    def test_sticky_chain_matches_per_sample_walk(self, stay):
+        # a chain this sticky keeps the scan from stopping early
+        model = HmmModel(states=(-2, -1, 0), symbols=(-2, -1, 0), pi=[0.2, 0.3, 0.5],
+                         trans=[[stay, 1 - stay, 0.0],
+                                [(1 - stay) / 2, stay, (1 - stay) / 2],
+                                [0.0, 1 - stay, stay]], emit=np.eye(3))
+        cfg = ChannelConfig(model=model, bob_error={0: 1.0}, n=4097, seed=11)
         run = simulate_run(cfg)
-        states = np.array(cfg.model.states)
-        assert np.array_equal(run.alice.levels, states[walk_chain(cfg.model, 4097, 11)])
+        states = np.array(model.states)
+        assert np.array_equal(run.alice.levels, states[walk_chain(model, 4097, 11)])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="bob_error"):

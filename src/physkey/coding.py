@@ -621,7 +621,7 @@ def ss_recover(rho_prime: BitString, sketch: Sketch | BchSketch) -> BitString:
         try:
             errors = decode_error_from_syndrome(diff, code)
         except UncorrectableBlockError as exc:
-            raise UncorrectableBlockError(b, str(exc)) from None
+            raise UncorrectableBlockError(b, exc.detail) from None
         for p, mag in errors:
             if p >= valid:
                 raise UncorrectableBlockError(

@@ -21,6 +21,7 @@ class UncorrectableBlockError(PhyskeyError):
 
     def __init__(self, block: int, detail: str = ""):
         self.block = block
+        self.detail = detail
         msg = f"uncorrectable block {block}"
         if detail:
             msg += f": {detail}"

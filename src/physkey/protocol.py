@@ -43,7 +43,7 @@ import numpy as np
 
 from .coding import BchCode, BchSketch, RsCode, Sketch, sketch_from_bytes, ss_recover, \
     ss_sketch
-from .errors import InfeasiblePlanError, UncorrectableBlockError
+from .errors import InfeasiblePlanError, SketchFormatError, UncorrectableBlockError
 from .extract import ExtractorSeed, extract, max_extractable_length, random_seed
 from .hmm import LinearFit
 from .quantize import BitString, QuantizerConfig, embed_trace
@@ -125,8 +125,13 @@ class Transcript:
     @classmethod
     def from_bytes(cls, raw: bytes, l: int) -> "Transcript":
         sketch, cut = sketch_from_bytes(raw)
-        bits = BitString.from_hex(raw[cut:].decode("ascii"))
-        return cls(sketch, ExtractorSeed(bits, t=len(bits) + 1 - l, l=l))
+        try:
+            bits = BitString.from_hex(raw[cut:].decode("ascii"))
+            seed = ExtractorSeed(bits, t=len(bits) + 1 - l, l=l)
+        except ValueError as exc:
+            raise SketchFormatError(
+                f"transcript seed field at byte {cut}: {exc}") from None
+        return cls(sketch, seed)
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,19 @@ class TestRecover:
         except UncorrectableBlockError as exc:
             assert exc.block == 1
 
+    def test_failed_block_named_once(self, rng):
+        code = RsCode(255, 229)
+        words = rng.integers(0, 256, size=510)
+        sk = ss_sketch(BitString.from_words(words), code)
+        noisy = words.copy()
+        noisy[255 + rng.choice(255, size=20, replace=False)] ^= 0x5A
+        with pytest.raises(UncorrectableBlockError) as info:
+            ss_recover(BitString.from_words(noisy), sk)
+        exc = info.value
+        assert exc.block == 1 and exc.detail
+        assert "uncorrectable block" not in exc.detail
+        assert str(exc) == f"uncorrectable block 1: {exc.detail}"
+
     def test_length_mismatch(self, rng):
         rho = BitString.from_words(rng.integers(0, 256, size=100))
         sk = ss_sketch(rho, RsCode())

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import binom
 
 from physkey.coding import BchCode, BchSketch, RsCode, Sketch
-from physkey.errors import InfeasiblePlanError, PhyskeyError
+from physkey.errors import InfeasiblePlanError, PhyskeyError, SketchFormatError
 from physkey.extract import max_extractable_length
 from physkey.hmm import LinearFit
 from physkey.protocol import (REFERENCE_ENTROPY_FIT, REFERENCE_ERROR_FIT,
@@ -318,6 +318,25 @@ class TestTranscript:
         for cut in range(len(sketch_bytes)):
             with pytest.raises(PhyskeyError):
                 Transcript.from_bytes(sketch_bytes[:cut], l=16)
+
+    @pytest.mark.parametrize("code", [RsCode(255, 229), None])
+    @pytest.mark.parametrize("corrupt", [
+        lambda seed: seed + b"zz",                      # non-hex payload
+        lambda seed: b"x" + seed,                       # non-numeric length prefix
+        lambda seed: b"9" + seed,                       # length disagrees with payload
+        lambda seed: b"-" + seed,                       # negative length
+        lambda seed: seed[:-2] + b"\xff\xfe",           # not ASCII
+    ])
+    def test_corrupt_seed_fails_closed(self, rng, code, corrupt):
+        params = (flat_params(100, code=code) if code is not None
+                  else plan_parameters(l=16, lambda_=2, c=0.05, n=100))
+        levels = rng.integers(-8, 1, size=100)
+        res = run_exchange(make_trace(levels, "alice"), make_trace(levels, "bob"),
+                           params, seed=4)
+        sketch_bytes = res.transcript.sketch.to_bytes()
+        seed_bytes = res.transcript.seed.to_hex().encode("ascii")
+        with pytest.raises(SketchFormatError, match="transcript seed field"):
+            Transcript.from_bytes(sketch_bytes + corrupt(seed_bytes), l=16)
 
 
 def blockwise_success(n_words: int, t_block: int, p_word: float) -> float:

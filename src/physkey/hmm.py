@@ -411,8 +411,8 @@ def estimate_avg_conditional_min_entropy(
         mean_bits=float(arr.mean()),
         std_bits=std,
         per_experiment_bits=arr.tolist(),
-        n_samples_per_experiment=int(n),
-        n_experiments=int(arr.size),
+        n_samples_per_experiment=n,
+        n_experiments=arr.size,
     )
 
 

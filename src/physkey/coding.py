@@ -8,16 +8,23 @@ uncorrectable block rather than a silently wrong correction.
 * ``BchCode`` (what the planner uses): one binary narrow-sense BCH code over
   GF(2^m) covering the whole bitstring, with 2^m - 1 >= its length.  Bit i
   sits at alpha^i and the sketch is the odd syndromes S_1, S_3, ..,
-  S_{2t-1} (the even ones are their squares), m*t bits in all.  Bob runs
-  Berlekamp-Massey and a Chien search over the bit positions, so the
-  exchange succeeds whenever the two strings differ in at most t bits
-  anywhere: one pooled error budget, not one per block.
+  S_{2t-1} (the even ones are their squares), m*t bits in all.  They are
+  computed from the string's remainder modulo the generator polynomial g,
+  which vanishes at every alpha^j, so only deg g <= m*t bits are
+  evaluated.  Bob runs Berlekamp-Massey in its binary form (with
+  S_2j = S_j^2 every other discrepancy is zero and its step is skipped)
+  and a Chien search over the bit positions, so the exchange succeeds
+  whenever the two strings differ in at most t bits anywhere: one pooled
+  error budget, not one per block.
 * ``RsCode``: blocks of 255 8-bit words over a shortened (255, k)
   Reed-Solomon code with primitive polynomial x^8+x^4+x^3+x^2+1 (0x11D)
   and generator alpha = 0x02; the code roots are alpha^1 .. alpha^2t.  Word
   j of a block sits at polynomial degree 254 - j; blocks shorter than 255
   words are zero-padded at the tail and the pad length travels inside the
-  sketch.  Berlekamp-Massey / Chien / Forney decode each block.
+  sketch.  Berlekamp-Massey / Chien / Forney decode each block; the
+  syndromes of all blocks, the Chien search over the 255 positions and
+  Forney over the located roots are array operations over log/antilog
+  tables.
 """
 
 from __future__ import annotations
@@ -145,22 +152,12 @@ def gf_ops(a: int, b: int, op: str) -> int:
     raise ValueError(f"unknown GF op {op!r}")
 
 
-def _poly_eval(poly, x: int) -> int:
-    # Horner scheme; poly[0] is the highest-degree coefficient.
-    y = poly[0]
-    for c in poly[1:]:
-        y = gf_mul(y, x) ^ c
-    return y
-
-
-def _poly_mul(p, q):
-    r = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(q):
-            r[i + j] ^= gf_mul(pi, qj)
-    return r
+def _poly_eval_at(coefs, x_logs: np.ndarray) -> np.ndarray:
+    # values of a low-degree-first polynomial over GF(2^8) at alpha^x_logs
+    c = np.asarray(coefs, dtype=np.int64)
+    k = np.flatnonzero(c)
+    logs = (_LOG[c[k]][:, None] + np.multiply.outer(k, x_logs)) % FIELD_CHARAC
+    return np.bitwise_xor.reduce(_EXP[logs], axis=0)
 
 
 @dataclass(frozen=True)
@@ -186,6 +183,20 @@ class RsCode:
         return {"n_sym": self.n_sym, "k_sym": self.k_sym, "t": self.t}
 
 
+def _rs_syndromes(blocks: np.ndarray, code: RsCode) -> np.ndarray:
+    # S_1 .. S_2t of every row of a (blocks, n_sym) word matrix; word j of
+    # a row sits at degree n_sym - 1 - j
+    logs = _LOG[blocks]
+    zero = blocks == 0
+    degrees = np.arange(code.n_sym - 1, -1, -1)
+    out = np.empty((blocks.shape[0], code.n_syndromes), dtype=np.int64)
+    for i in range(code.n_syndromes):
+        terms = _EXP[(logs + (i + 1) * degrees) % FIELD_CHARAC]
+        terms[zero] = 0
+        out[:, i] = np.bitwise_xor.reduce(terms, axis=1)
+    return out
+
+
 def rs_syndrome(words, code: RsCode) -> np.ndarray:
     """Evaluate the (zero-padded) word block at the 2t code roots.
 
@@ -199,16 +210,7 @@ def rs_syndrome(words, code: RsCode) -> np.ndarray:
         raise ValueError("words must be in [0, 255]")
     if w.size < code.n_sym:
         w = np.concatenate([w, np.zeros(code.n_sym - w.size, dtype=np.int64)])
-    out = np.zeros(code.n_syndromes, dtype=np.int64)
-    nz = np.nonzero(w)[0]
-    if nz.size == 0:
-        return out
-    logs = _LOG[w[nz]]
-    degrees = (code.n_sym - 1 - nz) % FIELD_CHARAC
-    for i in range(1, code.n_syndromes + 1):
-        terms = _EXP[(logs + i * degrees) % FIELD_CHARAC]
-        out[i - 1] = int(np.bitwise_xor.reduce(terms))
-    return out
+    return _rs_syndromes(w[None, :], code)[0]
 
 
 def _gf_dot(a: np.ndarray, b: np.ndarray, tables: GfTables) -> int:
@@ -225,24 +227,28 @@ def _gf_scale(v: np.ndarray, log_coef: int, tables: GfTables) -> np.ndarray:
     return out
 
 
-def _bm_locator(synd, tables: GfTables = TABLES):
+def _bm_locator(synd, tables: GfTables = TABLES, binary: bool = False):
     """Berlekamp-Massey over GF(2^m); synd[i] = S_{i+1}.
 
     Returns the locator Lambda as a low-degree-first coefficient list
     [1, l1, l2, ...] with Lambda(x) = prod_p (1 - X_p x), and its degree.
+    With binary=True the syndromes must satisfy S_2j = S_j^2; every
+    discrepancy at an even-indexed syndrome is then zero, so only the steps
+    at odd-indexed syndromes are run (Berlekamp's binary simplification).
     """
     s = np.asarray(synd, dtype=np.int64)
     n = s.size
+    step = 2 if binary else 1
     c = np.zeros(n + 1, dtype=np.int64)  # current connection polynomial
     c[0] = 1
     b = c.copy()                         # previous best
     L = 0
     mshift = 1
     bb = 1                               # discrepancy at last length change
-    for i in range(n):
+    for i in range(0, n, step):
         d = int(s[i]) ^ _gf_dot(c[1:L + 1], s[i - L:i][::-1], tables)
         if d == 0:
-            mshift += 1
+            mshift += step
             continue
         update = _gf_scale(b[:n + 1 - mshift],
                            (tables.log[d] - tables.log[bb]) % tables.order, tables)
@@ -252,10 +258,10 @@ def _bm_locator(synd, tables: GfTables = TABLES):
             L = i + 1 - L
             b = prev
             bb = d
-            mshift = 1
+            mshift = step
         else:
             c[mshift:] ^= update
-            mshift += 1
+            mshift += step
     return c[:L + 1].tolist(), L
 
 
@@ -279,44 +285,38 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
 
     # Chien search: position p corresponds to X_p = alpha^(n_sym - 1 - p),
     # so the locator root is X_p^-1 = alpha^(p - (n_sym - 1) mod 255).
-    positions = []
-    for p in range(code.n_sym):
-        x = gf_pow(GENERATOR, (p - (code.n_sym - 1)) % FIELD_CHARAC)
-        if _poly_eval(list(reversed(lam)), x) == 0:
-            positions.append(p)
-    if len(positions) != degree:
+    inv_logs = (np.arange(code.n_sym) - (code.n_sym - 1)) % FIELD_CHARAC
+    positions = np.flatnonzero(_poly_eval_at(lam, inv_logs) == 0)
+    if positions.size != degree:
         raise UncorrectableBlockError(
-            0, f"locator has {len(positions)} roots, expected {degree}")
+            0, f"locator has {positions.size} roots, expected {degree}")
 
     # Forney with fcr = 1: Omega(x) = S(x) Lambda(x) mod x^2t,
     # Y_p = Omega(X_p^-1) / Lambda'(X_p^-1).
-    omega_full = _poly_mul(synd, lam)  # both low-degree-first
-    omega = omega_full[:code.n_syndromes]
-    lam_deriv = [lam[j] for j in range(1, len(lam), 2)]  # d/dx in char 2
-    errors = []
-    for p in positions:
-        x_inv = gf_pow(GENERATOR, (p - (code.n_sym - 1)) % FIELD_CHARAC)  # X_p^-1
-        num = _poly_eval(list(reversed(omega)), x_inv)
-        # Lambda'(x) = sum over odd j of lam[j] x^(j-1): powers of x^2
-        den = 0
-        xp = 1
-        x_sq = gf_mul(x_inv, x_inv)
-        for coeff in lam_deriv:
-            den ^= gf_mul(coeff, xp)
-            xp = gf_mul(xp, x_sq)
-        if den == 0:
-            raise UncorrectableBlockError(0, "zero locator derivative at a root")
-        errors.append((p, gf_div(num, den)))
+    s = np.asarray(synd, dtype=np.int64)
+    omega = np.zeros(s.size, dtype=np.int64)  # both low-degree-first
+    for j, coef in enumerate(lam):
+        if coef:
+            omega[j:] ^= _gf_scale(s[:s.size - j], _LOG[coef], TABLES)
+    lam_deriv = np.zeros(degree, dtype=np.int64)  # d/dx in char 2: odd terms
+    lam_deriv[0::2] = lam[1::2]
+    x_inv = inv_logs[positions]
+    num = _poly_eval_at(omega, x_inv)
+    den = _poly_eval_at(lam_deriv, x_inv)
+    if not den.all():
+        raise UncorrectableBlockError(0, "zero locator derivative at a root")
+    mags = np.where(num != 0, _EXP[(_LOG[num] - _LOG[den]) % FIELD_CHARAC], 0)
 
     # fail-closed: the reconstructed pattern must reproduce the syndromes
-    check = np.zeros(code.n_sym, dtype=np.int64)
-    for p, mag in errors:
-        if mag == 0:
-            raise UncorrectableBlockError(0, "zero error magnitude")
-        check[p] = mag
-    if not np.array_equal(rs_syndrome(check, code), np.asarray(synd)):
+    if not mags.all():
+        raise UncorrectableBlockError(0, "zero error magnitude")
+    roots = np.arange(1, code.n_syndromes + 1)
+    degrees = code.n_sym - 1 - positions
+    located = np.bitwise_xor.reduce(
+        _EXP[(_LOG[mags] + np.multiply.outer(roots, degrees)) % FIELD_CHARAC], axis=1)
+    if not np.array_equal(located, s):
         raise UncorrectableBlockError(0, "syndrome re-check failed")
-    return errors
+    return list(zip(positions.tolist(), mags.tolist()))
 
 
 @dataclass(frozen=True)
@@ -344,10 +344,6 @@ class Sketch:
     @property
     def total_words(self) -> int:
         return self.block_count * self.code.n_sym - self.padded_words
-
-    def block(self, b: int) -> np.ndarray:
-        w = self.code.n_syndromes
-        return self.syndromes[b * w:(b + 1) * w]
 
     def to_bytes(self) -> bytes:
         head = self.MAGIC + struct.pack(">BBIH", self.code.n_sym, self.code.k_sym,
@@ -421,26 +417,118 @@ class BchCode:
         return {"kind": "bch", "m": self.m, "t": self.t, "n_sym": self.n_sym}
 
 
-def _bch_syndrome_at(positions: np.ndarray, code: BchCode) -> np.ndarray:
-    # odd syndromes of the string whose one bits sit at `positions`
+def _cyclotomic_cosets(code: BchCode) -> list:
+    # the cosets {j 2^k mod 2^m - 1} of the odd j < 2t, each once
+    order = code.n_sym
+    seen, cosets = set(), []
+    for j in range(1, 2 * code.t, 2):
+        if j in seen:
+            continue
+        coset, e = [], j
+        while e not in seen:
+            seen.add(e)
+            coset.append(e)
+            e = 2 * e % order
+        cosets.append(coset)
+    return cosets
+
+
+@functools.lru_cache(maxsize=None)
+def bch_generator(code: BchCode) -> int:
+    """Generator polynomial g of the code as a bitmask, bit i holding the
+    coefficient of x^i: the product of the minimal polynomials of alpha^1,
+    alpha^3, .., alpha^(2t-1), of degree at most m*t.
+    """
     tables = field_tables(code.m)
-    order = tables.order
-    exponent = positions.astype(np.int64)  # j * i mod order, for j = 1
-    step = (2 * exponent) % order
-    out = np.zeros(code.t, dtype=np.int64)
-    for k in range(code.t):
-        out[k] = np.bitwise_xor.reduce(tables.exp[exponent])
-        exponent += step
-        np.subtract(exponent, order, out=exponent, where=exponent >= order)
-    return out
+    cosets = _cyclotomic_cosets(code)
+    g = 1
+    for size in sorted({len(c) for c in cosets}):
+        # minimal polynomials of the cosets of this size, one per row, built
+        # as prod (x - alpha^e) over the coset, low degree first
+        roots = np.array([c for c in cosets if len(c) == size], dtype=np.int64)
+        poly = np.zeros((len(roots), size + 1), dtype=np.int64)
+        poly[:, 0] = 1
+        for k in range(size):
+            scaled = np.where(poly > 0, tables.exp[tables.log[poly] + roots[:, k:k + 1]], 0)
+            scaled[:, 1:] ^= poly[:, :-1]  # + x * poly
+            poly = scaled
+        if poly.max() > 1:
+            raise ValueError(f"GF(2^{code.m}) minimal polynomial is not binary")
+        for row in poly:  # g *= row in GF(2)[x]
+            g = functools.reduce(int.__xor__, (g << i for i in np.flatnonzero(row).tolist()))
+    return g
+
+
+@dataclass(frozen=True)
+class _RemainderTables:
+    """What bch_syndrome needs besides g: a byte-wise reduction table and
+    the odd syndromes of every byte at every byte offset of the remainder."""
+
+    degree: int             # D = deg g
+    reduce: tuple           # h << D xor (h x^D mod g), for each byte h
+    byte_log: np.ndarray    # (t, 256) log of byte h evaluated at alpha^j; -1 for 0
+    offset_log: np.ndarray  # (t, ceil(D / 8)) log alpha^(8 k j) for byte k
+
+
+@functools.lru_cache(maxsize=None)
+def _remainder_tables(code: BchCode) -> _RemainderTables:
+    g = bch_generator(code)
+    degree = g.bit_length() - 1
+    shifted = []  # x^(D + b) mod g, b = 0..7, with the x^(D + b) term kept
+    r = g ^ (1 << degree)
+    for b in range(8):
+        shifted.append(r ^ (1 << (degree + b)))
+        r <<= 1
+        if r >> degree & 1:
+            r ^= g
+    reduce = [0] * 256
+    for h in range(1, 256):
+        low = (h & -h).bit_length() - 1
+        reduce[h] = reduce[h & (h - 1)] ^ shifted[low]
+
+    tables = field_tables(code.m)
+    js = np.arange(1, 2 * code.t, 2, dtype=np.int64)
+    powers = tables.exp[np.multiply.outer(js, np.arange(8)) % tables.order]  # alpha^(j b)
+    bytes_ = np.arange(256)
+    value = np.zeros((code.t, 256), dtype=np.int64)
+    for b in range(8):
+        value ^= powers[:, b:b + 1] * ((bytes_ >> b) & 1)
+    byte_log = np.where(value > 0, tables.log[value], -1).astype(np.int32)
+    offsets = 8 * np.arange(-(-degree // 8), dtype=np.int64)
+    offset_log = (np.multiply.outer(js, offsets) % tables.order).astype(np.int32)
+    for arr in (byte_log, offset_log):
+        arr.setflags(write=False)
+    return _RemainderTables(degree, tuple(reduce), byte_log, offset_log)
 
 
 def bch_syndrome(bits, code: BchCode) -> np.ndarray:
-    """Odd syndromes S_1, S_3, .., S_{2t-1} of a bit vector, bit i at alpha^i."""
-    positions = np.flatnonzero(np.asarray(bits))
-    if positions.size and positions[-1] >= code.n_sym:
-        raise ValueError(f"bit {positions[-1]} is beyond the code length {code.n_sym}")
-    return _bch_syndrome_at(positions, code)
+    """Odd syndromes S_1, S_3, .., S_{2t-1} of a bit vector, bit i at alpha^i.
+
+    The string is first reduced modulo the generator g, a byte at a time as
+    in a table-driven CRC; g vanishes at every alpha^j, so S_j is the
+    remainder, at most deg g bits, evaluated at alpha^j.
+    """
+    bits = np.asarray(bits).ravel()
+    if bits.size > code.n_sym:
+        beyond = np.flatnonzero(bits[code.n_sym:])
+        if beyond.size:
+            raise ValueError(
+                f"bit {code.n_sym + beyond[-1]} is beyond the code length {code.n_sym}")
+    rt = _remainder_tables(code)
+    degree, reduce = rt.degree, rt.reduce
+    # bytes of the string polynomial, highest degree first
+    packed = np.packbits(bits != 0, bitorder="little")[::-1].tobytes()
+    head = degree // 8  # these bytes already sit below x^D
+    r = int.from_bytes(packed[:head], "big")
+    for byte in packed[head:]:
+        r = r << 8 | byte
+        r ^= reduce[r >> degree]
+    # sum over the remainder's bytes k of byte_k(alpha^j) * alpha^(8 k j)
+    rem = np.frombuffer(r.to_bytes(rt.offset_log.shape[1], "little"), dtype=np.uint8)
+    logs = rt.byte_log[:, rem]
+    terms = field_tables(code.m).exp[logs + rt.offset_log]
+    terms[logs < 0] = 0
+    return np.bitwise_xor.reduce(terms, axis=1)
 
 
 def bch_decode(syndrome_diff, code: BchCode, n_bits: int) -> np.ndarray:
@@ -464,13 +552,13 @@ def bch_decode(syndrome_diff, code: BchCode, n_bits: int) -> np.ndarray:
     for j in range(2, 2 * code.t + 1, 2):
         half = synd[j // 2 - 1]
         synd[j - 1] = exp[2 * log[half]] if half else 0
-    lam, degree = _bm_locator(synd, tables)
+    lam, degree = _bm_locator(synd, tables, binary=True)
     if degree > code.t:
         raise UncorrectableBlockError(0, f"locator degree {degree} exceeds t={code.t}")
 
     # Chien search: position p is in error iff Lambda(alpha^-p) = 0
-    step = (order - np.arange(n_bits, dtype=np.int64)) % order  # log alpha^-p
-    exponent = np.zeros(n_bits, dtype=np.int64)  # log alpha^-kp
+    step = (order - np.arange(n_bits, dtype=np.int32)) % order  # log alpha^-p
+    exponent = np.zeros(n_bits, dtype=np.int32)  # log alpha^-kp
     value = np.ones(n_bits, dtype=np.int64)      # lambda_0 = 1
     for coef in lam[1:]:
         exponent += step
@@ -482,7 +570,9 @@ def bch_decode(syndrome_diff, code: BchCode, n_bits: int) -> np.ndarray:
         raise UncorrectableBlockError(
             0, f"locator has {positions.size} roots among {n_bits} bits, expected {degree}")
     # fail-closed: the located pattern must reproduce the syndromes
-    if not np.array_equal(_bch_syndrome_at(positions, code), odd):
+    js = np.arange(1, 2 * code.t, 2, dtype=np.int64)
+    located = np.bitwise_xor.reduce(exp[np.multiply.outer(js, positions) % order], axis=1)
+    if not np.array_equal(located, odd):
         raise UncorrectableBlockError(0, "syndrome re-check failed")
     return positions
 
@@ -584,8 +674,7 @@ def ss_sketch(rho: BitString, code: RsCode | BchCode) -> Sketch | BchSketch:
         return BchSketch(bch_syndrome(rho.bits, code), code, len(rho))
     words = rho.to_words()
     blocks, block_count, padded = _to_blocks(words, code)
-    synd = np.concatenate([rs_syndrome(blk, code) for blk in blocks])
-    return Sketch(synd, block_count, code, padded)
+    return Sketch(_rs_syndromes(blocks, code).ravel(), block_count, code, padded)
 
 
 def ss_recover(rho_prime: BitString, sketch: Sketch | BchSketch) -> BitString:
@@ -613,13 +702,13 @@ def ss_recover(rho_prime: BitString, sketch: Sketch | BchSketch) -> BitString:
     blocks, block_count, padded = _to_blocks(words, code)
     if block_count != sketch.block_count or padded != sketch.padded_words:
         raise ValueError("block geometry mismatch against sketch")
+    diffs = _rs_syndromes(blocks, code) ^ sketch.syndromes.reshape(block_count, -1)
     recovered = []
     for b in range(block_count):
         blk = blocks[b].copy()
         valid = code.n_sym if b < block_count - 1 else code.n_sym - padded
-        diff = rs_syndrome(blk, code) ^ sketch.block(b)
         try:
-            errors = decode_error_from_syndrome(diff, code)
+            errors = decode_error_from_syndrome(diffs[b], code)
         except UncorrectableBlockError as exc:
             raise UncorrectableBlockError(b, exc.detail) from None
         for p, mag in errors:

@@ -50,14 +50,15 @@ def extract(input_bits: BitString, seed: ExtractorSeed) -> BitString:
     """Multiply by the seed's Toeplitz matrix over GF(2); deterministic.
 
     Row i of T x is sum_j seed[i - j + t - 1] x[j]: the valid part of the
-    integer convolution of the seed with the input, taken mod 2.  The sums
-    are exact in int64 and no l x t matrix is formed.
+    integer convolution of the seed with the input, taken mod 2.  The
+    convolution runs in float64, where every partial sum is an integer of
+    at most t < 2^53 and so exact; no l x t matrix is formed.
     """
     if len(input_bits) != seed.t:
         raise ValueError(f"input has {len(input_bits)} bits, seed expects {seed.t}")
-    sums = np.convolve(seed.bits.bits.astype(np.int64),
-                       input_bits.bits.astype(np.int64), mode="valid")
-    return BitString((sums & 1).astype(np.uint8))
+    sums = np.convolve(seed.bits.bits.astype(np.float64),
+                       input_bits.bits.astype(np.float64), mode="valid")
+    return BitString((sums.astype(np.int64) & 1).astype(np.uint8))
 
 
 def max_extractable_length(s_bits: float, epsilon_log2: float) -> int:

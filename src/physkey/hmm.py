@@ -22,6 +22,7 @@ single-sequence ones in the last bits (about 1e-13).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -155,14 +156,31 @@ class ObservationSequence:
         return int(self.symbols.size)
 
 
+@functools.lru_cache(maxsize=64)
+def _alphabet_lookup(symbols: tuple):
+    # the alphabet sorted (stably, so a repeated symbol ends on its last
+    # index) with each entry's index, both led by a copy of the first entry
+    values = np.asarray(symbols)
+    order = np.argsort(values, kind="stable")
+    return values[np.r_[order[0], order]], np.r_[order[0], order]
+
+
 def obs_from_values(model: HmmModel, values: Iterable[int]) -> ObservationSequence:
-    """Map raw symbol values (e.g. an eavesdropper trace) to alphabet indices."""
-    lut = {v: i for i, v in enumerate(model.symbols)}
-    try:
-        idx = [lut[int(v)] for v in values]
-    except KeyError as exc:
-        raise ValueError(f"symbol {exc.args[0]} is not in the model alphabet") from None
-    return ObservationSequence(np.array(idx, dtype=np.int64))
+    """Map raw symbol values (e.g. an eavesdropper trace) to alphabet indices.
+
+    Raises ValueError naming the first value that is not in the alphabet.
+    """
+    vals = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    vals = vals.astype(np.int64, copy=False)
+    ranked, index = _alphabet_lookup(model.symbols)
+    # slot of the last alphabet entry <= each value; slot 0 holds the first
+    # entry again, which a value below the whole alphabet cannot equal
+    slot = np.searchsorted(ranked[1:], vals, side="right")
+    missing = ranked[slot] != vals
+    if missing.any():
+        raise ValueError(
+            f"symbol {int(vals[np.argmax(missing)])} is not in the model alphabet")
+    return ObservationSequence(index[slot])
 
 
 @dataclass(frozen=True)

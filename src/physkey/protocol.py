@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import bdtr
 
 from .coding import BchCode, BchSketch, RsCode, Sketch, sketch_from_bytes, ss_recover, \
     ss_sketch
@@ -198,7 +199,11 @@ def plan_parameters(l: int, lambda_: float, c: float,
     """Choose the sample count and code for an (l, e^-c, 2^-lambda) exchange.
 
     c = 0 disables the correctness condition (useful when probing the
-    entropy bound alone).  A given ``n`` replaces the planned sample count;
+    entropy bound alone).  The report's ``predicted_success_exact`` is the
+    pooled sketch's success probability P[Binomial(n, e(n)/n) <= t], next
+    to the Chernoff figure ``predicted_correctness_bound``; ``feasible``
+    holds when the residual is certified and that probability reaches the
+    1 - e^-c target.  A given ``n`` replaces the planned sample count;
     the code and the report are then sized for it.  Raises
     InfeasiblePlanError when the fitted lines cannot satisfy the conditions
     at any n, or when no supported code fits the chosen n.
@@ -243,6 +248,10 @@ def plan_parameters(l: int, lambda_: float, c: float,
     recomputed_constant = 1000.0 * margin_intercept
     initial = entropy_fit(n)
     residual = initial - sketch_bits
+    certified = residual >= need
+    # each of the n words errs independently at rate e(n)/n; the pooled
+    # sketch succeeds iff at most t of them do
+    success = float(bdtr(code.t, n, min(max(error_fit(n) / n, 0.0), 1.0)))
 
     report = {
         "n": n,
@@ -258,9 +267,11 @@ def plan_parameters(l: int, lambda_: float, c: float,
         "predicted_initial_bits": initial,
         "predicted_residual_bits": residual,
         "required_residual_bits": need,
-        "residual_certified": residual >= need,
+        "residual_certified": certified,
         "predicted_correctness_bound": correctness_bound(n, error_fit)
         if error_fit(n) > 0 else 1.0,
+        "predicted_success_exact": success,
+        "feasible": certified and success >= 1.0 - math.exp(-c),
         "margin_constant_published": PUBLISHED_MARGIN_CONSTANT,
         "margin_constant_recomputed": recomputed_constant,
         "margin_constant_discrepancy": PUBLISHED_MARGIN_CONSTANT - recomputed_constant,

@@ -94,3 +94,42 @@ def walk_chain(model, n: int, seed: int) -> np.ndarray:
     for t in range(1, n):
         idx[t] = min(np.searchsorted(cum_trans[idx[t - 1]], u[t], side="right"), k - 1)
     return idx
+
+
+def gf2m_power_sums(bits, js, m: int) -> np.ndarray:
+    """sum_i bits[i] alpha^(j i) in GF(2^m) for each j: a binary polynomial
+    evaluated at alpha^j term by term, with no reduction by any generator."""
+    from physkey.coding import field_tables
+
+    tables = field_tables(m)
+    ones = np.flatnonzero(np.asarray(bits)).astype(np.int64)
+    return np.array([np.bitwise_xor.reduce(tables.exp[(j * ones) % tables.order])
+                     if ones.size else 0 for j in js], dtype=np.int64)
+
+
+def bch_generator_product(m: int, t: int) -> list:
+    """Coefficients, low degree first, of prod (x + alpha^e) over every e
+    conjugate to an odd j < 2t, multiplied out in GF(2^m) with the
+    table-free peasant multiplication."""
+    from physkey.coding import GENERATOR, _mul_no_table
+
+    order = (1 << m) - 1
+    roots = {(j << k) % order for j in range(1, 2 * t, 2) for k in range(m)}
+    poly = [1]
+    for e in sorted(roots):
+        a = 1
+        for _ in range(e):
+            a = _mul_no_table(a, GENERATOR, m)
+        product = [0] + poly  # x * poly
+        for i, c in enumerate(poly):
+            product[i] ^= _mul_no_table(a, c, m)
+        poly = product
+    return poly
+
+
+def toeplitz_int64(seed_bits, input_bits) -> np.ndarray:
+    """T x over GF(2) for the Toeplitz matrix of seed_bits, by an int64
+    convolution of the seed with the input."""
+    sums = np.convolve(np.asarray(seed_bits, dtype=np.int64),
+                       np.asarray(input_bits, dtype=np.int64), mode="valid")
+    return (sums & 1).astype(np.uint8)

@@ -1,15 +1,24 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from physkey.channel import family_config, simulate_run
 from physkey.coding import (FIELD_CHARAC, GENERATOR, PRIMITIVE_POLYS, BchCode,
-                            BchSketch, RsCode, Sketch, TABLES, _mul_no_table,
-                            bch_decode, bch_syndrome, decode_error_from_syndrome,
+                            BchSketch, RsCode, Sketch, TABLES, _bm_locator, _mul_no_table,
+                            bch_decode, bch_generator, bch_syndrome,
+                            decode_error_from_syndrome,
                             field_tables, gf_add, gf_div, gf_mul, gf_ops, gf_pow,
                             rs_syndrome, sketch_from_bytes, ss_recover, ss_sketch)
 from physkey.errors import PhyskeyError, SketchFormatError, UncorrectableBlockError
+from physkey.extract import ExtractorSeed, extract, random_seed
+from physkey.protocol import plan_parameters, run_exchange
 from physkey.quantize import BitString
+
+from .oracles import bch_generator_product, gf2m_power_sums, toeplitz_int64
 
 
 def encode_codeword(msg, code: RsCode, rng=None):
@@ -436,3 +445,148 @@ class TestPooledSketch:
         for blob in bad:
             with pytest.raises(SketchFormatError):
                 sketch_from_bytes(blob)
+
+
+def bch_code_params(max_m: int = 16, max_t: int = 40):
+    # (m, t) of a BCH code: t below both max_t and the designed-distance limit
+    return st.integers(3, max_m).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(1, min(max_t, ((1 << m) - 2) // 2))))
+
+
+class TestGeneratorRemainder:
+    @settings(max_examples=40, deadline=None)
+    @given(bch_code_params(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_syndrome_matches_direct_evaluation(self, mt, full_length, seed):
+        m, t = mt
+        code = BchCode(m, t)
+        rng = np.random.default_rng(seed)
+        # a full-length string, or a shorter one whose length is rarely a
+        # multiple of 8
+        n_bits = code.n_sym if full_length else int(rng.integers(1, code.n_sym))
+        bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+        expect = gf2m_power_sums(bits, range(1, 2 * t, 2), m)
+        assert bch_syndrome(bits, code).tolist() == expect.tolist()
+
+    @pytest.mark.parametrize("n_bits", [1, 7, 8, 9, 63, 64, 65, 127])
+    def test_syndrome_at_lengths_around_byte_boundaries(self, n_bits, rng):
+        code = BchCode(7, 9)
+        bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+        expect = gf2m_power_sums(bits, range(1, 2 * code.t, 2), code.m)
+        assert bch_syndrome(bits, code).tolist() == expect.tolist()
+        assert bch_syndrome(BitString(bits).bits, code).tolist() == expect.tolist()
+
+    def test_syndrome_guards_bits_beyond_the_code(self):
+        bits = np.zeros(40, dtype=np.uint8)
+        bits[[31, 37]] = 1
+        with pytest.raises(ValueError, match="bit 37 is beyond the code length 31"):
+            bch_syndrome(bits, BchCode(5, 2))
+        assert not bch_syndrome(np.zeros(40, dtype=np.uint8), BchCode(5, 2)).any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(bch_code_params(max_m=16, max_t=60))
+    def test_generator_degree_and_roots(self, mt):
+        m, t = mt
+        g = bch_generator(BchCode(m, t))
+        degree = g.bit_length() - 1
+        assert 1 <= degree <= m * t
+        coefs = [(g >> i) & 1 for i in range(degree + 1)]
+        assert not gf2m_power_sums(coefs, range(1, 2 * t + 1), m).any()
+
+    @settings(max_examples=15, deadline=None)
+    @given(bch_code_params(max_m=7, max_t=12))
+    def test_generator_is_the_binary_root_product(self, mt):
+        # the product over GF(2^m) has 0/1 coefficients and equals the bitmask
+        m, t = mt
+        product = bch_generator_product(m, t)
+        assert set(product) <= {0, 1}
+        g = bch_generator(BchCode(m, t))
+        assert product == [(g >> i) & 1 for i in range(g.bit_length())]
+
+    def test_reference_generator(self):
+        # 121 odd roots in distinct cosets of size 15: deg g = m t = 1815
+        g = bch_generator(BchCode(15, 121))
+        assert g.bit_length() - 1 == 1815
+        coefs = [(g >> i) & 1 for i in range(1816)]
+        assert not gf2m_power_sums(coefs, range(1, 243), 15).any()
+
+
+class TestBinaryBerlekampMassey:
+    @settings(max_examples=40, deadline=None)
+    @given(bch_code_params(max_m=12, max_t=30), st.integers(0, 2 ** 32 - 1))
+    def test_same_locator_as_the_general_loop(self, mt, seed):
+        m, t = mt
+        code = BchCode(m, t)
+        rng = np.random.default_rng(seed)
+        # weights up to 2t: within capacity and beyond it
+        weight = int(rng.integers(1, min(2 * t, code.n_sym) + 1))
+        err = np.zeros(code.n_sym, dtype=np.uint8)
+        err[rng.choice(code.n_sym, size=weight, replace=False)] = 1
+        synd = gf2m_power_sums(err, range(1, 2 * t + 1), m)
+        tables = field_tables(m)
+        assert _bm_locator(synd, tables, binary=True) == _bm_locator(synd, tables)
+
+    def test_same_locator_on_conjugate_constrained_syndromes(self, rng):
+        # GF(16) with t = 5: S_9 = S_3^8, so most odd-syndrome tuples belong to
+        # no bit pattern; the shortcut must still agree with the general loop
+        tables = field_tables(4)
+        for _ in range(300):
+            odd = rng.integers(0, 16, size=5)
+            synd = np.zeros(10, dtype=np.int64)
+            synd[0::2] = odd
+            for j in range(2, 11, 2):
+                half = synd[j // 2 - 1]
+                synd[j - 1] = tables.exp[2 * tables.log[half]] if half else 0
+            assert _bm_locator(synd, tables, binary=True) == _bm_locator(synd, tables)
+
+
+class TestExtractReference:
+    @pytest.mark.parametrize("l", [1, 128, 1024])
+    def test_matches_int64_convolution(self, l, rng):
+        t = 18_600
+        x = BitString(rng.integers(0, 2, size=t, dtype=np.uint8))
+        seed = random_seed(rng, t, l)
+        out = extract(x, seed)
+        assert np.array_equal(out.bits, toeplitz_int64(seed.bits.bits, x.bits))
+
+    def test_all_ones_sums_reach_t(self):
+        # every sum is t: the largest the float64 convolution has to hold
+        t, l = 18_601, 128
+        seed = ExtractorSeed(BitString(np.ones(t + l - 1, dtype=np.uint8)), t, l)
+        out = extract(BitString(np.ones(t, dtype=np.uint8)), seed)
+        assert np.array_equal(out.bits, np.ones(l, dtype=np.uint8))
+
+
+class TestSeededOutputs:
+    """Transcripts, keys and RS sketches pinned to fixed digests."""
+
+    EXCHANGES = {  # channel seed: (transcript sha256, Alice's key, corrected words)
+        11: ("afaefe82be7691b38f22b4132dbea33985770192598aa6662e1bd31a054ac35e",
+             "128:945968859d4ad6304dad5b73c89acd88", 83),
+        12: ("79b29594686557e9454d1794567206aa7443ce97c6c6e75bab58da3017f0ef08",
+             "128:9d2cf90b3d40ad29de8600be78d6958c", 89),
+        13: ("b97d592069783d1ce5078df814dfd3f348c57bfc6497be534cb52000c6041593",
+             "128:443089ce8e5582ca3e93fa0150e4b329", 97),
+    }
+
+    def test_pooled_exchange_golden(self):
+        params = plan_parameters(l=128, lambda_=80, c=1)
+        cfg = family_config(spread=0.41324816852731083, q=0.023456787109375002,
+                            n=params.n)
+        for sim_seed, (digest, key, corrected) in self.EXCHANGES.items():
+            run = simulate_run(replace(cfg, seed=sim_seed))
+            result = run_exchange(run.alice, run.bob, params, seed=100 + sim_seed)
+            assert hashlib.sha256(result.transcript.to_bytes()).hexdigest() == digest
+            assert result.alice_key.to_hex() == key
+            assert result.success and result.bob_key == result.alice_key
+            assert result.n_corrected_words == corrected
+            assert result.failure_reason is None
+
+    def test_rs_sketch_golden(self):
+        rng = np.random.default_rng(2024)
+        words = rng.integers(0, 256, size=600)
+        sk = ss_sketch(BitString.from_words(words), RsCode(255, 229))
+        assert hashlib.sha256(sk.to_bytes()).hexdigest() == (
+            "675e2e00a9e2f25eb4f749375f06290f578100a512cbd6c2fa35ebd354d8c6f3")
+        noisy = words.copy()
+        noisy[rng.choice(600, size=25, replace=False)] ^= 0x33
+        assert ss_recover(BitString.from_words(noisy), sk) == BitString.from_words(words)

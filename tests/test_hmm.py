@@ -396,3 +396,27 @@ class TestSerialization:
         assert np.array_equal(obs.symbols, [0, 1, 0])
         with pytest.raises(ValueError, match="alphabet"):
             obs_from_values(two_state, [7])
+
+    def test_obs_from_values_matches_the_dict_lookup(self, rng):
+        # unsorted alphabets, repeated symbols (the last index wins) and
+        # values outside the alphabet, against a per-symbol dict reference
+        for _ in range(300):
+            m = int(rng.integers(1, 8))
+            symbols = tuple(int(v) for v in rng.integers(-5, 6, size=m))
+            model = HmmModel(states=(0,), symbols=symbols, pi=np.ones(1),
+                             trans=np.ones((1, 1)), emit=np.full((1, m), 1.0 / m))
+            values = rng.integers(-7, 8, size=int(rng.integers(1, 40)))
+            lut = {v: i for i, v in enumerate(symbols)}
+            missing = [int(v) for v in values if int(v) not in lut]
+            if missing:
+                with pytest.raises(ValueError, match=f"^symbol {missing[0]} is not in"):
+                    obs_from_values(model, values)
+            else:
+                assert obs_from_values(model, values).symbols.tolist() == [
+                    lut[int(v)] for v in values]
+
+    def test_obs_from_values_accepts_any_iterable(self, two_state):
+        assert obs_from_values(two_state, iter([1, 0])).symbols.tolist() == [1, 0]
+        assert obs_from_values(two_state, (v for v in [0, 0])).symbols.tolist() == [0, 0]
+        with pytest.raises(ValueError, match="non-empty"):
+            obs_from_values(two_state, [])

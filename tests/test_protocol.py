@@ -98,6 +98,27 @@ class TestPlanner:
         assert residual >= 286
         assert p.report["residual_certified"] is True
 
+    def test_exact_success_probability_and_feasibility(self):
+        # P[Binomial(2325, e(2325)/2325) <= 121] with e(2325) = 100.023,
+        # against the 1 - 1/e target at c = 1; the Chernoff figure stays
+        p = plan_parameters(l=128, lambda_=80, c=1)
+        exact = binom.cdf(121, 2325, REFERENCE_ERROR_FIT(2325) / 2325)
+        assert p.report["predicted_success_exact"] == pytest.approx(exact, rel=1e-12)
+        assert 0.98 < p.report["predicted_success_exact"] < 0.99
+        assert p.report["predicted_correctness_bound"] == pytest.approx(
+            math.exp(-100.023 / 100))
+        assert p.report["feasible"] is True
+        # a certified residual alone is not enough: at n = 50 the budget is
+        # t = ceil(1.2 * 2.198) = 3 errors, met with probability ~0.82,
+        # short of 1 - e^-3 but above 1 - e^-0.5
+        rich = LinearFit(slope=5.0, intercept=0.0)
+        for c, feasible in ((3.0, False), (0.5, True)):
+            p = plan_parameters(l=16, lambda_=2, c=c, entropy_fit=rich, n=50)
+            assert p.report["residual_certified"] is True
+            assert p.report["predicted_success_exact"] == pytest.approx(
+                binom.cdf(3, 50, REFERENCE_ERROR_FIT(50) / 50), rel=1e-12)
+            assert p.report["feasible"] is feasible
+
     def test_sample_count_override_resizes_code(self):
         # 400 samples are 3200 bits: 2^11 - 1 < 3200 <= 2^12 - 1 gives m = 12,
         # and t = ceil(1.2 * (0.043 * 400 + 0.048)) = ceil(20.70) = 21

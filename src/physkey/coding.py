@@ -273,10 +273,10 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
     (block index 0; callers re-wrap with the real index) when the syndromes
     are inconsistent with any weight-<= t error.
     """
-    synd = [int(s) for s in np.asarray(syndrome_diff, dtype=np.int64)]
-    if len(synd) != code.n_syndromes:
-        raise ValueError(f"expected {code.n_syndromes} syndromes, got {len(synd)}")
-    if not any(synd):
+    synd = np.asarray(syndrome_diff, dtype=np.int64)
+    if synd.size != code.n_syndromes:
+        raise ValueError(f"expected {code.n_syndromes} syndromes, got {synd.size}")
+    if not synd.any():
         return []
 
     lam, degree = _bm_locator(synd)
@@ -293,11 +293,10 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
 
     # Forney with fcr = 1: Omega(x) = S(x) Lambda(x) mod x^2t,
     # Y_p = Omega(X_p^-1) / Lambda'(X_p^-1).
-    s = np.asarray(synd, dtype=np.int64)
-    omega = np.zeros(s.size, dtype=np.int64)  # both low-degree-first
+    omega = np.zeros(synd.size, dtype=np.int64)  # both low-degree-first
     for j, coef in enumerate(lam):
         if coef:
-            omega[j:] ^= _gf_scale(s[:s.size - j], _LOG[coef], TABLES)
+            omega[j:] ^= _gf_scale(synd[:synd.size - j], _LOG[coef], TABLES)
     lam_deriv = np.zeros(degree, dtype=np.int64)  # d/dx in char 2: odd terms
     lam_deriv[0::2] = lam[1::2]
     x_inv = inv_logs[positions]
@@ -314,7 +313,7 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
     degrees = code.n_sym - 1 - positions
     located = np.bitwise_xor.reduce(
         _EXP[(_LOG[mags] + np.multiply.outer(roots, degrees)) % FIELD_CHARAC], axis=1)
-    if not np.array_equal(located, s):
+    if not np.array_equal(located, synd):
         raise UncorrectableBlockError(0, "syndrome re-check failed")
     return list(zip(positions.tolist(), mags.tolist()))
 
@@ -433,7 +432,7 @@ def _cyclotomic_cosets(code: BchCode) -> list:
     return cosets
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def bch_generator(code: BchCode) -> int:
     """Generator polynomial g of the code as a bitmask, bit i holding the
     coefficient of x^i: the product of the minimal polynomials of alpha^1,
@@ -470,7 +469,7 @@ class _RemainderTables:
     offset_log: np.ndarray  # (t, ceil(D / 8)) log alpha^(8 k j) for byte k
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _remainder_tables(code: BchCode) -> _RemainderTables:
     g = bch_generator(code)
     degree = g.bit_length() - 1

@@ -162,7 +162,8 @@ def _alphabet_lookup(symbols: tuple):
     # index) with each entry's index, both led by a copy of the first entry
     values = np.asarray(symbols)
     order = np.argsort(values, kind="stable")
-    return values[np.r_[order[0], order]], np.r_[order[0], order]
+    lead = np.r_[order[0], order]
+    return values[lead], lead
 
 
 def obs_from_values(model: HmmModel, values: Iterable[int]) -> ObservationSequence:

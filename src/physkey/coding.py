@@ -460,8 +460,9 @@ def bch_generator(code: BchCode) -> int:
 
 @dataclass(frozen=True)
 class _RemainderTables:
-    """What bch_syndrome needs besides g: a byte-wise reduction table and
-    the odd syndromes of every byte at every byte offset of the remainder."""
+    """What bch_syndrome needs besides g: a byte-wise reduction table, and
+    the logs of each byte's value and of each byte offset's power at every
+    odd root alpha^j."""
 
     degree: int             # D = deg g
     reduce: tuple           # h << D xor (h x^D mod g), for each byte h

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .hmm import HmmModel, estimate_avg_conditional_min_entropy, \
-    level_states, obs_from_values, validate_model
+    level_states, slice_experiments, validate_model
 from .traces import MeasurementTrace, make_trace
 
 _PROB_TOL = 1e-9
@@ -204,10 +204,7 @@ def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
     """
     n = _measure_length(n_samples, slice_len)
     run = simulate_run(replace(config, n=n, seed=seed))
-    experiments = [
-        obs_from_values(config.model, run.eve.levels[i:i + slice_len])
-        for i in range(0, n, slice_len)
-    ]
+    experiments = slice_experiments(config.model, run.eve.levels, slice_len)
     est = estimate_avg_conditional_min_entropy(config.model, experiments)
     return {
         "per_sample_entropy_bits": est.mean_bits / slice_len,

@@ -104,13 +104,9 @@ def _cmd_estimate_entropy(args) -> int:
                                        magnitude=args.levels - 1)
     model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,
                                     smoothing=args.smoothing)
-    n_slices = len(alice) // args.slice
-    if n_slices < 1:
+    experiments = hmm.slice_experiments(model, eve.levels, args.slice)
+    if not experiments:
         raise PhyskeyError(f"need at least {args.slice} aligned samples")
-    experiments = [
-        hmm.obs_from_values(model, eve.levels[s * args.slice:(s + 1) * args.slice])
-        for s in range(n_slices)
-    ]
     est = hmm.estimate_avg_conditional_min_entropy(model, experiments)
     _emit({"estimate": est.to_dict(), "levels": args.levels,
            "slice": args.slice, "ingest": report})
@@ -126,24 +122,18 @@ def _cmd_fit_growth(args) -> int:
     alice, bob, eve = aligned["alice"], aligned["bob"], aligned["eve"]
 
     slice_len = args.slice_samples
-    n_slices = len(alice) // slice_len
-    if n_slices < 2:
+    if len(alice) < 2 * slice_len:
         raise PhyskeyError(f"need at least {2 * slice_len} aligned samples")
     model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,
                                     smoothing=args.smoothing)
+    experiments = hmm.slice_experiments(model, eve.levels, slice_len)
+    n_slices = len(experiments)
     checkpoints = list(range(args.step, slice_len + 1, args.step))
-    obs = np.stack([
-        np.array([model.symbol_index(v) for v in
-                  eve.levels[s * slice_len:(s + 1) * slice_len]])
-        for s in range(n_slices)
-    ])
-    entropy = hmm.entropy_profile_batch(model, obs, checkpoints)
-    errors = np.stack([
-        np.cumsum(alice.levels[s * slice_len:(s + 1) * slice_len]
-                  != bob.levels[s * slice_len:(s + 1) * slice_len])[
-            np.array(checkpoints) - 1]
-        for s in range(n_slices)
-    ])
+    entropy = hmm.entropy_profile_batch(
+        model, np.stack([e.symbols for e in experiments]), checkpoints)
+    kept = n_slices * slice_len
+    mismatch = (alice.levels[:kept] != bob.levels[:kept]).reshape(n_slices, slice_len)
+    errors = np.cumsum(mismatch, axis=1)[:, np.array(checkpoints) - 1]
     g = hmm.fit_linear_growth(list(zip(checkpoints, entropy.mean(axis=0))))
     e = hmm.fit_linear_growth(list(zip(checkpoints, errors.mean(axis=0))))
     if args.out_csv:

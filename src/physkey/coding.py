@@ -135,23 +135,6 @@ def gf_pow(a: int, power: int) -> int:
     return int(_EXP[(_LOG[a] * power) % FIELD_CHARAC])
 
 
-def gf_inv(a: int) -> int:
-    return gf_div(1, a)
-
-
-def gf_ops(a: int, b: int, op: str) -> int:
-    """Dispatch field arithmetic: add (xor), mul, div, pow."""
-    if op == "add":
-        return gf_add(a, b)
-    if op == "mul":
-        return gf_mul(a, b)
-    if op == "div":
-        return gf_div(a, b)
-    if op == "pow":
-        return gf_pow(a, b)
-    raise ValueError(f"unknown GF op {op!r}")
-
-
 def _poly_eval_at(coefs, x_logs: np.ndarray) -> np.ndarray:
     # values of a low-degree-first polynomial over GF(2^8) at alpha^x_logs
     c = np.asarray(coefs, dtype=np.int64)

@@ -12,12 +12,11 @@ approximates the average-case conditional min-entropy, and an exact
 enumeration over all observation sequences (-log2 sum_y P*(y)) is kept as a
 desk-scale reference for small models.
 
-The single-sequence functions (viterbi_max_joint, forward_likelihood) keep
-the argmax path and serve as references.  The sampled estimator and the
-growth profiles stack their experiments into one (rows, n) matrix and run
-both recursions over all rows at once; the batched forward pass multiplies
-matrices rather than vectors, so its per-row values may differ from the
-single-sequence ones in the last bits (about 1e-13).
+One private kernel steps both recursions over the rows of an (r, n) matrix
+of symbol indices at once and reports their prefix values at requested
+lengths.  The single-sequence functions (viterbi_max_joint, which also keeps
+the argmax path, and forward_likelihood), the growth profiles, the sampled
+estimator and the exact enumeration all call it.
 """
 
 from __future__ import annotations
@@ -184,6 +183,24 @@ def obs_from_values(model: HmmModel, values: Iterable[int]) -> ObservationSequen
     return ObservationSequence(index[slot])
 
 
+def slice_experiments(model: HmmModel, levels: Sequence[int],
+                      slice_len: int) -> list:
+    """Cut a trace into whole slice_len-sample experiments of alphabet indices.
+
+    The tail shorter than slice_len is dropped before mapping, so a value
+    outside the alphabet there is ignored; fewer than slice_len samples give
+    no experiments.
+    """
+    if slice_len < 1:
+        raise ValueError(f"slice length must be at least 1, got {slice_len}")
+    levels = np.asarray(levels)
+    n_slices = levels.size // slice_len
+    if n_slices == 0:
+        return []
+    symbols = obs_from_values(model, levels[:n_slices * slice_len]).symbols
+    return [ObservationSequence(row) for row in symbols.reshape(n_slices, slice_len)]
+
+
 @dataclass(frozen=True)
 class StatePath:
     """Indices into the model's state set."""
@@ -233,75 +250,83 @@ class LinearFit:
                 "residual_sum_squares": self.residual_sum_squares}
 
 
-def _check_obs(model: HmmModel, obs: ObservationSequence) -> np.ndarray:
-    sym = obs.symbols
-    if sym.min() < 0 or sym.max() >= model.m:
+def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[int],
+                keep_path: bool = False):
+    """Viterbi and scaled forward recursions over every row of an (r, n) matrix.
+
+    delta_1(i) = pi_i b_i(y_1);  delta_{t+1}(j) = max_i[delta_t(i) a_ij] b_j(y_{t+1}),
+    kept in log2; alpha is the same recursion with a sum for the max, rescaled
+    to sum 1 after each step so long sequences (n >= 1e4) do not underflow.
+    ``checkpoints`` are sorted prefix lengths in [1, n].  Returns log2 P* and
+    log2 P of each row's prefix at each checkpoint (two (r, c) arrays), the
+    step at which each row's probability vanished (-1 if it never did; log2 P
+    is -inf from there on) and, with ``keep_path``, each row's argmax path as
+    an (r, n) array, ties broken toward the lowest state.  An impossible row
+    does not raise: exact enumeration sums over such rows.
+    """
+    if obs_matrix.min() < 0 or obs_matrix.max() >= model.m:
         raise ValueError(f"observation index out of range [0, {model.m})")
-    return sym
-
-
-def _log2_safe(mat: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.log2(mat)
+        log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
+    r, n = obs_matrix.shape
+    log_star = np.zeros((r, len(checkpoints)))
+    log_p = np.zeros((r, len(checkpoints)))
+    vanished = np.full(r, -1)
+    back = []
+    pos = 0
+    log_fwd = np.zeros(r)
+    for t in range(n):
+        if t == 0:
+            delta = log_pi[None, :] + log_b[:, obs_matrix[:, 0]].T    # (r, k)
+            alpha = model.pi[None, :] * model.emit[:, obs_matrix[:, 0]].T
+        else:
+            cand = delta[:, :, None] + log_a[None, :, :]             # cand[row, i, j]
+            if keep_path:
+                back.append(cand.argmax(axis=1))                     # first max
+            delta = cand.max(axis=1) + log_b[:, obs_matrix[:, t]].T
+            alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
+        scale = alpha.sum(axis=1)
+        if not scale.all():
+            dead = scale == 0
+            vanished[dead & (vanished < 0)] = t
+            log_fwd[dead] = -np.inf
+            scale[dead] = 1.0
+        alpha /= scale[:, None]
+        log_fwd += np.log2(scale)
+        if pos < len(checkpoints) and checkpoints[pos] == t + 1:
+            log_star[:, pos] = delta.max(axis=1)
+            log_p[:, pos] = log_fwd
+            pos += 1
+    if not keep_path:
+        return log_star, log_p, vanished, None
+    paths = np.zeros((r, n), dtype=np.int64)
+    paths[:, -1] = delta.argmax(axis=1)
+    for t in range(n - 1, 0, -1):
+        paths[:, t - 1] = back[t - 1][np.arange(r), paths[:, t]]
+    return log_star, log_p, vanished, paths
 
 
 def viterbi_max_joint(model: HmmModel, obs: ObservationSequence):
     """Max joint probability over hidden paths, in log2, plus one argmax path.
 
-    delta_1(i) = pi_i b_i(y_1);  delta_{t+1}(j) = max_i[delta_t(i) a_ij] b_j(y_{t+1});
-    P* = max_j delta_n(j).  Runs entirely in the log domain; ties break toward
-    the lowest state index.
+    P* = max_x Pr[X = x, Y = obs]; runs in the log domain and breaks ties
+    toward the lowest state index.
     """
-    sym = _check_obs(model, obs)
-    n, k = sym.size, model.k
-    log_pi = _log2_safe(model.pi)
-    log_a = _log2_safe(model.trans)
-    log_b = _log2_safe(model.emit)
-
-    delta = log_pi + log_b[:, sym[0]]
-    back = np.zeros((n, k), dtype=np.int64)
-    for t in range(1, n):
-        cand = delta[:, None] + log_a          # cand[i, j]
-        best = np.argmax(cand, axis=0)         # first max -> lowest index
-        delta = cand[best, np.arange(k)] + log_b[:, sym[t]]
-        back[t] = best
-    final = int(np.argmax(delta))
-    log_p = float(delta[final])
-    if log_p == -np.inf:
+    log_star, _, _, paths = _recursions(model, obs.symbols[None, :], [len(obs)],
+                                        keep_path=True)
+    if log_star[0, 0] == -np.inf:
         raise ImpossibleObservationError(
             "impossible observation sequence: all path probabilities vanish")
-    path = np.zeros(n, dtype=np.int64)
-    path[-1] = final
-    for t in range(n - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return log_p, StatePath(path)
+    return float(log_star[0, 0]), StatePath(paths[0])
 
 
 def forward_likelihood(model: HmmModel, obs: ObservationSequence) -> float:
-    """Total observation probability Pr[Y = obs] in log2.
-
-    alpha_1(i) = pi_i b_i(y_1); alpha_{t+1}(j) = [sum_i alpha_t(i) a_ij] b_j(y_{t+1});
-    P = sum_i alpha_n(i).  Per-step scaling keeps long sequences (n >= 1e4)
-    from underflowing.
-    """
-    sym = _check_obs(model, obs)
-    alpha = model.pi * model.emit[:, sym[0]]
-    log_p = 0.0
-    scale = alpha.sum()
-    if scale <= 0.0:
+    """Total observation probability Pr[Y = obs] in log2."""
+    _, log_p, vanished, _ = _recursions(model, obs.symbols[None, :], [len(obs)])
+    if vanished[0] >= 0:
         raise ImpossibleObservationError(
-            "impossible observation sequence: zero probability at step 0")
-    alpha = alpha / scale
-    log_p += math.log2(scale)
-    for t in range(1, sym.size):
-        alpha = (alpha @ model.trans) * model.emit[:, sym[t]]
-        scale = alpha.sum()
-        if scale <= 0.0:
-            raise ImpossibleObservationError(
-                f"impossible observation sequence: zero probability at step {t}")
-        alpha = alpha / scale
-        log_p += math.log2(scale)
-    return float(log_p)
+            f"impossible observation sequence: zero probability at step {vanished[0]}")
+    return float(log_p[0, 0])
 
 
 def conditional_min_entropy_given_obs(model: HmmModel, obs: ObservationSequence) -> float:
@@ -309,27 +334,6 @@ def conditional_min_entropy_given_obs(model: HmmModel, obs: ObservationSequence)
     log_pstar, _ = viterbi_max_joint(model, obs)
     log_p = forward_likelihood(model, obs)
     return max(0.0, log_p - log_pstar)
-
-
-def _viterbi_log2_batch(model: HmmModel, obs_matrix: np.ndarray) -> np.ndarray:
-    """log2 P* for each row of an (r, n) matrix of symbol indices."""
-    log_pi = _log2_safe(model.pi)
-    log_a = _log2_safe(model.trans)
-    log_b = _log2_safe(model.emit)
-    r, n = obs_matrix.shape
-    delta = log_pi[None, :] + log_b[:, obs_matrix[:, 0]].T    # (r, k)
-    for t in range(1, n):
-        cand = delta[:, :, None] + log_a[None, :, :]
-        delta = cand.max(axis=1) + log_b[:, obs_matrix[:, t]].T
-    return delta.max(axis=1)
-
-
-def _impossible(scale: np.ndarray, t: int) -> None:
-    bad = np.flatnonzero(scale <= 0)
-    if bad.size:
-        raise ImpossibleObservationError(
-            f"impossible observation sequence: zero probability at step {t}",
-            row=int(bad[0]))
 
 
 def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
@@ -342,41 +346,20 @@ def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
     ImpossibleObservationError carrying its index as ``row``.
     """
     checkpoints = sorted(checkpoints)
-    r, n = obs_matrix.shape
+    n = obs_matrix.shape[1]
+    if not checkpoints:
+        raise ValueError(f"need at least one checkpoint in [1, {n}]")
     if checkpoints[-1] > n:
         raise ValueError("checkpoint beyond sequence length")
-    if obs_matrix.min() < 0 or obs_matrix.max() >= model.m:
-        raise ValueError(f"observation index out of range [0, {model.m})")
-    log_pi = _log2_safe(model.pi)
-    log_a = _log2_safe(model.trans)
-    log_b = _log2_safe(model.emit)
-
-    delta = log_pi[None, :] + log_b[:, obs_matrix[:, 0]].T
-    alpha = model.pi[None, :] * model.emit[:, obs_matrix[:, 0]].T
-    scale = alpha.sum(axis=1)
-    _impossible(scale, 0)
-    alpha /= scale[:, None]
-    log_fwd = np.log2(scale)
-
-    out = np.zeros((r, len(checkpoints)))
-    pos = 0
-    if checkpoints[pos] == 1:
-        out[:, pos] = np.maximum(0.0, log_fwd - delta.max(axis=1))
-        pos += 1
-    for t in range(1, n):
-        cand = delta[:, :, None] + log_a[None, :, :]
-        delta = cand.max(axis=1) + log_b[:, obs_matrix[:, t]].T
-        alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
-        scale = alpha.sum(axis=1)
-        _impossible(scale, t)
-        alpha /= scale[:, None]
-        log_fwd += np.log2(scale)
-        if pos < len(checkpoints) and checkpoints[pos] == t + 1:
-            out[:, pos] = np.maximum(0.0, log_fwd - delta.max(axis=1))
-            pos += 1
-    if pos != len(checkpoints):
+    if checkpoints[0] < 1 or len(set(checkpoints)) < len(checkpoints):
         raise ValueError("duplicate or unreachable checkpoints")
-    return out
+    log_star, log_p, vanished, _ = _recursions(model, obs_matrix, checkpoints)
+    if vanished.max() >= 0:
+        t = vanished[vanished >= 0].min()
+        raise ImpossibleObservationError(
+            f"impossible observation sequence: zero probability at step {t}",
+            row=int(np.argmax(vanished == t)))
+    return np.maximum(0.0, log_p - log_star)
 
 
 def exact_avg_conditional_min_entropy(model: HmmModel, n: int) -> float:
@@ -398,7 +381,7 @@ def exact_avg_conditional_min_entropy(model: HmmModel, n: int) -> float:
     for lo in range(0, total, chunk):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         block = (idx[:, None] // powers[None, :]) % model.m
-        log_terms.append(_viterbi_log2_batch(model, block))
+        log_terms.append(_recursions(model, block, [n])[0][:, 0])
     logs = np.concatenate(log_terms)
     top = logs.max()
     if top == -np.inf:

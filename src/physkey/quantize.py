@@ -75,9 +75,6 @@ class BitString:
             raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
         return BitString(np.bitwise_xor(self._bits, other._bits))
 
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString(np.concatenate([self._bits, other._bits]))
-
     def to_hex(self) -> str:
         """Serialize as ``len:hex`` (MSB-first, zero-padded final byte)."""
         packed = np.packbits(self._bits) if len(self) else np.zeros(0, np.uint8)

@@ -197,6 +197,8 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace,
     trials = cfg["trials"]
     slice_len = cfg["slice_len"]
     n = len(alice)
+    if slice_len < 1:
+        raise ValueError(f"slice_len must be at least 1, got {slice_len}")
     if n < 20 * slice_len:
         raise ValueError(f"need at least {20 * slice_len} samples, got {n}")
     rng = np.random.default_rng(seed)
@@ -266,14 +268,10 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace,
     if levels is None:
         levels = int(1 - min(alice.levels.min(), eve.levels.min()))
     model = hmm.fit_hmm_from_traces(alice, eve, levels=levels, smoothing=1e-3)
-    n_slices = n // slice_len
-    experiments = [
-        hmm.obs_from_values(model, eve.levels[s * slice_len:(s + 1) * slice_len])
-        for s in range(n_slices)
-    ]
+    experiments = hmm.slice_experiments(model, eve.levels, slice_len)
     stable = hmm.estimate_avg_conditional_min_entropy(model, experiments)
     details["levels"] = levels
-    details["n_slices"] = n_slices
+    details["n_slices"] = len(experiments)
     details["stable_entropy_cv"] = (stable.std_bits / stable.mean_bits
                                     if stable.mean_bits > 0 else float("inf"))
 

@@ -1,10 +1,13 @@
-"""Brute-force reference computations, independent of the dynamic programs.
+"""Reference computations, independent of the package's dynamic programs.
 
-Everything here enumerates hidden-state paths explicitly and multiplies
-probabilities directly; nothing reuses the recursions under test.
+The brute-force functions enumerate hidden-state paths explicitly and
+multiply probabilities directly.  scalar_viterbi_log2 and
+scalar_forward_log2 run the two recursions one sequence at a time, as
+separate code from the batched kernel under test.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -64,6 +67,34 @@ def brute_exact_avg_bits(model, n: int, chunk: int = 4096) -> float:
             joint *= model.emit[paths[:, t][:, None], ys[None, :, t]]
         acc += joint.max(axis=0).sum()
     return -np.log2(acc)
+
+
+def scalar_viterbi_log2(model, obs) -> float:
+    """log2 P* of one sequence by the log-domain Viterbi loop over a state vector."""
+    with np.errstate(divide="ignore"):
+        log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
+    obs = np.asarray(obs, dtype=np.int64)
+    k = model.k
+    delta = log_pi + log_b[:, obs[0]]
+    for t in range(1, obs.size):
+        cand = delta[:, None] + log_a          # cand[i, j]
+        best = np.argmax(cand, axis=0)
+        delta = cand[best, np.arange(k)] + log_b[:, obs[t]]
+    return float(delta.max())
+
+
+def scalar_forward_log2(model, obs) -> float:
+    """log2 P of one sequence by the forward loop, rescaled at every step."""
+    obs = np.asarray(obs, dtype=np.int64)
+    alpha = model.pi * model.emit[:, obs[0]]
+    log_p = 0.0
+    for t in range(obs.size):
+        if t:
+            alpha = (alpha @ model.trans) * model.emit[:, obs[t]]
+        scale = alpha.sum()
+        alpha = alpha / scale
+        log_p += math.log2(scale)
+    return log_p
 
 
 def random_model(rng: np.random.Generator, k: int, m: int):

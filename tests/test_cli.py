@@ -98,6 +98,26 @@ class TestFitGrowth:
         (run_dir / "fits.json").write_text(json.dumps(doc))
 
 
+@pytest.mark.parametrize("command, extra, reason", [
+    ("estimate-entropy", ["--slice", "0"], "at least 1"),
+    ("estimate-entropy", ["--slice", "-5"], "at least 1"),
+    ("fit-growth", ["--slice-samples", "0"], "at least 1"),
+    ("fit-growth", ["--step", "500"], "checkpoint"),
+    ("fit-growth", ["--step", "-10"], "checkpoint"),
+    ("validate-assumptions", ["--slice", "0"], "at least 1"),
+])
+def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
+    traces = {"alice": run_dir / "alice.csv", "eve": run_dir / "eve.csv"}
+    if command == "fit-growth":
+        traces["bob"] = run_dir / "bob.csv"
+    args = [a for role, path in traces.items() for a in (f"--{role}", path)]
+    code = main([command, *map(str, args), "--levels", "9", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and reason in captured.err
+    assert captured.out == ""
+
+
 class TestPlanAndExtract:
     def test_plan_reference(self, capsys):
         code, out = invoke(capsys, "plan", "--l", "128", "--lambda", "80", "--c", "1")

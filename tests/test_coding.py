@@ -11,7 +11,7 @@ from physkey.coding import (FIELD_CHARAC, GENERATOR, PRIMITIVE_POLYS, BchCode,
                             BchSketch, RsCode, Sketch, TABLES, _bm_locator, _mul_no_table,
                             bch_decode, bch_generator, bch_syndrome,
                             decode_error_from_syndrome,
-                            field_tables, gf_add, gf_div, gf_mul, gf_ops, gf_pow,
+                            field_tables, gf_add, gf_div, gf_mul, gf_pow,
                             rs_syndrome, sketch_from_bytes, ss_recover, ss_sketch)
 from physkey.errors import PhyskeyError, SketchFormatError, UncorrectableBlockError
 from physkey.extract import ExtractorSeed, extract, random_seed
@@ -68,14 +68,6 @@ class TestField:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             gf_div(5, 0)
-
-    def test_ops_dispatch(self):
-        assert gf_ops(7, 7, "add") == 0
-        assert gf_ops(3, 1, "mul") == 3
-        assert gf_ops(gf_mul(9, 4), 4, "div") == 9
-        assert gf_ops(2, 8, "pow") == gf_pow(2, 8)
-        with pytest.raises(ValueError):
-            gf_ops(1, 1, "sub")
 
     def test_full_multiplication_table_matches_peasant_oracle(self):
         for a in range(256):

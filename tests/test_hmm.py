@@ -6,14 +6,15 @@ import pytest
 
 from physkey.errors import ImpossibleObservationError
 from physkey.hmm import (HmmModel, ObservationSequence,
-                         conditional_min_entropy_given_obs,
+                         conditional_min_entropy_given_obs, entropy_profile_batch,
                          estimate_avg_conditional_min_entropy,
                          exact_avg_conditional_min_entropy, fit_hmm_from_traces,
                          fit_linear_growth, forward_likelihood, obs_from_values,
-                         validate_model, viterbi_max_joint)
+                         slice_experiments, validate_model, viterbi_max_joint)
 from physkey.traces import make_trace
 
-from .oracles import brute_exact_avg_bits, brute_forward, brute_viterbi, random_model
+from .oracles import (brute_exact_avg_bits, brute_forward, brute_viterbi, random_model,
+                      scalar_forward_log2, scalar_viterbi_log2)
 
 
 @pytest.fixture()
@@ -177,6 +178,25 @@ class TestExactAverage:
         with pytest.raises(ValueError, match="enumeration too large"):
             exact_avg_conditional_min_entropy(uniform2, 21)
 
+    @pytest.mark.parametrize("trans, bits", [([[0.6, 0.4], [0.2, 0.8]], 0.27566),
+                                             ([[1.0, 0.0], [0.2, 0.8]], 0.11569)])
+    def test_zero_probabilities_match_enumeration(self, trans, bits):
+        # zero emissions rule out hidden paths; the zero transition also
+        # makes 473 of the 729 observation sequences impossible, and the
+        # enumeration sums their zero P* with the rest
+        model = HmmModel(states=(0, 1), symbols=(0, 1, 2), pi=[0.3, 0.7], trans=trans,
+                         emit=[[0.9, 0.1, 0.0], [0.0, 0.5, 0.5]])
+        got = exact_avg_conditional_min_entropy(model, 6)
+        assert got == pytest.approx(brute_exact_avg_bits(model, 6), abs=1e-9)
+        assert got == pytest.approx(bits, abs=5e-6)
+
+    def test_banded_family_matches_enumeration(self):
+        from physkey.channel import family_config
+        model = family_config(levels=5, decay=0.5, spread=0.4, band=1).model
+        got = exact_avg_conditional_min_entropy(model, 4)
+        assert got == pytest.approx(brute_exact_avg_bits(model, 4), abs=1e-9)
+        assert got == pytest.approx(2.58402, abs=5e-6)
+
     def test_upper_bound_n_log_k(self, rng):
         for _ in range(10):
             model = random_model(rng, 3, 3)
@@ -231,7 +251,7 @@ class TestEstimator:
 
     def test_batched_matches_per_sequence(self, rng):
         # one batched pass gives each experiment's -log2(P*/P) as computed
-        # by the single-sequence Viterbi and forward recursions
+        # by separate single-sequence Viterbi and forward loops
         for _ in range(40):
             k, m = (int(v) for v in rng.integers(1, 6, size=2))
             model = random_model(rng, k, m)
@@ -239,10 +259,18 @@ class TestEstimator:
             exps = [ObservationSequence(rng.integers(0, m, size=n))
                     for _ in range(int(rng.integers(1, 25)))]
             est = estimate_avg_conditional_min_entropy(model, exps)
-            expected = [conditional_min_entropy_given_obs(model, e) for e in exps]
+            expected = [max(0.0, scalar_forward_log2(model, e.symbols)
+                            - scalar_viterbi_log2(model, e.symbols)) for e in exps]
             assert est.n_experiments == len(exps)
             assert est.n_samples_per_experiment == n
             assert np.allclose(est.per_experiment_bits, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("checkpoints, message", [
+        ([], "at least one checkpoint"), ([0, 3], "unreachable"),
+        ([-2], "unreachable"), ([4], "beyond"), ([2, 2], "duplicate")])
+    def test_profile_rejects_bad_checkpoints(self, two_state, checkpoints, message):
+        with pytest.raises(ValueError, match=message):
+            entropy_profile_batch(two_state, np.zeros((2, 3), dtype=np.int64), checkpoints)
 
     def test_mixed_lengths_rejected(self, two_state):
         with pytest.raises(ValueError, match="mixed lengths"):
@@ -414,6 +442,29 @@ class TestSerialization:
             else:
                 assert obs_from_values(model, values).symbols.tolist() == [
                     lut[int(v)] for v in values]
+
+    def test_slice_experiments_matches_per_slice_mapping(self, rng):
+        model = HmmModel(states=(0,), symbols=(4, -2, 7), pi=np.ones(1),
+                         trans=np.ones((1, 1)), emit=np.full((1, 3), 1 / 3))
+        levels = rng.choice([4, -2, 7], size=103)
+        got = slice_experiments(model, levels, 10)
+        assert [e.symbols.tolist() for e in got] == [
+            obs_from_values(model, levels[i:i + 10]).symbols.tolist()
+            for i in range(0, 100, 10)]
+        assert slice_experiments(model, levels[:9], 10) == []
+
+    def test_slice_experiments_ignores_the_dropped_tail(self, two_state):
+        got = slice_experiments(two_state, [0, 1, 1, 0, 9], 2)
+        assert [e.symbols.tolist() for e in got] == [[0, 1], [1, 0]]
+
+    def test_slice_experiments_names_first_missing_symbol(self, two_state):
+        with pytest.raises(ValueError, match="^symbol 5 is not in"):
+            slice_experiments(two_state, [0, 1, 0, 5, 1, 3, 0, 0], 4)
+
+    @pytest.mark.parametrize("slice_len", [0, -5])
+    def test_slice_experiments_rejects_short_slices(self, two_state, slice_len):
+        with pytest.raises(ValueError, match="slice length must be at least 1"):
+            slice_experiments(two_state, [0, 1, 0], slice_len)
 
     def test_obs_from_values_accepts_any_iterable(self, two_state):
         assert obs_from_values(two_state, iter([1, 0])).symbols.tolist() == [1, 0]

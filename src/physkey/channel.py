@@ -184,6 +184,8 @@ def family_config(levels: int = 9, decay: float = 1.0, spread: float = 0.5,
 
 def _measure_length(n_samples: int, slice_len: int) -> int:
     # whole slices only, and at least one
+    if slice_len < 1:
+        raise ValueError(f"slice length must be at least 1, got {slice_len}")
     n = max(n_samples, slice_len)
     return n - n % slice_len
 
@@ -214,6 +216,23 @@ def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
         "slice_len": slice_len,
         "n_samples": n,
     }
+
+
+def _bisect(rate_of, target: float, lo: float, hi: float, midpoint):
+    # 40 halvings of [lo, hi] for an increasing rate_of; returns the first
+    # probe within 0.5% of target, else the last bracket's midpoint, with
+    # the rate measured there
+    for _ in range(40):
+        x = midpoint(lo, hi)
+        achieved = rate_of(x)
+        if abs(achieved - target) / target < 0.005:
+            return x, achieved
+        if achieved < target:
+            lo = x
+        else:
+            hi = x
+    x = midpoint(lo, hi)
+    return x, rate_of(x)
 
 
 def calibrate_to_reference_rates(target_entropy_rate: float,
@@ -255,18 +274,8 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
         h_lo, h_hi = entropy_of(lo_s, band), entropy_of(hi_s, band)
         if not (h_lo <= entropy_per_sample <= h_hi):
             continue
-        for _ in range(40):
-            spread = math.sqrt(lo_s * hi_s)
-            achieved = entropy_of(spread, band)
-            if abs(achieved - entropy_per_sample) / entropy_per_sample < 0.005:
-                break
-            if achieved < entropy_per_sample:
-                lo_s = spread
-            else:
-                hi_s = spread
-        else:
-            spread = math.sqrt(lo_s * hi_s)
-            achieved = entropy_of(spread, band)
+        spread, achieved = _bisect(lambda x: entropy_of(x, band), entropy_per_sample,
+                                   lo_s, hi_s, lambda a, b: math.sqrt(a * b))
         if abs(achieved - entropy_per_sample) / entropy_per_sample <= rel_tol:
             chosen = (spread, band, achieved)
             break
@@ -284,18 +293,8 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     lo_q, hi_q = 1e-5, 0.49
     if not (word_error_of(lo_q) <= word_error_per_word <= word_error_of(hi_q)):
         raise CalibrationError("calibration failed: word error target out of reach")
-    for _ in range(40):
-        q = 0.5 * (lo_q + hi_q)
-        achieved_we = word_error_of(q)
-        if abs(achieved_we - word_error_per_word) / word_error_per_word < 0.005:
-            break
-        if achieved_we < word_error_per_word:
-            lo_q = q
-        else:
-            hi_q = q
-    else:
-        q = 0.5 * (lo_q + hi_q)
-        achieved_we = word_error_of(q)
+    q, achieved_we = _bisect(word_error_of, word_error_per_word, lo_q, hi_q,
+                             lambda a, b: 0.5 * (a + b))
     if abs(achieved_we - word_error_per_word) / word_error_per_word > rel_tol:
         raise CalibrationError(
             f"calibration failed: word error {achieved_we:.5f} misses "

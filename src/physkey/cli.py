@@ -122,6 +122,8 @@ def _cmd_fit_growth(args) -> int:
     alice, bob, eve = aligned["alice"], aligned["bob"], aligned["eve"]
 
     slice_len = args.slice_samples
+    if args.step < 1:
+        raise PhyskeyError(f"--step must be at least 1 to place a checkpoint, got {args.step}")
     if len(alice) < 2 * slice_len:
         raise PhyskeyError(f"need at least {2 * slice_len} aligned samples")
     model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,

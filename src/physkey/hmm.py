@@ -67,12 +67,6 @@ class HmmModel:
     def m(self) -> int:
         return len(self.symbols)
 
-    def state_index(self, value: int) -> int:
-        try:
-            return self.states.index(value)
-        except ValueError:
-            raise ValueError(f"level {value} is not a model state") from None
-
     def symbol_index(self, value: int) -> int:
         try:
             return self.symbols.index(value)
@@ -331,9 +325,17 @@ def forward_likelihood(model: HmmModel, obs: ObservationSequence) -> float:
 
 def conditional_min_entropy_given_obs(model: HmmModel, obs: ObservationSequence) -> float:
     """-log2(P*/P) for one observation sequence; non-negative since P* <= P."""
-    log_pstar, _ = viterbi_max_joint(model, obs)
-    log_p = forward_likelihood(model, obs)
-    return max(0.0, log_p - log_pstar)
+    log_star, log_p, vanished, _ = _recursions(model, obs.symbols[None, :], [len(obs)])
+    # P* = 0 exactly when P = 0, so an impossible sequence gets
+    # viterbi_max_joint's message; the second check catches a forward
+    # recursion that underflowed on its own
+    if log_star[0, 0] == -np.inf:
+        raise ImpossibleObservationError(
+            "impossible observation sequence: all path probabilities vanish")
+    if vanished[0] >= 0:
+        raise ImpossibleObservationError(
+            f"impossible observation sequence: zero probability at step {vanished[0]}")
+    return max(0.0, float(log_p[0, 0] - log_star[0, 0]))
 
 
 def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,

@@ -199,6 +199,8 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace,
     n = len(alice)
     if slice_len < 1:
         raise ValueError(f"slice_len must be at least 1, got {slice_len}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if n < 20 * slice_len:
         raise ValueError(f"need at least {20 * slice_len} samples, got {n}")
     rng = np.random.default_rng(seed)

@@ -45,10 +45,6 @@ class MeasurementTrace:
     def head(self, n: int) -> "MeasurementTrace":
         return MeasurementTrace(self.seqs[:n], self.levels[:n], self.node_id, dict(self.meta))
 
-    def segment(self, start: int, stop: int) -> "MeasurementTrace":
-        return MeasurementTrace(self.seqs[start:stop], self.levels[start:stop],
-                                self.node_id, dict(self.meta))
-
     def frame_type(self) -> str:
         return self.meta.get("frame_type", "OBS")
 

@@ -138,22 +138,46 @@ def gf2m_power_sums(bits, js, m: int) -> np.ndarray:
                      if ones.size else 0 for j in js], dtype=np.int64)
 
 
+GENERATOR = 0x02  # alpha = x, the element whose powers field_tables lists
+
+
+def peasant_mul(a: int, b: int, m: int) -> int:
+    """a * b in GF(2^m) by Russian-peasant multiplication with reduction by
+    the field's primitive polynomial: no log/antilog tables."""
+    from physkey.coding import PRIMITIVE_POLYS
+
+    poly = PRIMITIVE_POLYS[m]
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= poly
+    return r
+
+
+def alpha_power(e: int, m: int) -> int:
+    """alpha^e in GF(2^m) by repeated peasant multiplication."""
+    x = 1
+    for _ in range(e % ((1 << m) - 1)):
+        x = peasant_mul(x, GENERATOR, m)
+    return x
+
+
 def bch_generator_product(m: int, t: int) -> list:
     """Coefficients, low degree first, of prod (x + alpha^e) over every e
     conjugate to an odd j < 2t, multiplied out in GF(2^m) with the
     table-free peasant multiplication."""
-    from physkey.coding import GENERATOR, _mul_no_table
-
     order = (1 << m) - 1
     roots = {(j << k) % order for j in range(1, 2 * t, 2) for k in range(m)}
     poly = [1]
     for e in sorted(roots):
-        a = 1
-        for _ in range(e):
-            a = _mul_no_table(a, GENERATOR, m)
+        a = alpha_power(e, m)
         product = [0] + poly  # x * poly
         for i, c in enumerate(poly):
-            product[i] ^= _mul_no_table(a, c, m)
+            product[i] ^= peasant_mul(a, c, m)
         poly = product
     return poly
 

@@ -105,6 +105,8 @@ class TestFitGrowth:
     ("fit-growth", ["--step", "500"], "checkpoint"),
     ("fit-growth", ["--step", "-10"], "checkpoint"),
     ("validate-assumptions", ["--slice", "0"], "at least 1"),
+    ("fit-growth", ["--step", "0"], "--step must be at least 1"),
+    ("validate-assumptions", ["--trials", "0"], "trials must be at least 1"),
 ])
 def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
     traces = {"alice": run_dir / "alice.csv", "eve": run_dir / "eve.csv"}

@@ -7,36 +7,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physkey.channel import family_config, simulate_run
-from physkey.coding import (FIELD_CHARAC, GENERATOR, PRIMITIVE_POLYS, BchCode,
-                            BchSketch, RsCode, Sketch, TABLES, _bm_locator, _mul_no_table,
-                            bch_decode, bch_generator, bch_syndrome,
-                            decode_error_from_syndrome,
-                            field_tables, gf_add, gf_div, gf_mul, gf_pow,
+from physkey.coding import (PRIMITIVE_POLYS, BchCode, BchSketch, RsCode, Sketch,
+                            _bm_locator, bch_decode, bch_generator, bch_syndrome,
+                            decode_error_from_syndrome, field_tables,
                             rs_syndrome, sketch_from_bytes, ss_recover, ss_sketch)
 from physkey.errors import PhyskeyError, SketchFormatError, UncorrectableBlockError
 from physkey.extract import ExtractorSeed, extract, random_seed
 from physkey.protocol import plan_parameters, run_exchange
 from physkey.quantize import BitString
 
-from .oracles import bch_generator_product, gf2m_power_sums, toeplitz_int64
+from .oracles import (alpha_power, bch_generator_product, gf2m_power_sums, peasant_mul,
+                      toeplitz_int64)
+
+GF256 = field_tables(8)  # the RS code's field
 
 
 def encode_codeword(msg, code: RsCode, rng=None):
     """Test-side systematic RS encoder: message plus generator-poly remainder.
 
-    Built from the generator polynomial with roots alpha^1..alpha^2t,
-    independently of the syndrome machinery under test.
+    Built from the generator polynomial with roots alpha^1..alpha^2t in
+    table-free peasant arithmetic, independently of the field tables and
+    the syndrome machinery under test.
     """
     gen = [1]
     for i in range(1, code.n_syndromes + 1):
-        gen = _poly_mul_ref(gen, [1, gf_pow(GENERATOR, i)])
+        gen = _poly_mul_ref(gen, [1, alpha_power(i, 8)])
     msg = list(msg)
     out = msg + [0] * (len(gen) - 1)
     for i in range(len(msg)):
         coef = out[i]
         if coef:
             for j in range(1, len(gen)):
-                out[i + j] ^= gf_mul(gen[j], coef)
+                out[i + j] ^= peasant_mul(gen[j], coef, 8)
     return np.array(msg + out[len(msg):], dtype=np.int64)
 
 
@@ -44,47 +46,50 @@ def _poly_mul_ref(p, q):
     r = [0] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
         for j, qj in enumerate(q):
-            r[i + j] ^= gf_mul(pi, qj)
+            r[i + j] ^= peasant_mul(pi, qj, 8)
     return r
 
 
-class TestField:
-    def test_add_self_is_zero(self, rng):
-        for _ in range(100):
-            x = int(rng.integers(0, 256))
-            assert gf_add(x, x) == 0
+def table_mul(a, b, tables=GF256):
+    # products through the log/antilog tables, as the decoders form them
+    a, b = np.asarray(a), np.asarray(b)
+    return np.where((a != 0) & (b != 0), tables.exp[tables.log[a] + tables.log[b]], 0)
 
-    def test_mul_identity(self, rng):
-        for _ in range(100):
-            x = int(rng.integers(0, 256))
-            assert gf_mul(x, 1) == x
+
+class TestField:
+    """GF(2^8) as field_tables(8) computes it, against the peasant oracle."""
+
+    def test_add_self_is_zero(self):
+        # in characteristic 2 the cross term ab + ab of (a + b)^2 vanishes
+        a, b = np.meshgrid(np.arange(256), np.arange(256))
+        assert np.array_equal(table_mul(a ^ b, a ^ b), table_mul(a, a) ^ table_mul(b, b))
+
+    def test_mul_identity(self):
+        x = np.arange(256)
+        assert np.array_equal(table_mul(x, 1), x)
 
     def test_mul_div_round_trip(self, rng):
-        for _ in range(1000):
-            a = int(rng.integers(0, 256))
-            b = int(rng.integers(1, 256))
-            assert gf_div(gf_mul(a, b), b) == a
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            gf_div(5, 0)
+        a = rng.integers(0, 256, size=1000)
+        b = rng.integers(1, 256, size=1000)
+        ab = table_mul(a, b)
+        quotient = np.where(ab != 0, GF256.exp[(GF256.log[ab] - GF256.log[b]) % GF256.order], 0)
+        assert np.array_equal(quotient, a)
 
     def test_full_multiplication_table_matches_peasant_oracle(self):
-        for a in range(256):
-            for b in range(256):
-                assert gf_mul(a, b) == _mul_no_table(a, b)
+        a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        oracle = [[peasant_mul(x, y, 8) for y in range(256)] for x in range(256)]
+        assert np.array_equal(table_mul(a, b), oracle)
 
     def test_table_involution(self):
-        exp, log = TABLES.exp, TABLES.log
-        for x in range(1, 256):
-            assert exp[log[x]] == x
+        x = np.arange(1, 256)
+        assert np.array_equal(GF256.exp[GF256.log[x]], x)
 
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     @settings(max_examples=300)
     def test_field_laws(self, a, b, c):
-        assert gf_mul(a, b) == gf_mul(b, a)
-        assert gf_mul(gf_mul(a, b), c) == gf_mul(a, gf_mul(b, c))
-        assert gf_mul(a, gf_add(b, c)) == gf_add(gf_mul(a, b), gf_mul(a, c))
+        assert table_mul(a, b) == table_mul(b, a)
+        assert table_mul(table_mul(a, b), c) == table_mul(a, table_mul(b, c))
+        assert table_mul(a, b ^ c) == table_mul(a, b) ^ table_mul(a, c)
 
 
 class TestSyndrome:
@@ -109,7 +114,7 @@ class TestSyndrome:
         synd = rs_syndrome(corrupted, code)
         # direct evaluation of the error monomial mag * x^(254 - p)
         for i in range(1, code.n_syndromes + 1):
-            expect = gf_mul(mag, gf_pow(GENERATOR, (i * (254 - p)) % FIELD_CHARAC))
+            expect = peasant_mul(mag, alpha_power(i * (254 - p), 8), 8)
             assert int(synd[i - 1]) == expect
 
     def test_linearity(self, rng):
@@ -310,14 +315,14 @@ class TestWireFormat:
         for cut in range(len(raw)):
             with pytest.raises(SketchFormatError):
                 Sketch.from_bytes(raw[:cut])
-
-
-def alpha_power(e: int, m: int) -> int:
-    # alpha^e in GF(2^m) by repeated peasant multiplication: a table-free oracle
-    x = 1
-    for _ in range(e % ((1 << m) - 1)):
-        x = _mul_no_table(x, GENERATOR, m)
-    return x
+        bad = [raw[:4] + bytes([0, 0]) + raw[6:],                # no RS code (0, 0)
+               raw[:4] + bytes([229, 255]) + raw[6:],            # k_sym >= n_sym
+               raw[:6] + (0).to_bytes(4, "big") + raw[10:],      # zero blocks
+               raw[:10] + (300).to_bytes(2, "big") + raw[12:]]   # padding beyond the blocks
+        for blob in bad:
+            for parse in (Sketch.from_bytes, sketch_from_bytes):
+                with pytest.raises(SketchFormatError):
+                    parse(blob)
 
 
 class TestExtensionFields:
@@ -329,10 +334,7 @@ class TestExtensionFields:
         assert np.unique(tables.exp[:order]).size == order  # alpha generates
         for _ in range(200):
             a, b = (int(v) for v in rng.integers(1, order + 1, size=2))
-            assert tables.exp[tables.log[a] + tables.log[b]] == _mul_no_table(a, b, m)
-
-    def test_gf256_is_the_rs_field(self):
-        assert field_tables(8) is TABLES
+            assert table_mul(a, b, tables) == peasant_mul(a, b, m)
 
 
 class TestBchCode:

@@ -310,7 +310,7 @@ class TestFitFromTraces:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model = fit_hmm_from_traces(hidden, observed, levels=3, smoothing=0.0)
-        i = model.state_index(-1)
+        i = model.states.index(-1)
         assert model.trans[i, i] == 1.0
         assert model.pi[i] == 1.0
 
@@ -318,7 +318,7 @@ class TestFitFromTraces:
         hidden = make_trace([-1, 0] * 20, "alice")
         observed = make_trace([-1, 0] * 20, "eve")
         model = fit_hmm_from_traces(hidden, observed, levels=2, smoothing=0.0)
-        a, b = model.state_index(-1), model.state_index(0)
+        a, b = model.states.index(-1), model.states.index(0)
         assert model.trans[a, b] == 1.0
         assert model.trans[b, a] == 1.0
 
@@ -327,14 +327,14 @@ class TestFitFromTraces:
         observed = make_trace([0] * 30, "eve")
         with pytest.warns(UserWarning, match="uniform"):
             model = fit_hmm_from_traces(hidden, observed, levels=4, smoothing=0.0)
-        i = model.state_index(-3)
+        i = model.states.index(-3)
         assert np.allclose(model.trans[i], 0.25)
 
     def test_smoothing(self):
         hidden = make_trace([-1, 0] * 10, "alice")
         observed = make_trace([-1, 0] * 10, "eve")
         model = fit_hmm_from_traces(hidden, observed, levels=2, smoothing=1.0)
-        a, b = model.state_index(-1), model.state_index(0)
+        a, b = model.states.index(-1), model.states.index(0)
         # 9 observed -1 -> 0 transitions out of 9, plus smoothing mass
         assert model.trans[a, b] == pytest.approx((10 + 1) / (10 + 2), abs=1e-9)
 

@@ -22,7 +22,6 @@ class TestTrace:
     def test_segment_and_head(self):
         t = make_trace([-1, -2, -3, -4], "alice")
         assert np.array_equal(t.head(2).levels, [-1, -2])
-        assert np.array_equal(t.segment(1, 3).levels, [-2, -3])
 
     def test_aligned_check(self):
         a = make_trace([0, -1], "alice")

@@ -29,11 +29,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CalibrationError
-from .hmm import HmmModel, estimate_avg_conditional_min_entropy, \
+from .hmm import SLICE_LEN, HmmModel, estimate_avg_conditional_min_entropy, \
     level_states, slice_experiments, validate_model
+from .quantize import BITS_PER_SAMPLE
 from .traces import MeasurementTrace, make_trace
 
 _PROB_TOL = 1e-9
+CALIBRATION_REL_TOL = 0.10  # largest relative miss of either achieved rate
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class SimulatedRun:
     alice: MeasurementTrace
     bob: MeasurementTrace
     eve: MeasurementTrace
-    seed: int
 
 
 def _sample_chain(cum_pi: np.ndarray, cum_trans: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -142,7 +143,6 @@ def simulate_run(config: ChannelConfig) -> SimulatedRun:
         alice=make_trace(alice_levels, "alice", frame_type="PING", **meta),
         bob=make_trace(bob_levels, "bob", frame_type="PONG", **meta),
         eve=make_trace(eve_levels, "eve", frame_type="OBS", **meta),
-        seed=config.seed,
     )
 
 
@@ -195,14 +195,14 @@ def _word_error_rate(run: SimulatedRun) -> float:
 
 
 def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
-                  slice_len: int = 100, seed: int = 7) -> dict:
+                  slice_len: int = SLICE_LEN, seed: int = 7) -> dict:
     """Simulate and report per-sample entropy and per-word error rates.
 
     Entropy is the sampled conditional min-entropy of Alice's levels given
     Eve's trace under the config's own model, averaged over slice_len-sample
     experiments; the word error rate is the fraction of samples where Bob's
-    level differs from Alice's (one 8-bit word per sample under the default
-    quantizer).
+    level differs from Alice's (one ``BITS_PER_SAMPLE``-bit word per
+    sample).
     """
     n = _measure_length(n_samples, slice_len)
     run = simulate_run(replace(config, n=n, seed=seed))
@@ -236,25 +236,23 @@ def _bisect(rate_of, target: float, lo: float, hi: float, midpoint):
 
 
 def calibrate_to_reference_rates(target_entropy_rate: float,
-                             target_word_error_rate: float,
-                             levels: int = 9,
-                             bits_per_sample: int = 8,
-                             n_samples: int = 10_000,
-                             slice_len: int = 100,
-                             seed: int = 2026,
-                             rel_tol: float = 0.10) -> ChannelConfig:
+                                 target_word_error_rate: float,
+                                 levels: int = 9,
+                                 n_samples: int = 10_000,
+                                 seed: int = 2026) -> ChannelConfig:
     """Find a family member matching measured target rates within 10%.
 
     Both targets are normalized per quantized bit, matching the reference
     experiment's reporting: an entropy rate of 0.1248 and a word error rate
     of 0.0054 mean 99.8 bits of conditional min-entropy and 4.3 word errors
-    per 100 samples at 8 bits per sample.
+    per 100 samples at ``BITS_PER_SAMPLE`` = 8 bits per sample.  Entropy is
+    measured over ``SLICE_LEN``-sample experiments of an ``n_samples`` run.
     """
     if not (0.0 < target_entropy_rate < 1.0 and 0.0 < target_word_error_rate < 1.0):
         raise CalibrationError(
             "calibration failed: target rates must lie strictly inside (0, 1)")
-    entropy_per_sample = target_entropy_rate * bits_per_sample
-    word_error_per_word = target_word_error_rate * bits_per_sample
+    entropy_per_sample = target_entropy_rate * BITS_PER_SAMPLE
+    word_error_per_word = target_word_error_rate * BITS_PER_SAMPLE
     if entropy_per_sample >= math.log2(levels):
         raise CalibrationError(
             f"calibration failed: {entropy_per_sample:.3f} bits/sample exceeds "
@@ -265,7 +263,7 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     def entropy_of(spread: float, band: int) -> float:
         cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band,
                             q=0.01, n=n_samples, seed=seed)
-        return measure_rates(cfg, n_samples, slice_len, seed)["per_sample_entropy_bits"]
+        return measure_rates(cfg, n_samples, SLICE_LEN, seed)["per_sample_entropy_bits"]
 
     # entropy is monotone in the emission spread; bracket then bisect
     chosen = None
@@ -276,7 +274,7 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
             continue
         spread, achieved = _bisect(lambda x: entropy_of(x, band), entropy_per_sample,
                                    lo_s, hi_s, lambda a, b: math.sqrt(a * b))
-        if abs(achieved - entropy_per_sample) / entropy_per_sample <= rel_tol:
+        if abs(achieved - entropy_per_sample) / entropy_per_sample <= CALIBRATION_REL_TOL:
             chosen = (spread, band, achieved)
             break
     if chosen is None:
@@ -287,7 +285,7 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     def word_error_of(q: float) -> float:
         # the run measure_rates would simulate, without its entropy estimate
         cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band, q=q,
-                            n=_measure_length(n_samples, slice_len), seed=seed)
+                            n=_measure_length(n_samples, SLICE_LEN), seed=seed)
         return _word_error_rate(simulate_run(cfg))
 
     lo_q, hi_q = 1e-5, 0.49
@@ -295,10 +293,10 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
         raise CalibrationError("calibration failed: word error target out of reach")
     q, achieved_we = _bisect(word_error_of, word_error_per_word, lo_q, hi_q,
                              lambda a, b: 0.5 * (a + b))
-    if abs(achieved_we - word_error_per_word) / word_error_per_word > rel_tol:
+    if abs(achieved_we - word_error_per_word) / word_error_per_word > CALIBRATION_REL_TOL:
         raise CalibrationError(
             f"calibration failed: word error {achieved_we:.5f} misses "
-            f"{word_error_per_word:.5f} by more than {rel_tol:.0%}")
+            f"{word_error_per_word:.5f} by more than {CALIBRATION_REL_TOL:.0%}")
 
     cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band,
                         q=q, n=n_samples, seed=seed)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import channel, hmm, protocol, stats
 from .errors import PhyskeyError
+from .quantize import BITS_PER_SAMPLE
 from .traces import TraceFile, ingest_traces, trace_to_file
 
 
@@ -25,35 +27,43 @@ def _emit(obj) -> None:
 
 
 def _load_trace(path: str, role: str):
-    from .traces import MeasurementTrace
     tf = TraceFile.load(path)
     ids = tf.node_ids()
     if len(ids) != 1:
         raise PhyskeyError(f"{path}: expected a single node, found {ids}")
-    trace = tf.trace(ids[0])
-    return MeasurementTrace(trace.seqs, trace.levels, role, dict(trace.meta))
+    return replace(tf.trace(ids[0]), node_id=role)
+
+
+@contextmanager
+def _json_object(path: str):
+    """Yield the JSON object at path; bad JSON, a non-object, or a missing or
+    mistyped field read in the block is a domain error naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        yield doc
+    except KeyError as exc:
+        raise PhyskeyError(f"{path}: missing field {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise PhyskeyError(f"{path}: {exc}") from None
 
 
 def _load_config(path: str) -> channel.ChannelConfig:
-    doc = json.loads(Path(path).read_text())
-    if "calibrate" in doc:
+    with _json_object(path) as doc:
+        if "calibrate" not in doc:
+            return channel.ChannelConfig.from_dict(doc)
         cal = doc["calibrate"]
-        return channel.calibrate_to_reference_rates(
-            float(cal["entropy_rate"]), float(cal["word_error_rate"]),
-            levels=int(cal.get("levels", 9)),
-            seed=int(cal.get("seed", 2026)))
-    return channel.ChannelConfig.from_dict(doc)
+        rates = float(cal["entropy_rate"]), float(cal["word_error_rate"])
+        levels, seed = int(cal.get("levels", 9)), int(cal.get("seed", 2026))
+    return channel.calibrate_to_reference_rates(*rates, levels=levels, seed=seed)
 
 
 def _load_fits(path: str | None):
     if path is None:
         return protocol.REFERENCE_ENTROPY_FIT, protocol.REFERENCE_ERROR_FIT
-    doc = json.loads(Path(path).read_text())
-    g = hmm.LinearFit(float(doc["g"]["slope"]), float(doc["g"]["intercept"]),
-                      float(doc["g"].get("residual_sum_squares", 0.0)))
-    e = hmm.LinearFit(float(doc["e"]["slope"]), float(doc["e"]["intercept"]),
-                      float(doc["e"].get("residual_sum_squares", 0.0)))
-    return g, e
+    with _json_object(path) as doc:
+        return hmm.LinearFit.from_dict(doc["g"]), hmm.LinearFit.from_dict(doc["e"])
 
 
 def _cmd_simulate(args) -> int:
@@ -150,13 +160,11 @@ def _cmd_fit_growth(args) -> int:
 
 
 def _cmd_validate_assumptions(args) -> int:
-    alice, eve, report = _aligned_pair(args.alice, args.eve, "eve",
-                                       magnitude=args.levels - 1 if args.levels else 8)
-    cfg = {"alpha": args.alpha, "trials": args.trials, "slice_len": args.slice,
-           "max_lag": args.max_lag}
-    if args.levels:
-        cfg["levels"] = args.levels
-    result = stats.validate_assumptions(alice, eve, cfg, seed=args.seed)
+    magnitude = args.levels - 1 if args.levels else BITS_PER_SAMPLE
+    alice, eve, report = _aligned_pair(args.alice, args.eve, "eve", magnitude)
+    result = stats.validate_assumptions(
+        alice, eve, alpha=args.alpha, trials=args.trials, slice_len=args.slice,
+        max_lag=args.max_lag, levels=args.levels or None, seed=args.seed)
     if args.lag_csv:
         Path(args.lag_csv).write_text(result.markov_lag_profile.to_csv())
     doc = result.to_dict()
@@ -168,8 +176,7 @@ def _cmd_validate_assumptions(args) -> int:
 def _cmd_plan(args) -> int:
     g, e = _load_fits(args.fits)
     params = protocol.plan_parameters(l=args.l, lambda_=getattr(args, "lambda"),
-                                      c=args.c, entropy_fit=g, error_fit=e,
-                                      m=args.m)
+                                      c=args.c, entropy_fit=g, error_fit=e)
     _emit(params.report)
     return 0
 
@@ -180,7 +187,7 @@ def _cmd_extract_key(args) -> int:
                                       c=args.c, entropy_fit=g, error_fit=e, n=args.n)
     traces = {"alice": _load_trace(args.alice, "alice"),
               "bob": _load_trace(args.bob, "bob")}
-    aligned, _ = ingest_traces(traces, magnitude=params.m)
+    aligned, _ = ingest_traces(traces)
     result = protocol.run_exchange(aligned["alice"], aligned["bob"], params,
                                    seed=args.seed)
     if args.transcript:
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bob", required=True)
     p.add_argument("--eve", action="append")
     p.add_argument("--eve-filter", action="store_true")
-    p.add_argument("--magnitude", type=int, default=8)
+    p.add_argument("--magnitude", type=int, default=BITS_PER_SAMPLE)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ingest)
 
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alice", required=True)
     p.add_argument("--eve", required=True)
     p.add_argument("--levels", type=int, default=32)
-    p.add_argument("--slice", type=int, default=100)
+    p.add_argument("--slice", type=int, default=hmm.SLICE_LEN)
     p.add_argument("--smoothing", type=float, default=0.0)
     p.set_defaults(func=_cmd_estimate_entropy)
 
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eve", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--slice", type=int, default=100)
+    p.add_argument("--slice", type=int, default=hmm.SLICE_LEN)
     p.add_argument("--max-lag", type=int, default=6)
     p.add_argument("--levels", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -267,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--fits")
-    p.add_argument("--m", type=int, default=8)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("extract-key", help="run one full exchange over trace files")

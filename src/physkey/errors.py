@@ -19,13 +19,10 @@ class ImpossibleObservationError(PhyskeyError):
 class UncorrectableBlockError(PhyskeyError):
     """A sketch block's error weight exceeds the code's correction capacity."""
 
-    def __init__(self, block: int, detail: str = ""):
+    def __init__(self, block: int, detail: str):
         self.block = block
         self.detail = detail
-        msg = f"uncorrectable block {block}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"uncorrectable block {block}: {detail}")
 
 
 class SketchFormatError(PhyskeyError, ValueError):

@@ -34,6 +34,7 @@ from .traces import MeasurementTrace, assert_aligned
 
 _ROW_TOL = 1e-9
 ENUMERATION_GUARD = 10 ** 6
+SLICE_LEN = 100  # samples per entropy experiment in the reference deployment
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,11 @@ class LinearFit:
     def to_dict(self) -> dict:
         return {"slope": self.slope, "intercept": self.intercept,
                 "residual_sum_squares": self.residual_sum_squares}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LinearFit":
+        return cls(float(d["slope"]), float(d["intercept"]),
+                   float(d.get("residual_sum_squares", 0.0)))
 
 
 def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[int],

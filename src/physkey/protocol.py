@@ -47,7 +47,7 @@ from .coding import BchCode, BchSketch, RsCode, Sketch, sketch_from_bytes, ss_re
 from .errors import InfeasiblePlanError, SketchFormatError, UncorrectableBlockError
 from .extract import ExtractorSeed, extract, max_extractable_length, random_seed
 from .hmm import LinearFit
-from .quantize import BitString, QuantizerConfig, embed_trace
+from .quantize import BITS_PER_SAMPLE, BitString, QuantizerConfig, embed_trace
 from .traces import MeasurementTrace, assert_aligned
 
 # ledger charge per budgeted error: RS spends two 8-bit syndrome symbols per
@@ -65,14 +65,12 @@ REFERENCE_ERROR_FIT = LinearFit(slope=0.043, intercept=0.048)
 # margin constant as originally published vs. recomputed from the lines above
 PUBLISHED_MARGIN_CONSTANT = 549.4
 
+QUANTIZER = QuantizerConfig(m=BITS_PER_SAMPLE)  # one unsigned unary word per level
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Everything one exchange needs: sample count, code, key-length targets.
-
-    ``m`` is the quantizer's largest magnitude (bits per sample), not the
-    BCH field degree, which lives on the code.
-    """
+    """Everything one exchange needs: sample count, code, key-length targets."""
 
     n: int
     code: RsCode | BchCode
@@ -81,7 +79,6 @@ class ProtocolParams:
     c: float
     entropy_fit: LinearFit
     error_fit: LinearFit
-    m: int = 8
     report: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -91,6 +88,11 @@ class ProtocolParams:
             raise ValueError("lambda must be >= 0")
         if self.c < 0:
             raise ValueError("c must be >= 0")
+
+    @property
+    def m(self) -> int:
+        """Bits per sample; the BCH field degree is ``code.m``."""
+        return BITS_PER_SAMPLE
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def _smallest_n_at_least(slope: float, intercept: float, target: float) -> int:
 def plan_parameters(l: int, lambda_: float, c: float,
                     entropy_fit: LinearFit = REFERENCE_ENTROPY_FIT,
                     error_fit: LinearFit = REFERENCE_ERROR_FIT,
-                    m: int = 8, n: Optional[int] = None) -> ProtocolParams:
+                    n: Optional[int] = None) -> ProtocolParams:
     """Choose the sample count and code for an (l, e^-c, 2^-lambda) exchange.
 
     c = 0 disables the correctness condition (useful when probing the
@@ -203,8 +205,9 @@ def plan_parameters(l: int, lambda_: float, c: float,
     pooled sketch's success probability P[Binomial(n, e(n)/n) <= t], next
     to the Chernoff figure ``predicted_correctness_bound``; ``feasible``
     holds when the residual is certified and that probability reaches the
-    1 - e^-c target.  A given ``n`` replaces the planned sample count;
-    the code and the report are then sized for it.  Raises
+    1 - e^-c target.  The code covers n unary words of ``BITS_PER_SAMPLE``
+    bits.  A given ``n`` replaces the planned sample count; the code and
+    the report are then sized for it.  Raises
     InfeasiblePlanError when the fitted lines cannot satisfy the conditions
     at any n, or when no supported code fits the chosen n.
     """
@@ -233,9 +236,7 @@ def plan_parameters(l: int, lambda_: float, c: float,
     elif n < 1:
         raise ValueError("n must be >= 1")
 
-    if (n * m) % 8:
-        n += (8 - (n * m) % 8) // math.gcd(m, 8)
-    bits = n * m
+    bits = n * BITS_PER_SAMPLE
     budget = ERROR_SAFETY_FACTOR * error_fit(n)
     try:
         code = BchCode.for_length(bits, max(1, math.ceil(budget - 1e-12)))
@@ -278,14 +279,13 @@ def plan_parameters(l: int, lambda_: float, c: float,
     }
     return ProtocolParams(n=n, code=code, l=l, lambda_=lambda_, c=c,
                           entropy_fit=entropy_fit, error_fit=error_fit,
-                          m=m, report=report)
+                          report=report)
 
 
 def alice_messages(alice: MeasurementTrace, params: ProtocolParams,
                    rng: np.random.Generator):
     """Alice's side: quantize, sketch, draw the extractor seed, extract."""
-    qconf = QuantizerConfig(m=params.m, include_sign=False)
-    rho_a = embed_trace(alice.levels[:params.n], qconf)
+    rho_a = embed_trace(alice.levels[:params.n], QUANTIZER)
     sketch = ss_sketch(rho_a, params.code)
     seed = random_seed(rng, t=len(rho_a), l=params.l)
     key = extract(rho_a, seed)
@@ -298,8 +298,7 @@ def bob_respond(bob: MeasurementTrace, transcript: Transcript,
 
     Returns (key or None, corrected word count, failure reason or None).
     """
-    qconf = QuantizerConfig(m=params.m, include_sign=False)
-    rho_b = embed_trace(bob.levels[:params.n], qconf)
+    rho_b = embed_trace(bob.levels[:params.n], QUANTIZER)
     try:
         recovered = ss_recover(rho_b, transcript.sketch)
     except UncorrectableBlockError as exc:

@@ -14,12 +14,15 @@ from typing import Iterable
 
 import numpy as np
 
+# the paper's word: every sample quantizes to one 8-bit unary word
+BITS_PER_SAMPLE = 8
+
 
 @dataclass(frozen=True)
 class QuantizerConfig:
     """Unary embedding parameters: max magnitude and sign-bit switch."""
 
-    m: int = 8
+    m: int = BITS_PER_SAMPLE
     include_sign: bool = False
 
     def __post_init__(self):
@@ -124,15 +127,8 @@ def embed_unary(x: int, config: QuantizerConfig) -> BitString:
 
 
 def embed_trace(levels, config: QuantizerConfig) -> BitString:
-    """Concatenate per-sample embeddings; n levels give n * bits_per_sample bits.
-
-    Accepts a level array or anything exposing a ``levels`` attribute
-    (a measurement trace).
-    """
-    if hasattr(levels, "levels"):
-        levels = levels.levels
-    arr = np.asarray(list(levels) if not isinstance(levels, np.ndarray) else levels,
-                     dtype=np.int64)
+    """Concatenate per-sample embeddings; n levels give n * bits_per_sample bits."""
+    arr = np.asarray(levels, dtype=np.int64)
     if arr.size == 0:
         return BitString(np.zeros(0, np.uint8))
     bad = np.nonzero(np.abs(arr) > config.m)[0]

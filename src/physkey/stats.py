@@ -24,6 +24,9 @@ from scipy.special import stdtr
 from . import hmm
 from .traces import MeasurementTrace, assert_aligned
 
+LAG_ROWS = 2000  # the suite's lag-profile anchors and longest transition window
+MIN_COND_SAMPLES = 8  # fewest samples per side of a window or conditional K-S test
+
 
 @dataclass(frozen=True)
 class CorrelationReport:
@@ -32,14 +35,10 @@ class CorrelationReport:
     lags: list
     r: list
     significant: list
-    alpha: float
-
-    def to_rows(self):
-        return list(zip(self.lags, self.r, self.significant))
 
     def to_csv(self) -> str:
         lines = ["lag,r,significant"]
-        for lag, r, sig in self.to_rows():
+        for lag, r, sig in zip(self.lags, self.r, self.significant):
             lines.append(f"{lag},{r:.6f},{int(sig)}")
         return "\n".join(lines) + "\n"
 
@@ -49,11 +48,6 @@ class KsReport:
     statistic: float
     p_value: float
     reject: bool
-    alpha: float
-
-    def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "p_value": self.p_value,
-                "reject": self.reject, "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,8 @@ def pearson_significance(x, y, alpha: float = 0.05):
     return r, p < alpha
 
 
-def lag_correlation_profile(trace: MeasurementTrace, max_lag: int = 500,
-                            rows: int = 10_000, alpha: float = 0.05,
-                            seed: int = 0) -> CorrelationReport:
+def lag_correlation_profile(trace: MeasurementTrace, max_lag: int, rows: int,
+                            alpha: float = 0.05, seed: int = 0) -> CorrelationReport:
     """Correlate X_i against X_{i-k} for k = 0..max_lag over random anchors.
 
     Builds a rows x (max_lag + 1) matrix whose row vectors are
@@ -134,7 +127,7 @@ def lag_correlation_profile(trace: MeasurementTrace, max_lag: int = 500,
         r, s = pearson_significance(matrix[:, 0], matrix[:, k], alpha)
         rs.append(r)
         sig.append(bool(s))
-    return CorrelationReport(list(range(max_lag + 1)), rs, sig, alpha)
+    return CorrelationReport(list(range(max_lag + 1)), rs, sig)
 
 
 def _kolmogorov_sf(lam: float) -> float:
@@ -163,7 +156,7 @@ def ks_two_sample(x, y, alpha: float = 0.05) -> KsReport:
     d = float(np.abs(fx - fy).max())
     ne = x.size * y.size / (x.size + y.size)
     p = _kolmogorov_sf(math.sqrt(ne) * d)
-    return KsReport(statistic=d, p_value=p, reject=p < alpha, alpha=alpha)
+    return KsReport(statistic=d, p_value=p, reject=p < alpha)
 
 
 def downsample(trace: MeasurementTrace, factor: int) -> MeasurementTrace:
@@ -180,27 +173,27 @@ def _random_half_indices(rng: np.random.Generator, n: int):
     return perm[:half], perm[half:2 * half]
 
 
-def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace,
-                         config: dict | None = None, seed: int = 0) -> AssumptionReport:
+def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
+                         alpha: float = 0.05, trials: int = 200,
+                         slice_len: int = hmm.SLICE_LEN, max_lag: int = 6,
+                         levels: int | None = None, seed: int = 0) -> AssumptionReport:
     """Run the assumption suite on an aligned (alice, eve) trace pair.
 
-    config keys (all optional): alpha (0.05), trials (200), slice_len (100),
-    max_lag (6), rows (2000), levels (inferred), min_cond_samples (8).
-    Sub-tests that lack data are skipped and recorded in details rather
-    than failing the suite.
+    ``trials`` K-S partitions per test (a tenth of them for the
+    conditional-observation test), ``slice_len``-sample entropy
+    experiments, lags up to ``max_lag`` (at least 1) in both correlation
+    probes, and an HMM over ``levels`` levels (inferred from the traces
+    when None).  Sub-tests that lack data are skipped and recorded in
+    details rather than failing the suite.
     """
     assert_aligned(alice, eve)
-    cfg = {"alpha": 0.05, "trials": 200, "slice_len": 100, "max_lag": 6,
-           "rows": 2000, "levels": None, "min_cond_samples": 8}
-    cfg.update(config or {})
-    alpha = cfg["alpha"]
-    trials = cfg["trials"]
-    slice_len = cfg["slice_len"]
     n = len(alice)
     if slice_len < 1:
         raise ValueError(f"slice_len must be at least 1, got {slice_len}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_lag < 1:
+        raise ValueError(f"max_lag must be at least 1, got {max_lag}")
     if n < 20 * slice_len:
         raise ValueError(f"need at least {20 * slice_len} samples, got {n}")
     rng = np.random.default_rng(seed)
@@ -210,8 +203,8 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace,
     y = eve.levels.astype(float)
 
     # (a) memorylessness probe: lag profile of Alice's own samples
-    profile = lag_correlation_profile(alice, max_lag=cfg["max_lag"],
-                                      rows=cfg["rows"], alpha=alpha,
+    profile = lag_correlation_profile(alice, max_lag=max_lag,
+                                      rows=LAG_ROWS, alpha=alpha,
                                       seed=int(rng.integers(2 ** 32)))
 
     # (b) identical distribution: K-S on random half partitions
@@ -225,7 +218,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace,
     # windows drawn fresh each trial (fresh windows keep the trials
     # decorrelated, so the rejection rate concentrates near its level)
     rejects = 0
-    w = max(cfg["min_cond_samples"], min(cfg["rows"], n // 8))
+    w = max(MIN_COND_SAMPLES, min(LAG_ROWS, n // 8))
     for _ in range(trials):
         s1 = int(rng.integers(0, n - 2 * w - 1))
         s2 = int(rng.integers(s1 + w, n - w - 1))
@@ -243,7 +236,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace,
         for level in np.unique(alice.levels):
             y1 = y[i1][alice.levels[i1] == level]
             y2 = y[i2][alice.levels[i2] == level]
-            if y1.size < cfg["min_cond_samples"] or y2.size < cfg["min_cond_samples"]:
+            if y1.size < MIN_COND_SAMPLES or y2.size < MIN_COND_SAMPLES:
                 skipped_levels += 1
                 continue
             tests += 1
@@ -255,7 +248,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace,
     # independent-observation probe (indirect): the eavesdropper's reading
     # must correlate with the source only at lag 0
     cross = {}
-    for lag in range(1, cfg["max_lag"] + 1):
+    for lag in range(1, max_lag + 1):
         r_fwd, sig_fwd = pearson_significance(y[:-lag], x[lag:], alpha)
         r_bwd, sig_bwd = pearson_significance(y[lag:], x[:-lag], alpha)
         cross[lag] = {"r_forward": r_fwd, "significant_forward": bool(sig_fwd),
@@ -266,7 +259,6 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace,
 
     # (e) stable entropy: per-slice conditional min-entropy spread under a
     # counting-fitted model
-    levels = cfg["levels"]
     if levels is None:
         levels = int(1 - min(alice.levels.min(), eve.levels.min()))
     model = hmm.fit_hmm_from_traces(alice, eve, levels=levels, smoothing=1e-3)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PhyskeyError
+from .quantize import BITS_PER_SAMPLE
 
 FRAME_TYPES = ("PING", "PONG", "OBS")
 CSV_HEADER = "seq,node_id,frame_type,rssi"
@@ -119,15 +120,18 @@ class TraceFile:
         seen = dict.fromkeys(node_id for _, node_id, _, _ in self.rows)
         return list(seen)
 
-    def trace(self, node_id: str, **meta) -> MeasurementTrace:
+    def trace(self, node_id: str) -> MeasurementTrace:
         picked = [(s, f, r) for s, nid, f, r in self.rows if nid == node_id]
         if not picked:
             raise PhyskeyError(f"no rows for node {node_id!r} in {self.path or '<string>'}")
         picked.sort(key=lambda t: t[0])
-        seqs = np.array([s for s, _, _ in picked], dtype=np.int64)
-        levels = np.array([r for _, _, r in picked], dtype=np.int64)
-        meta.setdefault("frame_type", picked[0][1])
-        return MeasurementTrace(seqs, levels, node_id, meta)
+        try:
+            seqs = np.array([s for s, _, _ in picked], dtype=np.int64)
+            levels = np.array([r for _, _, r in picked], dtype=np.int64)
+        except OverflowError:
+            raise PhyskeyError(f"node {node_id!r} in {self.path or '<string>'}: "
+                               "a seq or rssi value does not fit in 64 bits") from None
+        return MeasurementTrace(seqs, levels, node_id, {"frame_type": picked[0][1]})
 
 
 def trace_to_file(trace: MeasurementTrace) -> TraceFile:
@@ -138,26 +142,25 @@ def trace_to_file(trace: MeasurementTrace) -> TraceFile:
 
 
 def ingest_traces(traces: dict, eve_filter: bool = False,
-                  eve_id: str | None = None, magnitude: int = 8):
+                  magnitude: int = BITS_PER_SAMPLE):
     """Align traces on shared sequence numbers and clamp levels into [-magnitude, 0].
 
     ``traces`` maps role -> MeasurementTrace and must contain 'alice' and
     'bob'; remaining entries are eavesdroppers.  With ``eve_filter`` the
-    designated eavesdropper (``eve_id``, default the first extra role) also
-    constrains the intersection, dropping samples Eve missed.
+    first eavesdropper also constrains the intersection, dropping samples
+    Eve missed.  ``magnitude`` must be at least 1.
 
     Returns (aligned role->trace dict, report dict with drop/clamp counts).
     """
     if "alice" not in traces or "bob" not in traces:
         raise PhyskeyError("ingestion requires 'alice' and 'bob' traces")
+    if magnitude < 1:
+        raise PhyskeyError(f"magnitude must be at least 1 (2 levels), got {magnitude}")
     eve_ids = [k for k in traces if k not in ("alice", "bob")]
-    required = ["alice", "bob"]
-    if eve_filter:
-        if eve_id is None:
-            if not eve_ids:
-                raise PhyskeyError("eve_filter requires an eavesdropper trace")
-            eve_id = eve_ids[0]
-        required.append(eve_id)
+    if eve_filter and not eve_ids:
+        raise PhyskeyError("eve_filter requires an eavesdropper trace")
+    eve_id = eve_ids[0] if eve_filter else None
+    required = ["alice", "bob", eve_id] if eve_filter else ["alice", "bob"]
 
     shared = None
     for role in required:

@@ -65,6 +65,15 @@ class TestIngest:
             main(["ingest", "--alice", "x.csv"])  # --bob missing
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("magnitude", ["-1", "0"])
+    def test_magnitude_below_one_fails_closed(self, run_dir, capsys, magnitude):
+        code = main(["ingest", "--alice", str(run_dir / "alice.csv"),
+                     "--bob", str(run_dir / "bob.csv"), "--magnitude", magnitude])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: magnitude must be at least 1")
+        assert captured.out == ""
+
 
 class TestEstimateEntropy:
     def test_pipeline(self, run_dir, capsys):
@@ -107,6 +116,8 @@ class TestFitGrowth:
     ("validate-assumptions", ["--slice", "0"], "at least 1"),
     ("fit-growth", ["--step", "0"], "--step must be at least 1"),
     ("validate-assumptions", ["--trials", "0"], "trials must be at least 1"),
+    ("validate-assumptions", ["--max-lag", "0"], "max_lag must be at least 1"),
+    ("validate-assumptions", ["--max-lag", "-2"], "max_lag must be at least 1"),
 ])
 def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
     traces = {"alice": run_dir / "alice.csv", "eve": run_dir / "eve.csv"}
@@ -117,6 +128,28 @@ def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ") and reason in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag, doc, reason", [
+    ("plan", "--fits", {}, "missing field 'g'"),
+    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0}, "e": {}},
+     "missing field 'slope'"),
+    ("plan", "--fits", [1, 2], "expected a JSON object"),
+    ("simulate", "--config", {}, "missing field 'model'"),
+    ("simulate", "--config", {"calibrate": {}}, "missing field 'entropy_rate'"),
+    ("simulate", "--config", {"calibrate": 5}, "not subscriptable"),
+    ("simulate", "--config", [1, 2], "expected a JSON object"),
+])
+def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    required = {"plan": ["--l", "64", "--lambda", "40", "--c", "0.5"],
+                "simulate": ["--out", str(tmp_path / "sim")]}[command]
+    code = main([command, *required, flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {path}: ") and reason in captured.err
     assert captured.out == ""
 
 

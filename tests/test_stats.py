@@ -168,7 +168,7 @@ class TestValidateAssumptions:
     def test_calibrated_channel_passes(self, calibrated_config):
         run = simulate_run(replace(calibrated_config, n=4000, seed=77))
         report = validate_assumptions(run.alice, run.eve,
-                                      {"trials": 120, "slice_len": 100}, seed=3)
+                                      trials=120, slice_len=100, seed=3)
         alpha = report.alpha
         assert report.identical_distribution_rejection_rate <= 2 * alpha
         assert report.stationary_transition_rejection_rate <= 2 * alpha
@@ -202,7 +202,7 @@ class TestValidateAssumptions:
         alice_t = make_trace(levels, "alice")
         eve_t = make_trace(eve, "eve")
         report = validate_assumptions(alice_t, eve_t,
-                                      {"trials": 60, "slice_len": 100}, seed=5)
+                                      trials=60, slice_len=100, seed=5)
         assert report.stationary_transition_rejection_rate > 0.5
 
     def test_independent_eve_decouples(self, calibrated_config):
@@ -211,8 +211,7 @@ class TestValidateAssumptions:
         fake_eve = MeasurementTrace(run.alice.seqs,
                                     rng.integers(-8, 1, size=6000), "eve")
         report = validate_assumptions(run.alice, fake_eve,
-                                      {"trials": 60, "slice_len": 100,
-                                       "levels": 9}, seed=6)
+                                      trials=60, slice_len=100, levels=9, seed=6)
         # observation law is stationary (uniform everywhere) ...
         assert report.stationary_observation_rejection_rate <= 0.10
         # ... but eve learns nothing: entropy approaches the 100 * log2(9)
@@ -221,8 +220,7 @@ class TestValidateAssumptions:
         ceiling = 100 * np.log2(9)
         assert report.stable_entropy.mean_bits >= 0.80 * ceiling
         coupled = validate_assumptions(run.alice, run.eve,
-                                       {"trials": 20, "slice_len": 100,
-                                        "levels": 9}, seed=7)
+                                       trials=20, slice_len=100, levels=9, seed=7)
         assert report.stable_entropy.mean_bits \
             >= 2.0 * coupled.stable_entropy.mean_bits
 
@@ -230,12 +228,20 @@ class TestValidateAssumptions:
         t = make_trace(rng.integers(-8, 1, size=500), "alice")
         e = make_trace(rng.integers(-8, 1, size=500), "eve")
         with pytest.raises(ValueError, match="at least"):
-            validate_assumptions(t, e, {"slice_len": 100})
+            validate_assumptions(t, e, slice_len=100)
+
+    def test_options_are_keywords(self, rng):
+        t = make_trace(rng.integers(-8, 1, size=2000), "alice")
+        e = make_trace(rng.integers(-8, 1, size=2000), "eve")
+        with pytest.raises(TypeError):
+            validate_assumptions(t, e, {"trials": 5})
+        with pytest.raises(TypeError):
+            validate_assumptions(t, e, trails=5)  # misspelt option
 
     def test_report_serializes(self, calibrated_config):
         import json
         run = simulate_run(replace(calibrated_config, n=2000, seed=13))
         report = validate_assumptions(run.alice, run.eve,
-                                      {"trials": 20, "slice_len": 100}, seed=1)
+                                      trials=20, slice_len=100, seed=1)
         doc = json.dumps(report.to_dict())
         assert "stable_entropy" in doc

@@ -22,7 +22,7 @@ from .protocol import EntropyLedger, KeyResult, ProtocolParams, Transcript, \
     REFERENCE_ENTROPY_FIT, REFERENCE_ERROR_FIT, correctness_bound, entropy_ledger, \
     plan_parameters, run_exchange
 from .quantize import BitString, QuantizerConfig, embed_trace, embed_unary, \
-    hamming_distance
+    hamming_distance, neighbor_bits
 from .stats import AssumptionReport, CorrelationReport, KsReport, downsample, \
     ks_two_sample, lag_correlation_profile, pearson_significance, validate_assumptions
 from .traces import MeasurementTrace, TraceFile, ingest_traces, make_trace

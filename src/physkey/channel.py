@@ -53,7 +53,7 @@ class ChannelConfig:
         if violations:
             raise ValueError("invalid channel model: " + "; ".join(violations))
         total = sum(self.bob_error.values())
-        if abs(total - 1.0) > _PROB_TOL:
+        if not abs(total - 1.0) <= _PROB_TOL:  # NaN fails too
             raise ValueError(f"bob_error sums to {total:.12g}")
         if any(p < 0 for p in self.bob_error.values()):
             raise ValueError("bob_error has a negative probability")

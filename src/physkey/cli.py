@@ -34,18 +34,41 @@ def _load_trace(path: str, role: str):
     return replace(tf.trace(ids[0]), node_id=role)
 
 
+class _Fields(dict):
+    """A JSON object that records the dotted path of the last field read from
+    it or from an object nested in it, in a one-item list they share."""
+
+    def __init__(self, doc: dict, trail: list, prefix: str = ""):
+        super().__init__(doc)
+        self._trail, self._prefix = trail, prefix
+
+    def __getitem__(self, key):
+        path = f"{self._prefix}{key}"
+        self._trail[:] = [path]
+        value = super().__getitem__(key)
+        return _Fields(value, self._trail, f"{path}.") if isinstance(value, dict) else value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
 @contextmanager
 def _json_object(path: str):
     """Yield the JSON object at path; bad JSON, a non-object, or a missing or
-    mistyped field read in the block is a domain error naming the file."""
+    mistyped field read in the block is a domain error naming the file, and
+    a value of the wrong type also names its field."""
+    trail = []
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        yield doc
+        yield _Fields(doc, trail)
     except KeyError as exc:
         raise PhyskeyError(f"{path}: missing field {exc}") from None
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError) as exc:
+        field = f"field {trail[0]!r} has the wrong type: " if trail else ""
+        raise PhyskeyError(f"{path}: {field}{exc}") from None
+    except (ValueError, OverflowError) as exc:
         raise PhyskeyError(f"{path}: {exc}") from None
 
 

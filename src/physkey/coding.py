@@ -22,9 +22,10 @@ re-checks) goes through one array evaluator, ``_gf_sums``.
   and a Chien search over the bit positions, so the exchange succeeds
   whenever the two strings differ in at most t bits anywhere: one pooled
   error budget, not one per block.  The Chien search is the one GF sum
-  not handed to ``_gf_sums``: over the 18 600 positions of the reference
-  point its strength-reduced loop is about four times faster than the
-  array form and needs no position-by-coefficient temporaries.
+  not handed to ``_gf_sums``: its strength-reduced loop needs no
+  position-by-coefficient temporaries.  It first searches the positions
+  the caller names as likely (Bob's one-level-off bits) and falls back to
+  every position only when those do not hold all the locator's roots.
 * ``RsCode``: blocks of 255 8-bit words over a shortened (255, k)
   Reed-Solomon code in GF(2^8) = ``field_tables(8)`` (polynomial
   x^8+x^4+x^3+x^2+1, 0x11D, and alpha = 0x02); the code roots are
@@ -63,6 +64,21 @@ class GfTables:
     def order(self) -> int:
         """Multiplicative group order 2^m - 1."""
         return self.log.size - 1
+
+    @functools.cached_property
+    def zero_sentinel(self) -> tuple:
+        """(exp, log) with log[0] = 2 * order pointing into a zero tail of
+        exp, so exp[log[a] + log[b]] and exp[log[a] + k], 0 <= k < order,
+        are products for every a and b, zero included, with no mask.
+        Built once per field: 0.65 MB of int32 at m = 15."""
+        order = self.order
+        exp = np.zeros(4 * order + 1, dtype=np.int32)
+        exp[:2 * order] = self.exp
+        log = self.log.astype(np.int32)
+        log[0] = 2 * order
+        exp.setflags(write=False)
+        log.setflags(write=False)
+        return exp, log
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,20 +161,6 @@ def rs_syndrome(words, code: RsCode) -> np.ndarray:
     return _rs_syndromes(w[None, :], code)[0]
 
 
-def _gf_dot(a: np.ndarray, b: np.ndarray, tables: GfTables) -> int:
-    # sum of the products a[i] * b[i] in GF(2^m)
-    nz = (a != 0) & (b != 0)
-    return int(np.bitwise_xor.reduce(tables.exp[tables.log[a[nz]] + tables.log[b[nz]]]))
-
-
-def _gf_scale(v: np.ndarray, log_coef: int, tables: GfTables) -> np.ndarray:
-    # v * alpha^log_coef elementwise in GF(2^m)
-    out = np.zeros_like(v)
-    nz = v != 0
-    out[nz] = tables.exp[tables.log[v[nz]] + log_coef]
-    return out
-
-
 def _bm_locator(synd, tables: GfTables, binary: bool = False):
     """Berlekamp-Massey over GF(2^m); synd[i] = S_{i+1}.
 
@@ -168,28 +170,28 @@ def _bm_locator(synd, tables: GfTables, binary: bool = False):
     discrepancy at an even-indexed syndrome is then zero, so only the steps
     at odd-indexed syndromes are run (Berlekamp's binary simplification).
     """
+    exp, log = tables.zero_sentinel
     s = np.asarray(synd, dtype=np.int64)
+    log_s = log[s]
     n = s.size
     step = 2 if binary else 1
     c = np.zeros(n + 1, dtype=np.int64)  # current connection polynomial
     c[0] = 1
-    b = c.copy()                         # previous best
+    log_b = log[c]                       # logs of the previous best
     L = 0
     mshift = 1
-    bb = 1                               # discrepancy at last length change
+    log_bb = 0                           # log of the discrepancy at last length change
     for i in range(0, n, step):
-        d = int(s[i]) ^ _gf_dot(c[1:L + 1], s[i - L:i][::-1], tables)
+        d = int(s[i]) ^ int(np.bitwise_xor.reduce(exp[log[c[1:L + 1]] + log_s[i - L:i][::-1]]))
         if d == 0:
             mshift += step
             continue
-        update = _gf_scale(b[:n + 1 - mshift],
-                           (tables.log[d] - tables.log[bb]) % tables.order, tables)
+        update = exp[log_b[:n + 1 - mshift] + (int(log[d]) - log_bb) % tables.order]
         if 2 * L <= i:
-            prev = c.copy()
+            log_b = log[c]
             c[mshift:] ^= update
             L = i + 1 - L
-            b = prev
-            bb = d
+            log_bb = int(log[d])
             mshift = step
         else:
             c[mshift:] ^= update
@@ -226,10 +228,11 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
 
     # Forney with fcr = 1: Omega(x) = S(x) Lambda(x) mod x^2t,
     # Y_p = Omega(X_p^-1) / Lambda'(X_p^-1).
+    exp_z, log_z = tables.zero_sentinel
+    log_synd = log_z[synd]
     omega = np.zeros(synd.size, dtype=np.int64)  # both low-degree-first
     for j, coef in enumerate(lam):
-        if coef:
-            omega[j:] ^= _gf_scale(synd[:synd.size - j], tables.log[coef], tables)
+        omega[j:] ^= exp_z[log_synd[:synd.size - j] + log_z[coef]]
     lam_deriv = np.zeros(degree, dtype=np.int64)  # d/dx in char 2: odd terms
     lam_deriv[0::2] = lam[1::2]
     x_inv = inv_logs[positions]
@@ -472,20 +475,45 @@ def bch_syndrome(bits, code: BchCode) -> np.ndarray:
     return np.bitwise_xor.reduce(terms, axis=1)
 
 
-def bch_decode(syndrome_diff, code: BchCode, n_bits: int) -> np.ndarray:
+def _chien(lam, points: np.ndarray, tables: GfTables) -> np.ndarray:
+    # the points p with Lambda(alpha^-p) = 0, in the order given.  A running
+    # exponent per point instead of _gf_sums: at 18 600 points x 122
+    # coefficients this loop took 13 ms and the array form 52 ms (one run
+    # each, 2-vCPU Xeon), with 18 MB per array temporary.
+    exp, log, order = tables.exp, tables.log, tables.order
+    step = (order - points.astype(np.int32)) % order  # log alpha^-p
+    exponent = np.zeros(points.size, dtype=np.int32)  # log alpha^-kp
+    value = np.ones(points.size, dtype=np.int64)      # lambda_0 = 1
+    for coef in lam[1:]:
+        exponent += step
+        np.subtract(exponent, order, out=exponent, where=exponent >= order)
+        if coef:
+            value ^= exp[exponent + log[coef]]
+    return points[value == 0]
+
+
+def bch_decode(syndrome_diff, code: BchCode, n_bits: int, candidates=()) -> np.ndarray:
     """Positions, all below n_bits, of the unique error pattern of weight <= t
     whose odd syndromes are syndrome_diff.
 
-    Raises UncorrectableBlockError (block 0: the sketch is one block) when
-    no such pattern exists.
+    candidates are distinct ascending positions below n_bits where errors
+    are likely; they are searched first, and the full search over all
+    n_bits positions runs only when they do not hold every root of the
+    locator.  The positions returned, and any error raised, are the same
+    whatever the candidates.  Raises UncorrectableBlockError (block 0:
+    the sketch is one block) when no such pattern exists.
     """
     odd = np.asarray(syndrome_diff, dtype=np.int64)
     if odd.shape != (code.t,):
         raise ValueError(f"expected {code.t} odd syndromes, got {odd.size}")
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if candidates.ndim != 1 or candidates.size and (
+            candidates[0] < 0 or candidates[-1] >= n_bits or (np.diff(candidates) <= 0).any()):
+        raise ValueError(f"candidates must be distinct ascending positions below {n_bits}")
     if not odd.any():
         return np.zeros(0, dtype=np.int64)
     tables = field_tables(code.m)
-    exp, log, order = tables.exp, tables.log, tables.order
+    exp, log = tables.exp, tables.log
 
     # S_2j = S_j^2 for a binary error pattern
     synd = np.zeros(2 * code.t, dtype=np.int64)
@@ -497,19 +525,13 @@ def bch_decode(syndrome_diff, code: BchCode, n_bits: int) -> np.ndarray:
     if degree > code.t:
         raise UncorrectableBlockError(0, f"locator degree {degree} exceeds t={code.t}")
 
-    # Chien search: position p is in error iff Lambda(alpha^-p) = 0.  A
-    # running exponent per position instead of _gf_sums: at 18 600
-    # positions x 122 coefficients this loop took 13 ms and the array form
-    # 52 ms (one run each, 2-vCPU Xeon), with 18 MB per array temporary.
-    step = (order - np.arange(n_bits, dtype=np.int32)) % order  # log alpha^-p
-    exponent = np.zeros(n_bits, dtype=np.int32)  # log alpha^-kp
-    value = np.ones(n_bits, dtype=np.int64)      # lambda_0 = 1
-    for coef in lam[1:]:
-        exponent += step
-        np.subtract(exponent, order, out=exponent, where=exponent >= order)
-        if coef:
-            value ^= exp[exponent + log[coef]]
-    positions = np.flatnonzero(value == 0)
+    # Chien search: position p is in error iff Lambda(alpha^-p) = 0.  The
+    # alpha^-p of distinct p < n_bits <= 2^m - 1 are distinct, and Lambda
+    # has at most `degree` roots, so when the candidates hold `degree` of
+    # them they hold every root the full search would find.
+    positions = _chien(lam, candidates, tables)
+    if positions.size != degree:
+        positions = _chien(lam, np.arange(n_bits), tables)
     if positions.size != degree:
         raise UncorrectableBlockError(
             0, f"locator has {positions.size} roots among {n_bits} bits, expected {degree}")
@@ -621,7 +643,8 @@ def ss_sketch(rho: BitString, code: RsCode | BchCode) -> Sketch | BchSketch:
     return Sketch(_rs_syndromes(blocks, code).ravel(), block_count, code, padded)
 
 
-def ss_recover(rho_prime: BitString, sketch: Sketch | BchSketch) -> BitString:
+def ss_recover(rho_prime: BitString, sketch: Sketch | BchSketch,
+               candidates=()) -> BitString:
     """Recover the sketched string from a noisy copy within capacity.
 
     Computes syn(rho') xor u, decodes the error pattern and subtracts it
@@ -629,6 +652,10 @@ def ss_recover(rho_prime: BitString, sketch: Sketch | BchSketch) -> BitString:
     string; an RS sketch corrects up to t word errors per block.  Raises
     UncorrectableBlockError naming the first block whose errors exceed
     capacity (block 0 for a pooled sketch).
+
+    candidates are ascending bit positions of rho' where errors are likely;
+    a pooled sketch's decoder searches them first (see bch_decode), an RS
+    sketch does not use them, and the result never depends on them.
     """
     if isinstance(sketch, BchSketch):
         if len(rho_prime) != sketch.n_bits:
@@ -636,7 +663,7 @@ def ss_recover(rho_prime: BitString, sketch: Sketch | BchSketch) -> BitString:
                 f"noisy copy has {len(rho_prime)} bits; sketch covers {sketch.n_bits}")
         diff = bch_syndrome(rho_prime.bits, sketch.code) ^ sketch.syndromes
         bits = rho_prime.bits.copy()
-        bits[bch_decode(diff, sketch.code, sketch.n_bits)] ^= 1
+        bits[bch_decode(diff, sketch.code, sketch.n_bits, candidates)] ^= 1
         return BitString(bits)
     words = rho_prime.to_words()
     if words.size != sketch.total_words:

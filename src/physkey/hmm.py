@@ -114,6 +114,8 @@ def validate_model(model: HmmModel) -> list:
         return out
 
     def check_rows(name, mat):
+        if np.isnan(mat).any():
+            out.append(f"{name} has a NaN probability")
         if np.any(mat < 0):
             out.append(f"{name} has a negative probability")
         if np.any(mat > 1):

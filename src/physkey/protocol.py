@@ -3,7 +3,11 @@
 Exchange shape: both parties quantize their aligned level traces into
 bitstrings; Alice publishes the syndrome sketch of hers plus a Toeplitz
 extractor seed; Bob reconciles his copy against the sketch and both extract
-the key.  The public transcript is exactly (sketch, seed).
+the key.  The public transcript is exactly (sketch, seed).  Bob also names
+the bits of rho_B that an off-by-one level would flip, the two at each
+word's 0 -> 1 boundary; the pooled decoder searches those first and
+every bit only when they do not explain the sketch, so they change its
+cost, never its result.
 
 Accounting chain: starting from the fitted conditional min-entropy g(n),
 the sketch leaks its own bit-length |u| and the extractor costs
@@ -47,7 +51,8 @@ from .coding import BchCode, BchSketch, RsCode, Sketch, sketch_from_bytes, ss_re
 from .errors import InfeasiblePlanError, SketchFormatError, UncorrectableBlockError
 from .extract import ExtractorSeed, extract, max_extractable_length, random_seed
 from .hmm import LinearFit
-from .quantize import BITS_PER_SAMPLE, BitString, QuantizerConfig, embed_trace
+from .quantize import BITS_PER_SAMPLE, BitString, QuantizerConfig, embed_trace, \
+    neighbor_bits
 from .traces import MeasurementTrace, assert_aligned
 
 # ledger charge per budgeted error: RS spends two 8-bit syndrome symbols per
@@ -298,9 +303,10 @@ def bob_respond(bob: MeasurementTrace, transcript: Transcript,
 
     Returns (key or None, corrected word count, failure reason or None).
     """
-    rho_b = embed_trace(bob.levels[:params.n], QUANTIZER)
+    levels = bob.levels[:params.n]
+    rho_b = embed_trace(levels, QUANTIZER)
     try:
-        recovered = ss_recover(rho_b, transcript.sketch)
+        recovered = ss_recover(rho_b, transcript.sketch, neighbor_bits(levels, QUANTIZER))
     except UncorrectableBlockError as exc:
         return None, 0, str(exc)
     corrected = int(np.count_nonzero(

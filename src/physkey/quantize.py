@@ -3,8 +3,7 @@
 Integer levels live in an L1 metric; the unary embedding maps a level of
 magnitude ``a`` (with ``a <= m``) to ``m - a`` zeros followed by ``a`` ones,
 so Hamming distance between two same-sign embeddings equals the L1 distance
-between the levels.  An optional leading sign bit extends the map to
-mixed-sign inputs (sign of zero encodes as 0).
+between the levels.  A level and its negation embed alike.
 """
 
 from __future__ import annotations
@@ -20,18 +19,13 @@ BITS_PER_SAMPLE = 8
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Unary embedding parameters: max magnitude and sign-bit switch."""
+    """Unary embedding parameters: the max magnitude, also the word length."""
 
     m: int = BITS_PER_SAMPLE
-    include_sign: bool = False
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"max magnitude must be >= 1, got {self.m}")
-
-    @property
-    def bits_per_sample(self) -> int:
-        return self.m + (1 if self.include_sign else 0)
 
 
 class BitString:
@@ -113,36 +107,50 @@ class BitString:
 
 
 def embed_unary(x: int, config: QuantizerConfig) -> BitString:
-    """Embed one integer level: [sign] ++ (m - |x|) zeros ++ |x| ones."""
+    """Embed one integer level: (m - |x|) zeros ++ |x| ones."""
     a = abs(int(x))
     if a > config.m:
         raise ValueError(f"level out of range: |{x}| > {config.m}")
     body = np.zeros(config.m, np.uint8)
     if a:
         body[config.m - a:] = 1
-    if config.include_sign:
-        sign = np.uint8(1 if x < 0 else 0)
-        return BitString(np.concatenate([[sign], body]))
     return BitString(body)
 
 
-def embed_trace(levels, config: QuantizerConfig) -> BitString:
-    """Concatenate per-sample embeddings; n levels give n * bits_per_sample bits."""
+def _magnitudes(levels, config: QuantizerConfig) -> np.ndarray:
+    # |level| of every sample, each checked against the max magnitude
     arr = np.asarray(levels, dtype=np.int64)
-    if arr.size == 0:
-        return BitString(np.zeros(0, np.uint8))
-    bad = np.nonzero(np.abs(arr) > config.m)[0]
+    mag = np.abs(arr)
+    bad = np.nonzero(mag > config.m)[0]
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"level out of range at sample {i}: |{arr[i]}| > {config.m}")
-    mag = np.abs(arr)
+    return mag
+
+
+def embed_trace(levels, config: QuantizerConfig) -> BitString:
+    """Concatenate per-sample embeddings; n levels give n * m bits."""
+    mag = _magnitudes(levels, config)
     # column j of the body holds 1 where magnitude >= m - j
     cols = np.arange(config.m)
     body = (mag[:, None] >= (config.m - cols)[None, :]).astype(np.uint8)
-    if config.include_sign:
-        sign = (arr < 0).astype(np.uint8)[:, None]
-        body = np.concatenate([sign, body], axis=1)
     return BitString(body.reshape(-1))
+
+
+def neighbor_bits(levels, config: QuantizerConfig) -> np.ndarray:
+    """Ascending positions in embed_trace(levels, config) whose flip moves a
+    level's magnitude by exactly one.
+
+    These are the two bits at each word's 0 -> 1 boundary: for magnitude a
+    in word i, bit m*i + m-1-a (its last zero, when a < m) and bit
+    m*i + m-a (its first one, when a > 0).  A copy of the string that
+    differs from the levels' embedding only by off-by-one levels differs
+    from it only at these positions.
+    """
+    mag = _magnitudes(levels, config)
+    last_zero = config.m * np.arange(mag.size) + config.m - 1 - mag
+    positions = np.stack([last_zero, last_zero + 1], axis=1).ravel()
+    return positions[np.stack([mag < config.m, mag > 0], axis=1).ravel()]
 
 
 def hamming_distance(a: BitString, b: BitString) -> int:

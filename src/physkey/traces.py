@@ -43,9 +43,6 @@ class MeasurementTrace:
     def __len__(self) -> int:
         return int(self.seqs.size)
 
-    def head(self, n: int) -> "MeasurementTrace":
-        return MeasurementTrace(self.seqs[:n], self.levels[:n], self.node_id, dict(self.meta))
-
     def frame_type(self) -> str:
         return self.meta.get("frame_type", "OBS")
 

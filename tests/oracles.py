@@ -188,3 +188,21 @@ def toeplitz_int64(seed_bits, input_bits) -> np.ndarray:
     sums = np.convolve(np.asarray(seed_bits, dtype=np.int64),
                        np.asarray(input_bits, dtype=np.int64), mode="valid")
     return (sums & 1).astype(np.uint8)
+
+
+def neighbor_bits_brute_force(levels, m: int) -> list:
+    """Positions of embed_trace(levels) whose flip leaves a unary word one
+    magnitude away from its level's, found by flipping every bit in turn."""
+    from physkey.quantize import BitString, QuantizerConfig, embed_trace, embed_unary
+
+    config = QuantizerConfig(m=m)
+    magnitude = {embed_unary(a, config): a for a in range(m + 1)}
+    bits = embed_trace(levels, config).bits
+    found = []
+    for p in range(bits.size):
+        word = bits[p - p % m:p - p % m + m].copy()
+        word[p % m] ^= 1
+        a = magnitude.get(BitString(word))
+        if a is not None and abs(a - abs(levels[p // m])) == 1:
+            found.append(p)
+    return found

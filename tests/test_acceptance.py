@@ -154,7 +154,7 @@ def test_criterion_4_coding_round_trip():
 
 
 def test_criterion_5_quantizer_isometry():
-    cfg = QuantizerConfig(m=8, include_sign=False)
+    cfg = QuantizerConfig(m=8)
     ok = all(
         hamming_distance(embed_unary(x, cfg), embed_unary(y, cfg)) == abs(x - y)
         for x in range(-8, 1) for y in range(-8, 1)

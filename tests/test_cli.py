@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from physkey.channel import family_config, simulate_run
-from physkey.cli import main
+from physkey.channel import ChannelConfig, family_config, simulate_run
+from physkey.cli import _load_config, main
+from physkey.errors import PhyskeyError
 from physkey.traces import trace_to_file
 
 
@@ -140,6 +143,8 @@ def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason)
     ("simulate", "--config", {"calibrate": {}}, "missing field 'entropy_rate'"),
     ("simulate", "--config", {"calibrate": 5}, "not subscriptable"),
     ("simulate", "--config", [1, 2], "expected a JSON object"),
+    ("simulate", "--config", {"calibrate": 5}, "field 'calibrate' has the wrong type"),
+    ("plan", "--fits", {"g": [1.0], "e": {}}, "field 'g' has the wrong type"),
 ])
 def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, reason):
     path = tmp_path / "doc.json"
@@ -151,6 +156,91 @@ def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, r
     assert code == 1
     assert captured.err.startswith(f"error: {path}: ") and reason in captured.err
     assert captured.out == ""
+
+
+SMALL_CONFIG = family_config(levels=3, n=100).to_dict()
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+OBJECTS = st.integers() | st.lists(st.integers(), min_size=1, max_size=3)
+NUMBERS = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+WRONG_TYPES = {  # a value of the wrong type for each field
+    ("model",): OBJECTS, ("bob_error",): OBJECTS, ("calibration",): OBJECTS,
+    ("n",): NUMBERS, ("seed",): NUMBERS, ("model", "k"): NUMBERS,
+    ("model", "m"): NUMBERS, ("model", "pi"): NUMBERS, ("model", "trans"): NUMBERS,
+    ("model", "emit"): NUMBERS, ("model", "states"): st.none() | st.integers(),
+    ("model", "symbols"): st.none() | st.integers(),
+}
+
+
+def field_paths(doc, prefix=()):
+    # the key or index path of every value nested in a JSON document
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+class TestDamagedConfig:
+    """Channel configs, model included, damaged one field at a time and
+    loaded as simulate --config loads them."""
+
+    @staticmethod
+    def load(tmp_path_factory, path, value):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        file = tmp_path_factory.getbasetemp() / "damaged.json"
+        file.write_text(json.dumps(doc))
+        return file, lambda: _load_config(str(file))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(field_paths(SMALL_CONFIG), key=str)),
+           st.just(DELETE) | JSON_VALUES)
+    def test_any_damage_loads_or_names_the_file(self, tmp_path_factory, path, value):
+        file, load = self.load(tmp_path_factory, path, value)
+        try:
+            config = load()
+        except PhyskeyError as exc:
+            assert str(exc).startswith(f"{file}: ")
+        else:
+            assert isinstance(config, ChannelConfig)
+
+    @pytest.mark.parametrize("path", [("n",), ("seed",), ("model", "k")])
+    def test_infinite_count_fails_closed(self, tmp_path_factory, path):
+        # JSON's Infinity parses as a float that no int() accepts
+        file, load = self.load(tmp_path_factory, path, float("inf"))
+        with pytest.raises(PhyskeyError, match="infinity"):
+            load()
+
+    @pytest.mark.parametrize("path, reason", [
+        (("model", "pi", 0), "pi has a NaN probability"),
+        (("model", "emit", 1, 2), "emit has a NaN probability"),
+        (("bob_error", "0"), "bob_error sums to nan")])
+    def test_nan_probability_fails_closed(self, tmp_path_factory, path, reason):
+        # every range check compares, and NaN fails each comparison silently
+        file, load = self.load(tmp_path_factory, path, float("nan"))
+        with pytest.raises(PhyskeyError, match=reason):
+            load()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(WRONG_TYPES)).flatmap(
+        lambda path: st.tuples(st.just(path), WRONG_TYPES[path])))
+    def test_wrong_type_names_the_field(self, tmp_path_factory, case):
+        path, value = case
+        file, load = self.load(tmp_path_factory, path, value)
+        with pytest.raises(PhyskeyError) as info:
+            load()
+        field = ".".join(path)
+        assert str(info.value).startswith(f"{file}: field {field!r} has the wrong type: ")
 
 
 class TestPlanAndExtract:

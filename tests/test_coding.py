@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from physkey import coding
 from physkey.channel import family_config, simulate_run
 from physkey.coding import (PRIMITIVE_POLYS, BchCode, BchSketch, RsCode, Sketch,
                             _bm_locator, bch_decode, bch_generator, bch_syndrome,
@@ -533,6 +534,45 @@ class TestBinaryBerlekampMassey:
             assert _bm_locator(synd, tables, binary=True) == _bm_locator(synd, tables)
 
 
+def decode_outcome(odd, code, n_bits, candidates=()):
+    # the decoded positions, or the text of the error the decoder raised
+    try:
+        return bch_decode(odd, code, n_bits, candidates).tolist()
+    except UncorrectableBlockError as exc:
+        return str(exc)
+
+
+class TestCandidateSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(bch_code_params(max_m=11, max_t=20), st.integers(0, 2 ** 32 - 1))
+    def test_candidates_never_change_the_outcome(self, mt, seed):
+        m, t = mt
+        code = BchCode(m, t)
+        rng = np.random.default_rng(seed)
+        n_bits = int(rng.integers(2, code.n_sym + 1))
+        inside = rng.random(n_bits) < rng.random()
+        candidates = np.flatnonzero(inside)
+        # weights 0 .. t + 5, each error inside or outside the candidates
+        # with a per-example share, so some patterns lie wholly on one side
+        weight = int(rng.integers(0, min(t + 6, n_bits) + 1))
+        share = rng.choice([0.0, 1.0, rng.random()])
+        n_in = min(int(rng.binomial(weight, share)), candidates.size)
+        n_out = min(weight - n_in, n_bits - candidates.size)
+        err = np.zeros(n_bits, dtype=np.uint8)
+        err[rng.choice(candidates, size=n_in, replace=False)] = 1
+        err[rng.choice(np.flatnonzero(~inside), size=n_out, replace=False)] = 1
+        odd = bch_syndrome(err, code)
+        assert decode_outcome(odd, code, n_bits, candidates) == decode_outcome(odd, code, n_bits)
+
+    @pytest.mark.parametrize("candidates", [[3, 2], [2, 2], [-1, 4], [5, 900], [[1, 2]]])
+    def test_bad_candidates_rejected(self, candidates):
+        code = BchCode(10, 12)
+        err = np.zeros(900, dtype=np.uint8)
+        err[[2, 3]] = 1
+        with pytest.raises(ValueError, match="candidates"):
+            bch_decode(bch_syndrome(err, code), code, 900, candidates)
+
+
 class TestExtractReference:
     @pytest.mark.parametrize("l", [1, 128, 1024])
     def test_matches_int64_convolution(self, l, rng):
@@ -562,18 +602,50 @@ class TestSeededOutputs:
              "128:443089ce8e5582ca3e93fa0150e4b329", 97),
     }
 
-    def test_pooled_exchange_golden(self):
-        params = plan_parameters(l=128, lambda_=80, c=1)
-        cfg = family_config(spread=0.41324816852731083, q=0.023456787109375002,
-                            n=params.n)
+    PARAMS = plan_parameters(l=128, lambda_=80, c=1)
+    CHANNEL = family_config(spread=0.41324816852731083, q=0.023456787109375002,
+                            n=PARAMS.n)
+
+    def exchange(self, sim_seed):
+        run = simulate_run(replace(self.CHANNEL, seed=sim_seed))
+        return run_exchange(run.alice, run.bob, self.PARAMS, seed=100 + sim_seed)
+
+    @staticmethod
+    def searched_sizes(monkeypatch):
+        # the number of positions each Chien search of the pooled decoder visits
+        sizes, chien = [], coding._chien
+
+        def spy(lam, points, tables):
+            sizes.append(points.size)
+            return chien(lam, points, tables)
+
+        monkeypatch.setattr(coding, "_chien", spy)
+        return sizes
+
+    def test_pooled_exchange_golden(self, monkeypatch):
+        sizes = self.searched_sizes(monkeypatch)
         for sim_seed, (digest, key, corrected) in self.EXCHANGES.items():
-            run = simulate_run(replace(cfg, seed=sim_seed))
-            result = run_exchange(run.alice, run.bob, params, seed=100 + sim_seed)
+            result = self.exchange(sim_seed)
             assert hashlib.sha256(result.transcript.to_bytes()).hexdigest() == digest
             assert result.alice_key.to_hex() == key
             assert result.success and result.bob_key == result.alice_key
             assert result.n_corrected_words == corrected
             assert result.failure_reason is None
+        # Bob's one-level-off bits held every error: no full-range search
+        assert len(sizes) == 3 and max(sizes) < 8 * self.PARAMS.n
+
+    def test_pooled_exchange_failure_golden(self, monkeypatch):
+        sizes = self.searched_sizes(monkeypatch)
+        result = self.exchange(26)
+        assert hashlib.sha256(result.transcript.to_bytes()).hexdigest() == (
+            "3458dfd562b3b650954c30b340cc0175f1b20d7628a1749eddd4cb7b9c9ecf6d")
+        assert result.alice_key.to_hex() == "128:2562a90d3c7f22e8b469b792a96b4955"
+        assert not result.success and result.bob_key is None
+        assert result.n_corrected_words == 0
+        assert result.failure_reason == (
+            "uncorrectable block 0: locator has 1 roots among 18600 bits, expected 121")
+        # the candidates fell short of the locator degree, so every bit was searched
+        assert sizes[-1] == 8 * self.PARAMS.n
 
     def test_rs_sketch_golden(self):
         rng = np.random.default_rng(2024)

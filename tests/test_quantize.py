@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physkey.quantize import (BitString, QuantizerConfig, embed_trace, embed_unary,
-                              hamming_distance)
+                              hamming_distance, neighbor_bits)
+
+from .oracles import neighbor_bits_brute_force
 
 
 def bits(s: str) -> BitString:
@@ -20,13 +22,14 @@ class TestEmbedUnary:
         assert embed_unary(0, QuantizerConfig(m=8)) == bits("00000000")
 
     def test_boundary_with_sign(self):
-        assert embed_unary(-8, QuantizerConfig(m=8, include_sign=True)) == bits("1 11111111")
-
-    def test_sign_of_zero_is_zero(self):
-        assert embed_unary(0, QuantizerConfig(m=3, include_sign=True)) == bits("0000")
+        # magnitude m fills the word, whichever the level's sign
+        assert embed_unary(-8, QuantizerConfig(m=8)) == bits("11111111")
+        assert embed_unary(8, QuantizerConfig(m=8)) == bits("11111111")
 
     def test_positive_with_sign(self):
-        assert embed_unary(2, QuantizerConfig(m=3, include_sign=True)) == bits("0 011")
+        # no sign bit: a positive level embeds as its negation does
+        assert embed_unary(2, QuantizerConfig(m=3)) == bits("011")
+        assert embed_unary(-2, QuantizerConfig(m=3)) == bits("011")
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -49,16 +52,33 @@ class TestEmbedTrace:
             embed_trace([0, -3], QuantizerConfig(m=2))
 
     def test_matches_per_sample_embedding(self):
-        cfg = QuantizerConfig(m=5, include_sign=True)
+        cfg = QuantizerConfig(m=5)
         levels = [-5, -1, 0, 3, 5, -4]
         joined = embed_trace(levels, cfg)
         manual = BitString(np.concatenate([embed_unary(x, cfg).bits for x in levels]))
         assert joined == manual
 
     def test_length_homomorphism(self):
-        for cfg in (QuantizerConfig(m=4), QuantizerConfig(m=4, include_sign=True)):
-            out = embed_trace([0, -1, -2, -3], cfg)
-            assert len(out) == 4 * cfg.bits_per_sample
+        cfg = QuantizerConfig(m=4)
+        assert len(embed_trace([0, -1, -2, -3], cfg)) == 4 * cfg.m
+
+
+class TestNeighborBits:
+    @given(st.integers(1, 10).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(-m, m), max_size=12))))
+    @settings(max_examples=200)
+    def test_matches_brute_force_flips(self, case):
+        m, levels = case
+        found = neighbor_bits(levels, QuantizerConfig(m=m))
+        assert found.tolist() == neighbor_bits_brute_force(levels, m)
+
+    def test_reference_words(self):
+        # 0 -> last zero only; 3 -> bits 4 and 5; 8 -> first one only
+        assert neighbor_bits([0, -3, -8], QuantizerConfig(m=8)).tolist() == [7, 12, 13, 16]
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError, match="sample 1"):
+            neighbor_bits([0, -3], QuantizerConfig(m=2))
 
 
 class TestHamming:
@@ -95,22 +115,14 @@ class TestIsometry:
         d = hamming_distance(embed_unary(x, cfg), embed_unary(y, cfg))
         assert d == abs(x - y)
 
-    def test_injectivity_with_sign_full_range(self):
-        cfg = QuantizerConfig(m=6, include_sign=True)
-        seen = {}
-        for x in range(-6, 7):
-            key = embed_unary(x, cfg).to_hex()
-            assert key not in seen, f"collision {x} vs {seen[key]}"
-            seen[key] = x
-
     def test_mixed_sign_distance_documented(self):
-        # with the sign bit, opposite-sign levels differ by 1 + ||x|-|y||;
-        # the map stays injective but is not an isometry across zero
-        cfg = QuantizerConfig(m=8, include_sign=True)
+        # opposite-sign levels differ by ||x|-|y||: the map is not an
+        # isometry across zero
+        cfg = QuantizerConfig(m=8)
         for x in range(-8, 0):
             for y in range(1, 9):
                 d = hamming_distance(embed_unary(x, cfg), embed_unary(y, cfg))
-                assert d == 1 + abs(abs(x) - abs(y))
+                assert d == abs(abs(x) - abs(y))
 
 
 class TestBitString:

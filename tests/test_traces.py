@@ -19,10 +19,6 @@ class TestTrace:
         with pytest.raises(ValueError, match="strictly increasing"):
             MeasurementTrace(np.array([1, 1, 2]), np.array([0, 0, 0]), "alice")
 
-    def test_segment_and_head(self):
-        t = make_trace([-1, -2, -3, -4], "alice")
-        assert np.array_equal(t.head(2).levels, [-1, -2])
-
     def test_aligned_check(self):
         a = make_trace([0, -1], "alice")
         b = make_trace([0, -1], "bob")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .hmm import SLICE_LEN, HmmModel, estimate_avg_conditional_min_entropy, \
-    level_states, slice_experiments, validate_model
+    json_int, level_states, slice_experiments, validate_model
 from .quantize import BITS_PER_SAMPLE
 from .traces import MeasurementTrace, make_trace
 
@@ -73,7 +73,7 @@ class ChannelConfig:
     def from_dict(cls, d: dict) -> "ChannelConfig":
         return cls(model=HmmModel.from_dict(d["model"]),
                    bob_error={int(k): float(v) for k, v in d["bob_error"].items()},
-                   n=int(d["n"]), seed=int(d.get("seed", 0)),
+                   n=json_int(d["n"]), seed=json_int(d.get("seed", 0)),
                    calibration=dict(d.get("calibration", {})))
 
 
@@ -182,12 +182,10 @@ def family_config(levels: int = 9, decay: float = 1.0, spread: float = 0.5,
     return ChannelConfig(model=model, bob_error=bob_error, n=n, seed=seed)
 
 
-def _measure_length(n_samples: int, slice_len: int) -> int:
+def _measure_length(n_samples: int) -> int:
     # whole slices only, and at least one
-    if slice_len < 1:
-        raise ValueError(f"slice length must be at least 1, got {slice_len}")
-    n = max(n_samples, slice_len)
-    return n - n % slice_len
+    n = max(n_samples, SLICE_LEN)
+    return n - n % SLICE_LEN
 
 
 def _word_error_rate(run: SimulatedRun) -> float:
@@ -195,25 +193,25 @@ def _word_error_rate(run: SimulatedRun) -> float:
 
 
 def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
-                  slice_len: int = SLICE_LEN, seed: int = 7) -> dict:
+                  seed: int = 7) -> dict:
     """Simulate and report per-sample entropy and per-word error rates.
 
     Entropy is the sampled conditional min-entropy of Alice's levels given
-    Eve's trace under the config's own model, averaged over slice_len-sample
+    Eve's trace under the config's own model, averaged over ``SLICE_LEN``-sample
     experiments; the word error rate is the fraction of samples where Bob's
     level differs from Alice's (one ``BITS_PER_SAMPLE``-bit word per
     sample).
     """
-    n = _measure_length(n_samples, slice_len)
+    n = _measure_length(n_samples)
     run = simulate_run(replace(config, n=n, seed=seed))
-    experiments = slice_experiments(config.model, run.eve.levels, slice_len)
+    experiments = slice_experiments(config.model, run.eve.levels, SLICE_LEN)
     est = estimate_avg_conditional_min_entropy(config.model, experiments)
     return {
-        "per_sample_entropy_bits": est.mean_bits / slice_len,
+        "per_sample_entropy_bits": est.mean_bits / SLICE_LEN,
         "per_experiment_entropy_bits": est.mean_bits,
         "entropy_std_bits": est.std_bits,
         "word_error_rate_per_word": _word_error_rate(run),
-        "slice_len": slice_len,
+        "slice_len": SLICE_LEN,
         "n_samples": n,
     }
 
@@ -263,7 +261,7 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     def entropy_of(spread: float, band: int) -> float:
         cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band,
                             q=0.01, n=n_samples, seed=seed)
-        return measure_rates(cfg, n_samples, SLICE_LEN, seed)["per_sample_entropy_bits"]
+        return measure_rates(cfg, n_samples, seed)["per_sample_entropy_bits"]
 
     # entropy is monotone in the emission spread; bracket then bisect
     chosen = None
@@ -285,7 +283,7 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     def word_error_of(q: float) -> float:
         # the run measure_rates would simulate, without its entropy estimate
         cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band, q=q,
-                            n=_measure_length(n_samples, SLICE_LEN), seed=seed)
+                            n=_measure_length(n_samples), seed=seed)
         return _word_error_rate(simulate_run(cfg))
 
     lo_q, hi_q = 1e-5, 0.49

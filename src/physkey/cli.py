@@ -78,7 +78,8 @@ def _load_config(path: str) -> channel.ChannelConfig:
             return channel.ChannelConfig.from_dict(doc)
         cal = doc["calibrate"]
         rates = float(cal["entropy_rate"]), float(cal["word_error_rate"])
-        levels, seed = int(cal.get("levels", 9)), int(cal.get("seed", 2026))
+        levels = hmm.json_int(cal.get("levels", 9))
+        seed = hmm.json_int(cal.get("seed", 2026))
     return channel.calibrate_to_reference_rates(*rates, levels=levels, seed=seed)
 
 

@@ -37,6 +37,13 @@ ENUMERATION_GUARD = 10 ** 6
 SLICE_LEN = 100  # samples per entropy experiment in the reference deployment
 
 
+def json_int(value) -> int:
+    """int() of a count read from JSON, where true and false are not counts."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HmmModel:
     """k hidden states over m symbols: initial pi, transitions, emissions.
@@ -87,12 +94,15 @@ class HmmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HmmModel":
+        for name in ("states", "symbols"):
+            if not isinstance(d[name], list):
+                raise TypeError(f"expected a list, got {type(d[name]).__name__}")
         model = cls(states=tuple(d["states"]), symbols=tuple(d["symbols"]),
                     pi=np.array(d["pi"], float), trans=np.array(d["trans"], float),
                     emit=np.array(d["emit"], float))
-        if d.get("k") is not None and int(d["k"]) != model.k:
+        if "k" in d and json_int(d["k"]) != model.k:
             raise ValueError(f"k={d['k']} does not match {model.k} states")
-        if d.get("m") is not None and int(d["m"]) != model.m:
+        if "m" in d and json_int(d["m"]) != model.m:
             raise ValueError(f"m={d['m']} does not match {model.m} symbols")
         violations = validate_model(model)
         if violations:

@@ -10,13 +10,17 @@ partitions, downsampling to remove short-range dependence, and the
 per-slice entropy spread.
 
 RSSI data is heavily tied; the K-S statistic is taken over the merged
-discrete support, which makes the asymptotic p-values conservative.
+discrete support, which makes the asymptotic p-values conservative.  The
+suite's own K-S tests run on level counts: D is the largest gap between
+the cumulative counts of two samples, each divided by its size, which is
+the same float ``ks_two_sample`` computes from the sorted samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import stdtr
@@ -159,6 +163,16 @@ def ks_two_sample(x, y, alpha: float = 0.05) -> KsReport:
     return KsReport(statistic=d, p_value=p, reject=p < alpha)
 
 
+def _ks_counts(c1: np.ndarray, c2: np.ndarray, alpha: float) -> KsReport:
+    """``ks_two_sample`` of two samples given as counts over one sorted
+    support: the empirical CDFs are the running counts over the sizes."""
+    c1, c2 = c1.tolist(), c2.tolist()  # a handful of levels: Python beats numpy
+    n1, n2 = sum(c1), sum(c2)
+    d = max(abs(a / n1 - b / n2) for a, b in zip(accumulate(c1), accumulate(c2)))
+    p = _kolmogorov_sf(math.sqrt(n1 * n2 / (n1 + n2)) * d)
+    return KsReport(statistic=d, p_value=p, reject=p < alpha)
+
+
 def downsample(trace: MeasurementTrace, factor: int) -> MeasurementTrace:
     """Keep every factor-th sample starting at index 0."""
     if factor < 1:
@@ -199,19 +213,22 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     rng = np.random.default_rng(seed)
     details: dict = {}
 
-    x = alice.levels.astype(float)
-    y = eve.levels.astype(float)
-
     # (a) memorylessness probe: lag profile of Alice's own samples
     profile = lag_correlation_profile(alice, max_lag=max_lag,
                                       rows=LAG_ROWS, alpha=alpha,
                                       seed=int(rng.integers(2 ** 32)))
 
+    # the K-S tests count levels: xc and yc rank each sample among its
+    # trace's distinct values, which is all a K-S statistic depends on
+    xc, yc = (np.unique(t.levels, return_inverse=True)[1] for t in (alice, eve))
+    lx, ly = int(xc.max()) + 1, int(yc.max()) + 1
+
     # (b) identical distribution: K-S on random half partitions
     rejects = 0
     for _ in range(trials):
         i1, i2 = _random_half_indices(rng, n)
-        rejects += ks_two_sample(x[i1], x[i2], alpha).reject
+        rejects += _ks_counts(np.bincount(xc[i1], minlength=lx),
+                              np.bincount(xc[i2], minlength=lx), alpha).reject
     identical_rate = rejects / trials
 
     # (c) stationary transitions: successor samples from two disjoint time
@@ -222,8 +239,9 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     for _ in range(trials):
         s1 = int(rng.integers(0, n - 2 * w - 1))
         s2 = int(rng.integers(s1 + w, n - w - 1))
-        rejects += ks_two_sample(x[s1 + 1:s1 + w + 1], x[s2 + 1:s2 + w + 1],
-                                 alpha).reject
+        rejects += _ks_counts(np.bincount(xc[s1 + 1:s1 + w + 1], minlength=lx),
+                              np.bincount(xc[s2 + 1:s2 + w + 1], minlength=lx),
+                              alpha).reject
     transition_rate = rejects / trials
 
     # (d) stationary observation: per conditioning level, Y|X=x across a
@@ -231,22 +249,25 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     rejects = 0
     tests = 0
     skipped_levels = 0
+    joint = xc * ly + yc  # row x_level of a count table holds Y | X = x_level
     for _ in range(max(1, trials // 10)):
         i1, i2 = _random_half_indices(rng, n)
-        for level in np.unique(alice.levels):
-            y1 = y[i1][alice.levels[i1] == level]
-            y2 = y[i2][alice.levels[i2] == level]
-            if y1.size < MIN_COND_SAMPLES or y2.size < MIN_COND_SAMPLES:
+        t1, t2 = (np.bincount(joint[i], minlength=lx * ly).reshape(lx, ly)
+                  for i in (i1, i2))
+        for c1, c2 in zip(t1, t2):
+            if c1.sum() < MIN_COND_SAMPLES or c2.sum() < MIN_COND_SAMPLES:
                 skipped_levels += 1
                 continue
             tests += 1
-            rejects += ks_two_sample(y1, y2, alpha).reject
+            rejects += _ks_counts(c1, c2, alpha).reject
     observation_rate = rejects / tests if tests else 0.0
     details["stationary_observation_tests"] = tests
     details["stationary_observation_skipped"] = skipped_levels
 
     # independent-observation probe (indirect): the eavesdropper's reading
     # must correlate with the source only at lag 0
+    x = alice.levels.astype(float)
+    y = eve.levels.astype(float)
     cross = {}
     for lag in range(1, max_lag + 1):
         r_fwd, sig_fwd = pearson_significance(y[:-lag], x[lag:], alpha)

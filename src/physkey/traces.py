@@ -2,12 +2,20 @@
 
 Trace CSV format (fixed): header ``seq,node_id,frame_type,rssi``, one row per
 observation, frame_type in {PING, PONG, OBS}, rssi as signed integer dBm.
+
+A parsed ``TraceFile`` holds one column per field: seq and rssi as int64
+arrays, node_id and frame_type as lists of strings.  Parsing converts whole
+columns at once: one split of the joined rows, one int() pass per numeric
+column, one set check of the frame types.  Only when that fails are the
+rows walked, to raise a ``PhyskeyError`` naming ``path:line`` of the first
+bad one; a seq or rssi outside int64 is such a line.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -68,40 +76,45 @@ def assert_aligned(*traces: MeasurementTrace) -> None:
                 f"differ from {first.node_id!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class TraceFile:
-    """Parsed trace CSV preserving row order for byte-faithful round-trips."""
+    """Parsed trace CSV, one column per CSV field, in file row order."""
 
-    rows: list  # (seq, node_id, frame_type, rssi)
+    seq: np.ndarray
+    node_id: list
+    frame_type: list
+    rssi: np.ndarray
     path: str = ""
 
     @classmethod
     def parse(cls, text: str, path: str = "") -> "TraceFile":
+        where = path or "<string>"
         lines = text.splitlines()
         if not lines or lines[0].strip() != CSV_HEADER:
-            raise PhyskeyError(f"{path or '<string>'}: missing header {CSV_HEADER!r}")
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise PhyskeyError(f"{path or '<string>'}:{lineno}: malformed row {line!r}")
-            try:
-                seq = int(parts[0])
-                rssi = int(parts[3])
-            except ValueError as exc:
-                raise PhyskeyError(f"{path or '<string>'}:{lineno}: {exc}") from None
-            node_id, frame_type = parts[1], parts[2]
-            if frame_type not in FRAME_TYPES:
-                raise PhyskeyError(
-                    f"{path or '<string>'}:{lineno}: unknown frame_type {frame_type!r}")
-            rows.append((seq, node_id, frame_type, rssi))
-        return cls(rows, path)
+            raise PhyskeyError(f"{where}: missing header {CSV_HEADER!r}")
+        body = list(filter(str.strip, lines[1:]))  # blank lines are skipped
+        try:
+            if set(map(str.count, body, repeat(","))) - {3}:
+                raise ValueError("a row without 4 cells")
+            cells = ",".join(body).split(",") if body else []
+            seq, rssi = (np.fromiter(map(int, cells[i::4]), np.int64, len(body))
+                         for i in (0, 3))
+            if not set(cells[2::4]) <= set(FRAME_TYPES):
+                raise ValueError("an unknown frame type")
+        except (ValueError, OverflowError):
+            _raise_first_bad_row(lines, where)
+            raise  # not reached: the row walk meets the row that failed
+        return cls(seq, cells[1::4], cells[2::4], rssi, path)
 
     @classmethod
     def load(cls, path) -> "TraceFile":
         return cls.parse(Path(path).read_text(), str(path))
+
+    @property
+    def rows(self) -> list:
+        """(seq, node_id, frame_type, rssi) tuples, one per data row."""
+        return list(zip(self.seq.tolist(), self.node_id, self.frame_type,
+                        self.rssi.tolist()))
 
     def serialize(self) -> str:
         out = io.StringIO()
@@ -114,28 +127,40 @@ class TraceFile:
         Path(path).write_text(self.serialize())
 
     def node_ids(self) -> list:
-        seen = dict.fromkeys(node_id for _, node_id, _, _ in self.rows)
-        return list(seen)
+        return list(dict.fromkeys(self.node_id))
 
     def trace(self, node_id: str) -> MeasurementTrace:
-        picked = [(s, f, r) for s, nid, f, r in self.rows if nid == node_id]
-        if not picked:
+        picked = np.flatnonzero(np.array(self.node_id, dtype=object) == node_id)
+        if not picked.size:
             raise PhyskeyError(f"no rows for node {node_id!r} in {self.path or '<string>'}")
-        picked.sort(key=lambda t: t[0])
+        picked = picked[np.argsort(self.seq[picked], kind="stable")]
+        return MeasurementTrace(self.seq[picked], self.rssi[picked], node_id,
+                                {"frame_type": self.frame_type[picked[0]]})
+
+
+def _raise_first_bad_row(lines: list, where: str) -> None:
+    """Raise a PhyskeyError naming the first data line that does not parse."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise PhyskeyError(f"{where}:{lineno}: malformed row {line!r}")
         try:
-            seqs = np.array([s for s, _, _ in picked], dtype=np.int64)
-            levels = np.array([r for _, _, r in picked], dtype=np.int64)
-        except OverflowError:
-            raise PhyskeyError(f"node {node_id!r} in {self.path or '<string>'}: "
-                               "a seq or rssi value does not fit in 64 bits") from None
-        return MeasurementTrace(seqs, levels, node_id, {"frame_type": picked[0][1]})
+            values = int(parts[0]), int(parts[3])
+        except ValueError as exc:
+            raise PhyskeyError(f"{where}:{lineno}: {exc}") from None
+        if parts[2] not in FRAME_TYPES:
+            raise PhyskeyError(f"{where}:{lineno}: unknown frame_type {parts[2]!r}")
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in values):
+            raise PhyskeyError(
+                f"{where}:{lineno}: a seq or rssi value does not fit in 64 bits")
 
 
 def trace_to_file(trace: MeasurementTrace) -> TraceFile:
-    ft = trace.frame_type()
-    rows = [(int(s), trace.node_id, ft, int(v))
-            for s, v in zip(trace.seqs, trace.levels)]
-    return TraceFile(rows)
+    n = len(trace)
+    return TraceFile(trace.seqs, [trace.node_id] * n, [trace.frame_type()] * n,
+                     trace.levels)
 
 
 def ingest_traces(traces: dict, eve_filter: bool = False,
@@ -159,20 +184,21 @@ def ingest_traces(traces: dict, eve_filter: bool = False,
     eve_id = eve_ids[0] if eve_filter else None
     required = ["alice", "bob", eve_id] if eve_filter else ["alice", "bob"]
 
-    shared = None
-    for role in required:
-        s = set(traces[role].seqs.tolist())
-        shared = s if shared is None else (shared & s)
-    if not shared:
+    # sequence numbers are strictly increasing, so each trace's are unique
+    kept = traces[required[0]].seqs
+    for role in required[1:]:
+        kept = np.intersect1d(kept, traces[role].seqs, assume_unique=True)
+    if not kept.size:
         raise PhyskeyError("empty sequence-number intersection across required traces")
-    kept = np.array(sorted(shared), dtype=np.int64)
 
     aligned = {}
+    dropped = {}
     clamped = 0
     for role, trace in traces.items():
         mask = np.isin(trace.seqs, kept)
         seqs = trace.seqs[mask]
         levels = trace.levels[mask]
+        dropped[role] = len(trace) - seqs.size
         if role in required:
             if seqs.size != kept.size:
                 raise PhyskeyError(f"required trace {role!r} lost samples during alignment")
@@ -184,8 +210,7 @@ def ingest_traces(traces: dict, eve_filter: bool = False,
 
     report = {
         "kept": int(kept.size),
-        "dropped": {role: int(len(traces[role]) - int(np.isin(traces[role].seqs, kept).sum()))
-                    for role in traces},
+        "dropped": dropped,
         "clamped": clamped,
         "magnitude": magnitude,
         "eve_filter": bool(eve_filter),

@@ -206,3 +206,65 @@ def neighbor_bits_brute_force(levels, m: int) -> list:
         if a is not None and abs(a - abs(levels[p // m])) == 1:
             found.append(p)
     return found
+
+
+class RowLoopTraceFile:
+    """Trace CSV parsed one row at a time into (seq, node_id, frame_type,
+    rssi) tuples: the reference for the column-wise ``TraceFile``.  Values
+    are Python ints of any size; ``trace`` names the node of a value that
+    does not fit in 64 bits."""
+
+    def __init__(self, rows: list, path: str = ""):
+        self.rows, self.path = rows, path
+
+    @classmethod
+    def parse(cls, text: str, path: str = "") -> "RowLoopTraceFile":
+        from physkey.errors import PhyskeyError
+        from physkey.traces import CSV_HEADER, FRAME_TYPES
+
+        lines = text.splitlines()
+        if not lines or lines[0].strip() != CSV_HEADER:
+            raise PhyskeyError(f"{path or '<string>'}: missing header {CSV_HEADER!r}")
+        rows = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise PhyskeyError(f"{path or '<string>'}:{lineno}: malformed row {line!r}")
+            try:
+                seq = int(parts[0])
+                rssi = int(parts[3])
+            except ValueError as exc:
+                raise PhyskeyError(f"{path or '<string>'}:{lineno}: {exc}") from None
+            node_id, frame_type = parts[1], parts[2]
+            if frame_type not in FRAME_TYPES:
+                raise PhyskeyError(
+                    f"{path or '<string>'}:{lineno}: unknown frame_type {frame_type!r}")
+            rows.append((seq, node_id, frame_type, rssi))
+        return cls(rows, path)
+
+    def serialize(self) -> str:
+        from physkey.traces import CSV_HEADER
+
+        lines = [CSV_HEADER] + [f"{s},{n},{f},{r}" for s, n, f, r in self.rows]
+        return "\n".join(lines) + "\n"
+
+    def node_ids(self) -> list:
+        return list(dict.fromkeys(node_id for _, node_id, _, _ in self.rows))
+
+    def trace(self, node_id: str):
+        from physkey.errors import PhyskeyError
+        from physkey.traces import MeasurementTrace
+
+        picked = [(s, f, r) for s, nid, f, r in self.rows if nid == node_id]
+        if not picked:
+            raise PhyskeyError(f"no rows for node {node_id!r} in {self.path or '<string>'}")
+        picked.sort(key=lambda t: t[0])
+        try:
+            seqs = np.array([s for s, _, _ in picked], dtype=np.int64)
+            levels = np.array([r for _, _, r in picked], dtype=np.int64)
+        except OverflowError:
+            raise PhyskeyError(f"node {node_id!r} in {self.path or '<string>'}: "
+                               "a seq or rssi value does not fit in 64 bits") from None
+        return MeasurementTrace(seqs, levels, node_id, {"frame_type": picked[0][1]})

@@ -142,10 +142,6 @@ class TestCalibration:
         with pytest.raises(CalibrationError, match="calibration failed"):
             calibrate_to_reference_rates(0.9, 0.0054, levels=3)
 
-    def test_zero_slice_length_fails_closed(self):
-        with pytest.raises(ValueError, match="slice length must be at least 1"):
-            measure_rates(family_config(levels=3), 1000, slice_len=0)
-
 
 class TestChannelStatistics:
     def test_eve_correlates_at_lag_zero_only(self, calibrated_config):

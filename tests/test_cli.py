@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -134,6 +135,24 @@ def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason)
     assert captured.out == ""
 
 
+SMALL_CONFIG = family_config(levels=3, n=100).to_dict()
+DELETE = object()
+
+
+def config_with(path, value):
+    """A copy of SMALL_CONFIG with the field at path set to value, or
+    deleted when value is DELETE."""
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
 @pytest.mark.parametrize("command, flag, doc, reason", [
     ("plan", "--fits", {}, "missing field 'g'"),
     ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0}, "e": {}},
@@ -145,6 +164,21 @@ def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason)
     ("simulate", "--config", [1, 2], "expected a JSON object"),
     ("simulate", "--config", {"calibrate": 5}, "field 'calibrate' has the wrong type"),
     ("plan", "--fits", {"g": [1.0], "e": {}}, "field 'g' has the wrong type"),
+    ("simulate", "--config", config_with(("n",), True), "field 'n' has the wrong type"),
+    ("simulate", "--config", config_with(("seed",), False), "field 'seed' has the wrong type"),
+    ("simulate", "--config", config_with(("model", "k"), True),
+     "field 'model.k' has the wrong type"),
+    ("simulate", "--config", config_with(("model", "k"), None),
+     "field 'model.k' has the wrong type"),
+    ("simulate", "--config", config_with(("model", "m"), None),
+     "field 'model.m' has the wrong type"),
+    ("simulate", "--config", config_with(("model", "states"), "012"),
+     "field 'model.states' has the wrong type"),
+    ("simulate", "--config", config_with(("model", "symbols"), {"0": 1, "1": 2, "2": 3}),
+     "field 'model.symbols' has the wrong type"),
+    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
+                                            "levels": True}},
+     "field 'calibrate.levels' has the wrong type"),
 ])
 def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, reason):
     path = tmp_path / "doc.json"
@@ -158,8 +192,6 @@ def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, r
     assert captured.out == ""
 
 
-SMALL_CONFIG = family_config(levels=3, n=100).to_dict()
-DELETE = object()
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: (st.lists(inner, max_size=3)
@@ -169,10 +201,12 @@ OBJECTS = st.integers() | st.lists(st.integers(), min_size=1, max_size=3)
 NUMBERS = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
 WRONG_TYPES = {  # a value of the wrong type for each field
     ("model",): OBJECTS, ("bob_error",): OBJECTS, ("calibration",): OBJECTS,
-    ("n",): NUMBERS, ("seed",): NUMBERS, ("model", "k"): NUMBERS,
-    ("model", "m"): NUMBERS, ("model", "pi"): NUMBERS, ("model", "trans"): NUMBERS,
-    ("model", "emit"): NUMBERS, ("model", "states"): st.none() | st.integers(),
-    ("model", "symbols"): st.none() | st.integers(),
+    ("n",): NUMBERS | st.booleans(), ("seed",): NUMBERS | st.booleans(),
+    ("model", "k"): NUMBERS | st.booleans() | st.none(),
+    ("model", "m"): NUMBERS | st.booleans() | st.none(), ("model", "pi"): NUMBERS,
+    ("model", "trans"): NUMBERS, ("model", "emit"): NUMBERS,
+    ("model", "states"): st.none() | st.integers() | st.text() | NUMBERS,
+    ("model", "symbols"): st.none() | st.integers() | st.text() | NUMBERS,
 }
 
 
@@ -190,16 +224,8 @@ class TestDamagedConfig:
 
     @staticmethod
     def load(tmp_path_factory, path, value):
-        doc = json.loads(json.dumps(SMALL_CONFIG))
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if value is DELETE:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
         file = tmp_path_factory.getbasetemp() / "damaged.json"
-        file.write_text(json.dumps(doc))
+        file.write_text(json.dumps(config_with(path, value)))
         return file, lambda: _load_config(str(file))
 
     @settings(max_examples=200, deadline=None)
@@ -314,3 +340,35 @@ class TestReport:
         assert code == 0
         assert "key_bits: 128" in out
         assert "[40 values]" in out
+
+
+class TestSeededOutputs:
+    """JSON stdout of the analysis commands on the run_dir traces, pinned to
+    fixed digests: speedups of the parser or the assumption suite must
+    reproduce every byte, the suite's random draws included."""
+
+    COMMANDS = {  # name: (argv after the trace flags, sha256 of stdout)
+        "estimate-entropy": (["--levels", "9"],
+                             "ba006353a1836248bf03353ccec2caf41790ca94f92b73008141cb49ff8a1f28"),
+        "fit-growth": (["--levels", "9", "--slice-samples", "200", "--step", "20"],
+                       "193608afea0f637f40aa24850fc89b02e3d5372b73478a4e3f1d55bb35648823"),
+        "validate-assumptions": (
+            [], "bad9666e8e59835bad3ffe7067cf1b01b93cf12150a6b7b94d59f6a838ed8738"),
+        "validate-assumptions --trials 37 --seed 9": (
+            ["--trials", "37", "--seed", "9"],
+            "438f12144e8450fbd06ec829ac92938302833681da02875e2ec3802cce706774"),
+        "ingest --eve-filter": (
+            ["--eve-filter"], "5a8a805646dc7e5d2a91e46b14fee517bfe6e71818b44945a29fc3897996f7d3"),
+    }
+    ROLES = {"estimate-entropy": ("alice", "eve"), "fit-growth": ("alice", "bob", "eve"),
+             "validate-assumptions": ("alice", "eve"), "ingest": ("alice", "bob", "eve")}
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_analysis_golden(self, run_dir, capsys, name):
+        extra, digest = self.COMMANDS[name]
+        command = name.split()[0]
+        traces = [a for role in self.ROLES[command]
+                  for a in (f"--{role}", run_dir / f"{role}.csv")]
+        code, out = invoke(capsys, command, *traces, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

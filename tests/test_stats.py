@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physkey.channel import ChannelConfig, simulate_run
 from physkey.hmm import HmmModel
-from physkey.stats import (downsample, ks_two_sample, lag_correlation_profile,
+from physkey.stats import (_ks_counts, downsample, ks_two_sample, lag_correlation_profile,
                            pearson_significance, validate_assumptions)
 from physkey.traces import MeasurementTrace, make_trace
 
@@ -123,6 +125,41 @@ class TestKs:
             perm = rng.permutation(x.size)
             rejects += ks_two_sample(x[perm[:2000]], x[perm[2000:]], 0.05).reject
         assert rejects / trials <= 2 * 0.05
+
+
+LEVEL_SAMPLES = st.lists(st.integers(-8, 0), min_size=8, max_size=80)
+
+
+class TestKsCounts:
+    """The suite's count-based K-S against ks_two_sample on the samples."""
+
+    @staticmethod
+    def counts(x, y, extra=()):
+        # counts over the sorted union of both samples and of levels neither has
+        support = np.union1d(np.union1d(x, y), extra)
+        return [np.bincount(np.searchsorted(support, v), minlength=support.size)
+                for v in (x, y)]
+
+    @settings(deadline=None, max_examples=300)
+    @given(LEVEL_SAMPLES, LEVEL_SAMPLES, st.lists(st.integers(-12, 3), max_size=3),
+           st.sampled_from([0.01, 0.05, 0.5]))
+    def test_matches_ks_two_sample(self, x, y, extra, alpha):
+        assert _ks_counts(*self.counts(x, y, extra), alpha) == ks_two_sample(x, y, alpha)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.integers(-8, -4), min_size=8, max_size=40),
+           st.lists(st.integers(-4, 0), min_size=8, max_size=90))
+    def test_levels_on_one_side_only(self, x, y):
+        assert _ks_counts(*self.counts(x, y), 0.05) == ks_two_sample(x, y, 0.05)
+
+    @pytest.mark.parametrize("x, y", [
+        ([-3] * 9, [-3] * 31),
+        ([0] * 8, [0] * 8),
+        ([-8] * 10, [0] * 12),
+        (list(range(-8, 1)), list(range(-8, 1)) * 3),
+    ], ids=["all-equal", "all-equal-same-size", "disjoint", "same-levels"])
+    def test_edge_samples(self, x, y):
+        assert _ks_counts(*self.counts(x, y), 0.05) == ks_two_sample(x, y, 0.05)
 
 
 class TestDownsample:

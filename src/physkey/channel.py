@@ -17,8 +17,10 @@ Emission spread is bisected against the measured per-sample conditional
 min-entropy and q against the measured word error rate.  Each bisection
 returns the first probe that lands within 0.5% of its target, with the rate
 measured there; only when 40 steps run out does it take the bracket
-midpoint.  The q search simulates runs and counts Bob's level errors; it
-never needs the entropy estimate.
+midpoint.  Both searches re-map one draw, the run measure_rates would
+simulate at the calibration seed: a spread probe maps it to Eve's trace and
+estimates the entropy, a q probe maps it to Bob's levels and counts level
+errors without the entropy estimate.
 """
 
 from __future__ import annotations
@@ -114,35 +116,51 @@ def _sample_chain(cum_pi: np.ndarray, cum_trans: np.ndarray, u: np.ndarray) -> n
     return table[:, 0]
 
 
+def _draw(model: HmmModel, seed: int, n: int):
+    """The random part of a run: hidden state indices, then the uniforms that
+    Eve's and Bob's draws invert, in the generator's order.
+
+    The path depends on the model only through pi and trans, and the
+    uniforms not at all.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    idx = _sample_chain(np.cumsum(model.pi), np.cumsum(model.trans, axis=1), u)
+    return idx, rng.random(n), rng.random(n)
+
+
+def _eve_levels(model: HmmModel, idx: np.ndarray, ue: np.ndarray) -> np.ndarray:
+    """Eve's symbol at each step, drawn from the emission row of the state."""
+    cum_emit = np.cumsum(model.emit, axis=1)
+    symbol_vals = np.array(model.symbols, dtype=np.int64)
+    return symbol_vals[(ue[:, None] < cum_emit[idx]).argmax(axis=1)]
+
+
+def _bob_levels(model: HmmModel, bob_error: dict, alice: np.ndarray,
+                ub: np.ndarray) -> np.ndarray:
+    """Alice's levels plus an offset drawn from bob_error, clamped to the states.
+
+    The same draw as rng.choice(offsets, p=probs) over the sorted offsets:
+    each uniform is located in the normalised cumulative distribution.
+    """
+    offsets = np.array(sorted(bob_error), dtype=np.int64)
+    cdf = np.array([bob_error[int(o)] for o in offsets]).cumsum()
+    cdf /= cdf[-1]
+    off = offsets[cdf.searchsorted(ub, side="right")]
+    return np.clip(alice + off, min(model.states), max(model.states))
+
+
 def simulate_run(config: ChannelConfig) -> SimulatedRun:
     """Draw one run; bit-identical for a fixed config (including seed)."""
     model = config.model
-    rng = np.random.default_rng(config.seed)
-    n = config.n
-
-    state_vals = np.array(model.states, dtype=np.int64)
-    symbol_vals = np.array(model.symbols, dtype=np.int64)
-
-    u = rng.random(n)
-    idx = _sample_chain(np.cumsum(model.pi), np.cumsum(model.trans, axis=1), u)
-    alice_levels = state_vals[idx]
-
-    cum_emit = np.cumsum(model.emit, axis=1)
-    ue = rng.random(n)
-    eve_idx = (ue[:, None] < cum_emit[idx]).argmax(axis=1)
-    eve_levels = symbol_vals[eve_idx]
-
-    offsets = np.array(sorted(config.bob_error), dtype=np.int64)
-    probs = np.array([config.bob_error[int(o)] for o in offsets])
-    off = rng.choice(offsets, size=n, p=probs)
-    lo, hi = int(state_vals.min()), int(state_vals.max())
-    bob_levels = np.clip(alice_levels + off, lo, hi)
-
+    idx, ue, ub = _draw(model, config.seed, config.n)
+    alice_levels = np.array(model.states, dtype=np.int64)[idx]
     meta = {"delay_ms": 1300, "precision_bits": 5}
     return SimulatedRun(
         alice=make_trace(alice_levels, "alice", frame_type="PING", **meta),
-        bob=make_trace(bob_levels, "bob", frame_type="PONG", **meta),
-        eve=make_trace(eve_levels, "eve", frame_type="OBS", **meta),
+        bob=make_trace(_bob_levels(model, config.bob_error, alice_levels, ub), "bob",
+                       frame_type="PONG", **meta),
+        eve=make_trace(_eve_levels(model, idx, ue), "eve", frame_type="OBS", **meta),
     )
 
 
@@ -188,8 +206,16 @@ def _measure_length(n_samples: int) -> int:
     return n - n % SLICE_LEN
 
 
-def _word_error_rate(run: SimulatedRun) -> float:
-    return float(np.mean(run.alice.levels != run.bob.levels))
+def _entropy_estimate(model: HmmModel, idx: np.ndarray, ue: np.ndarray):
+    # the sampled estimate over SLICE_LEN-sample experiments of Eve's trace
+    experiments = slice_experiments(model, _eve_levels(model, idx, ue), SLICE_LEN)
+    return estimate_avg_conditional_min_entropy(model, experiments)
+
+
+def _word_error_rate(config: ChannelConfig, idx: np.ndarray, ub: np.ndarray) -> float:
+    # fraction of samples where Bob's level differs from Alice's
+    alice = np.array(config.model.states, dtype=np.int64)[idx]
+    return float(np.mean(_bob_levels(config.model, config.bob_error, alice, ub) != alice))
 
 
 def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
@@ -200,17 +226,16 @@ def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
     Eve's trace under the config's own model, averaged over ``SLICE_LEN``-sample
     experiments; the word error rate is the fraction of samples where Bob's
     level differs from Alice's (one ``BITS_PER_SAMPLE``-bit word per
-    sample).
+    sample).  The run is the one simulate_run draws at this length and seed.
     """
     n = _measure_length(n_samples)
-    run = simulate_run(replace(config, n=n, seed=seed))
-    experiments = slice_experiments(config.model, run.eve.levels, SLICE_LEN)
-    est = estimate_avg_conditional_min_entropy(config.model, experiments)
+    idx, ue, ub = _draw(config.model, seed, n)
+    est = _entropy_estimate(config.model, idx, ue)
     return {
         "per_sample_entropy_bits": est.mean_bits / SLICE_LEN,
         "per_experiment_entropy_bits": est.mean_bits,
         "entropy_std_bits": est.std_bits,
-        "word_error_rate_per_word": _word_error_rate(run),
+        "word_error_rate_per_word": _word_error_rate(config, idx, ub),
         "slice_len": SLICE_LEN,
         "n_samples": n,
     }
@@ -258,10 +283,14 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     if word_error_per_word >= 1.0:
         raise CalibrationError("calibration failed: word error target >= 1 per word")
 
+    # every probe draws from the same seed and length, and with decay = 1 its
+    # hidden chain depends on levels alone, so one draw serves them all
+    idx, ue, ub = _draw(family_config(levels=levels).model, seed,
+                        _measure_length(n_samples))
+
     def entropy_of(spread: float, band: int) -> float:
-        cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band,
-                            q=0.01, n=n_samples, seed=seed)
-        return measure_rates(cfg, n_samples, seed)["per_sample_entropy_bits"]
+        model = family_config(levels=levels, spread=spread, band=band).model
+        return _entropy_estimate(model, idx, ue).mean_bits / SLICE_LEN
 
     # entropy is monotone in the emission spread; bracket then bisect
     chosen = None
@@ -281,10 +310,8 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     spread, band, achieved_entropy = chosen
 
     def word_error_of(q: float) -> float:
-        # the run measure_rates would simulate, without its entropy estimate
-        cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band, q=q,
-                            n=_measure_length(n_samples), seed=seed)
-        return _word_error_rate(simulate_run(cfg))
+        return _word_error_rate(family_config(levels=levels, spread=spread, band=band, q=q),
+                                idx, ub)
 
     lo_q, hi_q = 1e-5, 0.49
     if not (word_error_of(lo_q) <= word_error_per_word <= word_error_of(hi_q)):

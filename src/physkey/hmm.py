@@ -14,9 +14,13 @@ desk-scale reference for small models.
 
 One private kernel steps both recursions over the rows of an (r, n) matrix
 of symbol indices at once and reports their prefix values at requested
-lengths.  The single-sequence functions (viterbi_max_joint, which also keeps
-the argmax path, and forward_likelihood), the growth profiles, the sampled
-estimator and the exact enumeration all call it.
+lengths.  Its Viterbi scores are state-major, one (k, r) array, so the max
+over predecessors reduces the leading axis of a (k, k, r) array of
+candidates, elementwise over contiguous (k, r) slabs; the forward
+recursion keeps its (r, k) rows for one matrix product per step.  The
+single-sequence functions (viterbi_max_joint, which also keeps the argmax
+path, and forward_likelihood), the growth profiles, the sampled estimator
+and the exact enumeration all call it.
 """
 
 from __future__ import annotations
@@ -274,7 +278,8 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
     step at which each row's probability vanished (-1 if it never did; log2 P
     is -inf from there on) and, with ``keep_path``, each row's argmax path as
     an (r, n) array, ties broken toward the lowest state.  An impossible row
-    does not raise: exact enumeration sums over such rows.
+    does not raise: exact enumeration sums over such rows.  ``delta`` is
+    state-major, (k, r), with cand[i, j, row] = delta[i, row] + log2 a_ij.
     """
     if obs_matrix.min() < 0 or obs_matrix.max() >= model.m:
         raise ValueError(f"observation index out of range [0, {model.m})")
@@ -289,13 +294,13 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
     log_fwd = np.zeros(r)
     for t in range(n):
         if t == 0:
-            delta = log_pi[None, :] + log_b[:, obs_matrix[:, 0]].T    # (r, k)
+            delta = log_pi[:, None] + log_b[:, obs_matrix[:, 0]]      # (k, r)
             alpha = model.pi[None, :] * model.emit[:, obs_matrix[:, 0]].T
         else:
-            cand = delta[:, :, None] + log_a[None, :, :]             # cand[row, i, j]
+            cand = delta[:, None, :] + log_a[:, :, None]             # cand[i, j, row]
             if keep_path:
-                back.append(cand.argmax(axis=1))                     # first max
-            delta = cand.max(axis=1) + log_b[:, obs_matrix[:, t]].T
+                back.append(cand.argmax(axis=0))                     # first max
+            delta = cand.max(axis=0) + log_b[:, obs_matrix[:, t]]
             alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
         scale = alpha.sum(axis=1)
         if not scale.all():
@@ -306,15 +311,15 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
         alpha /= scale[:, None]
         log_fwd += np.log2(scale)
         if pos < len(checkpoints) and checkpoints[pos] == t + 1:
-            log_star[:, pos] = delta.max(axis=1)
+            log_star[:, pos] = delta.max(axis=0)
             log_p[:, pos] = log_fwd
             pos += 1
     if not keep_path:
         return log_star, log_p, vanished, None
     paths = np.zeros((r, n), dtype=np.int64)
-    paths[:, -1] = delta.argmax(axis=1)
+    paths[:, -1] = delta.argmax(axis=0)
     for t in range(n - 1, 0, -1):
-        paths[:, t - 1] = back[t - 1][np.arange(r), paths[:, t]]
+        paths[:, t - 1] = back[t - 1][paths[:, t], np.arange(r)]
     return log_star, log_p, vanished, paths
 
 

@@ -127,6 +127,30 @@ def walk_chain(model, n: int, seed: int) -> np.ndarray:
     return idx
 
 
+def choice_simulate_run(config):
+    """Alice's, Bob's and Eve's levels of simulate_run, drawn directly: the
+    chain walked one sample at a time and Bob's level offsets drawn by
+    rng.choice over the sorted offsets."""
+    model, n = config.model, config.n
+    rng = np.random.default_rng(config.seed)
+    state_vals = np.array(model.states, dtype=np.int64)
+    symbol_vals = np.array(model.symbols, dtype=np.int64)
+
+    rng.random(n)  # the chain's uniforms, which walk_chain draws for itself
+    idx = walk_chain(model, n, config.seed)
+    alice_levels = state_vals[idx]
+
+    cum_emit = np.cumsum(model.emit, axis=1)
+    ue = rng.random(n)
+    eve_levels = symbol_vals[(ue[:, None] < cum_emit[idx]).argmax(axis=1)]
+
+    offsets = np.array(sorted(config.bob_error), dtype=np.int64)
+    probs = np.array([config.bob_error[int(o)] for o in offsets])
+    off = rng.choice(offsets, size=n, p=probs)
+    bob_levels = np.clip(alice_levels + off, state_vals.min(), state_vals.max())
+    return alice_levels, bob_levels, eve_levels
+
+
 def gf2m_power_sums(bits, js, m: int) -> np.ndarray:
     """sum_i bits[i] alpha^(j i) in GF(2^m) for each j: a binary polynomial
     evaluated at alpha^j term by term, with no reduction by any generator."""

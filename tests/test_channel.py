@@ -1,7 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from physkey.channel import (ChannelConfig, calibrate_to_reference_rates, family_config,
                              measure_rates, simulate_run)
@@ -9,7 +12,7 @@ from physkey.errors import CalibrationError
 from physkey.hmm import HmmModel
 from physkey.stats import lag_correlation_profile, pearson_significance
 
-from .oracles import walk_chain
+from .oracles import choice_simulate_run, walk_chain
 
 
 def two_state_config(n=1000, seed=0, q=0.1):
@@ -88,6 +91,24 @@ class TestSimulate:
         states = np.array(model.states)
         assert np.array_equal(run.alice.levels, states[walk_chain(model, 4097, 11)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(-4, 4), st.integers(0, 5), min_size=1, max_size=6)
+           .filter(lambda w: sum(w.values()) > 0),
+           st.sampled_from([1, 2, 2325]), st.integers(0, 2 ** 32 - 1))
+    @example({3: 1, -2: 2}, 2325, 0)
+    @example({0: 0, 2: 3, -1: 0, -3: 1}, 2, 5)
+    def test_bob_offsets_match_choice_draw(self, weights, n, seed):
+        # any offset order and gaps, zero-probability offsets included
+        total = sum(weights.values())
+        bob_error = {o: w / total for o, w in weights.items()}
+        cfg = replace(family_config(levels=5, decay=0.7, spread=0.4, band=1),
+                      bob_error=bob_error, n=n, seed=seed)
+        run = simulate_run(cfg)
+        alice, bob, eve = choice_simulate_run(cfg)
+        assert np.array_equal(run.alice.levels, alice)
+        assert np.array_equal(run.bob.levels, bob)
+        assert np.array_equal(run.eve.levels, eve)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="bob_error"):
             two_state_config(q=0.1).__class__(
@@ -141,6 +162,45 @@ class TestCalibration:
     def test_unreachable_entropy_fails(self):
         with pytest.raises(CalibrationError, match="calibration failed"):
             calibrate_to_reference_rates(0.9, 0.0054, levels=3)
+
+
+class TestSeededOutputs:
+    """Calibrations and simulated traces pinned to fixed values."""
+
+    CALIBRATIONS = {
+        2026: {"target_entropy_per_sample_bits": 0.9984,
+               "achieved_entropy_per_sample_bits": 0.9980483750046841,
+               "target_word_error_per_word": 0.0432,
+               "achieved_word_error_per_word": 0.0431,
+               "spread": 0.41324816852731083, "band": 2, "q": 0.023456787109375002,
+               "levels": 9, "measure_seed": 2026},
+        1177726414: {"target_entropy_per_sample_bits": 0.9984,
+                     "achieved_entropy_per_sample_bits": 1.0028387571428092,
+                     "target_word_error_per_word": 0.0432,
+                     "achieved_word_error_per_word": 0.0434,
+                     "spread": 0.4160453045834137, "band": 2, "q": 0.022978281250000003,
+                     "levels": 9, "measure_seed": 1177726414},
+        284816770: {"target_entropy_per_sample_bits": 0.9984,
+                    "achieved_entropy_per_sample_bits": 0.9977777989037981,
+                    "target_word_error_per_word": 0.0432,
+                    "achieved_word_error_per_word": 0.0434,
+                    "spread": 0.41324816852731083, "band": 2, "q": 0.022978281250000003,
+                    "levels": 9, "measure_seed": 284816770},
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CALIBRATIONS))
+    def test_calibration(self, seed):
+        cfg = calibrate_to_reference_rates(0.1248, 0.0054, levels=9, seed=seed)
+        assert cfg.calibration == self.CALIBRATIONS[seed]
+
+    def test_markov_run(self):
+        run = simulate_run(family_config(levels=4, decay=0.5, spread=0.3, band=1, q=0.1,
+                                         n=5000, seed=17))
+        h = hashlib.sha256()
+        for trace in (run.alice, run.bob, run.eve):
+            h.update(trace.levels.astype(np.int64).tobytes())
+        assert h.hexdigest() == \
+            "7c05604977b39d0250cc32328f2575c13f697e681823035f55762d76722f46ed"
 
 
 class TestChannelStatistics:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from physkey.errors import ImpossibleObservationError
-from physkey.hmm import (HmmModel, ObservationSequence,
+from physkey.channel import family_config
+from physkey.hmm import (HmmModel, ObservationSequence, _recursions,
                          conditional_min_entropy_given_obs, entropy_profile_batch,
                          estimate_avg_conditional_min_entropy,
                          exact_avg_conditional_min_entropy, fit_hmm_from_traces,
@@ -191,7 +193,6 @@ class TestExactAverage:
         assert got == pytest.approx(bits, abs=5e-6)
 
     def test_banded_family_matches_enumeration(self):
-        from physkey.channel import family_config
         model = family_config(levels=5, decay=0.5, spread=0.4, band=1).model
         got = exact_avg_conditional_min_entropy(model, 4)
         assert got == pytest.approx(brute_exact_avg_bits(model, 4), abs=1e-9)
@@ -203,6 +204,45 @@ class TestExactAverage:
             n = int(rng.integers(1, 6))
             h = exact_avg_conditional_min_entropy(model, n)
             assert -1e-9 <= h <= n * math.log2(3) + 1e-9
+
+
+class TestSeededOutputs:
+    """Both recursions' values, vanishing steps and argmax paths pinned to
+    fixed digests."""
+
+    @staticmethod
+    def digest(model, obs, checkpoints):
+        h = hashlib.sha256()
+        for out in _recursions(model, obs, checkpoints, keep_path=True):
+            h.update(np.ascontiguousarray(out).tobytes())
+        return h.hexdigest()
+
+    def test_iid_family(self):
+        # decay = 1: every transition from a state ties, so paths test the tie-break
+        model = family_config(levels=9, spread=0.4, band=2).model
+        obs = np.random.default_rng(99).integers(0, 9, size=(30, 100))
+        assert self.digest(model, obs, [1, 37, 100]) == \
+            "36ffe1373545cd7a57b780b952b7594780a9028b60f4a0dcd75afba5c3b6f5d3"
+
+    def test_sticky_with_zeros(self):
+        model = HmmModel(states=(0, 1, 2), symbols=(0, 1, 2), pi=[0.6, 0.4, 0.0],
+                         trans=[[0.9, 0.1, 0.0], [0.05, 0.9, 0.05], [0.0, 0.1, 0.9]],
+                         emit=[[0.7, 0.3, 0.0], [0.2, 0.6, 0.2], [0.0, 0.3, 0.7]])
+        obs = np.random.default_rng(7).integers(0, 3, size=(12, 40))
+        assert self.digest(model, obs, [1, 2, 40]) == \
+            "4df9b1bb4ddb4e708cdaa73f441c53c53df33e7e4bd54e70788983c2695335d4"
+
+    def test_batch_with_vanishing_row(self):
+        model = HmmModel(states=(0, 1, 2), symbols=(0, 1, 2), pi=[0.5, 0.3, 0.2],
+                         trans=[[0.5, 0.5, 0.0], [0.3, 0.4, 0.3], [0.2, 0.2, 0.6]],
+                         emit=np.eye(3))
+        obs = np.random.default_rng(8).integers(0, 3, size=(6, 25))
+        # state 0 never moves to state 2: keep that step out of every row but one
+        obs[:, 1:][(obs[:, :-1] == 0) & (obs[:, 1:] == 2)] = 1
+        obs[3, 10:12] = (0, 2)
+        assert list(_recursions(model, obs, [25])[2]) == [-1, -1, -1, 11, -1, -1]
+        assert self.digest(model, obs, [5, 11, 25]) == \
+            "b83d3cfb3dd990a33d67983e243dc682f5ab5b491f5e0d14e01cabf8bb629c39"
 
 
 class TestEstimator:

@@ -17,10 +17,13 @@ Emission spread is bisected against the measured per-sample conditional
 min-entropy and q against the measured word error rate.  Each bisection
 returns the first probe that lands within 0.5% of its target, with the rate
 measured there; only when 40 steps run out does it take the bracket
-midpoint.  Both searches re-map one draw, the run measure_rates would
-simulate at the calibration seed: a spread probe maps it to Eve's trace and
-estimates the entropy, a q probe maps it to Bob's levels and counts level
-errors without the entropy estimate.
+midpoint.  Both searches use one draw, the run measure_rates would simulate
+at the calibration seed.  A q probe maps it to Bob's levels and counts level
+errors.  A spread probe counts Eve's symbols from her uniforms, sorted once
+within each hidden state, and is decided by the closed-form entropy of a
+memoryless chain (decay = 1: every transition row equals pi), a sum of
+per-symbol terms; the kernel estimate that measure_rates reports is run
+once, at the spread the search picks, so the reported rate is the kernel's.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, ImpossibleObservationError
 from .hmm import SLICE_LEN, HmmModel, estimate_avg_conditional_min_entropy, \
     json_int, level_states, slice_experiments, validate_model
 from .quantize import BITS_PER_SAMPLE
@@ -88,10 +91,25 @@ class SimulatedRun:
     eve: MeasurementTrace
 
 
-def _sample_chain(cum_pi: np.ndarray, cum_trans: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis for inverse-CDF sampling, +inf
+    from each row's last positive entry on.
+
+    A uniform in [0, 1) then falls in the bin of an outcome the row can give
+    even where the sum rounds below 1: the last positive outcome takes what
+    lies above it.
+    """
+    cum = np.cumsum(p, axis=-1)
+    k = p.shape[-1]
+    last = k - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
+    cum[np.arange(k) >= last[..., None]] = np.inf
+    return cum
+
+
+def _sample_chain(pi: np.ndarray, trans: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Hidden state indices for uniforms u by inverse-CDF sampling.
 
-    Step t moves from state s to searchsorted(cum_trans[s], u[t]).  Rather
+    Step t moves from state s to searchsorted(_cdf(trans)[s], u[t]).  Rather
     than walking the chain one sample at a time, tabulate that move for
     every (t, s) with k vectorised searches, then compose the table by
     pointer doubling: after the pass with stride d, row t maps the state at
@@ -103,12 +121,12 @@ def _sample_chain(cum_pi: np.ndarray, cum_trans: np.ndarray, u: np.ndarray) -> n
     after a few passes for one that mixes quickly).  The searches make the
     same comparisons as a one-sample walk, so the path is identical to it.
     """
-    n, k = u.size, cum_trans.shape[0]
+    n, k = u.size, trans.shape[0]
+    cum_trans = _cdf(trans)
     table = np.empty((n, k), dtype=np.int64)
-    table[0] = np.searchsorted(cum_pi, u[0], side="right")
+    table[0] = np.searchsorted(_cdf(pi), u[0], side="right")
     for s in range(k):
         table[1:, s] = np.searchsorted(cum_trans[s], u[1:], side="right")
-    np.minimum(table, k - 1, out=table)
     d = 1
     while d < n and not (table == table[:, :1]).all():
         table[d:] = np.take_along_axis(table[d:], table[:-d], axis=1)
@@ -125,15 +143,14 @@ def _draw(model: HmmModel, seed: int, n: int):
     """
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    idx = _sample_chain(np.cumsum(model.pi), np.cumsum(model.trans, axis=1), u)
+    idx = _sample_chain(model.pi, model.trans, u)
     return idx, rng.random(n), rng.random(n)
 
 
 def _eve_levels(model: HmmModel, idx: np.ndarray, ue: np.ndarray) -> np.ndarray:
     """Eve's symbol at each step, drawn from the emission row of the state."""
-    cum_emit = np.cumsum(model.emit, axis=1)
     symbol_vals = np.array(model.symbols, dtype=np.int64)
-    return symbol_vals[(ue[:, None] < cum_emit[idx]).argmax(axis=1)]
+    return symbol_vals[(ue[:, None] < _cdf(model.emit)[idx]).argmax(axis=1)]
 
 
 def _bob_levels(model: HmmModel, bob_error: dict, alice: np.ndarray,
@@ -177,6 +194,10 @@ def _banded_emission(k: int, spread: float, band: int) -> np.ndarray:
 
 
 def _stationary(trans: np.ndarray) -> np.ndarray:
+    if (trans == trans[0]).all():
+        # equal rows make an i.i.d. chain whose law is that row; the power
+        # step would round it, and the closed-form entropy needs it exact
+        return trans[0].copy()
     pi = np.full(trans.shape[0], 1.0 / trans.shape[0])
     for _ in range(500):
         nxt = pi @ trans
@@ -212,6 +233,42 @@ def _entropy_estimate(model: HmmModel, idx: np.ndarray, ue: np.ndarray):
     return estimate_avg_conditional_min_entropy(model, experiments)
 
 
+def _memoryless_entropy_bits(model: HmmModel, counts) -> np.ndarray:
+    """Conditional min-entropy in bits of observation sequences given by
+    their symbol counts (last axis), for a chain whose every transition row
+    equals pi.
+
+    Such a chain is i.i.d., so P* = max_x Pr[X = x, Y = y] and P = Pr[Y = y]
+    both factor per symbol and -log2(P*/P) is
+    sum_t [log2 sum_x pi_x b_x(y_t) - log2 max_x pi_x b_x(y_t)]: the counts
+    weighted by a per-symbol table.  That is the kernel's value up to
+    rounding, without its per-step dynamic program.  Raises ValueError for
+    any other chain, and ImpossibleObservationError when a counted symbol
+    has zero probability.
+    """
+    if not (model.trans == model.pi).all():
+        raise ValueError("the closed-form entropy needs every transition row equal to pi")
+    joint = model.pi[:, None] * model.emit
+    total = joint.sum(axis=0)
+    counts = np.asarray(counts)
+    impossible = (counts.reshape(-1, model.m) > 0).any(axis=0) & (total == 0)
+    if impossible.any():
+        raise ImpossibleObservationError(
+            "impossible observation sequence: symbol "
+            f"{model.symbols[int(np.argmax(impossible))]} has zero probability")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bits = np.log2(total) - np.log2(joint.max(axis=0))
+    return counts @ np.where(total > 0, bits, 0.0)
+
+
+def _eve_counts(model: HmmModel, ue_by_state: list) -> np.ndarray:
+    # Eve's symbol counts over a run, given its uniforms sorted within each
+    # hidden state: symbols 0..j take the uniforms below the row's CDF at j,
+    # the bins _eve_levels draws from
+    edges = sum(np.searchsorted(u, row) for u, row in zip(ue_by_state, _cdf(model.emit)))
+    return np.diff(edges, prepend=0)
+
+
 def _word_error_rate(config: ChannelConfig, idx: np.ndarray, ub: np.ndarray) -> float:
     # fraction of samples where Bob's level differs from Alice's
     alice = np.array(config.model.states, dtype=np.int64)[idx]
@@ -241,21 +298,23 @@ def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
     }
 
 
-def _bisect(rate_of, target: float, lo: float, hi: float, midpoint):
+def _bisect(rate_of, target: float, lo: float, hi: float, midpoint, report=None):
     # 40 halvings of [lo, hi] for an increasing rate_of; returns the first
-    # probe within 0.5% of target, else the last bracket's midpoint, with
-    # the rate measured there
+    # probe within 0.5% of target, else the last bracket's midpoint.  rate_of
+    # decides every probe; the rate returned is report's at the chosen probe
+    # (rate_of's when report is None), so a closed form can decide while the
+    # estimate it stands for runs once
     for _ in range(40):
         x = midpoint(lo, hi)
         achieved = rate_of(x)
         if abs(achieved - target) / target < 0.005:
-            return x, achieved
+            return x, achieved if report is None else report(x)
         if achieved < target:
             lo = x
         else:
             hi = x
     x = midpoint(lo, hi)
-    return x, rate_of(x)
+    return x, (report or rate_of)(x)
 
 
 def calibrate_to_reference_rates(target_entropy_rate: float,
@@ -285,22 +344,29 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
 
     # every probe draws from the same seed and length, and with decay = 1 its
     # hidden chain depends on levels alone, so one draw serves them all
-    idx, ue, ub = _draw(family_config(levels=levels).model, seed,
-                        _measure_length(n_samples))
+    n = _measure_length(n_samples)
+    idx, ue, ub = _draw(family_config(levels=levels).model, seed, n)
+    ue_by_state = [np.sort(ue[idx == s]) for s in range(levels)]
 
-    def entropy_of(spread: float, band: int) -> float:
+    def entropy_decided(spread: float, band: int) -> float:
+        model = family_config(levels=levels, spread=spread, band=band).model
+        return float(_memoryless_entropy_bits(model, _eve_counts(model, ue_by_state))) / n
+
+    def entropy_measured(spread: float, band: int) -> float:
         model = family_config(levels=levels, spread=spread, band=band).model
         return _entropy_estimate(model, idx, ue).mean_bits / SLICE_LEN
 
-    # entropy is monotone in the emission spread; bracket then bisect
+    # entropy is monotone in the emission spread; bracket then bisect, each
+    # probe decided in closed form and the chosen one measured by the kernel
     chosen = None
     for band in (2, 1, 3, 4):
         lo_s, hi_s = 1e-3, 1.0
-        h_lo, h_hi = entropy_of(lo_s, band), entropy_of(hi_s, band)
+        h_lo, h_hi = entropy_decided(lo_s, band), entropy_decided(hi_s, band)
         if not (h_lo <= entropy_per_sample <= h_hi):
             continue
-        spread, achieved = _bisect(lambda x: entropy_of(x, band), entropy_per_sample,
-                                   lo_s, hi_s, lambda a, b: math.sqrt(a * b))
+        spread, achieved = _bisect(lambda x: entropy_decided(x, band), entropy_per_sample,
+                                   lo_s, hi_s, lambda a, b: math.sqrt(a * b),
+                                   report=lambda x: entropy_measured(x, band))
         if abs(achieved - entropy_per_sample) / entropy_per_sample <= CALIBRATION_REL_TOL:
             chosen = (spread, band, achieved)
             break

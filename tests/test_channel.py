@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from physkey.channel import (ChannelConfig, calibrate_to_reference_rates, family_config,
-                             measure_rates, simulate_run)
-from physkey.errors import CalibrationError
-from physkey.hmm import HmmModel
+import physkey.channel
+from physkey.channel import (ChannelConfig, _bisect, _draw, _entropy_estimate, _eve_counts,
+                             _eve_levels, _memoryless_entropy_bits, _sample_chain,
+                             calibrate_to_reference_rates, family_config, measure_rates,
+                             simulate_run)
+from physkey.errors import CalibrationError, ImpossibleObservationError
+from physkey.hmm import SLICE_LEN, HmmModel, entropy_profile_batch, \
+    estimate_avg_conditional_min_entropy
 from physkey.stats import lag_correlation_profile, pearson_significance
 
 from .oracles import choice_simulate_run, walk_chain
@@ -109,6 +114,24 @@ class TestSimulate:
         assert np.array_equal(run.bob.levels, bob)
         assert np.array_equal(run.eve.levels, eve)
 
+    @pytest.mark.parametrize("levels", [3, 9])
+    @pytest.mark.parametrize("band", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spread", [1e-3, 0.3, 1.0])
+    def test_eve_never_draws_a_zero_probability_symbol(self, levels, band, spread):
+        # a row whose sum rounds below 1 leaves [sum, 1) to its last positive
+        # symbol; it once fell to symbol 0 (band 1, spread 0.3: state 0 drew -8)
+        model = family_config(levels=levels, spread=spread, band=band).model
+        states = np.arange(levels)
+        symbols = _eve_levels(model, states, np.full(levels, np.nextafter(1.0, 0.0)))
+        cols = [model.symbols.index(v) for v in symbols]
+        assert (model.emit[states, cols] > 0).all()
+
+    def test_chain_never_enters_a_zero_probability_state(self):
+        # 0.6 + 0.3 + 0.1 rounds to 1 - 2^-53, and state 3 has probability 0
+        row = [0.6, 0.3, 0.1, 0.0]
+        u = np.full(5, np.nextafter(1.0, 0.0))
+        assert _sample_chain(np.array(row), np.array([row] * 4), u).tolist() == [2] * 5
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="bob_error"):
             two_state_config(q=0.1).__class__(
@@ -155,6 +178,41 @@ class TestCalibration:
         assert rates["per_sample_entropy_bits"] == cal["achieved_entropy_per_sample_bits"]
         assert rates["word_error_rate_per_word"] == cal["achieved_word_error_per_word"]
 
+    def test_one_entropy_estimate_per_calibration(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return estimate_avg_conditional_min_entropy(*args)
+
+        monkeypatch.setattr(physkey.channel, "estimate_avg_conditional_min_entropy", spy)
+        cfg = calibrate_to_reference_rates(0.1248, 0.0054, levels=9, seed=2026)
+        assert cfg.calibration == TestSeededOutputs.CALIBRATIONS[2026]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [2026, 1177726414, 284816770, 1888305565, 1, 2])
+    @pytest.mark.parametrize("band,target", [(2, 0.9984), (3, 1.5)])
+    def test_closed_form_decides_as_the_kernel(self, seed, band, target):
+        # the spread search driven by the kernel, and driven by the closed
+        # form reporting with the kernel, pick the same probe and rate
+        idx, ue, _ = _draw(family_config(levels=9).model, seed, 10_000)
+        ue_by_state = [np.sort(ue[idx == s]) for s in range(9)]
+
+        def kernel(spread):
+            model = family_config(levels=9, spread=spread, band=band).model
+            return _entropy_estimate(model, idx, ue).mean_bits / SLICE_LEN
+
+        def closed(spread):
+            model = family_config(levels=9, spread=spread, band=band).model
+            bits = _memoryless_entropy_bits(model, _eve_counts(model, ue_by_state))
+            return float(bits) / idx.size
+
+        def geometric(a, b):
+            return math.sqrt(a * b)
+
+        assert _bisect(closed, target, 1e-3, 1.0, geometric, report=kernel) == \
+            _bisect(kernel, target, 1e-3, 1.0, geometric)
+
     def test_zero_entropy_target_fails(self):
         with pytest.raises(CalibrationError, match="calibration failed"):
             calibrate_to_reference_rates(0.0, 0.0054)
@@ -162,6 +220,74 @@ class TestCalibration:
     def test_unreachable_entropy_fails(self):
         with pytest.raises(CalibrationError, match="calibration failed"):
             calibrate_to_reference_rates(0.9, 0.0054, levels=3)
+
+
+class TestClosedFormEntropy:
+    @pytest.mark.parametrize("levels", [2, 5, 9])
+    @pytest.mark.parametrize("band", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spread", [1e-3, 0.01, 0.1, 0.41, 1.0])
+    def test_matches_kernel(self, levels, band, spread):
+        model = family_config(levels=levels, spread=spread, band=band).model
+        obs = np.random.default_rng(levels * 100 + band).integers(0, levels, size=(20, 100))
+        counts = np.stack([np.bincount(row, minlength=levels) for row in obs])
+        np.testing.assert_allclose(_memoryless_entropy_bits(model, counts),
+                                   entropy_profile_batch(model, obs, [100])[:, 0],
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("levels", range(2, 33))
+    def test_every_iid_family_member_is_in_the_domain(self, levels):
+        # the stationary law of a chain with equal rows is that row, exactly
+        _memoryless_entropy_bits(family_config(levels=levels).model, np.ones(levels))
+
+    def test_refuses_a_chain_with_memory(self):
+        model = family_config(levels=5, decay=0.5).model
+        with pytest.raises(ValueError, match="transition row equal to pi"):
+            _memoryless_entropy_bits(model, np.ones(5))
+
+    def test_refuses_equal_rows_that_are_not_pi(self):
+        row = [0.5, 0.3, 0.2]
+        model = HmmModel(states=(-2, -1, 0), symbols=(-2, -1, 0), pi=[0.2, 0.3, 0.5],
+                         trans=[row] * 3, emit=np.eye(3))
+        with pytest.raises(ValueError, match="transition row equal to pi"):
+            _memoryless_entropy_bits(model, np.ones(3))
+
+    def test_impossible_symbol_raises_as_the_kernel(self):
+        # no state emits symbol 0
+        model = HmmModel(states=(-2, -1, 0), symbols=(-2, -1, 0), pi=[0.5, 0.25, 0.25],
+                         trans=[[0.5, 0.25, 0.25]] * 3,
+                         emit=[[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        obs = np.array([[0, 1, 0, 0], [1, 1, 2, 0]])
+        counts = np.stack([np.bincount(row, minlength=3) for row in obs])
+        assert _memoryless_entropy_bits(model, counts[0]) == \
+            pytest.approx(entropy_profile_batch(model, obs[:1], [4])[0, 0], abs=1e-12)
+        with pytest.raises(ImpossibleObservationError, match="impossible observation"):
+            entropy_profile_batch(model, obs, [4])
+        with pytest.raises(ImpossibleObservationError,
+                           match="impossible observation sequence: symbol 0 "):
+            _memoryless_entropy_bits(model, counts)
+
+    @pytest.mark.parametrize("seed", [0, 2026])
+    def test_counts_bin_as_eve_draws(self, seed):
+        # the sorted-uniform counts against _eve_levels, including uniforms
+        # on every CDF boundary and just below 1
+        model = family_config(levels=9, spread=0.3, band=2).model
+        idx, ue, _ = _draw(model, seed, 2000)
+        cum = np.cumsum(model.emit, axis=1)
+        idx = np.r_[idx, np.repeat(np.arange(9), 10)]
+        ue = np.r_[ue, np.c_[cum, np.full(9, np.nextafter(1.0, 0.0))].ravel()]
+        ue_by_state = [np.sort(ue[idx == s]) for s in range(9)]
+        levels = _eve_levels(model, idx, ue)
+        assert _eve_counts(model, ue_by_state).tolist() == \
+            np.bincount(levels - model.symbols[0], minlength=9).tolist()
+
+    def test_rate_matches_calibration(self, calibrated_config):
+        # the calibrated run's closed-form rate is the reported kernel rate
+        cal = calibrated_config.calibration
+        model = calibrated_config.model
+        idx, ue, _ = _draw(model, cal["measure_seed"], 10_000)
+        ue_by_state = [np.sort(ue[idx == s]) for s in range(9)]
+        rate = float(_memoryless_entropy_bits(model, _eve_counts(model, ue_by_state))) / 10_000
+        assert rate == pytest.approx(cal["achieved_entropy_per_sample_bits"], rel=1e-12)
 
 
 class TestSeededOutputs:

@@ -23,8 +23,8 @@ from .protocol import EntropyLedger, KeyResult, ProtocolParams, Transcript, \
     plan_parameters, run_exchange
 from .quantize import BitString, QuantizerConfig, embed_trace, embed_unary, \
     hamming_distance, neighbor_bits
-from .stats import AssumptionReport, CorrelationReport, KsReport, downsample, \
-    ks_two_sample, lag_correlation_profile, pearson_significance, validate_assumptions
+from .stats import AssumptionReport, CorrelationReport, KsReport, ks_two_sample, \
+    lag_correlation_profile, pearson_significance, validate_assumptions
 from .traces import MeasurementTrace, TraceFile, ingest_traces, make_trace
 
 __version__ = "0.1.0"

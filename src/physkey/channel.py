@@ -18,12 +18,13 @@ min-entropy and q against the measured word error rate.  Each bisection
 returns the first probe that lands within 0.5% of its target, with the rate
 measured there; only when 40 steps run out does it take the bracket
 midpoint.  Both searches use one draw, the run measure_rates would simulate
-at the calibration seed.  A q probe maps it to Bob's levels and counts level
-errors.  A spread probe counts Eve's symbols from her uniforms, sorted once
-within each hidden state, and is decided by the closed-form entropy of a
-memoryless chain (decay = 1: every transition row equals pi), a sum of
-per-symbol terms; the kernel estimate that measure_rates reports is run
-once, at the spread the search picks, so the reported rate is the kernel's.
+at the calibration seed, and no probe re-maps it.  A q probe counts Bob's
+level errors with two searches into his uniforms, sorted once.  A spread
+probe counts Eve's symbols from her uniforms, sorted once within each
+hidden state, and is decided by the closed-form entropy of a memoryless
+chain (decay = 1: every transition row equals pi), a sum of per-symbol
+terms; the kernel estimate that measure_rates reports is run once, at the
+spread the search picks, so the reported rate is the kernel's.
 """
 
 from __future__ import annotations
@@ -117,12 +118,15 @@ def _sample_chain(pi: np.ndarray, trans: np.ndarray, u: np.ndarray) -> np.ndarra
     state, so after ceil(log2 n) passes every column of row t holds the
     state at t.  A row that is a constant map already holds that state
     whatever came before it, and stays constant under further passes; the
-    scan stops once every row is constant (at once for an i.i.d. chain,
-    after a few passes for one that mixes quickly).  The searches make the
-    same comparisons as a one-sample walk, so the path is identical to it.
+    scan stops once every row is constant (after a few passes for a chain
+    that mixes quickly).  An i.i.d. chain (every row equal) moves every
+    state alike, so its table is one column, constant from the start: one
+    search gives the path.  The searches make the same comparisons as a
+    one-sample walk, so the path is identical to it.
     """
-    n, k = u.size, trans.shape[0]
-    cum_trans = _cdf(trans)
+    rows = trans[:1] if (trans == trans[0]).all() else trans
+    n, k = u.size, rows.shape[0]
+    cum_trans = _cdf(rows)
     table = np.empty((n, k), dtype=np.int64)
     table[0] = np.searchsorted(_cdf(pi), u[0], side="right")
     for s in range(k):
@@ -153,6 +157,14 @@ def _eve_levels(model: HmmModel, idx: np.ndarray, ue: np.ndarray) -> np.ndarray:
     return symbol_vals[(ue[:, None] < _cdf(model.emit)[idx]).argmax(axis=1)]
 
 
+def _offset_cdf(bob_error: dict):
+    # bob_error's offsets, sorted, and their normalised cumulative distribution
+    offsets = np.array(sorted(bob_error), dtype=np.int64)
+    cdf = np.array([bob_error[int(o)] for o in offsets]).cumsum()
+    cdf /= cdf[-1]
+    return offsets, cdf
+
+
 def _bob_levels(model: HmmModel, bob_error: dict, alice: np.ndarray,
                 ub: np.ndarray) -> np.ndarray:
     """Alice's levels plus an offset drawn from bob_error, clamped to the states.
@@ -160,9 +172,7 @@ def _bob_levels(model: HmmModel, bob_error: dict, alice: np.ndarray,
     The same draw as rng.choice(offsets, p=probs) over the sorted offsets:
     each uniform is located in the normalised cumulative distribution.
     """
-    offsets = np.array(sorted(bob_error), dtype=np.int64)
-    cdf = np.array([bob_error[int(o)] for o in offsets]).cumsum()
-    cdf /= cdf[-1]
+    offsets, cdf = _offset_cdf(bob_error)
     off = offsets[cdf.searchsorted(ub, side="right")]
     return np.clip(alice + off, min(model.states), max(model.states))
 
@@ -181,30 +191,22 @@ def simulate_run(config: ChannelConfig) -> SimulatedRun:
     )
 
 
-def _neighbor_decay_trans(k: int, decay: float) -> np.ndarray:
+def _banded_rows(k: int, ratio: float, band: int) -> np.ndarray:
+    # rows proportional to ratio^|i - j| within |i - j| <= band, else zero
     d = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
-    rows = np.power(float(decay), d)
-    return rows / rows.sum(axis=1, keepdims=True)
-
-
-def _banded_emission(k: int, spread: float, band: int) -> np.ndarray:
-    d = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
-    rows = np.where(d <= band, np.power(float(spread), d), 0.0)
+    rows = np.where(d <= band, np.power(float(ratio), d), 0.0)
     return rows / rows.sum(axis=1, keepdims=True)
 
 
 def _stationary(trans: np.ndarray) -> np.ndarray:
     if (trans == trans[0]).all():
-        # equal rows make an i.i.d. chain whose law is that row; the power
-        # step would round it, and the closed-form entropy needs it exact
+        # an i.i.d. chain's law is its row, exact as the closed form needs
         return trans[0].copy()
     pi = np.full(trans.shape[0], 1.0 / trans.shape[0])
     for _ in range(500):
-        nxt = pi @ trans
-        if np.abs(nxt - pi).max() < 1e-14:
-            pi = nxt
+        pi, prev = pi @ trans, pi
+        if np.abs(pi - prev).max() < 1e-14:
             break
-        pi = nxt
     return pi / pi.sum()
 
 
@@ -213,12 +215,15 @@ def family_config(levels: int = 9, decay: float = 1.0, spread: float = 0.5,
                   seed: int = 0) -> ChannelConfig:
     """One member of the calibration search family."""
     states = level_states(levels)
-    trans = _neighbor_decay_trans(levels, decay)
-    emit = _banded_emission(levels, spread, band)
+    trans = _banded_rows(levels, decay, levels)
+    emit = _banded_rows(levels, spread, band)
     pi = _stationary(trans)
     model = HmmModel(states=states, symbols=states, pi=pi, trans=trans, emit=emit)
-    bob_error = {-1: q, 0: 1.0 - 2.0 * q, 1: q}
-    return ChannelConfig(model=model, bob_error=bob_error, n=n, seed=seed)
+    return ChannelConfig(model=model, bob_error=_family_bob_error(q), n=n, seed=seed)
+
+
+def _family_bob_error(q: float) -> dict:
+    return {-1: q, 0: 1.0 - 2.0 * q, 1: q}
 
 
 def _measure_length(n_samples: int) -> int:
@@ -273,6 +278,14 @@ def _word_error_rate(config: ChannelConfig, idx: np.ndarray, ub: np.ndarray) -> 
     # fraction of samples where Bob's level differs from Alice's
     alice = np.array(config.model.states, dtype=np.int64)[idx]
     return float(np.mean(_bob_levels(config.model, config.bob_error, alice, ub) != alice))
+
+
+def _bob_error_count(bob_error: dict, ub_down: np.ndarray, ub_up: np.ndarray) -> int:
+    # Bob's level errors for offsets -1, 0, +1 from his uniforms sorted over
+    # the steps off the lowest state (ub_down) and off the highest (ub_up):
+    # he draws -1 exactly below cdf[0] and +1 exactly at or above cdf[1]
+    cdf = _offset_cdf(bob_error)[1]
+    return int(ub_down.searchsorted(cdf[0]) + ub_up.size - ub_up.searchsorted(cdf[1]))
 
 
 def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
@@ -343,17 +356,19 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
         raise CalibrationError("calibration failed: word error target >= 1 per word")
 
     # every probe draws from the same seed and length, and with decay = 1 its
-    # hidden chain depends on levels alone, so one draw serves them all
+    # hidden chain depends on levels alone, so one draw serves them all, and
+    # a probe's model is the base model with its own emissions
     n = _measure_length(n_samples)
-    idx, ue, ub = _draw(family_config(levels=levels).model, seed, n)
+    base = family_config(levels=levels).model
+    idx, ue, ub = _draw(base, seed, n)
     ue_by_state = [np.sort(ue[idx == s]) for s in range(levels)]
 
     def entropy_decided(spread: float, band: int) -> float:
-        model = family_config(levels=levels, spread=spread, band=band).model
+        model = replace(base, emit=_banded_rows(levels, spread, band))
         return float(_memoryless_entropy_bits(model, _eve_counts(model, ue_by_state))) / n
 
     def entropy_measured(spread: float, band: int) -> float:
-        model = family_config(levels=levels, spread=spread, band=band).model
+        model = replace(base, emit=_banded_rows(levels, spread, band))
         return _entropy_estimate(model, idx, ue).mean_bits / SLICE_LEN
 
     # entropy is monotone in the emission spread; bracket then bisect, each
@@ -375,9 +390,10 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
             "calibration failed: no emission spread reaches the entropy target")
     spread, band, achieved_entropy = chosen
 
+    ub_down, ub_up = np.sort(ub[idx > 0]), np.sort(ub[idx < levels - 1])
+
     def word_error_of(q: float) -> float:
-        return _word_error_rate(family_config(levels=levels, spread=spread, band=band, q=q),
-                                idx, ub)
+        return _bob_error_count(_family_bob_error(q), ub_down, ub_up) / n
 
     lo_q, hi_q = 1e-5, 0.49
     if not (word_error_of(lo_q) <= word_error_per_word <= word_error_of(hi_q)):

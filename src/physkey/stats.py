@@ -6,8 +6,7 @@ law is stationary, observations are conditionally independent, and the
 per-experiment conditional min-entropy is stably distributed.  This module
 implements the corresponding checks: lagged Pearson correlation with
 t-test significance, two-sample Kolmogorov-Smirnov tests on randomized
-partitions, downsampling to remove short-range dependence, and the
-per-slice entropy spread.
+partitions, and the per-slice entropy spread.
 
 RSSI data is heavily tied; the K-S statistic is taken over the merged
 discrete support, which makes the asymptotic p-values conservative.  The
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import stdtr
+from scipy.special import kolmogorov, stdtr
 
 from . import hmm
 from .traces import MeasurementTrace, assert_aligned
@@ -135,16 +134,9 @@ def lag_correlation_profile(trace: MeasurementTrace, max_lag: int, rows: int,
 
 
 def _kolmogorov_sf(lam: float) -> float:
-    # Q(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2)
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    for j in range(1, 101):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) < 1e-12:
-            break
-    return min(1.0, max(0.0, total))
+    # Q(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), which tends
+    # to 1 as lambda -> 0, where a truncated series falls short
+    return float(kolmogorov(lam))
 
 
 def ks_two_sample(x, y, alpha: float = 0.05) -> KsReport:
@@ -171,14 +163,6 @@ def _ks_counts(c1: np.ndarray, c2: np.ndarray, alpha: float) -> KsReport:
     d = max(abs(a / n1 - b / n2) for a, b in zip(accumulate(c1), accumulate(c2)))
     p = _kolmogorov_sf(math.sqrt(n1 * n2 / (n1 + n2)) * d)
     return KsReport(statistic=d, p_value=p, reject=p < alpha)
-
-
-def downsample(trace: MeasurementTrace, factor: int) -> MeasurementTrace:
-    """Keep every factor-th sample starting at index 0."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    return MeasurementTrace(trace.seqs[::factor], trace.levels[::factor],
-                            trace.node_id, dict(trace.meta))
 
 
 def _random_half_indices(rng: np.random.Generator, n: int):

@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import physkey.channel
-from physkey.channel import (ChannelConfig, _bisect, _draw, _entropy_estimate, _eve_counts,
-                             _eve_levels, _memoryless_entropy_bits, _sample_chain,
-                             calibrate_to_reference_rates, family_config, measure_rates,
-                             simulate_run)
+from physkey.channel import (ChannelConfig, _bisect, _bob_error_count, _draw,
+                             _entropy_estimate, _eve_counts, _eve_levels,
+                             _memoryless_entropy_bits, _offset_cdf, _sample_chain,
+                             _word_error_rate, calibrate_to_reference_rates, family_config,
+                             measure_rates, simulate_run)
 from physkey.errors import CalibrationError, ImpossibleObservationError
 from physkey.hmm import SLICE_LEN, HmmModel, entropy_profile_batch, \
-    estimate_avg_conditional_min_entropy
+    estimate_avg_conditional_min_entropy, validate_model
 from physkey.stats import lag_correlation_profile, pearson_significance
 
 from .oracles import choice_simulate_run, walk_chain
@@ -126,6 +127,16 @@ class TestSimulate:
         cols = [model.symbols.index(v) for v in symbols]
         assert (model.emit[states, cols] > 0).all()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 2325, 10_000])
+    def test_iid_chain_matches_per_sample_walk(self, n):
+        # equal rows that differ from pi, with a zero-probability state
+        row = [0.25, 0.0, 0.5, 0.25]
+        model = HmmModel(states=(-3, -2, -1, 0), symbols=(-3, -2, -1, 0),
+                         pi=[0.1, 0.2, 0.3, 0.4], trans=[row] * 4, emit=np.eye(4))
+        u = np.random.default_rng(n).random(n)
+        assert _sample_chain(model.pi, model.trans, u).tolist() == \
+            walk_chain(model, n, n).tolist()
+
     def test_chain_never_enters_a_zero_probability_state(self):
         # 0.6 + 0.3 + 0.1 rounds to 1 - 2^-53, and state 3 has probability 0
         row = [0.6, 0.3, 0.1, 0.0]
@@ -189,6 +200,36 @@ class TestCalibration:
         cfg = calibrate_to_reference_rates(0.1248, 0.0054, levels=9, seed=2026)
         assert cfg.calibration == TestSeededOutputs.CALIBRATIONS[2026]
         assert len(calls) == 1
+
+    def test_models_validated_a_fixed_number_of_times(self, monkeypatch):
+        # the base model, the returned config and its copy with the
+        # calibration dict; no probe builds or validates a config
+        calls = []
+
+        def spy(model):
+            calls.append(model)
+            return validate_model(model)
+
+        monkeypatch.setattr(physkey.channel, "validate_model", spy)
+        cfg = calibrate_to_reference_rates(0.1248, 0.0054, levels=9, seed=2026)
+        assert cfg.calibration == TestSeededOutputs.CALIBRATIONS[2026]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("seed", [0, 2026])
+    @pytest.mark.parametrize("q", [0.0, 1e-5, 0.023456787109375002, 0.25, 0.49])
+    def test_error_count_matches_word_error_rate(self, seed, q):
+        # the sorted-uniform count against _word_error_rate, including
+        # uniforms on and just below both CDF boundaries (those below 1), 0
+        # and just below 1 at every state, the two clamp states among them
+        cfg = family_config(levels=9, q=q)
+        idx, _, ub = _draw(cfg.model, seed, 2000)
+        cdf = _offset_cdf(cfg.bob_error)[1]
+        edges = [u for u in (0.0, cdf[0], np.nextafter(cdf[0], 0.0), cdf[1],
+                             np.nextafter(cdf[1], 0.0), np.nextafter(1.0, 0.0)) if u < 1.0]
+        idx = np.r_[idx, np.repeat(np.arange(9), len(edges))]
+        ub = np.r_[ub, np.tile(edges, 9)]
+        count = _bob_error_count(cfg.bob_error, np.sort(ub[idx > 0]), np.sort(ub[idx < 8]))
+        assert count / idx.size == _word_error_rate(cfg, idx, ub)
 
     @pytest.mark.parametrize("seed", [2026, 1177726414, 284816770, 1888305565, 1, 2])
     @pytest.mark.parametrize("band,target", [(2, 0.9984), (3, 1.5)])
@@ -312,6 +353,19 @@ class TestSeededOutputs:
                     "achieved_word_error_per_word": 0.0434,
                     "spread": 0.41324816852731083, "band": 2, "q": 0.022978281250000003,
                     "levels": 9, "measure_seed": 284816770},
+        # the calibration seeds perfbench derives from workload seeds 5 and 23
+        1440510675: {"target_entropy_per_sample_bits": 0.9984,
+                     "achieved_entropy_per_sample_bits": 0.9939654256306427,
+                     "target_word_error_per_word": 0.0432,
+                     "achieved_word_error_per_word": 0.0433,
+                     "spread": 0.4104698380436544, "band": 2, "q": 0.022739028320312504,
+                     "levels": 9, "measure_seed": 1440510675},
+        77115417: {"target_entropy_per_sample_bits": 0.9984,
+                   "achieved_entropy_per_sample_bits": 0.993831744852073,
+                   "target_word_error_per_word": 0.0432,
+                   "achieved_word_error_per_word": 0.0431,
+                   "spread": 0.4104698380436544, "band": 2, "q": 0.02393529296875,
+                   "levels": 9, "measure_seed": 77115417},
     }
 
     @pytest.mark.parametrize("seed", sorted(CALIBRATIONS))

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from physkey.channel import ChannelConfig, simulate_run
 from physkey.hmm import HmmModel
-from physkey.stats import (_ks_counts, downsample, ks_two_sample, lag_correlation_profile,
-                           pearson_significance, validate_assumptions)
+from physkey.stats import (_kolmogorov_sf, _ks_counts, ks_two_sample,
+                           lag_correlation_profile, pearson_significance,
+                           validate_assumptions)
 from physkey.traces import MeasurementTrace, make_trace
 
 
@@ -114,6 +115,24 @@ class TestKs:
         y = rng.normal(size=500) + 1.0
         assert ks_two_sample(x, y, 0.05).reject
 
+    @pytest.mark.parametrize("lam, q", [(0.5, 0.9639452436648751),
+                                        (1.0, 0.26999967167735456)])
+    def test_kolmogorov_tail_known_values(self, lam, q):
+        assert _kolmogorov_sf(lam) == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.01, 0.02])
+    def test_kolmogorov_tail_near_one_for_tiny_lambda(self, lam):
+        # a series cut after 100 terms gave 0.02 at 1e-3 and 0.87 at 0.01
+        assert _kolmogorov_sf(lam) == pytest.approx(1.0, abs=1e-12)
+
+    def test_tiny_statistic_does_not_reject(self):
+        # unequal sizes leave D = 3.2e-6; it once gave p = 5.7e-5 and rejected
+        x, y = [0] + [1] * 560, [0] + [1] * 559
+        for rep in (ks_two_sample(x, y, 0.05), _ks_counts(np.array([1, 560]),
+                                                          np.array([1, 559]), 0.05)):
+            assert 0 < rep.statistic < 1e-5
+            assert rep.p_value == pytest.approx(1.0) and not rep.reject
+
     def test_identical_halves_rejection_rate(self, calibrated_config):
         # discrete, heavily tied data: asymptotic K-S is conservative
         run = simulate_run(replace(calibrated_config, n=4000, seed=55))
@@ -163,27 +182,6 @@ class TestKsCounts:
 
 
 class TestDownsample:
-    def test_identity(self, rng):
-        t = make_trace(rng.integers(-8, 1, size=100), "alice")
-        d = downsample(t, 1)
-        assert np.array_equal(d.levels, t.levels)
-
-    def test_8100_by_6(self, rng):
-        t = make_trace(rng.integers(-8, 1, size=8100), "alice")
-        assert len(downsample(t, 6)) == 1350
-
-    def test_keeps_sequence_numbers(self):
-        t = MeasurementTrace(np.arange(10, 40), np.zeros(30, int) - 1, "alice")
-        d = downsample(t, 7)
-        assert np.array_equal(d.seqs, [10, 17, 24, 31, 38])
-
-    def test_composition(self, rng):
-        t = make_trace(rng.integers(-8, 1, size=500), "alice")
-        a = downsample(downsample(t, 2), 3)
-        b = downsample(t, 6)
-        assert np.array_equal(a.levels, b.levels)
-        assert np.array_equal(a.seqs, b.seqs)
-
     def test_removes_short_range_dependence(self):
         # moving sum over a 6-sample window: lags 1..5 correlated, lag 6+ not
         rng = np.random.default_rng(23)
@@ -195,8 +193,8 @@ class TestDownsample:
             trace = make_trace(dependent, "alice")
             pre = lag_correlation_profile(trace, max_lag=1, rows=1500, seed=s)
             assert pre.significant[1]  # dependence visible before downsampling
-            post = lag_correlation_profile(downsample(trace, 6), max_lag=1,
-                                           rows=800, seed=s)
+            post = lag_correlation_profile(make_trace(trace.levels[::6], "alice"),
+                                           max_lag=1, rows=800, seed=s)
             ok += not post.significant[1]
         assert ok / trials >= 0.90
 

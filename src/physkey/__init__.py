@@ -9,8 +9,8 @@ with a Toeplitz extractor, keeping an explicit entropy-loss ledger.
 from .channel import ChannelConfig, SimulatedRun, calibrate_to_reference_rates, \
     family_config, measure_rates, simulate_run
 from .coding import BchCode, BchSketch, GfTables, RsCode, Sketch, bch_decode, \
-    bch_syndrome, decode_error_from_syndrome, field_tables, rs_syndrome, \
-    sketch_from_bytes, ss_recover, ss_sketch
+    bch_syndrome, decode_error_from_syndrome, field_tables, rs_syndrome, ss_recover, \
+    ss_sketch
 from .errors import CalibrationError, ImpossibleObservationError, InfeasiblePlanError, \
     PhyskeyError, SketchFormatError, UncorrectableBlockError
 from .extract import ExtractorSeed, extract, max_extractable_length, random_seed

@@ -1,9 +1,11 @@
 """Finite-field arithmetic, syndrome decoding and the two secure sketches.
 
-Two codes reconcile Alice's and Bob's strings; each publishes a syndrome
-sketch whose linearity makes syn(w) xor syn(w') the syndrome of the error
-pattern alone.  Decoding is fail-closed: any inconsistency reports an
-uncorrectable block rather than a silently wrong correction.
+Two codes reconcile Alice's and Bob's strings through a syndrome sketch,
+whose linearity makes syn(w) xor syn(w') the syndrome of the error pattern
+alone.  Only the pooled BCH sketch has a wire format (``PKB1``) and is
+published; the RS sketch is in-memory only.  Decoding is fail-closed: any
+inconsistency reports an uncorrectable block rather than a silently wrong
+correction.
 
 Both codes compute in one field layer: ``field_tables(m)``, the log/antilog
 tables of GF(2^m) under the primitive polynomial ``PRIMITIVE_POLYS[m]`` with
@@ -31,8 +33,8 @@ re-checks) goes through one array evaluator, ``_gf_sums``.
   x^8+x^4+x^3+x^2+1, 0x11D, and alpha = 0x02); the code roots are
   alpha^1 .. alpha^2t.  Word j of a block sits at polynomial degree
   254 - j; blocks shorter than 255 words are zero-padded at the tail and
-  the pad length travels inside the sketch.  Berlekamp-Massey / Chien /
-  Forney decode each block.
+  the sketch records the pad length.  Berlekamp-Massey / Chien / Forney
+  decode each block.
 """
 
 from __future__ import annotations
@@ -254,14 +256,12 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
 
 @dataclass(frozen=True)
 class Sketch:
-    """Public reconciliation message: per-block RS syndromes plus geometry."""
+    """In-memory RS sketch: per-block syndromes plus geometry (no wire format)."""
 
     syndromes: np.ndarray
     block_count: int
     code: RsCode
     padded_words: int
-
-    MAGIC = b"PKS1"
 
     def __post_init__(self):
         arr = np.asarray(self.syndromes, dtype=np.int64)
@@ -271,52 +271,12 @@ class Sketch:
 
     @property
     def bit_length(self) -> int:
-        """Public leakage |u| in bits: block_count * 2t * 8."""
+        """Leakage |u| in bits: block_count * 2t * 8."""
         return int(self.syndromes.size * 8)
 
     @property
     def total_words(self) -> int:
         return self.block_count * self.code.n_sym - self.padded_words
-
-    def to_bytes(self) -> bytes:
-        head = self.MAGIC + struct.pack(">BBIH", self.code.n_sym, self.code.k_sym,
-                                        self.block_count, self.padded_words)
-        return head + bytes(int(s) for s in self.syndromes)
-
-    @classmethod
-    def _read_header(cls, raw: bytes):
-        if raw[:4] != cls.MAGIC:
-            raise SketchFormatError("bad sketch magic")
-        if len(raw) < 12:
-            raise SketchFormatError(f"RS sketch header needs 12 bytes, got {len(raw)}")
-        n_sym, k_sym, block_count, padded = struct.unpack(">BBIH", raw[4:12])
-        try:
-            code = RsCode(n_sym, k_sym)
-        except ValueError as exc:
-            raise SketchFormatError(f"RS sketch header: {exc}") from None
-        # the geometry _to_blocks gives a string of total_words words
-        total_words = block_count * n_sym - padded
-        if total_words < 0 or block_count != max(1, -(-total_words // n_sym)):
-            raise SketchFormatError(
-                f"RS sketch header: {block_count} block(s) of {n_sym} words with "
-                f"{padded} padding words match no string length")
-        return code, block_count, padded
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Sketch":
-        code, block_count, padded = cls._read_header(raw)
-        need = block_count * code.n_syndromes
-        body = raw[12:12 + need]
-        if len(body) != need:
-            raise SketchFormatError(f"sketch body holds {len(body)} symbols, need {need}")
-        return cls(np.frombuffer(body, dtype=np.uint8).astype(np.int64),
-                   block_count, code, padded)
-
-    @classmethod
-    def byte_length(cls, raw: bytes) -> int:
-        """Total serialized length implied by the header (for framed parsing)."""
-        code, block_count, _ = cls._read_header(raw)
-        return 12 + block_count * code.n_syndromes
 
 
 def _to_blocks(words: np.ndarray, code: RsCode):
@@ -614,18 +574,6 @@ class BchSketch:
             raise SketchFormatError(f"string length {n_bits} outside 1..{code.n_sym}")
         weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
         return cls(bits[:m * t].reshape(t, m).astype(np.int64) @ weights, code, n_bits)
-
-
-def sketch_from_bytes(raw: bytes):
-    """Parse the sketch, of either wire format, at the head of raw.
-
-    Returns the sketch and the number of bytes it spans.
-    """
-    for cls in (Sketch, BchSketch):
-        if raw[:4] == cls.MAGIC:
-            cut = cls.byte_length(raw)
-            return cls.from_bytes(raw[:cut]), cut
-    raise SketchFormatError("bad sketch magic")
 
 
 def ss_sketch(rho: BitString, code: RsCode | BchCode) -> Sketch | BchSketch:

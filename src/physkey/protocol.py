@@ -46,18 +46,17 @@ from typing import Optional
 import numpy as np
 from scipy.special import bdtr
 
-from .coding import BchCode, BchSketch, RsCode, Sketch, sketch_from_bytes, ss_recover, \
-    ss_sketch
+from .coding import BchCode, BchSketch, ss_recover, ss_sketch
 from .errors import InfeasiblePlanError, SketchFormatError, UncorrectableBlockError
 from .extract import ExtractorSeed, extract, max_extractable_length, random_seed
 from .hmm import LinearFit
 from .quantize import BITS_PER_SAMPLE, BitString, QuantizerConfig, embed_trace, \
-    neighbor_bits
+    hamming_distance, neighbor_bits
 from .traces import MeasurementTrace, assert_aligned
 
-# ledger charge per budgeted error: RS spends two 8-bit syndrome symbols per
-# word error; the pooled BCH sketch spends m bits per bit error (m = 15 at
-# the reference operating point), and the plan certifies its real m*t bits
+# the planner's idealised sketch charge per budgeted error, which sizes n;
+# the pooled BCH sketch really spends m bits per bit error (m = 15 at the
+# reference operating point), and the plan certifies those m*t bits
 SKETCH_BITS_PER_ERROR = 16
 ERROR_SAFETY_FACTOR = 6.0 / 5.0
 CHERNOFF_DENOMINATOR = 100.0
@@ -78,7 +77,7 @@ class ProtocolParams:
     """Everything one exchange needs: sample count, code, key-length targets."""
 
     n: int
-    code: RsCode | BchCode
+    code: BchCode
     l: int
     lambda_: float
     c: float
@@ -93,6 +92,9 @@ class ProtocolParams:
             raise ValueError("lambda must be >= 0")
         if self.c < 0:
             raise ValueError("c must be >= 0")
+        bits = self.n * BITS_PER_SAMPLE
+        if not isinstance(self.code, BchCode) or self.code.n_sym < bits:
+            raise ValueError(f"code must be a BchCode covering {bits} bits, got {self.code!r}")
 
     @property
     def m(self) -> int:
@@ -124,7 +126,7 @@ class EntropyLedger:
 class Transcript:
     """Public messages of one exchange: the sketch and the extractor seed."""
 
-    sketch: Sketch | BchSketch
+    sketch: BchSketch
     seed: ExtractorSeed
 
     def to_bytes(self) -> bytes:
@@ -132,7 +134,8 @@ class Transcript:
 
     @classmethod
     def from_bytes(cls, raw: bytes, l: int) -> "Transcript":
-        sketch, cut = sketch_from_bytes(raw)
+        cut = BchSketch.byte_length(raw)
+        sketch = BchSketch.from_bytes(raw[:cut])
         try:
             bits = BitString.from_hex(raw[cut:].decode("ascii"))
             seed = ExtractorSeed(bits, t=len(bits) + 1 - l, l=l)
@@ -152,7 +155,7 @@ class KeyResult:
     ledger: EntropyLedger
     transcript: Transcript
     failure_reason: Optional[str] = None
-    n_corrected_words: int = 0
+    n_corrected_bits: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -160,21 +163,22 @@ class KeyResult:
             "alice_key": self.alice_key.to_hex(),
             "bob_key": self.bob_key.to_hex() if self.bob_key is not None else None,
             "failure_reason": self.failure_reason,
-            "n_corrected_words": self.n_corrected_words,
+            "n_corrected_bits": self.n_corrected_bits,
             "ledger": self.ledger.to_dict(),
             "transcript_bytes": len(self.transcript.to_bytes()),
         }
 
 
-def entropy_ledger(initial_bits: float, sketch: Sketch | BchSketch,
+def entropy_ledger(initial_bits: float, sketch_bits: int,
                    lambda_: float) -> EntropyLedger:
-    """Charge the sketch leakage and extractor loss against initial entropy."""
+    """Charge the sketch's leaked bits and the extractor loss against
+    initial entropy."""
     if initial_bits < 0:
         raise ValueError("initial entropy must be >= 0")
-    residual = initial_bits - sketch.bit_length
+    residual = initial_bits - sketch_bits
     return EntropyLedger(
         initial_bits=float(initial_bits),
-        sketch_loss_bits=int(sketch.bit_length),
+        sketch_loss_bits=int(sketch_bits),
         extractor_loss_bits=2.0 * lambda_ - 2.0,
         residual_bits=float(residual),
         key_bits=max_extractable_length(max(0.0, residual), lambda_),
@@ -301,7 +305,7 @@ def bob_respond(bob: MeasurementTrace, transcript: Transcript,
                 params: ProtocolParams):
     """Bob's side, a function of (rho_B, sketch, seed) only.
 
-    Returns (key or None, corrected word count, failure reason or None).
+    Returns (key or None, corrected bit count, failure reason or None).
     """
     levels = bob.levels[:params.n]
     rho_b = embed_trace(levels, QUANTIZER)
@@ -309,9 +313,7 @@ def bob_respond(bob: MeasurementTrace, transcript: Transcript,
         recovered = ss_recover(rho_b, transcript.sketch, neighbor_bits(levels, QUANTIZER))
     except UncorrectableBlockError as exc:
         return None, 0, str(exc)
-    corrected = int(np.count_nonzero(
-        recovered.to_words() != rho_b.to_words()))
-    return extract(recovered, transcript.seed), corrected, None
+    return extract(recovered, transcript.seed), hamming_distance(recovered, rho_b), None
 
 
 def run_exchange(alice: MeasurementTrace, bob: MeasurementTrace,
@@ -326,8 +328,8 @@ def run_exchange(alice: MeasurementTrace, bob: MeasurementTrace,
     success = bob_key is not None and bob_key == alice_key
     if bob_key is not None and reason is None and not success:
         reason = "key mismatch after reconciliation"
-    ledger = entropy_ledger(params.entropy_fit(params.n), transcript.sketch,
+    ledger = entropy_ledger(params.entropy_fit(params.n), transcript.sketch.bit_length,
                             params.lambda_)
     return KeyResult(alice_key=alice_key, bob_key=bob_key, success=success,
                      ledger=ledger, transcript=transcript,
-                     failure_reason=reason, n_corrected_words=corrected)
+                     failure_reason=reason, n_corrected_bits=corrected)

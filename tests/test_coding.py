@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from physkey import coding
 from physkey.channel import family_config, simulate_run
-from physkey.coding import (PRIMITIVE_POLYS, BchCode, BchSketch, RsCode, Sketch,
+from physkey.coding import (PRIMITIVE_POLYS, BchCode, BchSketch, RsCode,
                             _bm_locator, bch_decode, bch_generator, bch_syndrome,
                             decode_error_from_syndrome, field_tables,
-                            rs_syndrome, sketch_from_bytes, ss_recover, ss_sketch)
+                            rs_syndrome, ss_recover, ss_sketch)
 from physkey.errors import PhyskeyError, SketchFormatError, UncorrectableBlockError
 from physkey.extract import ExtractorSeed, extract, random_seed
-from physkey.protocol import plan_parameters, run_exchange
+from physkey.protocol import Transcript, plan_parameters, run_exchange
 from physkey.quantize import BitString
 
 from .oracles import (alpha_power, bch_generator_product, gf2m_power_sums, peasant_mul,
@@ -286,46 +286,6 @@ class TestRecover:
             assert ss_recover(BitString.from_words(noisy), sk) == rho
 
 
-class TestWireFormat:
-    def test_layout(self, rng):
-        rho = BitString.from_words(rng.integers(0, 256, size=100))
-        sk = ss_sketch(rho, RsCode(255, 229))
-        raw = sk.to_bytes()
-        assert raw[:4] == b"PKS1"
-        assert raw[4] == 255 and raw[5] == 229
-        assert int.from_bytes(raw[6:10], "big") == 1
-        assert int.from_bytes(raw[10:12], "big") == 155
-        assert len(raw) == 12 + 26
-
-    def test_round_trip(self, rng):
-        rho = BitString.from_words(rng.integers(0, 256, size=700))
-        sk = ss_sketch(rho, RsCode(255, 231))
-        back = Sketch.from_bytes(sk.to_bytes())
-        assert back.block_count == sk.block_count
-        assert back.padded_words == sk.padded_words
-        assert back.code == sk.code
-        assert np.array_equal(back.syndromes, sk.syndromes)
-
-    def test_bad_magic(self):
-        with pytest.raises(ValueError, match="magic"):
-            Sketch.from_bytes(b"XXXX" + bytes(8))
-
-    def test_truncated_header_fails_closed(self, rng):
-        raw = ss_sketch(BitString.from_words(rng.integers(0, 256, size=100)),
-                        RsCode(255, 229)).to_bytes()
-        for cut in range(len(raw)):
-            with pytest.raises(SketchFormatError):
-                Sketch.from_bytes(raw[:cut])
-        bad = [raw[:4] + bytes([0, 0]) + raw[6:],                # no RS code (0, 0)
-               raw[:4] + bytes([229, 255]) + raw[6:],            # k_sym >= n_sym
-               raw[:6] + (0).to_bytes(4, "big") + raw[10:],      # zero blocks
-               raw[:10] + (300).to_bytes(2, "big") + raw[12:]]   # padding beyond the blocks
-        for blob in bad:
-            for parse in (Sketch.from_bytes, sketch_from_bytes):
-                with pytest.raises(SketchFormatError):
-                    parse(blob)
-
-
 class TestExtensionFields:
     @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYS))
     def test_tables_primitive_and_match_peasant_oracle(self, m, rng):
@@ -422,8 +382,8 @@ class TestPooledSketch:
         assert raw[4] == 10 and int.from_bytes(raw[5:9], "big") == 7
         assert int.from_bytes(raw[9:13], "big") == 1000
         assert len(raw) == 13 + 9  # 70 syndrome bits in 9 bytes
-        back, cut = sketch_from_bytes(raw + b"tail")
-        assert cut == len(raw)
+        assert BchSketch.byte_length(raw + b"tail") == len(raw)
+        back = BchSketch.from_bytes(raw)
         assert back.code == sk.code and back.n_bits == sk.n_bits
         assert np.array_equal(back.syndromes, sk.syndromes)
 
@@ -436,10 +396,15 @@ class TestPooledSketch:
                raw[:5] + (0).to_bytes(4, "big") + raw[9:],       # capacity t = 0
                raw[:9] + (2000).to_bytes(4, "big") + raw[13:],   # length > 2^m - 1
                raw[:-1] + bytes([raw[-1] | 1]),                  # padding bit
-               b"PKX1" + raw[4:]]                                # magic
+               b"PKX1" + raw[4:],                                # magic
+               # the retired per-block RS format: one (255, 229) block of
+               # 100 words, 155 of padding, 26 syndromes, then a seed
+               b"PKS1" + bytes([255, 229]) + (1).to_bytes(4, "big")
+               + (155).to_bytes(2, "big") + bytes(26) + b"40:0123456789"]
         for blob in bad:
-            with pytest.raises(SketchFormatError):
-                sketch_from_bytes(blob)
+            for parse in (BchSketch.from_bytes, lambda b: Transcript.from_bytes(b, l=16)):
+                with pytest.raises(SketchFormatError):
+                    parse(blob)
 
 
 def bch_code_params(max_m: int = 16, max_t: int = 40):
@@ -629,7 +594,7 @@ class TestSeededOutputs:
             assert hashlib.sha256(result.transcript.to_bytes()).hexdigest() == digest
             assert result.alice_key.to_hex() == key
             assert result.success and result.bob_key == result.alice_key
-            assert result.n_corrected_words == corrected
+            assert result.n_corrected_bits == corrected
             assert result.failure_reason is None
         # Bob's one-level-off bits held every error: no full-range search
         assert len(sizes) == 3 and max(sizes) < 8 * self.PARAMS.n
@@ -641,7 +606,7 @@ class TestSeededOutputs:
             "3458dfd562b3b650954c30b340cc0175f1b20d7628a1749eddd4cb7b9c9ecf6d")
         assert result.alice_key.to_hex() == "128:2562a90d3c7f22e8b469b792a96b4955"
         assert not result.success and result.bob_key is None
-        assert result.n_corrected_words == 0
+        assert result.n_corrected_bits == 0
         assert result.failure_reason == (
             "uncorrectable block 0: locator has 1 roots among 18600 bits, expected 121")
         # the candidates fell short of the locator degree, so every bit was searched
@@ -651,8 +616,8 @@ class TestSeededOutputs:
         rng = np.random.default_rng(2024)
         words = rng.integers(0, 256, size=600)
         sk = ss_sketch(BitString.from_words(words), RsCode(255, 229))
-        assert hashlib.sha256(sk.to_bytes()).hexdigest() == (
-            "675e2e00a9e2f25eb4f749375f06290f578100a512cbd6c2fa35ebd354d8c6f3")
+        assert hashlib.sha256(sk.syndromes.astype(np.uint8).tobytes()).hexdigest() == (
+            "4f52ae2fb4a7a34123e12ea8a216ea8b71885a9b8b18b3a8df972ede953c7ab5")
         noisy = words.copy()
         noisy[rng.choice(600, size=25, replace=False)] ^= 0x33
         assert ss_recover(BitString.from_words(noisy), sk) == BitString.from_words(words)

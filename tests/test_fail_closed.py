@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physkey.coding import BchCode, BchSketch, RsCode, Sketch, sketch_from_bytes, ss_sketch
+from physkey.coding import BchCode, BchSketch, ss_sketch
 from physkey.errors import PhyskeyError
 from physkey.protocol import Transcript
 from physkey.quantize import BitString
@@ -19,8 +19,6 @@ from physkey.traces import CSV_HEADER, FRAME_TYPES, TraceFile
 FUZZ = settings(deadline=None, max_examples=150)
 
 _rng = np.random.default_rng(7)
-RS_SKETCH = ss_sketch(BitString.from_words(_rng.integers(0, 256, size=300)),
-                      RsCode(255, 229)).to_bytes()
 BCH_SKETCH = ss_sketch(BitString(_rng.integers(0, 2, size=600)), BchCode(10, 7)).to_bytes()
 SEED = BitString(_rng.integers(0, 2, size=40)).to_hex().encode("ascii")
 
@@ -43,19 +41,17 @@ def parses_or_fails_closed(parse, blob):
         return None
 
 
-@pytest.mark.parametrize("raw", [RS_SKETCH, BCH_SKETCH], ids=["rs", "pooled"])
+@pytest.mark.parametrize("raw", [BCH_SKETCH], ids=["pooled"])
 class TestSketchBytes:
     @FUZZ
     @given(data=st.data())
     def test_damaged_sketch_parses_or_fails_closed(self, raw, data):
         blob = data.draw(damaged(raw))
-        got = parses_or_fails_closed(sketch_from_bytes, blob)
-        if got is not None:
-            sketch, cut = got
+        sketch = parses_or_fails_closed(BchSketch.from_bytes, blob)
+        if sketch is not None:
             # whatever parses is the canonical encoding of what it parsed to
-            assert sketch.to_bytes() == blob[:cut]
-        for cls in (Sketch, BchSketch):
-            parses_or_fails_closed(cls.from_bytes, blob)
+            assert sketch.to_bytes() == blob
+        parses_or_fails_closed(BchSketch.byte_length, blob)
 
     @FUZZ
     @given(data=st.data())

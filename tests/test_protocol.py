@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from physkey.coding import BchCode, BchSketch, RsCode, Sketch
+from physkey.coding import BchCode, BchSketch, RsCode
 from physkey.errors import InfeasiblePlanError, PhyskeyError, SketchFormatError
 from physkey.extract import max_extractable_length
 from physkey.hmm import LinearFit
@@ -13,16 +13,6 @@ from physkey.protocol import (REFERENCE_ENTROPY_FIT, REFERENCE_ERROR_FIT,
                               correctness_bound, entropy_ledger, plan_parameters,
                               run_exchange, alice_messages)
 from physkey.traces import make_trace
-
-
-def make_sketch_with_bits(bits: int) -> Sketch:
-    # synthesize a sketch of a given |u| for ledger arithmetic tests
-    assert bits % 8 == 0
-    symbols = bits // 8
-    code = RsCode(255, 253)  # 2 syndromes per block
-    assert symbols % 2 == 0
-    blocks = symbols // 2
-    return Sketch(np.zeros(symbols, dtype=np.int64), blocks, code, 0)
 
 
 class TestPlanner:
@@ -152,18 +142,18 @@ class TestCorrectnessBound:
 class TestLedger:
     def test_single_block_cannot_pay(self):
         # 100-sample experiment: 99.82 bits cannot fund a 208-bit sketch
-        led = entropy_ledger(99.82, make_sketch_with_bits(208), 80)
+        led = entropy_ledger(99.82, 208, 80)
         assert led.sketch_loss_bits == 208
         assert led.residual_bits == pytest.approx(99.82 - 208)
         assert led.key_bits == 0
 
     def test_arithmetic_chain(self):
-        led = entropy_ledger(2260, make_sketch_with_bits(2000), 80)
+        led = entropy_ledger(2260, 2000, 80)
         assert led.residual_bits == pytest.approx(260)
         assert led.key_bits == 102
 
     def test_lemma_boundary(self):
-        led = entropy_ledger(100.0, make_sketch_with_bits(0), 0)
+        led = entropy_ledger(100.0, 0, 0)
         assert led.key_bits == 102  # floor(initial) + 2
 
     def test_conservativeness(self, rng):
@@ -171,13 +161,15 @@ class TestLedger:
             initial = float(rng.uniform(0, 3000))
             bits = int(rng.integers(0, 150)) * 16
             lam = float(rng.integers(0, 100))
-            led = entropy_ledger(initial, make_sketch_with_bits(bits), lam)
+            led = entropy_ledger(initial, bits, lam)
             assert led.key_bits <= max_extractable_length(
                 max(0.0, initial - bits), lam)
             assert led.residual_bits == pytest.approx(initial - bits)
 
 
-def flat_params(n, code=RsCode(255, 229), l=16, lambda_=8.0):
+def flat_params(n, code=None, l=16, lambda_=8.0):
+    # a hand-set pooled code correcting 13 bit errors in the 8n-bit string
+    code = code or BchCode.for_length(8 * n, 13)
     return ProtocolParams(n=n, code=code, l=l, lambda_=lambda_, c=0.0,
                           entropy_fit=REFERENCE_ENTROPY_FIT,
                           error_fit=REFERENCE_ERROR_FIT)
@@ -193,7 +185,7 @@ class TestExchange:
         assert res.success
         assert res.alice_key == res.bob_key
         assert len(res.alice_key) == 16
-        assert res.n_corrected_words == 0
+        assert res.n_corrected_bits == 0
         assert res.failure_reason is None
 
     def test_small_noise_corrected(self, rng):
@@ -206,7 +198,7 @@ class TestExchange:
         bob = make_trace(noisy, "bob")
         res = run_exchange(alice, bob, flat_params(255), seed=6)
         assert res.success
-        assert res.n_corrected_words == changed
+        assert res.n_corrected_bits == changed
 
     def test_beyond_capacity_fails_closed(self, rng):
         levels = np.zeros(255, dtype=np.int64)
@@ -235,6 +227,12 @@ class TestExchange:
         t = make_trace(levels, "alice")
         with pytest.raises(ValueError, match="plan needs"):
             run_exchange(t, make_trace(levels, "bob"), flat_params(100), seed=1)
+
+    def test_params_need_covering_bch_code(self):
+        # an RS code or a code shorter than the 800-bit string fails at construction
+        for code in (RsCode(255, 229), BchCode(7, 3)):
+            with pytest.raises(ValueError, match="BchCode covering 800 bits"):
+                flat_params(100, code=code)
 
     def test_transcript_sufficiency(self, rng):
         # bob's computation is a function of (rho_B, sketch, seed) alone:
@@ -266,7 +264,7 @@ class TestExchange:
                            flat_params(100), seed=2)
         doc = res.to_dict()
         assert doc["success"] is True
-        assert doc["ledger"]["sketch_loss_bits"] == 208
+        assert doc["ledger"]["sketch_loss_bits"] == 10 * 13
 
 
 class TestPooledExchange:
@@ -289,7 +287,7 @@ class TestPooledExchange:
             alice, bob = self.noisy_pair(rng, t)
             res = run_exchange(alice, bob, self.PARAMS, seed=seed)
             assert res.success and res.alice_key == res.bob_key
-            assert res.n_corrected_words == t
+            assert res.n_corrected_bits == t
             assert res.ledger.sketch_loss_bits == 12 * 21
 
     def test_beyond_capacity_never_reports_success(self, rng):
@@ -303,16 +301,6 @@ class TestPooledExchange:
 
 
 class TestTranscript:
-    def test_bytes_round_trip(self, rng):
-        levels = rng.integers(-8, 1, size=100)
-        res = run_exchange(make_trace(levels, "alice"), make_trace(levels, "bob"),
-                           flat_params(100, l=24), seed=4)
-        raw = res.transcript.to_bytes()
-        back = Transcript.from_bytes(raw, l=24)
-        assert np.array_equal(back.sketch.syndromes, res.transcript.sketch.syndromes)
-        assert back.seed.bits == res.transcript.seed.bits
-        assert back.seed.t == res.transcript.seed.t
-
     def test_pooled_bytes_round_trip(self, rng):
         params = plan_parameters(l=24, lambda_=2, c=0.05, n=100)
         levels = rng.integers(-8, 1, size=100)
@@ -326,9 +314,11 @@ class TestTranscript:
         assert back.sketch.n_bits == 800
         assert np.array_equal(back.sketch.syndromes, res.transcript.sketch.syndromes)
         assert back.seed.bits == res.transcript.seed.bits
+        assert back.seed.t == res.transcript.seed.t
         assert back.to_bytes() == raw
 
-    @pytest.mark.parametrize("code", [RsCode(255, 229), None])
+    # a hand-set pooled code, and the planned one (None)
+    @pytest.mark.parametrize("code", [BchCode(10, 13), None])
     def test_truncated_transcript_fails_closed(self, rng, code):
         params = (flat_params(100, code=code) if code is not None
                   else plan_parameters(l=16, lambda_=2, c=0.05, n=100))
@@ -340,7 +330,7 @@ class TestTranscript:
             with pytest.raises(PhyskeyError):
                 Transcript.from_bytes(sketch_bytes[:cut], l=16)
 
-    @pytest.mark.parametrize("code", [RsCode(255, 229), None])
+    @pytest.mark.parametrize("code", [BchCode(10, 13), None])
     @pytest.mark.parametrize("corrupt", [
         lambda seed: seed + b"zz",                      # non-hex payload
         lambda seed: b"x" + seed,                       # non-numeric length prefix

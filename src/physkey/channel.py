@@ -182,12 +182,11 @@ def simulate_run(config: ChannelConfig) -> SimulatedRun:
     model = config.model
     idx, ue, ub = _draw(model, config.seed, config.n)
     alice_levels = np.array(model.states, dtype=np.int64)[idx]
-    meta = {"delay_ms": 1300, "precision_bits": 5}
     return SimulatedRun(
-        alice=make_trace(alice_levels, "alice", frame_type="PING", **meta),
+        alice=make_trace(alice_levels, "alice", frame_type="PING"),
         bob=make_trace(_bob_levels(model, config.bob_error, alice_levels, ub), "bob",
-                       frame_type="PONG", **meta),
-        eve=make_trace(_eve_levels(model, idx, ue), "eve", frame_type="OBS", **meta),
+                       frame_type="PONG"),
+        eve=make_trace(_eve_levels(model, idx, ue), "eve", frame_type="OBS"),
     )
 
 

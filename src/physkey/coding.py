@@ -9,9 +9,12 @@ correction.
 
 Both codes compute in one field layer: ``field_tables(m)``, the log/antilog
 tables of GF(2^m) under the primitive polynomial ``PRIMITIVE_POLYS[m]`` with
-generator alpha = x.  Every sum of the form sum_i c_i alpha^(e_i x) (RS
-syndromes, the RS Chien search and Forney evaluations, and both syndrome
-re-checks) goes through one array evaluator, ``_gf_sums``.
+generator alpha = x.  Their one layout gives zero a logarithm that points
+into a zero tail of the antilog table, so a product is one gather with no
+mask for a zero operand.  Both codes locate error positions with one
+strength-reduced Chien loop, ``_chien``, and every other sum of the form
+sum_i c_i alpha^(e_i x) (RS syndromes and Forney evaluations, and both
+syndrome re-checks) goes through one array evaluator, ``_gf_sums``.
 
 * ``BchCode`` (what the planner uses): one binary narrow-sense BCH code over
   GF(2^m) covering the whole bitstring, with 2^m - 1 >= its length.  Bit i
@@ -23,11 +26,10 @@ re-checks) goes through one array evaluator, ``_gf_sums``.
   S_2j = S_j^2 every other discrepancy is zero and its step is skipped)
   and a Chien search over the bit positions, so the exchange succeeds
   whenever the two strings differ in at most t bits anywhere: one pooled
-  error budget, not one per block.  The Chien search is the one GF sum
-  not handed to ``_gf_sums``: its strength-reduced loop needs no
-  position-by-coefficient temporaries.  It first searches the positions
-  the caller names as likely (Bob's one-level-off bits) and falls back to
-  every position only when those do not hold all the locator's roots.
+  error budget, not one per block.  The Chien search first visits the
+  positions the caller names as likely (Bob's one-level-off bits) and
+  falls back to every position only when those do not hold all the
+  locator's roots.
 * ``RsCode``: blocks of 255 8-bit words over a shortened (255, k)
   Reed-Solomon code in GF(2^8) = ``field_tables(8)`` (polynomial
   x^8+x^4+x^3+x^2+1, 0x11D, and alpha = 0x02); the code roots are
@@ -55,32 +57,24 @@ PRIMITIVE_POLYS = {
     10: 0x409, 11: 0x805, 12: 0x1053, 13: 0x201B, 14: 0x4443, 15: 0x8003,
     16: 0x1100B, 17: 0x20009, 18: 0x40081, 19: 0x80027, 20: 0x100009,
 }
+
+
 @dataclass(frozen=True)
 class GfTables:
-    """Log/antilog tables for GF(2^m) under its fixed primitive polynomial."""
+    """Log/antilog tables for GF(2^m) under its fixed primitive polynomial.
 
-    exp: np.ndarray  # length 2 * order, doubled to skip a modulo on multiply
-    log: np.ndarray  # length 2^m; log[0] is unused
+    exp[log[a] + log[b]] is a * b, and exp[log[a] + k] is a * alpha^k for
+    0 <= k <= order, for every a and b, zero included: log[0] = 2 * order
+    points into a zero tail of exp long enough for both sums.
+    """
+
+    exp: np.ndarray  # alpha^i for i < 2 * order, then 2 * order + 1 zeros
+    log: np.ndarray  # length 2^m; log[0] = 2 * order
 
     @property
     def order(self) -> int:
         """Multiplicative group order 2^m - 1."""
         return self.log.size - 1
-
-    @functools.cached_property
-    def zero_sentinel(self) -> tuple:
-        """(exp, log) with log[0] = 2 * order pointing into a zero tail of
-        exp, so exp[log[a] + log[b]] and exp[log[a] + k], 0 <= k < order,
-        are products for every a and b, zero included, with no mask.
-        Built once per field: 0.65 MB of int32 at m = 15."""
-        order = self.order
-        exp = np.zeros(4 * order + 1, dtype=np.int32)
-        exp[:2 * order] = self.exp
-        log = self.log.astype(np.int32)
-        log[0] = 2 * order
-        exp.setflags(write=False)
-        log.setflags(write=False)
-        return exp, log
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,30 +84,30 @@ def field_tables(m: int) -> GfTables:
         raise ValueError(f"no primitive polynomial for GF(2^{m})")
     order = (1 << m) - 1
     poly = PRIMITIVE_POLYS[m]
-    exp = [0] * (2 * order)
+    powers = [0] * order
     x = 1
     for i in range(order):
-        exp[i] = x
+        powers[i] = x
         x <<= 1  # multiply by the generator alpha = x
         if x >> m:
             x ^= poly
-    exp[order:] = exp[:order]
-    exp_arr = np.array(exp, dtype=np.int64)
+    exp = np.zeros(4 * order + 1, dtype=np.int64)
+    exp[:order] = exp[order:2 * order] = powers
     log = np.zeros(order + 1, dtype=np.int64)
-    log[exp_arr[:order]] = np.arange(order)
+    log[exp[:order]] = np.arange(order)
     if np.count_nonzero(log) != order - 1:  # alpha's powers repeat early
         raise ValueError(f"polynomial {poly:#x} is not primitive for GF(2^{m})")
-    exp_arr.setflags(write=False)
+    log[0] = 2 * order
+    exp.setflags(write=False)
     log.setflags(write=False)
-    return GfTables(exp_arr, log)
+    return GfTables(exp, log)
 
 
 def _gf_sums(coefs, exps, points, tables: GfTables) -> np.ndarray:
     # sum_i coefs[..., i] * alpha^(exps[i] * x) in GF(2^m) for each point x,
-    # as an (..., len(points)) array; zero coefficients contribute nothing
+    # as an (..., len(points)) array
     c = np.asarray(coefs, dtype=np.int64)[..., None]
     terms = tables.exp[tables.log[c] + np.multiply.outer(exps, points) % tables.order]
-    terms *= c != 0  # log[0] is a placeholder, not a logarithm
     return np.bitwise_xor.reduce(terms, axis=-2)
 
 
@@ -172,7 +166,7 @@ def _bm_locator(synd, tables: GfTables, binary: bool = False):
     discrepancy at an even-indexed syndrome is then zero, so only the steps
     at odd-indexed syndromes are run (Berlekamp's binary simplification).
     """
-    exp, log = tables.zero_sentinel
+    exp, log = tables.exp, tables.log
     s = np.asarray(synd, dtype=np.int64)
     log_s = log[s]
     n = s.size
@@ -217,32 +211,33 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
 
     tables = field_tables(8)
     lam, degree = _bm_locator(synd, tables)
-    if degree > code.t or len(lam) != degree + 1 or lam[0] != 1:
+    if degree > code.t:
         raise UncorrectableBlockError(0, f"locator degree {degree} exceeds t={code.t}")
 
-    # Chien search: position p corresponds to X_p = alpha^(n_sym - 1 - p),
-    # so the locator root is X_p^-1 = alpha^(p - (n_sym - 1) mod 255).
-    inv_logs = (np.arange(code.n_sym) - (code.n_sym - 1)) % tables.order
-    positions = np.flatnonzero(_gf_sums(lam, np.arange(degree + 1), inv_logs, tables) == 0)
-    if positions.size != degree:
+    # Chien search: position p is in error iff Lambda(X_p^-1) = 0, where
+    # X_p = alpha^(n_sym - 1 - p); searching log X_p from the top keeps the
+    # positions ascending.
+    x_logs = _chien(lam, np.arange(code.n_sym - 1, -1, -1), tables)
+    if x_logs.size != degree:
         raise UncorrectableBlockError(
-            0, f"locator has {positions.size} roots, expected {degree}")
+            0, f"locator has {x_logs.size} roots, expected {degree}")
+    positions = code.n_sym - 1 - x_logs
 
     # Forney with fcr = 1: Omega(x) = S(x) Lambda(x) mod x^2t,
     # Y_p = Omega(X_p^-1) / Lambda'(X_p^-1).
-    exp_z, log_z = tables.zero_sentinel
-    log_synd = log_z[synd]
+    exp, log, order = tables.exp, tables.log, tables.order
+    log_synd = log[synd]
     omega = np.zeros(synd.size, dtype=np.int64)  # both low-degree-first
     for j, coef in enumerate(lam):
-        omega[j:] ^= exp_z[log_synd[:synd.size - j] + log_z[coef]]
+        omega[j:] ^= exp[log_synd[:synd.size - j] + log[coef]]
     lam_deriv = np.zeros(degree, dtype=np.int64)  # d/dx in char 2: odd terms
     lam_deriv[0::2] = lam[1::2]
-    x_inv = inv_logs[positions]
+    x_inv = -x_logs % order
     num = _gf_sums(omega, np.arange(omega.size), x_inv, tables)
     den = _gf_sums(lam_deriv, np.arange(degree), x_inv, tables)
     if not den.all():
         raise UncorrectableBlockError(0, "zero locator derivative at a root")
-    mags = np.where(num != 0, tables.exp[(tables.log[num] - tables.log[den]) % tables.order], 0)
+    mags = exp[log[num] + order - log[den]]
 
     # fail-closed: the reconstructed pattern must reproduce the syndromes
     if not mags.all():
@@ -352,7 +347,7 @@ def bch_generator(code: BchCode) -> int:
         poly = np.zeros((len(roots), size + 1), dtype=np.int64)
         poly[:, 0] = 1
         for k in range(size):
-            scaled = np.where(poly > 0, tables.exp[tables.log[poly] + roots[:, k:k + 1]], 0)
+            scaled = tables.exp[tables.log[poly] + roots[:, k:k + 1]]
             scaled[:, 1:] ^= poly[:, :-1]  # + x * poly
             poly = scaled
         if poly.max() > 1:
@@ -370,7 +365,7 @@ class _RemainderTables:
 
     degree: int             # D = deg g
     reduce: tuple           # h << D xor (h x^D mod g), for each byte h
-    byte_log: np.ndarray    # (t, 256) log of byte h evaluated at alpha^j; -1 for 0
+    byte_log: np.ndarray    # (t, 256) log of byte h evaluated at alpha^j
     offset_log: np.ndarray  # (t, ceil(D / 8)) log alpha^(8 k j) for byte k
 
 
@@ -397,7 +392,7 @@ def _remainder_tables(code: BchCode) -> _RemainderTables:
     value = np.zeros((code.t, 256), dtype=np.int64)
     for b in range(8):
         value ^= powers[:, b:b + 1] * ((bytes_ >> b) & 1)
-    byte_log = np.where(value > 0, tables.log[value], -1).astype(np.int32)
+    byte_log = tables.log[value].astype(np.int32)
     offsets = 8 * np.arange(-(-degree // 8), dtype=np.int64)
     offset_log = (np.multiply.outer(js, offsets) % tables.order).astype(np.int32)
     for arr in (byte_log, offset_log):
@@ -429,9 +424,7 @@ def bch_syndrome(bits, code: BchCode) -> np.ndarray:
         r ^= reduce[r >> degree]
     # sum over the remainder's bytes k of byte_k(alpha^j) * alpha^(8 k j)
     rem = np.frombuffer(r.to_bytes(rt.offset_log.shape[1], "little"), dtype=np.uint8)
-    logs = rt.byte_log[:, rem]
-    terms = field_tables(code.m).exp[logs + rt.offset_log]
-    terms[logs < 0] = 0
+    terms = field_tables(code.m).exp[rt.byte_log[:, rem] + rt.offset_log]
     return np.bitwise_xor.reduce(terms, axis=1)
 
 
@@ -447,8 +440,7 @@ def _chien(lam, points: np.ndarray, tables: GfTables) -> np.ndarray:
     for coef in lam[1:]:
         exponent += step
         np.subtract(exponent, order, out=exponent, where=exponent >= order)
-        if coef:
-            value ^= exp[exponent + log[coef]]
+        value ^= exp[exponent + log[coef]]
     return points[value == 0]
 
 
@@ -480,7 +472,7 @@ def bch_decode(syndrome_diff, code: BchCode, n_bits: int, candidates=()) -> np.n
     synd[0::2] = odd
     for j in range(2, 2 * code.t + 1, 2):
         half = synd[j // 2 - 1]
-        synd[j - 1] = exp[2 * log[half]] if half else 0
+        synd[j - 1] = exp[2 * log[half]]
     lam, degree = _bm_locator(synd, tables, binary=True)
     if degree > code.t:
         raise UncorrectableBlockError(0, f"locator degree {degree} exceeds t={code.t}")

@@ -37,10 +37,6 @@ class ExtractorSeed:
     def to_hex(self) -> str:
         return self.bits.to_hex()
 
-    @classmethod
-    def from_hex(cls, text: str, t: int, l: int) -> "ExtractorSeed":
-        return cls(BitString.from_hex(text), t, l)
-
 
 def random_seed(rng: np.random.Generator, t: int, l: int) -> ExtractorSeed:
     return ExtractorSeed(BitString(rng.integers(0, 2, size=t + l - 1, dtype=np.uint8)), t, l)

@@ -50,8 +50,8 @@ from .coding import BchCode, BchSketch, ss_recover, ss_sketch
 from .errors import InfeasiblePlanError, SketchFormatError, UncorrectableBlockError
 from .extract import ExtractorSeed, extract, max_extractable_length, random_seed
 from .hmm import LinearFit
-from .quantize import BITS_PER_SAMPLE, BitString, QuantizerConfig, embed_trace, \
-    hamming_distance, neighbor_bits
+from .quantize import BITS_PER_SAMPLE, BitString, embed_trace, hamming_distance, \
+    neighbor_bits
 from .traces import MeasurementTrace, assert_aligned
 
 # the planner's idealised sketch charge per budgeted error, which sizes n;
@@ -68,8 +68,6 @@ REFERENCE_ERROR_FIT = LinearFit(slope=0.043, intercept=0.048)
 
 # margin constant as originally published vs. recomputed from the lines above
 PUBLISHED_MARGIN_CONSTANT = 549.4
-
-QUANTIZER = QuantizerConfig(m=BITS_PER_SAMPLE)  # one unsigned unary word per level
 
 
 @dataclass(frozen=True)
@@ -294,7 +292,7 @@ def plan_parameters(l: int, lambda_: float, c: float,
 def alice_messages(alice: MeasurementTrace, params: ProtocolParams,
                    rng: np.random.Generator):
     """Alice's side: quantize, sketch, draw the extractor seed, extract."""
-    rho_a = embed_trace(alice.levels[:params.n], QUANTIZER)
+    rho_a = embed_trace(alice.levels[:params.n])
     sketch = ss_sketch(rho_a, params.code)
     seed = random_seed(rng, t=len(rho_a), l=params.l)
     key = extract(rho_a, seed)
@@ -308,9 +306,9 @@ def bob_respond(bob: MeasurementTrace, transcript: Transcript,
     Returns (key or None, corrected bit count, failure reason or None).
     """
     levels = bob.levels[:params.n]
-    rho_b = embed_trace(levels, QUANTIZER)
+    rho_b = embed_trace(levels)
     try:
-        recovered = ss_recover(rho_b, transcript.sketch, neighbor_bits(levels, QUANTIZER))
+        recovered = ss_recover(rho_b, transcript.sketch, neighbor_bits(levels))
     except UncorrectableBlockError as exc:
         return None, 0, str(exc)
     return extract(recovered, transcript.seed), hamming_distance(recovered, rho_b), None

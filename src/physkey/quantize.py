@@ -1,31 +1,20 @@
 """Unary quantization of signal levels into Hamming-metric bitstrings.
 
 Integer levels live in an L1 metric; the unary embedding maps a level of
-magnitude ``a`` (with ``a <= m``) to ``m - a`` zeros followed by ``a`` ones,
-so Hamming distance between two same-sign embeddings equals the L1 distance
-between the levels.  A level and its negation embed alike.
+magnitude ``a`` (with ``a <= m``, m = ``BITS_PER_SAMPLE``) to ``m - a``
+zeros followed by ``a`` ones, so Hamming distance between two same-sign
+embeddings equals the L1 distance between the levels.  A level and its
+negation embed alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 # the paper's word: every sample quantizes to one 8-bit unary word
 BITS_PER_SAMPLE = 8
-
-
-@dataclass(frozen=True)
-class QuantizerConfig:
-    """Unary embedding parameters: the max magnitude, also the word length."""
-
-    m: int = BITS_PER_SAMPLE
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"max magnitude must be >= 1, got {self.m}")
 
 
 class BitString:
@@ -106,39 +95,40 @@ class BitString:
         return cls(np.unpackbits(arr.astype(np.uint8)))
 
 
-def embed_unary(x: int, config: QuantizerConfig) -> BitString:
+def embed_unary(x: int) -> BitString:
     """Embed one integer level: (m - |x|) zeros ++ |x| ones."""
+    m = BITS_PER_SAMPLE
     a = abs(int(x))
-    if a > config.m:
-        raise ValueError(f"level out of range: |{x}| > {config.m}")
-    body = np.zeros(config.m, np.uint8)
+    if a > m:
+        raise ValueError(f"level out of range: |{x}| > {m}")
+    body = np.zeros(m, np.uint8)
     if a:
-        body[config.m - a:] = 1
+        body[m - a:] = 1
     return BitString(body)
 
 
-def _magnitudes(levels, config: QuantizerConfig) -> np.ndarray:
+def _magnitudes(levels) -> np.ndarray:
     # |level| of every sample, each checked against the max magnitude
     arr = np.asarray(levels, dtype=np.int64)
     mag = np.abs(arr)
-    bad = np.nonzero(mag > config.m)[0]
+    bad = np.nonzero(mag > BITS_PER_SAMPLE)[0]
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"level out of range at sample {i}: |{arr[i]}| > {config.m}")
+        raise ValueError(f"level out of range at sample {i}: |{arr[i]}| > {BITS_PER_SAMPLE}")
     return mag
 
 
-def embed_trace(levels, config: QuantizerConfig) -> BitString:
+def embed_trace(levels) -> BitString:
     """Concatenate per-sample embeddings; n levels give n * m bits."""
-    mag = _magnitudes(levels, config)
+    mag = _magnitudes(levels)
     # column j of the body holds 1 where magnitude >= m - j
-    cols = np.arange(config.m)
-    body = (mag[:, None] >= (config.m - cols)[None, :]).astype(np.uint8)
+    cols = np.arange(BITS_PER_SAMPLE)
+    body = (mag[:, None] >= (BITS_PER_SAMPLE - cols)[None, :]).astype(np.uint8)
     return BitString(body.reshape(-1))
 
 
-def neighbor_bits(levels, config: QuantizerConfig) -> np.ndarray:
-    """Ascending positions in embed_trace(levels, config) whose flip moves a
+def neighbor_bits(levels) -> np.ndarray:
+    """Ascending positions in embed_trace(levels) whose flip moves a
     level's magnitude by exactly one.
 
     These are the two bits at each word's 0 -> 1 boundary: for magnitude a
@@ -147,10 +137,11 @@ def neighbor_bits(levels, config: QuantizerConfig) -> np.ndarray:
     differs from the levels' embedding only by off-by-one levels differs
     from it only at these positions.
     """
-    mag = _magnitudes(levels, config)
-    last_zero = config.m * np.arange(mag.size) + config.m - 1 - mag
+    m = BITS_PER_SAMPLE
+    mag = _magnitudes(levels)
+    last_zero = m * np.arange(mag.size) + m - 1 - mag
     positions = np.stack([last_zero, last_zero + 1], axis=1).ravel()
-    return positions[np.stack([mag < config.m, mag > 0], axis=1).ravel()]
+    return positions[np.stack([mag < m, mag > 0], axis=1).ravel()]
 
 
 def hamming_distance(a: BitString, b: BitString) -> int:

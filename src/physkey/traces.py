@@ -14,7 +14,7 @@ bad one; a seq or rssi outside int64 is such a line.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -34,7 +34,7 @@ class MeasurementTrace:
     seqs: np.ndarray
     levels: np.ndarray
     node_id: str = "node"
-    meta: dict = field(default_factory=dict)
+    frame_type: str = "OBS"
 
     def __post_init__(self):
         seqs = np.array(self.seqs, dtype=np.int64)
@@ -51,15 +51,13 @@ class MeasurementTrace:
     def __len__(self) -> int:
         return int(self.seqs.size)
 
-    def frame_type(self) -> str:
-        return self.meta.get("frame_type", "OBS")
 
-
-def make_trace(levels, node_id: str = "node", seq_start: int = 0, **meta) -> MeasurementTrace:
+def make_trace(levels, node_id: str = "node", seq_start: int = 0,
+               frame_type: str = "OBS") -> MeasurementTrace:
     """Build a trace with consecutive sequence numbers from a level array."""
     levels = np.asarray(levels, dtype=np.int64)
     seqs = np.arange(seq_start, seq_start + levels.size, dtype=np.int64)
-    return MeasurementTrace(seqs, levels, node_id, meta)
+    return MeasurementTrace(seqs, levels, node_id, frame_type)
 
 
 def assert_aligned(*traces: MeasurementTrace) -> None:
@@ -135,7 +133,7 @@ class TraceFile:
             raise PhyskeyError(f"no rows for node {node_id!r} in {self.path or '<string>'}")
         picked = picked[np.argsort(self.seq[picked], kind="stable")]
         return MeasurementTrace(self.seq[picked], self.rssi[picked], node_id,
-                                {"frame_type": self.frame_type[picked[0]]})
+                                self.frame_type[picked[0]])
 
 
 def _raise_first_bad_row(lines: list, where: str) -> None:
@@ -159,7 +157,7 @@ def _raise_first_bad_row(lines: list, where: str) -> None:
 
 def trace_to_file(trace: MeasurementTrace) -> TraceFile:
     n = len(trace)
-    return TraceFile(trace.seqs, [trace.node_id] * n, [trace.frame_type()] * n,
+    return TraceFile(trace.seqs, [trace.node_id] * n, [trace.frame_type] * n,
                      trace.levels)
 
 
@@ -206,7 +204,7 @@ def ingest_traces(traces: dict, eve_filter: bool = False,
         out_of_range = np.count_nonzero((levels < lo) | (levels > hi))
         clamped += int(out_of_range)
         levels = np.clip(levels, lo, hi)
-        aligned[role] = MeasurementTrace(seqs, levels, trace.node_id, dict(trace.meta))
+        aligned[role] = MeasurementTrace(seqs, levels, trace.node_id, trace.frame_type)
 
     report = {
         "kept": int(kept.size),

@@ -214,14 +214,14 @@ def toeplitz_int64(seed_bits, input_bits) -> np.ndarray:
     return (sums & 1).astype(np.uint8)
 
 
-def neighbor_bits_brute_force(levels, m: int) -> list:
+def neighbor_bits_brute_force(levels) -> list:
     """Positions of embed_trace(levels) whose flip leaves a unary word one
     magnitude away from its level's, found by flipping every bit in turn."""
-    from physkey.quantize import BitString, QuantizerConfig, embed_trace, embed_unary
+    from physkey.quantize import BITS_PER_SAMPLE as m
+    from physkey.quantize import BitString, embed_trace, embed_unary
 
-    config = QuantizerConfig(m=m)
-    magnitude = {embed_unary(a, config): a for a in range(m + 1)}
-    bits = embed_trace(levels, config).bits
+    magnitude = {embed_unary(a): a for a in range(m + 1)}
+    bits = embed_trace(levels).bits
     found = []
     for p in range(bits.size):
         word = bits[p - p % m:p - p % m + m].copy()
@@ -291,4 +291,4 @@ class RowLoopTraceFile:
         except OverflowError:
             raise PhyskeyError(f"node {node_id!r} in {self.path or '<string>'}: "
                                "a seq or rssi value does not fit in 64 bits") from None
-        return MeasurementTrace(seqs, levels, node_id, {"frame_type": picked[0][1]})
+        return MeasurementTrace(seqs, levels, node_id, picked[0][1])

@@ -24,7 +24,7 @@ from physkey.hmm import (ObservationSequence, entropy_profile_batch,
                          fit_linear_growth, forward_likelihood, obs_from_values,
                          viterbi_max_joint)
 from physkey.protocol import plan_parameters, run_exchange
-from physkey.quantize import BitString, QuantizerConfig, embed_unary, hamming_distance
+from physkey.quantize import BitString, embed_unary, hamming_distance
 from physkey.stats import ks_two_sample, pearson_significance
 
 from .oracles import brute_exact_avg_bits, brute_forward, brute_viterbi, random_model
@@ -154,9 +154,8 @@ def test_criterion_4_coding_round_trip():
 
 
 def test_criterion_5_quantizer_isometry():
-    cfg = QuantizerConfig(m=8)
     ok = all(
-        hamming_distance(embed_unary(x, cfg), embed_unary(y, cfg)) == abs(x - y)
+        hamming_distance(embed_unary(x), embed_unary(y)) == abs(x - y)
         for x in range(-8, 1) for y in range(-8, 1)
     )
     assert _record(5, "quantizer isometry", ok, "all pairs in [-8, 0]^2")

@@ -52,9 +52,9 @@ def _poly_mul_ref(p, q):
 
 
 def table_mul(a, b, tables=GF256):
-    # products through the log/antilog tables, as the decoders form them
-    a, b = np.asarray(a), np.asarray(b)
-    return np.where((a != 0) & (b != 0), tables.exp[tables.log[a] + tables.log[b]], 0)
+    # products through the log/antilog tables, as the decoders form them:
+    # one gather, zero operands included, with no mask
+    return tables.exp[tables.log[a] + tables.log[b]]
 
 
 class TestField:
@@ -73,7 +73,8 @@ class TestField:
         a = rng.integers(0, 256, size=1000)
         b = rng.integers(1, 256, size=1000)
         ab = table_mul(a, b)
-        quotient = np.where(ab != 0, GF256.exp[(GF256.log[ab] - GF256.log[b]) % GF256.order], 0)
+        # the RS Forney quotient's form: a zero numerator lands in the zero tail
+        quotient = GF256.exp[GF256.log[ab] + GF256.order - GF256.log[b]]
         assert np.array_equal(quotient, a)
 
     def test_full_multiplication_table_matches_peasant_oracle(self):
@@ -294,8 +295,18 @@ class TestExtensionFields:
         assert tables.order == order
         assert np.unique(tables.exp[:order]).size == order  # alpha generates
         for _ in range(200):
-            a, b = (int(v) for v in rng.integers(1, order + 1, size=2))
+            a, b = (int(v) for v in rng.integers(0, order + 1, size=2))
             assert table_mul(a, b, tables) == peasant_mul(a, b, m)
+        # zero times every element, and zero times alpha^k up to k = order,
+        # land in the zero tail
+        assert not table_mul(0, np.arange(order + 1), tables).any()
+        assert not tables.exp[tables.log[0] + np.arange(order + 1)].any()
+        # a * alpha^k for k = 0..3 and k = order, against the oracle
+        a = np.arange(1, order + 1)
+        assert np.array_equal(tables.exp[tables.log[a] + order], a)
+        for k in (0, 1, 2, 3):
+            expected = [peasant_mul(int(x), alpha_power(k, m), m) for x in a[:64]]
+            assert tables.exp[tables.log[a[:64]] + k].tolist() == expected
 
 
 class TestBchCode:
@@ -621,3 +632,23 @@ class TestSeededOutputs:
         noisy = words.copy()
         noisy[rng.choice(600, size=25, replace=False)] ^= 0x33
         assert ss_recover(BitString.from_words(noisy), sk) == BitString.from_words(words)
+
+    def test_rs_decode_golden(self):
+        # decode_error_from_syndrome on 100 seeded RS(255, 229) error blocks,
+        # 20 at each word weight 12-16: the (position, magnitude) list or the
+        # error text of every block
+        code, rng = RsCode(255, 229), np.random.default_rng(14)
+        outcomes = []
+        for weight in range(12, 17):
+            for _ in range(20):
+                err = np.zeros(255, dtype=np.int64)
+                err[rng.choice(255, size=weight, replace=False)] = rng.integers(
+                    1, 256, size=weight)
+                try:
+                    outcomes.append(decode_error_from_syndrome(rs_syndrome(err, code), code))
+                except UncorrectableBlockError as exc:
+                    outcomes.append(exc.detail)
+        assert [len(o) for o in outcomes[:40]] == [12] * 20 + [13] * 20
+        assert all(isinstance(o, str) for o in outcomes[40:])
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+            "ae96b72819c08906ff52b46424da520daefc6df827899c2f6d1ff5a0402d93f6")

@@ -62,12 +62,6 @@ def test_deterministic(rng):
     assert extract(x, seed) == extract(x, seed)
 
 
-def test_seed_hex_round_trip(rng):
-    seed = random_seed(rng, t=20, l=5)
-    back = ExtractorSeed.from_hex(seed.to_hex(), t=20, l=5)
-    assert back.bits == seed.bits
-
-
 class TestMaxExtractable:
     def test_reference_value(self):
         assert max_extractable_length(260, 80) == 102

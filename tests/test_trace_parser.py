@@ -53,7 +53,7 @@ def trace_outcome(tf, node_id):
         t = tf.trace(node_id)
     except (PhyskeyError, ValueError) as exc:
         return type(exc), str(exc)
-    return t.node_id, t.seqs.tolist(), t.levels.tolist(), t.frame_type()
+    return t.node_id, t.seqs.tolist(), t.levels.tolist(), t.frame_type
 
 
 @settings(deadline=None, max_examples=400)

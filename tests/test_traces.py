@@ -34,7 +34,7 @@ class TestTraceFile:
         assert tf.node_ids() == ["alice", "eve0"]
         alice = tf.trace("alice")
         assert np.array_equal(alice.levels, [-3, -4, -2])
-        assert alice.frame_type() == "PING"
+        assert alice.frame_type == "PING"
 
     def test_round_trip_identity(self):
         tf = TraceFile.parse(SAMPLE)

@@ -35,6 +35,13 @@ def _load_trace(path: str, role: str):
     return replace(tf.trace(ids[0]), node_id=role)
 
 
+def _load_aligned(paths: dict, **options):
+    """Load each role's single-node trace file and align them all with
+    ``ingest_traces(..., **options)``; returns its (traces, report) pair."""
+    return ingest_traces({role: _load_trace(path, role) for role, path in paths.items()},
+                         **options)
+
+
 class _Fields(dict):
     """A JSON object that records the dotted path of the last field read from
     it or from an object nested in it, in a one-item list they share."""
@@ -109,13 +116,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    traces = {"alice": _load_trace(args.alice, "alice"),
-              "bob": _load_trace(args.bob, "bob")}
-    for i, path in enumerate(args.eve or []):
-        traces[f"eve{i}" if len(args.eve) > 1 else "eve"] = _load_trace(
-            path, f"eve{i}" if len(args.eve) > 1 else "eve")
-    aligned, report = ingest_traces(traces, eve_filter=args.eve_filter,
-                                    magnitude=args.magnitude)
+    eves = args.eve or []
+    roles = [f"eve{i}" for i in range(len(eves))] if len(eves) > 1 else ["eve"]
+    aligned, report = _load_aligned(
+        {"alice": args.alice, "bob": args.bob, **dict(zip(roles, eves))},
+        eve_filter=args.eve_filter, magnitude=args.magnitude)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -126,17 +131,16 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _aligned_pair(alice_path: str, second_path: str, second_role: str,
-                  magnitude: int):
-    traces = {"alice": _load_trace(alice_path, "alice"),
-              "bob": _load_trace(second_path, second_role)}
-    aligned, report = ingest_traces(traces, magnitude=magnitude)
+def _aligned_pair(alice_path: str, eve_path: str, magnitude: int):
+    # ingest_traces aligns the 'alice' and 'bob' slots, so Eve's trace takes
+    # the 'bob' slot, under which the report counts her dropped samples
+    aligned, report = _load_aligned({"alice": alice_path, "bob": eve_path},
+                                    magnitude=magnitude)
     return aligned["alice"], aligned["bob"], report
 
 
 def _cmd_estimate_entropy(args) -> int:
-    alice, eve, report = _aligned_pair(args.alice, args.eve, "eve",
-                                       magnitude=args.levels - 1)
+    alice, eve, report = _aligned_pair(args.alice, args.eve, args.levels - 1)
     model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,
                                     smoothing=args.smoothing)
     experiments = hmm.slice_experiments(model, eve.levels, args.slice)
@@ -149,10 +153,7 @@ def _cmd_estimate_entropy(args) -> int:
 
 
 def _cmd_fit_growth(args) -> int:
-    alice = _load_trace(args.alice, "alice")
-    bob = _load_trace(args.bob, "bob")
-    eve = _load_trace(args.eve, "eve")
-    aligned, report = ingest_traces({"alice": alice, "bob": bob, "eve": eve},
+    aligned, report = _load_aligned({"alice": args.alice, "bob": args.bob, "eve": args.eve},
                                     eve_filter=True, magnitude=args.levels - 1)
     alice, bob, eve = aligned["alice"], aligned["bob"], aligned["eve"]
 
@@ -186,7 +187,7 @@ def _cmd_fit_growth(args) -> int:
 
 def _cmd_validate_assumptions(args) -> int:
     magnitude = args.levels - 1 if args.levels else BITS_PER_SAMPLE
-    alice, eve, report = _aligned_pair(args.alice, args.eve, "eve", magnitude)
+    alice, eve, report = _aligned_pair(args.alice, args.eve, magnitude)
     result = stats.validate_assumptions(
         alice, eve, alpha=args.alpha, trials=args.trials, slice_len=args.slice,
         max_lag=args.max_lag, levels=args.levels or None, seed=args.seed)
@@ -210,9 +211,7 @@ def _cmd_extract_key(args) -> int:
     g, e = _load_fits(args.fits)
     params = protocol.plan_parameters(l=args.l, lambda_=getattr(args, "lambda"),
                                       c=args.c, entropy_fit=g, error_fit=e, n=args.n)
-    traces = {"alice": _load_trace(args.alice, "alice"),
-              "bob": _load_trace(args.bob, "bob")}
-    aligned, _ = ingest_traces(traces)
+    aligned, _ = _load_aligned({"alice": args.alice, "bob": args.bob})
     result = protocol.run_exchange(aligned["alice"], aligned["bob"], params,
                                    seed=args.seed)
     if args.transcript:

@@ -130,9 +130,6 @@ class RsCode:
     def n_syndromes(self) -> int:
         return self.n_sym - self.k_sym
 
-    def to_dict(self) -> dict:
-        return {"n_sym": self.n_sym, "k_sym": self.k_sym, "t": self.t}
-
 
 def _rs_syndromes(blocks: np.ndarray, code: RsCode) -> np.ndarray:
     # S_1 .. S_2t of every row of a (blocks, n_sym) word matrix; word j of

@@ -20,7 +20,8 @@ candidates, elementwise over contiguous (k, r) slabs; the forward
 recursion keeps its (r, k) rows for one matrix product per step.  The
 single-sequence functions (viterbi_max_joint, which also keeps the argmax
 path, and forward_likelihood), the growth profiles, the sampled estimator
-and the exact enumeration all call it.
+and the exact enumeration all call it.  The per-sequence conditional
+min-entropy is a one-row batch of the growth profile.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -236,13 +237,7 @@ class EntropyEstimate:
     n_experiments: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_bits": self.mean_bits,
-            "std_bits": self.std_bits,
-            "per_experiment_bits": list(self.per_experiment_bits),
-            "n_samples_per_experiment": self.n_samples_per_experiment,
-            "n_experiments": self.n_experiments,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -257,8 +252,7 @@ class LinearFit:
         return self.slope * x + self.intercept
 
     def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "residual_sum_squares": self.residual_sum_squares}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearFit":
@@ -347,18 +341,11 @@ def forward_likelihood(model: HmmModel, obs: ObservationSequence) -> float:
 
 
 def conditional_min_entropy_given_obs(model: HmmModel, obs: ObservationSequence) -> float:
-    """-log2(P*/P) for one observation sequence; non-negative since P* <= P."""
-    log_star, log_p, vanished, _ = _recursions(model, obs.symbols[None, :], [len(obs)])
-    # P* = 0 exactly when P = 0, so an impossible sequence gets
-    # viterbi_max_joint's message; the second check catches a forward
-    # recursion that underflowed on its own
-    if log_star[0, 0] == -np.inf:
-        raise ImpossibleObservationError(
-            "impossible observation sequence: all path probabilities vanish")
-    if vanished[0] >= 0:
-        raise ImpossibleObservationError(
-            f"impossible observation sequence: zero probability at step {vanished[0]}")
-    return max(0.0, float(log_p[0, 0] - log_star[0, 0]))
+    """-log2(P*/P) for one observation sequence; non-negative since P* <= P.
+
+    The one-row case of ``entropy_profile_batch``, whose error an impossible
+    sequence raises (with ``row == 0``)."""
+    return float(entropy_profile_batch(model, obs.symbols[None, :], [len(obs)])[0, 0])
 
 
 def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
@@ -488,15 +475,10 @@ def fit_hmm_from_traces(hidden: MeasurementTrace, observed: MeasurementTrace,
 
     def normalize(counts, width, what):
         sm = counts + smoothing
-        denom = sm.sum(axis=1)
-        rows = np.empty_like(sm)
-        empty = []
-        for i in range(counts.shape[0]):
-            if denom[i] > 0:
-                rows[i] = sm[i] / denom[i]
-            else:
-                rows[i] = 1.0 / width
-                empty.append(states[i])
+        denom = sm.sum(axis=1, keepdims=True)
+        seen = denom > 0
+        rows = np.divide(sm, denom, out=np.full_like(sm, 1.0 / width), where=seen)
+        empty = [states[i] for i in np.flatnonzero(~seen)]
         if empty:
             warnings.warn(
                 f"no {what} counts for state(s) {empty}; rows default to uniform",

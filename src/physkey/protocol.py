@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -111,13 +111,7 @@ class EntropyLedger:
     key_bits: int
 
     def to_dict(self) -> dict:
-        return {
-            "initial_bits": self.initial_bits,
-            "sketch_loss_bits": self.sketch_loss_bits,
-            "extractor_loss_bits": self.extractor_loss_bits,
-            "residual_bits": self.residual_bits,
-            "key_bits": self.key_bits,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ the same float ``ks_two_sample`` computes from the sorted samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -66,22 +66,7 @@ class AssumptionReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "markov_lag_profile": {
-                "lags": self.markov_lag_profile.lags,
-                "r": self.markov_lag_profile.r,
-                "significant": self.markov_lag_profile.significant,
-            },
-            "identical_distribution_rejection_rate":
-                self.identical_distribution_rejection_rate,
-            "stationary_transition_rejection_rate":
-                self.stationary_transition_rejection_rate,
-            "stationary_observation_rejection_rate":
-                self.stationary_observation_rejection_rate,
-            "stable_entropy": self.stable_entropy.to_dict(),
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def pearson_significance(x, y, alpha: float = 0.05):

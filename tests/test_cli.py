@@ -359,9 +359,13 @@ class TestSeededOutputs:
             "438f12144e8450fbd06ec829ac92938302833681da02875e2ec3802cce706774"),
         "ingest --eve-filter": (
             ["--eve-filter"], "5a8a805646dc7e5d2a91e46b14fee517bfe6e71818b44945a29fc3897996f7d3"),
+        "extract-key": (
+            ["--l", "16", "--lambda", "2", "--c", "0.05", "--seed", "21"],
+            "e4c5ac26d53216a7afb68aa62a2b61fec8ae5e1e7c40ac6fb118d128cb0ebaeb"),
     }
     ROLES = {"estimate-entropy": ("alice", "eve"), "fit-growth": ("alice", "bob", "eve"),
-             "validate-assumptions": ("alice", "eve"), "ingest": ("alice", "bob", "eve")}
+             "validate-assumptions": ("alice", "eve"), "ingest": ("alice", "bob", "eve"),
+             "extract-key": ("alice", "bob")}
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_analysis_golden(self, run_dir, capsys, name):
@@ -372,3 +376,15 @@ class TestSeededOutputs:
         code, out = invoke(capsys, command, *traces, *extra)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_plan_on_fitted_growth(self, run_dir, capsys):
+        traces = [a for role in self.ROLES["fit-growth"]
+                  for a in (f"--{role}", run_dir / f"{role}.csv")]
+        code, fits = invoke(capsys, "fit-growth", *traces, *self.COMMANDS["fit-growth"][0])
+        assert code == 0
+        (run_dir / "fits.json").write_text(fits)
+        code, out = invoke(capsys, "plan", "--l", "128", "--lambda", "80", "--c", "1",
+                           "--fits", run_dir / "fits.json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "18f3a8eec68c05bf351b792914c09ec328e07f882ebafb9bd9140bc1f3547115"

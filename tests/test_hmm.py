@@ -163,6 +163,27 @@ class TestConditionalEntropy:
             obs = ObservationSequence(rng.integers(0, 2, size=int(rng.integers(1, 9))))
             assert conditional_min_entropy_given_obs(model, obs) >= 0.0
 
+    def test_impossible_sequence_names_its_step(self):
+        # no state emits symbol 2, which first appears at step 1
+        model = HmmModel(states=(0, 1), symbols=(0, 1, 2), pi=[0.3, 0.7],
+                         trans=[[0.6, 0.4], [0.2, 0.8]],
+                         emit=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ImpossibleObservationError,
+                           match="impossible observation sequence: zero probability at step 1"
+                           ) as info:
+            conditional_min_entropy_given_obs(model, ObservationSequence([0, 2, 1]))
+        assert info.value.row == 0
+
+    def test_equals_batch_row(self, rng):
+        # a matrix product over more rows may sum in another order
+        for _ in range(20):
+            model = random_model(rng, 3, 4)
+            obs = rng.integers(0, 4, size=(5, int(rng.integers(1, 30))))
+            batch = entropy_profile_batch(model, obs, [obs.shape[1]])[:, 0]
+            for row, want in zip(obs, batch):
+                got = conditional_min_entropy_given_obs(model, ObservationSequence(row))
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
 
 class TestExactAverage:
     def test_deterministic_emissions(self):

@@ -21,6 +21,8 @@ from .errors import PhyskeyError
 from .quantize import BITS_PER_SAMPLE
 from .traces import TraceFile, ingest_traces, trace_to_file
 
+LEVELS = BITS_PER_SAMPLE + 1  # default level count: magnitudes 0..BITS_PER_SAMPLE
+
 
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, sort_keys=True)
@@ -86,7 +88,7 @@ def _load_config(path: str) -> channel.ChannelConfig:
             return channel.ChannelConfig.from_dict(doc)
         cal = doc["calibrate"]
         rates = float(cal["entropy_rate"]), float(cal["word_error_rate"])
-        levels = hmm.json_int(cal.get("levels", 9))
+        levels = hmm.json_int(cal.get("levels", LEVELS))
         seed = hmm.json_int(cal.get("seed", 2026))
     return channel.calibrate_to_reference_rates(*rates, levels=levels, seed=seed)
 
@@ -131,16 +133,10 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _aligned_pair(alice_path: str, eve_path: str, magnitude: int):
-    # ingest_traces aligns the 'alice' and 'bob' slots, so Eve's trace takes
-    # the 'bob' slot, under which the report counts her dropped samples
-    aligned, report = _load_aligned({"alice": alice_path, "bob": eve_path},
-                                    magnitude=magnitude)
-    return aligned["alice"], aligned["bob"], report
-
-
 def _cmd_estimate_entropy(args) -> int:
-    alice, eve, report = _aligned_pair(args.alice, args.eve, args.levels - 1)
+    aligned, report = _load_aligned({"alice": args.alice, "eve": args.eve},
+                                    eve_filter=True, magnitude=args.levels - 1)
+    alice, eve = aligned["alice"], aligned["eve"]
     model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,
                                     smoothing=args.smoothing)
     experiments = hmm.slice_experiments(model, eve.levels, args.slice)
@@ -186,11 +182,11 @@ def _cmd_fit_growth(args) -> int:
 
 
 def _cmd_validate_assumptions(args) -> int:
-    magnitude = args.levels - 1 if args.levels else BITS_PER_SAMPLE
-    alice, eve, report = _aligned_pair(args.alice, args.eve, magnitude)
+    aligned, report = _load_aligned({"alice": args.alice, "eve": args.eve},
+                                    eve_filter=True, magnitude=args.levels - 1)
     result = stats.validate_assumptions(
-        alice, eve, alpha=args.alpha, trials=args.trials, slice_len=args.slice,
-        max_lag=args.max_lag, levels=args.levels or None, seed=args.seed)
+        aligned["alice"], aligned["eve"], alpha=args.alpha, trials=args.trials,
+        slice_len=args.slice, max_lag=args.max_lag, levels=args.levels, seed=args.seed)
     if args.lag_csv:
         Path(args.lag_csv).write_text(result.markov_lag_profile.to_csv())
     doc = result.to_dict()
@@ -223,8 +219,6 @@ def _cmd_extract_key(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = json.loads(Path(args.input).read_text())
-
     def render(d, indent=0):
         for key in sorted(d):
             value = d[key]
@@ -236,7 +230,8 @@ def _cmd_report(args) -> int:
             else:
                 print(" " * indent + f"{key}: {value}")
 
-    render(doc)
+    with _json_object(args.input) as doc:
+        render(doc)
     return 0
 
 
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-entropy", help="conditional min-entropy of alice given eve")
     p.add_argument("--alice", required=True)
     p.add_argument("--eve", required=True)
-    p.add_argument("--levels", type=int, default=32)
+    p.add_argument("--levels", type=int, default=LEVELS)
     p.add_argument("--slice", type=int, default=hmm.SLICE_LEN)
     p.add_argument("--smoothing", type=float, default=0.0)
     p.set_defaults(func=_cmd_estimate_entropy)
@@ -276,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alice", required=True)
     p.add_argument("--bob", required=True)
     p.add_argument("--eve", required=True)
-    p.add_argument("--levels", type=int, default=9)
+    p.add_argument("--levels", type=int, default=LEVELS)
     p.add_argument("--slice-samples", type=int, default=200)
     p.add_argument("--step", type=int, default=10)
     p.add_argument("--smoothing", type=float, default=0.0)
@@ -290,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--slice", type=int, default=hmm.SLICE_LEN)
     p.add_argument("--max-lag", type=int, default=6)
-    p.add_argument("--levels", type=int)
+    p.add_argument("--levels", type=int, default=LEVELS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lag-csv")
     p.set_defaults(func=_cmd_validate_assumptions)
@@ -325,6 +320,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "levels", LEVELS) < 2:
+            raise PhyskeyError(f"--levels must be at least 2, got {args.levels}")
         return args.func(args)
     except (PhyskeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,9 +43,9 @@ SLICE_LEN = 100  # samples per entropy experiment in the reference deployment
 
 
 def json_int(value) -> int:
-    """int() of a count read from JSON, where true and false are not counts."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value}")
+    """An integer read from JSON: true, false, strings and fractions are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 
 
@@ -102,7 +102,8 @@ class HmmModel:
         for name in ("states", "symbols"):
             if not isinstance(d[name], list):
                 raise TypeError(f"expected a list, got {type(d[name]).__name__}")
-        model = cls(states=tuple(d["states"]), symbols=tuple(d["symbols"]),
+        model = cls(states=tuple(map(json_int, d["states"])),
+                    symbols=tuple(map(json_int, d["symbols"])),
                     pi=np.array(d["pi"], float), trans=np.array(d["trans"], float),
                     emit=np.array(d["emit"], float))
         if "k" in d and json_int(d["k"]) != model.k:

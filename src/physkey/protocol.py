@@ -131,6 +131,9 @@ class Transcript:
         try:
             bits = BitString.from_hex(raw[cut:].decode("ascii"))
             seed = ExtractorSeed(bits, t=len(bits) + 1 - l, l=l)
+            if seed.t != sketch.n_bits:
+                raise ValueError(f"seed takes a {seed.t}-bit input, "
+                                 f"the sketch covers {sketch.n_bits} bits")
         except ValueError as exc:
             raise SketchFormatError(
                 f"transcript seed field at byte {cut}: {exc}") from None

@@ -165,24 +165,25 @@ def ingest_traces(traces: dict, eve_filter: bool = False,
                   magnitude: int = BITS_PER_SAMPLE):
     """Align traces on shared sequence numbers and clamp levels into [-magnitude, 0].
 
-    ``traces`` maps role -> MeasurementTrace and must contain 'alice' and
-    'bob'; remaining entries are eavesdroppers.  With ``eve_filter`` the
-    first eavesdropper also constrains the intersection, dropping samples
-    Eve missed.  ``magnitude`` must be at least 1.
+    ``traces`` maps role -> MeasurementTrace; every role other than 'alice'
+    and 'bob' is an eavesdropper.  Only the sequence numbers seen by Alice,
+    by Bob when given and, with ``eve_filter``, by every eavesdropper are
+    kept, which takes 'alice' and, with ``eve_filter``, an eavesdropper,
+    else 'bob'.  ``magnitude`` must be at least 1.
 
-    Returns (aligned role->trace dict, report dict with drop/clamp counts).
+    Returns (aligned role->trace dict, report dict with drop/clamp counts and
+    ``eve_ids``, the eavesdroppers that constrained the intersection).
     """
-    if "alice" not in traces or "bob" not in traces:
-        raise PhyskeyError("ingestion requires 'alice' and 'bob' traces")
+    required = [role for role in traces if eve_filter or role in ("alice", "bob")]
+    eve_ids = [role for role in required if role not in ("alice", "bob")]
+    if "alice" not in traces or not (eve_ids if eve_filter else "bob" in traces):
+        raise PhyskeyError("ingestion requires 'alice' and, under eve_filter, "
+                           "an eavesdropper trace, else 'bob'")
     if magnitude < 1:
         raise PhyskeyError(f"magnitude must be at least 1 (2 levels), got {magnitude}")
-    eve_ids = [k for k in traces if k not in ("alice", "bob")]
-    if eve_filter and not eve_ids:
-        raise PhyskeyError("eve_filter requires an eavesdropper trace")
-    eve_id = eve_ids[0] if eve_filter else None
-    required = ["alice", "bob", eve_id] if eve_filter else ["alice", "bob"]
 
     # sequence numbers are strictly increasing, so each trace's are unique
+    # and every required trace keeps all of the intersection
     kept = traces[required[0]].seqs
     for role in required[1:]:
         kept = np.intersect1d(kept, traces[role].seqs, assume_unique=True)
@@ -194,17 +195,11 @@ def ingest_traces(traces: dict, eve_filter: bool = False,
     clamped = 0
     for role, trace in traces.items():
         mask = np.isin(trace.seqs, kept)
-        seqs = trace.seqs[mask]
         levels = trace.levels[mask]
-        dropped[role] = len(trace) - seqs.size
-        if role in required:
-            if seqs.size != kept.size:
-                raise PhyskeyError(f"required trace {role!r} lost samples during alignment")
-        lo, hi = -magnitude, 0
-        out_of_range = np.count_nonzero((levels < lo) | (levels > hi))
-        clamped += int(out_of_range)
-        levels = np.clip(levels, lo, hi)
-        aligned[role] = MeasurementTrace(seqs, levels, trace.node_id, trace.frame_type)
+        dropped[role] = len(trace) - levels.size
+        clamped += int(np.count_nonzero((levels < -magnitude) | (levels > 0)))
+        aligned[role] = MeasurementTrace(trace.seqs[mask], np.clip(levels, -magnitude, 0),
+                                         trace.node_id, trace.frame_type)
 
     report = {
         "kept": int(kept.size),
@@ -212,6 +207,6 @@ def ingest_traces(traces: dict, eve_filter: bool = False,
         "clamped": clamped,
         "magnitude": magnitude,
         "eve_filter": bool(eve_filter),
-        "eve_id": eve_id,
+        "eve_ids": eve_ids,
     }
     return aligned, report

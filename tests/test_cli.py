@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from physkey.channel import ChannelConfig, family_config, simulate_run
 from physkey.cli import _load_config, main
 from physkey.errors import PhyskeyError
-from physkey.traces import trace_to_file
+from physkey.traces import MeasurementTrace, TraceFile, trace_to_file
 
 
 @pytest.fixture()
@@ -21,6 +21,16 @@ def run_dir(tmp_path):
         trace_to_file(trace).save(tmp_path / f"{trace.node_id}.csv")
     (tmp_path / "ch.json").write_text(json.dumps(cfg.to_dict()))
     return tmp_path
+
+
+def save_without(run_dir, role, seqs, name):
+    """Save run_dir's trace of role, less the samples at seqs, as name.csv."""
+    trace = TraceFile.load(run_dir / f"{role}.csv").trace(role)
+    keep = ~np.isin(trace.seqs, list(seqs))
+    path = run_dir / f"{name}.csv"
+    trace_to_file(MeasurementTrace(trace.seqs[keep], trace.levels[keep], role,
+                                   trace.frame_type)).save(path)
+    return path
 
 
 def invoke(capsys, *args):
@@ -56,6 +66,18 @@ class TestIngest:
         doc = json.loads(out)
         assert doc["kept"] == 4000
         assert (run_dir / "aligned" / "alice.csv").exists()
+
+    def test_eve_filter_drops_what_any_eve_missed(self, run_dir, capsys):
+        eves = [save_without(run_dir, "eve", range(10, 15), "eve_a"),   # has 15..19
+                save_without(run_dir, "eve", range(12, 20), "eve_b")]   # has 10, 11
+        code, out = invoke(capsys, "ingest", "--alice", run_dir / "alice.csv",
+                           "--bob", run_dir / "bob.csv", "--eve", eves[0], "--eve", eves[1],
+                           "--eve-filter")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kept"] == 4000 - 10
+        assert doc["dropped"] == {"alice": 10, "bob": 10, "eve0": 5, "eve1": 2}
+        assert doc["eve_ids"] == ["eve0", "eve1"]
 
     def test_domain_error_exit_1(self, tmp_path, capsys):
         (tmp_path / "a.csv").write_text("seq,node_id,frame_type,rssi\n1,alice,PING,-3\n")
@@ -93,6 +115,19 @@ class TestEstimateEntropy:
         assert 0 < est["mean_bits"] < 100 * np.log2(9)
 
 
+@pytest.mark.parametrize("command", ["estimate-entropy", "validate-assumptions"])
+def test_eve_view_reported_as_eve(run_dir, capsys, command):
+    # Alice missed 10..14, which Eve saw; Eve missed 100..102, which Alice saw
+    alice = save_without(run_dir, "alice", range(10, 15), "alice_gaps")
+    eve = save_without(run_dir, "eve", range(100, 103), "eve_gaps")
+    code, out = invoke(capsys, command, "--alice", alice, "--eve", eve)
+    assert code == 0
+    ingest = json.loads(out)["ingest"]
+    assert ingest["kept"] == 4000 - 8
+    assert ingest["dropped"] == {"alice": 3, "eve": 5}
+    assert ingest["eve_filter"] is True and ingest["eve_ids"] == ["eve"]
+
+
 class TestFitGrowth:
     def test_fits_and_series(self, run_dir, capsys):
         code, out = invoke(capsys, "fit-growth",
@@ -122,6 +157,9 @@ class TestFitGrowth:
     ("validate-assumptions", ["--trials", "0"], "trials must be at least 1"),
     ("validate-assumptions", ["--max-lag", "0"], "max_lag must be at least 1"),
     ("validate-assumptions", ["--max-lag", "-2"], "max_lag must be at least 1"),
+    *[(command, ["--levels", levels], "--levels must be at least 2")
+      for command in ("estimate-entropy", "fit-growth", "validate-assumptions")
+      for levels in ("0", "1")],
 ])
 def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
     traces = {"alice": run_dir / "alice.csv", "eve": run_dir / "eve.csv"}
@@ -179,6 +217,12 @@ def config_with(path, value):
     ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
                                             "levels": True}},
      "field 'calibrate.levels' has the wrong type"),
+    ("simulate", "--config", config_with(("model", "states"), [0.5, 1.5, 2.5]),
+     "field 'model.states' has the wrong type: expected an integer, got 0.5"),
+    ("simulate", "--config", config_with(("model", "symbols"), [-2, -1, 0.7]),
+     "field 'model.symbols' has the wrong type: expected an integer, got 0.7"),
+    ("simulate", "--config", config_with(("model", "states"), ["-2", "-1", "0"]),
+     "field 'model.states' has the wrong type"),
 ])
 def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, reason):
     path = tmp_path / "doc.json"
@@ -341,6 +385,20 @@ class TestReport:
         assert "key_bits: 128" in out
         assert "[40 values]" in out
 
+    @pytest.mark.parametrize("text, reason", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('"abc"', "expected a JSON object, got str"),
+        ("5", "expected a JSON object, got int"),
+        ('{"success": tru', "Expecting value")])
+    def test_non_object_fails_closed(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        code = main(["report", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {path}: ") and reason in captured.err
+        assert captured.out == ""
+
 
 class TestSeededOutputs:
     """JSON stdout of the analysis commands on the run_dir traces, pinned to
@@ -349,16 +407,16 @@ class TestSeededOutputs:
 
     COMMANDS = {  # name: (argv after the trace flags, sha256 of stdout)
         "estimate-entropy": (["--levels", "9"],
-                             "ba006353a1836248bf03353ccec2caf41790ca94f92b73008141cb49ff8a1f28"),
+                             "bbe8b9d2360b87358369004f84d764e2dc790c3740944a0bb74cf8018aa27e89"),
         "fit-growth": (["--levels", "9", "--slice-samples", "200", "--step", "20"],
-                       "193608afea0f637f40aa24850fc89b02e3d5372b73478a4e3f1d55bb35648823"),
+                       "0b00e24fac995b6b901b7814a01afdaee4a7ad723a18896738a7842cf3fa6f82"),
         "validate-assumptions": (
-            [], "bad9666e8e59835bad3ffe7067cf1b01b93cf12150a6b7b94d59f6a838ed8738"),
+            [], "1de3163dd95f39843301530060644a58eefde5a91ce2387962f7b41c8436633d"),
         "validate-assumptions --trials 37 --seed 9": (
             ["--trials", "37", "--seed", "9"],
-            "438f12144e8450fbd06ec829ac92938302833681da02875e2ec3802cce706774"),
+            "afc25ae47997ac4f1187d570ac6638abb1d7f5187085be533cd4baa03aba0722"),
         "ingest --eve-filter": (
-            ["--eve-filter"], "5a8a805646dc7e5d2a91e46b14fee517bfe6e71818b44945a29fc3897996f7d3"),
+            ["--eve-filter"], "fade55bb10c9000444570da6c09c48c87958c5f7ba0ae66899bbfa2471ba4d4b"),
         "extract-key": (
             ["--l", "16", "--lambda", "2", "--c", "0.05", "--seed", "21"],
             "e4c5ac26d53216a7afb68aa62a2b61fec8ae5e1e7c40ac6fb118d128cb0ebaeb"),

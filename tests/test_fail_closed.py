@@ -20,7 +20,8 @@ FUZZ = settings(deadline=None, max_examples=150)
 
 _rng = np.random.default_rng(7)
 BCH_SKETCH = ss_sketch(BitString(_rng.integers(0, 2, size=600)), BchCode(10, 7)).to_bytes()
-SEED = BitString(_rng.integers(0, 2, size=40)).to_hex().encode("ascii")
+# the seed of a 16-bit key from the sketch's 600-bit string: t + l - 1 bits
+SEED = BitString(_rng.integers(0, 2, size=600 + 16 - 1)).to_hex().encode("ascii")
 
 
 @st.composite

@@ -1,17 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from physkey.coding import BchCode, BchSketch, RsCode
+from physkey.channel import simulate_run
+from physkey.coding import BchCode, BchSketch, RsCode, ss_sketch
 from physkey.errors import InfeasiblePlanError, PhyskeyError, SketchFormatError
-from physkey.extract import max_extractable_length
+from physkey.extract import max_extractable_length, random_seed
 from physkey.hmm import LinearFit
 from physkey.protocol import (REFERENCE_ENTROPY_FIT, REFERENCE_ERROR_FIT,
                               ProtocolParams, Transcript, bob_respond,
                               correctness_bound, entropy_ledger, plan_parameters,
                               run_exchange, alice_messages)
+from physkey.quantize import BitString
 from physkey.traces import make_trace
 
 
@@ -121,6 +124,32 @@ class TestPlanner:
     def test_no_code_beyond_largest_field(self):
         with pytest.raises(InfeasiblePlanError, match="no code"):
             plan_parameters(l=128, lambda_=80, c=1, n=2 ** 17)
+
+
+class TestPlannerAgainstExchanges:
+    """The planner's exact success figure is not optimistic: 200 seeded
+    exchanges on the calibrated channel succeed at least as often as the
+    0.1% lower binomial quantile of ``predicted_success_exact``.
+
+    One-sided on purpose: the calibrated channel errs at 16q/9 ~ 0.0417 per
+    word, below the reference fit's 0.043, so exchanges tend to succeed more
+    often than predicted, and an upper bound would test the fit, not the
+    planner."""
+
+    TRIALS = 200
+
+    # (l, lambda, c, n): two planned sample counts, and the reference
+    # point's key at 400 samples instead of its planned 2325
+    @pytest.mark.parametrize("l, lambda_, c, n", [(64, 40, 0.2, None), (16, 2, 0.05, None),
+                                                  (128, 80, 1, 400)])
+    def test_successes_reach_prediction(self, calibrated_config, l, lambda_, c, n):
+        params = plan_parameters(l=l, lambda_=lambda_, c=c, n=n)
+        successes = 0
+        for i in range(self.TRIALS):
+            run = simulate_run(replace(calibrated_config, n=params.n, seed=40_000 + i))
+            successes += run_exchange(run.alice, run.bob, params, seed=70_000 + i).success
+        predicted = params.report["predicted_success_exact"]
+        assert successes >= binom.ppf(0.001, self.TRIALS, predicted), (successes, predicted)
 
 
 class TestCorrectnessBound:
@@ -301,6 +330,13 @@ class TestPooledExchange:
 
 
 class TestTranscript:
+    def test_seed_for_another_length_fails_closed(self, rng):
+        # a 1600-bit sketch and a seed for a 100-bit input (115 bits at l = 16)
+        sketch = ss_sketch(BitString(rng.integers(0, 2, size=1600)), BchCode(11, 10))
+        seed = random_seed(rng, t=100, l=16)
+        with pytest.raises(SketchFormatError, match="transcript seed field.*100-bit input"):
+            Transcript.from_bytes(sketch.to_bytes() + seed.to_hex().encode("ascii"), l=16)
+
     def test_pooled_bytes_round_trip(self, rng):
         params = plan_parameters(l=24, lambda_=2, c=0.05, n=100)
         levels = rng.integers(-8, 1, size=100)

@@ -86,6 +86,7 @@ class TestIngest:
     def test_intersection(self):
         aligned, report = ingest_traces(self.trio(), eve_filter=True)
         assert report["kept"] == 1
+        assert report["eve_ids"] == ["eve"]
         assert np.array_equal(aligned["alice"].seqs, [2])
         assert np.array_equal(aligned["bob"].seqs, [2])
         assert np.array_equal(aligned["eve"].seqs, [2])
@@ -93,6 +94,7 @@ class TestIngest:
     def test_without_eve_filter(self):
         aligned, report = ingest_traces(self.trio(), eve_filter=False)
         assert report["kept"] == 2  # alice {0,1,2} & bob {1,2,3}
+        assert report["eve_ids"] == []
         assert np.array_equal(aligned["alice"].seqs, [1, 2])
         assert len(aligned["eve"]) == 1  # eve keeps what it saw of the kept set
 
@@ -113,6 +115,27 @@ class TestIngest:
     def test_requires_alice_and_bob(self):
         with pytest.raises(PhyskeyError, match="requires"):
             ingest_traces({"alice": make_trace([0], "alice")})
+        # without the filter an eavesdropper constrains nothing
+        with pytest.raises(PhyskeyError, match="requires"):
+            ingest_traces({"alice": make_trace([0], "alice"), "eve": make_trace([0], "eve")})
+
+    def test_eve_filter_aligns_without_bob(self):
+        traces = {"alice": make_trace([-1, -2, -3], "alice"),                 # seqs 0,1,2
+                  "eve": MeasurementTrace(np.array([1, 2, 5]), np.array([-4, -5, -6]), "eve")}
+        aligned, report = ingest_traces(traces, eve_filter=True)
+        assert np.array_equal(aligned["alice"].seqs, [1, 2])
+        assert np.array_equal(aligned["eve"].levels, [-4, -5])
+        assert report["dropped"] == {"alice": 1, "eve": 1}
+        assert report["eve_ids"] == ["eve"]
+
+    def test_eve_filter_applies_every_eavesdropper(self):
+        traces = {**self.trio(),
+                  "eve2": MeasurementTrace(np.array([1, 2]), np.array([-1, -1]), "eve2")}
+        traces["eve"] = MeasurementTrace(np.array([1, 3]), np.array([-5, -5]), "eve")
+        aligned, report = ingest_traces(traces, eve_filter=True)
+        assert report["kept"] == 1  # alice {0,1,2} & bob {1,2,3} & eve {1,3} & eve2 {1,2}
+        assert all(np.array_equal(t.seqs, [1]) for t in aligned.values())
+        assert report["eve_ids"] == ["eve", "eve2"]
 
     def test_order_insensitive(self):
         t = self.trio()

@@ -14,10 +14,10 @@ from .coding import BchCode, BchSketch, GfTables, RsCode, Sketch, bch_decode, \
 from .errors import CalibrationError, ImpossibleObservationError, InfeasiblePlanError, \
     PhyskeyError, SketchFormatError, UncorrectableBlockError
 from .extract import ExtractorSeed, extract, max_extractable_length, random_seed
-from .hmm import EntropyEstimate, HmmModel, LinearFit, ObservationSequence, StatePath, \
-    conditional_min_entropy_given_obs, estimate_avg_conditional_min_entropy, \
-    exact_avg_conditional_min_entropy, fit_hmm_from_traces, fit_linear_growth, \
-    forward_likelihood, obs_from_values, validate_model, viterbi_max_joint
+from .hmm import EntropyEstimate, HmmModel, LinearFit, conditional_min_entropy_given_obs, \
+    estimate_avg_conditional_min_entropy, exact_avg_conditional_min_entropy, \
+    fit_hmm_from_traces, fit_linear_growth, forward_likelihood, obs_from_values, \
+    validate_model, viterbi_max_joint
 from .protocol import EntropyLedger, KeyResult, ProtocolParams, Transcript, \
     REFERENCE_ENTROPY_FIT, REFERENCE_ERROR_FIT, correctness_bound, entropy_ledger, \
     plan_parameters, run_exchange

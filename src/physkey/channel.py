@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CalibrationError, ImpossibleObservationError
 from .hmm import SLICE_LEN, HmmModel, estimate_avg_conditional_min_entropy, \
-    json_int, level_states, slice_experiments, validate_model
+    json_float, json_int, level_states, slice_experiments, validate_model
 from .quantize import BITS_PER_SAMPLE
 from .traces import MeasurementTrace, make_trace
 
@@ -78,7 +78,9 @@ class ChannelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelConfig":
         return cls(model=HmmModel.from_dict(d["model"]),
-                   bob_error={int(k): float(v) for k, v in d["bob_error"].items()},
+                   # a non-finite probability fails the sum check, which names it
+                   bob_error={int(k): json_float(v, finite=False)
+                              for k, v in d["bob_error"].items()},
                    n=json_int(d["n"]), seed=json_int(d.get("seed", 0)),
                    calibration=dict(d.get("calibration", {})))
 

@@ -87,7 +87,7 @@ def _load_config(path: str) -> channel.ChannelConfig:
         if "calibrate" not in doc:
             return channel.ChannelConfig.from_dict(doc)
         cal = doc["calibrate"]
-        rates = float(cal["entropy_rate"]), float(cal["word_error_rate"])
+        rates = hmm.json_float(cal["entropy_rate"]), hmm.json_float(cal["word_error_rate"])
         levels = hmm.json_int(cal.get("levels", LEVELS))
         seed = hmm.json_int(cal.get("seed", 2026))
     return channel.calibrate_to_reference_rates(*rates, levels=levels, seed=seed)
@@ -140,7 +140,7 @@ def _cmd_estimate_entropy(args) -> int:
     model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,
                                     smoothing=args.smoothing)
     experiments = hmm.slice_experiments(model, eve.levels, args.slice)
-    if not experiments:
+    if not experiments.size:
         raise PhyskeyError(f"need at least {args.slice} aligned samples")
     est = hmm.estimate_avg_conditional_min_entropy(model, experiments)
     _emit({"estimate": est.to_dict(), "levels": args.levels,
@@ -163,8 +163,7 @@ def _cmd_fit_growth(args) -> int:
     experiments = hmm.slice_experiments(model, eve.levels, slice_len)
     n_slices = len(experiments)
     checkpoints = list(range(args.step, slice_len + 1, args.step))
-    entropy = hmm.entropy_profile_batch(
-        model, np.stack([e.symbols for e in experiments]), checkpoints)
+    entropy = hmm.entropy_profile_batch(model, experiments, checkpoints)
     kept = n_slices * slice_len
     mismatch = (alice.levels[:kept] != bob.levels[:kept]).reshape(n_slices, slice_len)
     errors = np.cumsum(mismatch, axis=1)[:, np.array(checkpoints) - 1]

@@ -18,10 +18,12 @@ lengths.  Its Viterbi scores are state-major, one (k, r) array, so the max
 over predecessors reduces the leading axis of a (k, k, r) array of
 candidates, elementwise over contiguous (k, r) slabs; the forward
 recursion keeps its (r, k) rows for one matrix product per step.  The
-single-sequence functions (viterbi_max_joint, which also keeps the argmax
-path, and forward_likelihood), the growth profiles, the sampled estimator
-and the exact enumeration all call it.  The per-sequence conditional
-min-entropy is a one-row batch of the growth profile.
+single-sequence functions (viterbi_max_joint and forward_likelihood), the
+growth profiles, the sampled estimator and the exact enumeration all call
+it.  Observations are int64 arrays of alphabet indices throughout: one
+sequence is a 1-d array, a set of equal-length experiments an
+(experiments, n) matrix.  The per-sequence conditional min-entropy is a
+one-row batch of the growth profile.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ def json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def json_float(value, finite: bool = True) -> float:
+    """A number read from JSON: true, false and strings are not, nor are
+    NaN and the infinities unless ``finite`` is false."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            finite and not math.isfinite(value)):
+        raise TypeError(f"expected a {'finite ' if finite else ''}number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -79,12 +90,6 @@ class HmmModel:
     @property
     def m(self) -> int:
         return len(self.symbols)
-
-    def symbol_index(self, value: int) -> int:
-        try:
-            return self.symbols.index(value)
-        except ValueError:
-            raise ValueError(f"symbol {value} is not in the model alphabet") from None
 
     def to_dict(self) -> dict:
         return {
@@ -152,22 +157,6 @@ def validate_model(model: HmmModel) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ObservationSequence:
-    """Indices into the model's symbol alphabet."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.symbols, dtype=np.int64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("observation sequence must be a non-empty 1-d array")
-        object.__setattr__(self, "symbols", arr)
-
-    def __len__(self) -> int:
-        return int(self.symbols.size)
-
-
 @functools.lru_cache(maxsize=64)
 def _alphabet_lookup(symbols: tuple):
     # the alphabet sorted (stably, so a repeated symbol ends on its last
@@ -178,8 +167,9 @@ def _alphabet_lookup(symbols: tuple):
     return values[lead], lead
 
 
-def obs_from_values(model: HmmModel, values: Iterable[int]) -> ObservationSequence:
-    """Map raw symbol values (e.g. an eavesdropper trace) to alphabet indices.
+def obs_from_values(model: HmmModel, values: Iterable[int]) -> np.ndarray:
+    """Map raw symbol values (e.g. an eavesdropper trace) to a 1-d int64
+    array of alphabet indices.
 
     Raises ValueError naming the first value that is not in the alphabet.
     """
@@ -193,38 +183,23 @@ def obs_from_values(model: HmmModel, values: Iterable[int]) -> ObservationSequen
     if missing.any():
         raise ValueError(
             f"symbol {int(vals[np.argmax(missing)])} is not in the model alphabet")
-    return ObservationSequence(index[slot])
+    return index[slot]
 
 
 def slice_experiments(model: HmmModel, levels: Sequence[int],
-                      slice_len: int) -> list:
-    """Cut a trace into whole slice_len-sample experiments of alphabet indices.
+                      slice_len: int) -> np.ndarray:
+    """Cut a trace into whole slice_len-sample experiments of alphabet
+    indices: an (experiments, slice_len) int64 matrix, one row each.
 
     The tail shorter than slice_len is dropped before mapping, so a value
     outside the alphabet there is ignored; fewer than slice_len samples give
-    no experiments.
+    a matrix with no rows.
     """
     if slice_len < 1:
         raise ValueError(f"slice length must be at least 1, got {slice_len}")
     levels = np.asarray(levels)
     n_slices = levels.size // slice_len
-    if n_slices == 0:
-        return []
-    symbols = obs_from_values(model, levels[:n_slices * slice_len]).symbols
-    return [ObservationSequence(row) for row in symbols.reshape(n_slices, slice_len)]
-
-
-@dataclass(frozen=True)
-class StatePath:
-    """Indices into the model's state set."""
-
-    states: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return int(self.states.size)
+    return obs_from_values(model, levels[:n_slices * slice_len]).reshape(n_slices, slice_len)
 
 
 @dataclass(frozen=True)
@@ -257,25 +232,25 @@ class LinearFit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearFit":
-        return cls(float(d["slope"]), float(d["intercept"]),
-                   float(d.get("residual_sum_squares", 0.0)))
+        return cls(json_float(d["slope"]), json_float(d["intercept"]),
+                   json_float(d.get("residual_sum_squares", 0.0)))
 
 
-def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[int],
-                keep_path: bool = False):
+def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[int]):
     """Viterbi and scaled forward recursions over every row of an (r, n) matrix.
 
     delta_1(i) = pi_i b_i(y_1);  delta_{t+1}(j) = max_i[delta_t(i) a_ij] b_j(y_{t+1}),
     kept in log2; alpha is the same recursion with a sum for the max, rescaled
     to sum 1 after each step so long sequences (n >= 1e4) do not underflow.
     ``checkpoints`` are sorted prefix lengths in [1, n].  Returns log2 P* and
-    log2 P of each row's prefix at each checkpoint (two (r, c) arrays), the
-    step at which each row's probability vanished (-1 if it never did; log2 P
-    is -inf from there on) and, with ``keep_path``, each row's argmax path as
-    an (r, n) array, ties broken toward the lowest state.  An impossible row
-    does not raise: exact enumeration sums over such rows.  ``delta`` is
-    state-major, (k, r), with cand[i, j, row] = delta[i, row] + log2 a_ij.
+    log2 P of each row's prefix at each checkpoint (two (r, c) arrays) and
+    the step at which each row's probability vanished (-1 if it never did;
+    log2 P is -inf from there on).  An impossible row does not raise: exact
+    enumeration sums over such rows.  ``delta`` is state-major, (k, r), with
+    cand[i, j, row] = delta[i, row] + log2 a_ij.
     """
+    if obs_matrix.ndim != 2 or obs_matrix.size < 1:
+        raise ValueError("observations must be a non-empty 2-d matrix of symbol indices")
     if obs_matrix.min() < 0 or obs_matrix.max() >= model.m:
         raise ValueError(f"observation index out of range [0, {model.m})")
     with np.errstate(divide="ignore"):
@@ -284,7 +259,6 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
     log_star = np.zeros((r, len(checkpoints)))
     log_p = np.zeros((r, len(checkpoints)))
     vanished = np.full(r, -1)
-    back = []
     pos = 0
     log_fwd = np.zeros(r)
     for t in range(n):
@@ -293,8 +267,6 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
             alpha = model.pi[None, :] * model.emit[:, obs_matrix[:, 0]].T
         else:
             cand = delta[:, None, :] + log_a[:, :, None]             # cand[i, j, row]
-            if keep_path:
-                back.append(cand.argmax(axis=0))                     # first max
             delta = cand.max(axis=0) + log_b[:, obs_matrix[:, t]]
             alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
         scale = alpha.sum(axis=1)
@@ -309,44 +281,40 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
             log_star[:, pos] = delta.max(axis=0)
             log_p[:, pos] = log_fwd
             pos += 1
-    if not keep_path:
-        return log_star, log_p, vanished, None
-    paths = np.zeros((r, n), dtype=np.int64)
-    paths[:, -1] = delta.argmax(axis=0)
-    for t in range(n - 1, 0, -1):
-        paths[:, t - 1] = back[t - 1][paths[:, t], np.arange(r)]
-    return log_star, log_p, vanished, paths
+    return log_star, log_p, vanished
 
 
-def viterbi_max_joint(model: HmmModel, obs: ObservationSequence):
-    """Max joint probability over hidden paths, in log2, plus one argmax path.
+def _row(obs: np.ndarray):
+    """A 1-d index sequence as the kernel's one-row matrix, and its length
+    as the one checkpoint."""
+    row = np.asarray(obs, dtype=np.int64)[None, ...]
+    return row, [row.shape[-1]]
 
-    P* = max_x Pr[X = x, Y = obs]; runs in the log domain and breaks ties
-    toward the lowest state index.
-    """
-    log_star, _, _, paths = _recursions(model, obs.symbols[None, :], [len(obs)],
-                                        keep_path=True)
+
+def viterbi_max_joint(model: HmmModel, obs: np.ndarray) -> float:
+    """Max joint probability P* = max_x Pr[X = x, Y = obs] over hidden paths, in log2."""
+    log_star, _, _ = _recursions(model, *_row(obs))
     if log_star[0, 0] == -np.inf:
         raise ImpossibleObservationError(
             "impossible observation sequence: all path probabilities vanish")
-    return float(log_star[0, 0]), StatePath(paths[0])
+    return float(log_star[0, 0])
 
 
-def forward_likelihood(model: HmmModel, obs: ObservationSequence) -> float:
+def forward_likelihood(model: HmmModel, obs: np.ndarray) -> float:
     """Total observation probability Pr[Y = obs] in log2."""
-    _, log_p, vanished, _ = _recursions(model, obs.symbols[None, :], [len(obs)])
+    _, log_p, vanished = _recursions(model, *_row(obs))
     if vanished[0] >= 0:
         raise ImpossibleObservationError(
             f"impossible observation sequence: zero probability at step {vanished[0]}")
     return float(log_p[0, 0])
 
 
-def conditional_min_entropy_given_obs(model: HmmModel, obs: ObservationSequence) -> float:
+def conditional_min_entropy_given_obs(model: HmmModel, obs: np.ndarray) -> float:
     """-log2(P*/P) for one observation sequence; non-negative since P* <= P.
 
     The one-row case of ``entropy_profile_batch``, whose error an impossible
     sequence raises (with ``row == 0``)."""
-    return float(entropy_profile_batch(model, obs.symbols[None, :], [len(obs)])[0, 0])
+    return float(entropy_profile_batch(model, *_row(obs))[0, 0])
 
 
 def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
@@ -359,14 +327,14 @@ def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
     ImpossibleObservationError carrying its index as ``row``.
     """
     checkpoints = sorted(checkpoints)
-    n = obs_matrix.shape[1]
+    n = obs_matrix.shape[-1]
     if not checkpoints:
         raise ValueError(f"need at least one checkpoint in [1, {n}]")
     if checkpoints[-1] > n:
         raise ValueError("checkpoint beyond sequence length")
     if checkpoints[0] < 1 or len(set(checkpoints)) < len(checkpoints):
         raise ValueError("duplicate or unreachable checkpoints")
-    log_star, log_p, vanished, _ = _recursions(model, obs_matrix, checkpoints)
+    log_star, log_p, vanished = _recursions(model, obs_matrix, checkpoints)
     if vanished.max() >= 0:
         t = vanished[vanished >= 0].min()
         raise ImpossibleObservationError(
@@ -403,22 +371,17 @@ def exact_avg_conditional_min_entropy(model: HmmModel, n: int) -> float:
     return float(max(0.0, -(top + math.log2(s))))
 
 
-def estimate_avg_conditional_min_entropy(
-        model: HmmModel, experiments: Sequence[ObservationSequence]) -> EntropyEstimate:
-    """Average of per-experiment -log2(P*_j / P_j) with sample spread.
+def estimate_avg_conditional_min_entropy(model: HmmModel,
+                                         experiments: np.ndarray) -> EntropyEstimate:
+    """Average of per-experiment -log2(P*_j / P_j) with sample spread, over
+    the rows of an (experiments, n) matrix of alphabet indices.
 
     Valid as an approximation of the average-case value when the
     per-observation conditional min-entropies are stably distributed.
     """
-    if len(experiments) < 1:
-        raise ValueError("need at least one experiment")
-    lengths = {len(e) for e in experiments}
-    if len(lengths) != 1:
-        raise ValueError(f"experiments have mixed lengths {sorted(lengths)}")
-    n = lengths.pop()
-    obs_matrix = np.stack([e.symbols for e in experiments])
+    n = experiments.shape[-1]
     try:
-        arr = entropy_profile_batch(model, obs_matrix, [n])[:, 0]
+        arr = entropy_profile_batch(model, experiments, [n])[:, 0]
     except ImpossibleObservationError as exc:
         raise ImpossibleObservationError(f"experiment {exc.row}: {exc}") from None
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -450,8 +413,8 @@ def fit_hmm_from_traces(hidden: MeasurementTrace, observed: MeasurementTrace,
     assert_aligned(hidden, observed)
     if len(hidden) < 2:
         raise ValueError("need at least 2 aligned samples to count transitions")
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    if not 0 <= smoothing < math.inf:  # NaN fails too
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     states = level_states(levels)
     k = m = levels
     lo = states[0]

@@ -173,6 +173,8 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     n = len(alice)
     if slice_len < 1:
         raise ValueError(f"slice_len must be at least 1, got {slice_len}")
+    if not 0 < alpha < 1:  # NaN fails too
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if max_lag < 1:

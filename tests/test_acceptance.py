@@ -18,10 +18,9 @@ from scipy.stats import binom
 from physkey.channel import family_config, simulate_run
 from physkey.coding import RsCode, ss_recover, ss_sketch
 from physkey.errors import UncorrectableBlockError
-from physkey.hmm import (ObservationSequence, entropy_profile_batch,
-                         estimate_avg_conditional_min_entropy,
+from physkey.hmm import (entropy_profile_batch, estimate_avg_conditional_min_entropy,
                          exact_avg_conditional_min_entropy, fit_hmm_from_traces,
-                         fit_linear_growth, forward_likelihood, obs_from_values,
+                         fit_linear_growth, forward_likelihood, slice_experiments,
                          viterbi_max_joint)
 from physkey.protocol import plan_parameters, run_exchange
 from physkey.quantize import BitString, embed_unary, hamming_distance
@@ -50,12 +49,12 @@ def test_criterion_1_hmm_oracle_equivalence():
         model = random_model(rng, k, m)
         obs = rng.integers(0, m, size=n)
 
-        lp, _ = viterbi_max_joint(model, ObservationSequence(obs))
+        lp = viterbi_max_joint(model, obs)
         p_ref, _ = brute_viterbi(model, obs)
         worst = max(worst, abs(2 ** lp - p_ref) / p_ref)
         assert abs(2 ** lp - p_ref) <= 1e-9 * p_ref
 
-        lf = forward_likelihood(model, ObservationSequence(obs))
+        lf = forward_likelihood(model, obs)
         f_ref = brute_forward(model, obs)
         worst = max(worst, abs(2 ** lf - f_ref) / f_ref)
         assert abs(2 ** lf - f_ref) <= 1e-9 * f_ref
@@ -78,9 +77,8 @@ def test_criterion_2_estimator_validity():
     model = cfg.model
     exact = exact_avg_conditional_min_entropy(model, 8)
     run = simulate_run(replace(cfg, n=500 * 8, seed=20103))
-    experiments = [obs_from_values(model, run.eve.levels[i * 8:(i + 1) * 8])
-                   for i in range(500)]
-    est = estimate_avg_conditional_min_entropy(model, experiments)
+    est = estimate_avg_conditional_min_entropy(
+        model, slice_experiments(model, run.eve.levels, 8))
     se = est.std_bits / math.sqrt(est.n_experiments)
     diff = abs(est.mean_bits - exact)
     ok = diff <= 3 * se
@@ -95,11 +93,7 @@ def test_criterion_3_linear_growth(calibrated_config):
     model = fit_hmm_from_traces(run.alice, run.eve, levels=9, smoothing=0.0)
     slice_len, n_slices = 200, 40
     checkpoints = list(range(10, 201, 10))
-    obs = np.stack([
-        np.array([model.symbol_index(v) for v in
-                  run.eve.levels[s * slice_len:(s + 1) * slice_len]])
-        for s in range(n_slices)
-    ])
+    obs = slice_experiments(model, run.eve.levels, slice_len)
     entropy = entropy_profile_batch(model, obs, checkpoints)
     errors = np.stack([
         np.cumsum(run.alice.levels[s * slice_len:(s + 1) * slice_len]

@@ -160,6 +160,10 @@ class TestFitGrowth:
     *[(command, ["--levels", levels], "--levels must be at least 2")
       for command in ("estimate-entropy", "fit-growth", "validate-assumptions")
       for levels in ("0", "1")],
+    *[(command, ["--smoothing", smoothing], "smoothing must be finite and >= 0")
+      for command in ("estimate-entropy", "fit-growth") for smoothing in ("nan", "inf")],
+    *[("validate-assumptions", ["--alpha", alpha], "alpha must be in (0, 1)")
+      for alpha in ("1.5", "nan")],
 ])
 def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
     traces = {"alice": run_dir / "alice.csv", "eve": run_dir / "eve.csv"}
@@ -223,6 +227,19 @@ def config_with(path, value):
      "field 'model.symbols' has the wrong type: expected an integer, got 0.7"),
     ("simulate", "--config", config_with(("model", "states"), ["-2", "-1", "0"]),
      "field 'model.states' has the wrong type"),
+    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": float("inf")}, "e": {}},
+     "field 'g.intercept' has the wrong type: expected a finite number, got inf"),
+    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": float("nan")}, "e": {}},
+     "field 'g.intercept' has the wrong type: expected a finite number, got nan"),
+    ("plan", "--fits", {"g": {"slope": True, "intercept": 0.0}, "e": {}},
+     "field 'g.slope' has the wrong type: expected a finite number, got True"),
+    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
+                        "e": {"slope": "0.04", "intercept": 0.0}},
+     "field 'e.slope' has the wrong type: expected a finite number, got '0.04'"),
+    ("simulate", "--config", config_with(("bob_error", "0"), True),
+     "field 'bob_error' has the wrong type: expected a number, got True"),
+    ("simulate", "--config", {"calibrate": {"entropy_rate": "0.1248", "word_error_rate": 0.0054}},
+     "field 'calibrate.entropy_rate' has the wrong type: expected a finite number, got '0.1248'"),
 ])
 def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, reason):
     path = tmp_path / "doc.json"

@@ -7,7 +7,7 @@ import pytest
 
 from physkey.errors import ImpossibleObservationError
 from physkey.channel import family_config
-from physkey.hmm import (HmmModel, ObservationSequence, _recursions,
+from physkey.hmm import (HmmModel, _recursions,
                          conditional_min_entropy_given_obs, entropy_profile_batch,
                          estimate_avg_conditional_min_entropy,
                          exact_avg_conditional_min_entropy, fit_hmm_from_traces,
@@ -63,22 +63,17 @@ class TestValidate:
 class TestViterbi:
     def test_deterministic_chain(self):
         model = HmmModel(states=(5,), symbols=(3,), pi=[1.0], trans=[[1.0]], emit=[[1.0]])
-        lp, path = viterbi_max_joint(model, ObservationSequence([0] * 6))
-        assert lp == 0.0
-        assert np.array_equal(path.states, np.zeros(6))
+        assert viterbi_max_joint(model, [0] * 6) == 0.0
 
     def test_two_state_oo(self, two_state):
-        lp, path = viterbi_max_joint(two_state, ObservationSequence([0, 0]))
+        lp = viterbi_max_joint(two_state, [0, 0])
         assert 2 ** lp == pytest.approx(0.288, rel=1e-12)
-        assert np.array_equal(path.states, [0, 0])
 
     def test_two_state_o1o2_matches_enumeration(self, two_state):
         obs = [0, 1]
-        lp, path = viterbi_max_joint(two_state, ObservationSequence(obs))
-        p_ref, path_ref = brute_viterbi(two_state, obs)
+        lp = viterbi_max_joint(two_state, obs)
+        p_ref, _ = brute_viterbi(two_state, obs)
         assert 2 ** lp == pytest.approx(p_ref, rel=1e-12)
-        # 0.072 is attained twice; lowest-index tie-break keeps (0, 0)
-        assert np.array_equal(path.states, [0, 0])
 
     def test_impossible_sequence(self):
         model = permutation_model()
@@ -86,7 +81,7 @@ class TestViterbi:
                           trans=model.trans,
                           emit=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ImpossibleObservationError, match="impossible observation"):
-            viterbi_max_joint(broken, ObservationSequence([0, 2]))
+            viterbi_max_joint(broken, [0, 2])
 
     def test_random_models_match_enumeration(self, rng):
         for _ in range(40):
@@ -94,7 +89,7 @@ class TestViterbi:
             n = int(rng.integers(1, 9))
             model = random_model(rng, k, m)
             obs = rng.integers(0, m, size=n)
-            lp, path = viterbi_max_joint(model, ObservationSequence(obs))
+            lp = viterbi_max_joint(model, obs)
             p_ref, _ = brute_viterbi(model, obs)
             assert 2 ** lp == pytest.approx(p_ref, rel=1e-9)
 
@@ -102,21 +97,21 @@ class TestViterbi:
 class TestForward:
     def test_deterministic_chain(self):
         model = HmmModel(states=(5,), symbols=(3,), pi=[1.0], trans=[[1.0]], emit=[[1.0]])
-        assert forward_likelihood(model, ObservationSequence([0] * 4)) == 0.0
+        assert forward_likelihood(model, [0] * 4) == 0.0
 
     def test_two_state_oo(self, two_state):
-        lp = forward_likelihood(two_state, ObservationSequence([0, 0]))
+        lp = forward_likelihood(two_state, [0, 0])
         assert 2 ** lp == pytest.approx(0.322, rel=1e-12)
 
     def test_single_step_formula(self, rng):
         for _ in range(20):
             model = random_model(rng, 3, 3)
             q = int(rng.integers(0, 3))
-            lp = forward_likelihood(model, ObservationSequence([q]))
+            lp = forward_likelihood(model, [q])
             assert 2 ** lp == pytest.approx(float(model.pi @ model.emit[:, q]), rel=1e-12)
 
     def test_long_sequence_no_underflow(self, two_state, rng):
-        obs = ObservationSequence(rng.integers(0, 2, size=10_000))
+        obs = rng.integers(0, 2, size=10_000)
         lp = forward_likelihood(two_state, obs)
         assert math.isfinite(lp) and lp < 0
 
@@ -126,7 +121,7 @@ class TestForward:
             n = int(rng.integers(1, 9))
             model = random_model(rng, k, m)
             obs = rng.integers(0, m, size=n)
-            lp = forward_likelihood(model, ObservationSequence(obs))
+            lp = forward_likelihood(model, obs)
             assert 2 ** lp == pytest.approx(brute_forward(model, obs), rel=1e-9)
 
     def test_total_probability_sums_to_one(self, rng):
@@ -137,7 +132,7 @@ class TestForward:
             total = 0.0
             for idx in range(3 ** n):
                 obs = [(idx // 3 ** t) % 3 for t in range(n)]
-                total += 2 ** forward_likelihood(model, ObservationSequence(obs))
+                total += 2 ** forward_likelihood(model, obs)
             assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -145,22 +140,22 @@ class TestConditionalEntropy:
     def test_deterministic_emissions_zero_bits(self, rng):
         model = permutation_model()
         for _ in range(10):
-            obs = ObservationSequence(rng.integers(0, 2, size=12))
+            obs = rng.integers(0, 2, size=12)
             assert conditional_min_entropy_given_obs(model, obs) == 0.0
 
     def test_two_state_value(self, two_state):
-        h = conditional_min_entropy_given_obs(two_state, ObservationSequence([0, 0]))
+        h = conditional_min_entropy_given_obs(two_state, [0, 0])
         assert h == pytest.approx(-math.log2(0.288 / 0.322), rel=1e-12)
         assert h == pytest.approx(0.161, abs=5e-4)
 
     def test_uniform_model_gives_n_bits(self, uniform2):
-        h = conditional_min_entropy_given_obs(uniform2, ObservationSequence([0, 1, 0]))
+        h = conditional_min_entropy_given_obs(uniform2, [0, 1, 0])
         assert h == pytest.approx(3.0, abs=1e-12)
 
     def test_never_negative(self, rng):
         for _ in range(50):
             model = random_model(rng, 3, 2)
-            obs = ObservationSequence(rng.integers(0, 2, size=int(rng.integers(1, 9))))
+            obs = rng.integers(0, 2, size=int(rng.integers(1, 9)))
             assert conditional_min_entropy_given_obs(model, obs) >= 0.0
 
     def test_impossible_sequence_names_its_step(self):
@@ -171,7 +166,7 @@ class TestConditionalEntropy:
         with pytest.raises(ImpossibleObservationError,
                            match="impossible observation sequence: zero probability at step 1"
                            ) as info:
-            conditional_min_entropy_given_obs(model, ObservationSequence([0, 2, 1]))
+            conditional_min_entropy_given_obs(model, [0, 2, 1])
         assert info.value.row == 0
 
     def test_equals_batch_row(self, rng):
@@ -181,7 +176,7 @@ class TestConditionalEntropy:
             obs = rng.integers(0, 4, size=(5, int(rng.integers(1, 30))))
             batch = entropy_profile_batch(model, obs, [obs.shape[1]])[:, 0]
             for row, want in zip(obs, batch):
-                got = conditional_min_entropy_given_obs(model, ObservationSequence(row))
+                got = conditional_min_entropy_given_obs(model, row)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -228,22 +223,20 @@ class TestExactAverage:
 
 
 class TestSeededOutputs:
-    """Both recursions' values, vanishing steps and argmax paths pinned to
-    fixed digests."""
+    """Both recursions' values and vanishing steps pinned to fixed digests."""
 
     @staticmethod
     def digest(model, obs, checkpoints):
         h = hashlib.sha256()
-        for out in _recursions(model, obs, checkpoints, keep_path=True):
+        for out in _recursions(model, obs, checkpoints):
             h.update(np.ascontiguousarray(out).tobytes())
         return h.hexdigest()
 
     def test_iid_family(self):
-        # decay = 1: every transition from a state ties, so paths test the tie-break
         model = family_config(levels=9, spread=0.4, band=2).model
         obs = np.random.default_rng(99).integers(0, 9, size=(30, 100))
         assert self.digest(model, obs, [1, 37, 100]) == \
-            "36ffe1373545cd7a57b780b952b7594780a9028b60f4a0dcd75afba5c3b6f5d3"
+            "aba8a9c25dffa6b9c202379e49646c1afc62faaa7e4d260185d5ab69efc2bb55"
 
     def test_sticky_with_zeros(self):
         model = HmmModel(states=(0, 1, 2), symbols=(0, 1, 2), pi=[0.6, 0.4, 0.0],
@@ -251,7 +244,7 @@ class TestSeededOutputs:
                          emit=[[0.7, 0.3, 0.0], [0.2, 0.6, 0.2], [0.0, 0.3, 0.7]])
         obs = np.random.default_rng(7).integers(0, 3, size=(12, 40))
         assert self.digest(model, obs, [1, 2, 40]) == \
-            "4df9b1bb4ddb4e708cdaa73f441c53c53df33e7e4bd54e70788983c2695335d4"
+            "66155b0a3030a0570812e640ce1e94ecac75a57bc98a3032220e40bd1dcaa500"
 
     def test_batch_with_vanishing_row(self):
         model = HmmModel(states=(0, 1, 2), symbols=(0, 1, 2), pi=[0.5, 0.3, 0.2],
@@ -263,26 +256,26 @@ class TestSeededOutputs:
         obs[3, 10:12] = (0, 2)
         assert list(_recursions(model, obs, [25])[2]) == [-1, -1, -1, 11, -1, -1]
         assert self.digest(model, obs, [5, 11, 25]) == \
-            "b83d3cfb3dd990a33d67983e243dc682f5ab5b491f5e0d14e01cabf8bb629c39"
+            "1f677a63b6b870f54fbe327ae7d439a60f54cbcd19697955da26669291ad9b7b"
 
 
 class TestEstimator:
     def test_single_experiment(self, two_state):
-        obs = ObservationSequence([0, 0])
-        est = estimate_avg_conditional_min_entropy(two_state, [obs])
+        obs = np.array([[0, 0]])
+        est = estimate_avg_conditional_min_entropy(two_state, obs)
         assert est.mean_bits == pytest.approx(
-            conditional_min_entropy_given_obs(two_state, obs))
+            conditional_min_entropy_given_obs(two_state, obs[0]))
         assert est.std_bits == 0.0
         assert est.n_experiments == 1
 
     def test_deterministic_model_zero(self, rng):
         model = permutation_model()
-        exps = [ObservationSequence(rng.integers(0, 2, size=10)) for _ in range(20)]
+        exps = rng.integers(0, 2, size=(20, 10))
         est = estimate_avg_conditional_min_entropy(model, exps)
         assert est.mean_bits == 0.0 and est.std_bits == 0.0
 
     def test_mean_matches_invariant(self, two_state, rng):
-        exps = [ObservationSequence(rng.integers(0, 2, size=6)) for _ in range(30)]
+        exps = rng.integers(0, 2, size=(30, 6))
         est = estimate_avg_conditional_min_entropy(two_state, exps)
         assert est.mean_bits == pytest.approx(np.mean(est.per_experiment_bits), abs=1e-12)
         assert est.std_bits == pytest.approx(np.std(est.per_experiment_bits, ddof=1), abs=1e-12)
@@ -291,24 +284,21 @@ class TestEstimator:
         model = HmmModel(states=(0, 1), symbols=(0, 1, 2), pi=[0.3, 0.7],
                          trans=[[0.6, 0.4], [0.2, 0.8]],
                          emit=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        good = ObservationSequence([0, 1])
-        bad = ObservationSequence([0, 2])
         with pytest.raises(ImpossibleObservationError, match="experiment 1"):
-            estimate_avg_conditional_min_entropy(model, [good, bad])
+            estimate_avg_conditional_min_entropy(model, np.array([[0, 1], [0, 2]]))
 
     def test_impossible_first_symbol_named(self):
         model = HmmModel(states=(0, 1), symbols=(0, 1, 2), pi=[1.0, 0.0],
                          trans=[[0.6, 0.4], [0.2, 0.8]],
                          emit=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        exps = [ObservationSequence([0, 1, 1])] * 2 + [ObservationSequence([1, 1, 0])]
+        exps = np.array([[0, 1, 1], [0, 1, 1], [1, 1, 0]])
         with pytest.raises(ImpossibleObservationError,
                            match="experiment 2: .* at step 0"):
             estimate_avg_conditional_min_entropy(model, exps)
 
     def test_out_of_range_symbol_rejected(self, two_state):
         with pytest.raises(ValueError, match="out of range"):
-            estimate_avg_conditional_min_entropy(
-                two_state, [ObservationSequence([0, 1]), ObservationSequence([0, 2])])
+            estimate_avg_conditional_min_entropy(two_state, np.array([[0, 1], [0, 2]]))
 
     def test_batched_matches_per_sequence(self, rng):
         # one batched pass gives each experiment's -log2(P*/P) as computed
@@ -317,11 +307,10 @@ class TestEstimator:
             k, m = (int(v) for v in rng.integers(1, 6, size=2))
             model = random_model(rng, k, m)
             n = int(rng.integers(1, 60))
-            exps = [ObservationSequence(rng.integers(0, m, size=n))
-                    for _ in range(int(rng.integers(1, 25)))]
+            exps = rng.integers(0, m, size=(int(rng.integers(1, 25)), n))
             est = estimate_avg_conditional_min_entropy(model, exps)
-            expected = [max(0.0, scalar_forward_log2(model, e.symbols)
-                            - scalar_viterbi_log2(model, e.symbols)) for e in exps]
+            expected = [max(0.0, scalar_forward_log2(model, e)
+                            - scalar_viterbi_log2(model, e)) for e in exps]
             assert est.n_experiments == len(exps)
             assert est.n_samples_per_experiment == n
             assert np.allclose(est.per_experiment_bits, expected, rtol=0, atol=1e-12)
@@ -333,14 +322,9 @@ class TestEstimator:
         with pytest.raises(ValueError, match=message):
             entropy_profile_batch(two_state, np.zeros((2, 3), dtype=np.int64), checkpoints)
 
-    def test_mixed_lengths_rejected(self, two_state):
-        with pytest.raises(ValueError, match="mixed lengths"):
-            estimate_avg_conditional_min_entropy(
-                two_state, [ObservationSequence([0]), ObservationSequence([0, 1])])
-
     def test_order_independence(self, two_state, rng):
         # per-experiment results do not depend on evaluation order
-        exps = [ObservationSequence(rng.integers(0, 2, size=6)) for _ in range(12)]
+        exps = rng.integers(0, 2, size=(12, 6))
         fwd = estimate_avg_conditional_min_entropy(two_state, exps)
         rev = estimate_avg_conditional_min_entropy(two_state, exps[::-1])
         assert fwd.per_experiment_bits == rev.per_experiment_bits[::-1]
@@ -358,9 +342,8 @@ class TestEstimator:
                             q=0.024, n=8000, seed=55)
         exact10 = exact_avg_conditional_min_entropy(cfg.model, 10)
         run = simulate_run(replace(cfg, n=80 * 100, seed=56))
-        exps = [obs_from_values(cfg.model, run.eve.levels[i * 100:(i + 1) * 100])
-                for i in range(80)]
-        est = estimate_avg_conditional_min_entropy(cfg.model, exps)
+        est = estimate_avg_conditional_min_entropy(
+            cfg.model, slice_experiments(cfg.model, run.eve.levels, 100))
         assert abs(est.mean_bits - 10 * exact10) <= 3 * est.std_bits
 
 
@@ -398,6 +381,14 @@ class TestFitFromTraces:
         a, b = model.states.index(-1), model.states.index(0)
         # 9 observed -1 -> 0 transitions out of 9, plus smoothing mass
         assert model.trans[a, b] == pytest.approx((10 + 1) / (10 + 2), abs=1e-9)
+
+    @pytest.mark.parametrize("smoothing", [-0.5, math.nan, math.inf])
+    def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
+        # NaN smoothing made every row uniform, the log2 k ceiling per sample
+        h = make_trace([-1, 0] * 10, "alice")
+        with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
+            fit_hmm_from_traces(h, make_trace([-1, 0] * 10, "eve"), levels=2,
+                                smoothing=smoothing)
 
     def test_unaligned_rejected(self):
         h = make_trace([0, -1, 0], "alice")
@@ -482,7 +473,7 @@ class TestSerialization:
 
     def test_obs_from_values(self, two_state):
         obs = obs_from_values(two_state, [0, 1, 0])
-        assert np.array_equal(obs.symbols, [0, 1, 0])
+        assert obs.dtype == np.int64 and obs.tolist() == [0, 1, 0]
         with pytest.raises(ValueError, match="alphabet"):
             obs_from_values(two_state, [7])
 
@@ -501,7 +492,7 @@ class TestSerialization:
                 with pytest.raises(ValueError, match=f"^symbol {missing[0]} is not in"):
                     obs_from_values(model, values)
             else:
-                assert obs_from_values(model, values).symbols.tolist() == [
+                assert obs_from_values(model, values).tolist() == [
                     lut[int(v)] for v in values]
 
     def test_slice_experiments_matches_per_slice_mapping(self, rng):
@@ -509,14 +500,14 @@ class TestSerialization:
                          trans=np.ones((1, 1)), emit=np.full((1, 3), 1 / 3))
         levels = rng.choice([4, -2, 7], size=103)
         got = slice_experiments(model, levels, 10)
-        assert [e.symbols.tolist() for e in got] == [
-            obs_from_values(model, levels[i:i + 10]).symbols.tolist()
+        assert got.dtype == np.int64 and got.tolist() == [
+            obs_from_values(model, levels[i:i + 10]).tolist()
             for i in range(0, 100, 10)]
-        assert slice_experiments(model, levels[:9], 10) == []
+        assert slice_experiments(model, levels[:9], 10).shape == (0, 10)
 
     def test_slice_experiments_ignores_the_dropped_tail(self, two_state):
         got = slice_experiments(two_state, [0, 1, 1, 0, 9], 2)
-        assert [e.symbols.tolist() for e in got] == [[0, 1], [1, 0]]
+        assert got.tolist() == [[0, 1], [1, 0]]
 
     def test_slice_experiments_names_first_missing_symbol(self, two_state):
         with pytest.raises(ValueError, match="^symbol 5 is not in"):
@@ -528,7 +519,8 @@ class TestSerialization:
             slice_experiments(two_state, [0, 1, 0], slice_len)
 
     def test_obs_from_values_accepts_any_iterable(self, two_state):
-        assert obs_from_values(two_state, iter([1, 0])).symbols.tolist() == [1, 0]
-        assert obs_from_values(two_state, (v for v in [0, 0])).symbols.tolist() == [0, 0]
+        assert obs_from_values(two_state, iter([1, 0])).tolist() == [1, 0]
+        assert obs_from_values(two_state, (v for v in [0, 0])).tolist() == [0, 0]
+        # an empty trace maps to an empty sequence, which the kernel rejects
         with pytest.raises(ValueError, match="non-empty"):
-            obs_from_values(two_state, [])
+            forward_likelihood(two_state, obs_from_values(two_state, []))

@@ -127,14 +127,18 @@ class TestPlanner:
 
 
 class TestPlannerAgainstExchanges:
-    """The planner's exact success figure is not optimistic: 200 seeded
-    exchanges on the calibrated channel succeed at least as often as the
-    0.1% lower binomial quantile of ``predicted_success_exact``.
+    """The planner's figures are not optimistic: 200 seeded exchanges on the
+    calibrated channel succeed at least as often as the 0.1% lower binomial
+    quantile of ``predicted_success_exact``, and their pooled count of
+    samples where Alice's and Bob's levels differ stays at or below the
+    99.9% quantile of Binomial(200 n, e(n)/n), the word errors the planner
+    sizes the code for.  Each success corrects exactly those samples: one
+    unary bit per level that is off by one.
 
     One-sided on purpose: the calibrated channel errs at 16q/9 ~ 0.0417 per
     word, below the reference fit's 0.043, so exchanges tend to succeed more
-    often than predicted, and an upper bound would test the fit, not the
-    planner."""
+    often and err less than predicted, and a two-sided bound would test the
+    fit, not the planner."""
 
     TRIALS = 200
 
@@ -144,12 +148,20 @@ class TestPlannerAgainstExchanges:
                                                   (128, 80, 1, 400)])
     def test_successes_reach_prediction(self, calibrated_config, l, lambda_, c, n):
         params = plan_parameters(l=l, lambda_=lambda_, c=c, n=n)
-        successes = 0
+        successes = word_errors = 0
         for i in range(self.TRIALS):
             run = simulate_run(replace(calibrated_config, n=params.n, seed=40_000 + i))
-            successes += run_exchange(run.alice, run.bob, params, seed=70_000 + i).success
+            result = run_exchange(run.alice, run.bob, params, seed=70_000 + i)
+            differ = int((run.alice.levels != run.bob.levels).sum())
+            if result.success:
+                assert result.n_corrected_bits == differ, (i, result.n_corrected_bits, differ)
+            successes += result.success
+            word_errors += differ
         predicted = params.report["predicted_success_exact"]
         assert successes >= binom.ppf(0.001, self.TRIALS, predicted), (successes, predicted)
+        rate = params.error_fit(params.n) / params.n
+        assert word_errors <= binom.ppf(0.999, self.TRIALS * params.n, rate), \
+            (word_errors, rate)
 
 
 class TestCorrectnessBound:

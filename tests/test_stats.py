@@ -265,6 +265,13 @@ class TestValidateAssumptions:
         with pytest.raises(ValueError, match="at least"):
             validate_assumptions(t, e, slice_len=100)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, rng, alpha):
+        t = make_trace(rng.integers(-8, 1, size=2000), "alice")
+        e = make_trace(rng.integers(-8, 1, size=2000), "eve")
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            validate_assumptions(t, e, alpha=alpha)
+
     def test_options_are_keywords(self, rng):
         t = make_trace(rng.integers(-8, 1, size=2000), "alice")
         e = make_trace(rng.integers(-8, 1, size=2000), "eve")

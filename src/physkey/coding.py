@@ -1,9 +1,9 @@
 """Finite-field arithmetic, syndrome decoding and the two secure sketches.
 
-Two codes reconcile Alice's and Bob's strings through a syndrome sketch,
-whose linearity makes syn(w) xor syn(w') the syndrome of the error pattern
+Two codes reconcile two noisy copies through a syndrome sketch, whose
+linearity makes syn(w) xor syn(w') the syndrome of the error pattern
 alone.  Only the pooled BCH sketch has a wire format (``PKB1``) and is
-published; the RS sketch is in-memory only.  Decoding is fail-closed: any
+published; the RS sketch is one in-memory block.  Decoding is fail-closed: any
 inconsistency reports an uncorrectable block rather than a silently wrong
 correction.
 
@@ -30,13 +30,14 @@ syndrome re-checks) goes through one array evaluator, ``_gf_sums``.
   positions the caller names as likely (Bob's one-level-off bits) and
   falls back to every position only when those do not hold all the
   locator's roots.
-* ``RsCode``: blocks of 255 8-bit words over a shortened (255, k)
-  Reed-Solomon code in GF(2^8) = ``field_tables(8)`` (polynomial
+* ``RsCode``: one block of at most 255 8-bit words over a shortened
+  (255, k) Reed-Solomon code in GF(2^8) = ``field_tables(8)`` (polynomial
   x^8+x^4+x^3+x^2+1, 0x11D, and alpha = 0x02); the code roots are
-  alpha^1 .. alpha^2t.  Word j of a block sits at polynomial degree
-  254 - j; blocks shorter than 255 words are zero-padded at the tail and
-  the sketch records the pad length.  Berlekamp-Massey / Chien / Forney
-  decode each block.
+  alpha^1 .. alpha^2t.  Word j sits at polynomial degree 254 - j, and a
+  shorter block is zero-padded at the tail.  ``rs_sketch``/``rs_recover``
+  sketch and decode (Berlekamp-Massey / Chien / Forney) one such block in
+  memory, for acceptance criterion 4; ``ss_sketch``/``ss_recover`` are
+  the pooled BCH sketch's.
 """
 
 from __future__ import annotations
@@ -131,27 +132,19 @@ class RsCode:
         return self.n_sym - self.k_sym
 
 
-def _rs_syndromes(blocks: np.ndarray, code: RsCode) -> np.ndarray:
-    # S_1 .. S_2t of every row of a (blocks, n_sym) word matrix; word j of
-    # a row sits at degree n_sym - 1 - j
-    return _gf_sums(blocks, np.arange(code.n_sym - 1, -1, -1),
-                    np.arange(1, code.n_syndromes + 1), field_tables(8))
-
-
 def rs_syndrome(words, code: RsCode) -> np.ndarray:
     """Evaluate the (zero-padded) word block at the 2t code roots.
 
     Returns S_1 .. S_2t; all zeros iff the padded block is a codeword of
-    the shortened code.
+    the shortened code.  The zero padding adds nothing to any sum.
     """
     w = np.asarray(words, dtype=np.int64)
     if w.size > code.n_sym:
         raise ValueError(f"block of {w.size} words exceeds n_sym={code.n_sym}")
-    if w.size and (w.min() < 0 or w.max() > 255):
-        raise ValueError("words must be in [0, 255]")
-    if w.size < code.n_sym:
-        w = np.concatenate([w, np.zeros(code.n_sym - w.size, dtype=np.int64)])
-    return _rs_syndromes(w[None, :], code)[0]
+    if w.ndim != 1 or w.size and (w.min() < 0 or w.max() > 255):
+        raise ValueError("words must be a 1-d array of values in [0, 255]")
+    return _gf_sums(w, np.arange(code.n_sym - 1, code.n_sym - 1 - w.size, -1),
+                    np.arange(1, code.n_syndromes + 1), field_tables(8))
 
 
 def _bm_locator(synd, tables: GfTables, binary: bool = False):
@@ -195,10 +188,10 @@ def _bm_locator(synd, tables: GfTables, binary: bool = False):
 def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
     """Unique error pattern of word weight <= t matching the given syndromes.
 
-    Returns a list of (position, magnitude) pairs, position 0 being the
-    first word of the 255-word padded block.  Raises UncorrectableBlockError
-    (block index 0; callers re-wrap with the real index) when the syndromes
-    are inconsistent with any weight-<= t error.
+    Returns a list of (position, magnitude) pairs in ascending position,
+    position 0 being the block's first word, at degree n_sym - 1.  Raises
+    UncorrectableBlockError (block 0: the sketch is one block) when the
+    syndromes are inconsistent with any weight-<= t error.
     """
     synd = np.asarray(syndrome_diff, dtype=np.int64)
     if synd.size != code.n_syndromes:
@@ -247,36 +240,35 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
 
 
 @dataclass(frozen=True)
-class Sketch:
-    """In-memory RS sketch: per-block syndromes plus geometry (no wire format)."""
+class RsSketch:
+    """One block's 2t syndromes (16t bits) and word count; in memory only."""
 
     syndromes: np.ndarray
-    block_count: int
     code: RsCode
-    padded_words: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.syndromes, dtype=np.int64)
-        if arr.size != self.block_count * self.code.n_syndromes:
-            raise ValueError("syndrome vector length does not match block count")
-        object.__setattr__(self, "syndromes", arr)
-
-    @property
-    def bit_length(self) -> int:
-        """Leakage |u| in bits: block_count * 2t * 8."""
-        return int(self.syndromes.size * 8)
-
-    @property
-    def total_words(self) -> int:
-        return self.block_count * self.code.n_sym - self.padded_words
+    n_words: int
 
 
-def _to_blocks(words: np.ndarray, code: RsCode):
-    n = words.size
-    block_count = max(1, -(-n // code.n_sym))
-    padded = block_count * code.n_sym - n
-    full = np.concatenate([words, np.zeros(padded, dtype=np.int64)])
-    return full.reshape(block_count, code.n_sym), block_count, padded
+def rs_sketch(words, code: RsCode) -> RsSketch:
+    """Syndrome sketch of one block of at most n_sym words in [0, 255]."""
+    return RsSketch(rs_syndrome(words, code), code, np.size(words))
+
+
+def rs_recover(noisy_words, sketch: RsSketch) -> np.ndarray:
+    """Recover the sketched words from a noisy copy within capacity.
+
+    Decodes the error pattern of syn(w') xor u and subtracts it (xor).
+    Raises UncorrectableBlockError beyond t word errors, or when the
+    decoded pattern falls in the zero padding.
+    """
+    words = np.array(noisy_words, dtype=np.int64)
+    if words.size != sketch.n_words:
+        raise ValueError(f"noisy copy has {words.size} words; sketch covers {sketch.n_words}")
+    diff = rs_syndrome(words, sketch.code) ^ sketch.syndromes
+    for p, mag in decode_error_from_syndrome(diff, sketch.code):
+        if p >= sketch.n_words:
+            raise UncorrectableBlockError(0, f"decoded error in zero padding (position {p})")
+        words[p] ^= mag
+    return words
 
 
 @dataclass(frozen=True)
@@ -565,64 +557,26 @@ class BchSketch:
         return cls(bits[:m * t].reshape(t, m).astype(np.int64) @ weights, code, n_bits)
 
 
-def ss_sketch(rho: BitString, code: RsCode | BchCode) -> Sketch | BchSketch:
-    """Deterministic syndrome sketch of a bitstring.
-
-    A BchCode gives one pooled sketch of the whole string; an RsCode gives
-    per-block syndromes of its 8-bit words (the string must be byte-aligned).
-    """
-    if isinstance(code, BchCode):
-        if not 1 <= len(rho) <= code.n_sym:
-            raise ValueError(f"string of {len(rho)} bits does not fit code length {code.n_sym}")
-        return BchSketch(bch_syndrome(rho.bits, code), code, len(rho))
-    words = rho.to_words()
-    blocks, block_count, padded = _to_blocks(words, code)
-    return Sketch(_rs_syndromes(blocks, code).ravel(), block_count, code, padded)
+def ss_sketch(rho: BitString, code: BchCode) -> BchSketch:
+    """Pooled syndrome sketch of a whole bitstring under one BCH code."""
+    if not 1 <= len(rho) <= code.n_sym:
+        raise ValueError(f"string of {len(rho)} bits does not fit code length {code.n_sym}")
+    return BchSketch(bch_syndrome(rho.bits, code), code, len(rho))
 
 
-def ss_recover(rho_prime: BitString, sketch: Sketch | BchSketch,
-               candidates=()) -> BitString:
+def ss_recover(rho_prime: BitString, sketch: BchSketch, candidates=()) -> BitString:
     """Recover the sketched string from a noisy copy within capacity.
 
-    Computes syn(rho') xor u, decodes the error pattern and subtracts it
-    (xor).  A pooled sketch corrects up to t bit errors anywhere in the
-    string; an RS sketch corrects up to t word errors per block.  Raises
-    UncorrectableBlockError naming the first block whose errors exceed
-    capacity (block 0 for a pooled sketch).
-
-    candidates are ascending bit positions of rho' where errors are likely;
-    a pooled sketch's decoder searches them first (see bch_decode), an RS
-    sketch does not use them, and the result never depends on them.
+    Decodes the error pattern of syn(rho') xor u and subtracts it (xor):
+    up to t bit errors anywhere in the string.  Raises
+    UncorrectableBlockError (block 0) beyond capacity.  candidates are
+    ascending bit positions of rho' where errors are likely; the decoder
+    searches them first (see bch_decode), and the result never depends on
+    them.
     """
-    if isinstance(sketch, BchSketch):
-        if len(rho_prime) != sketch.n_bits:
-            raise ValueError(
-                f"noisy copy has {len(rho_prime)} bits; sketch covers {sketch.n_bits}")
-        diff = bch_syndrome(rho_prime.bits, sketch.code) ^ sketch.syndromes
-        bits = rho_prime.bits.copy()
-        bits[bch_decode(diff, sketch.code, sketch.n_bits, candidates)] ^= 1
-        return BitString(bits)
-    words = rho_prime.to_words()
-    if words.size != sketch.total_words:
-        raise ValueError(
-            f"noisy copy has {words.size} words; sketch covers {sketch.total_words}")
-    code = sketch.code
-    blocks, block_count, padded = _to_blocks(words, code)
-    if block_count != sketch.block_count or padded != sketch.padded_words:
-        raise ValueError("block geometry mismatch against sketch")
-    diffs = _rs_syndromes(blocks, code) ^ sketch.syndromes.reshape(block_count, -1)
-    recovered = []
-    for b in range(block_count):
-        blk = blocks[b].copy()
-        valid = code.n_sym if b < block_count - 1 else code.n_sym - padded
-        try:
-            errors = decode_error_from_syndrome(diffs[b], code)
-        except UncorrectableBlockError as exc:
-            raise UncorrectableBlockError(b, exc.detail) from None
-        for p, mag in errors:
-            if p >= valid:
-                raise UncorrectableBlockError(
-                    b, f"decoded error in zero padding (position {p})")
-            blk[p] ^= mag
-        recovered.append(blk[:valid])
-    return BitString.from_words(np.concatenate(recovered))
+    if len(rho_prime) != sketch.n_bits:
+        raise ValueError(f"noisy copy has {len(rho_prime)} bits; sketch covers {sketch.n_bits}")
+    diff = bch_syndrome(rho_prime.bits, sketch.code) ^ sketch.syndromes
+    bits = rho_prime.bits.copy()
+    bits[bch_decode(diff, sketch.code, sketch.n_bits, candidates)] ^= 1
+    return BitString(bits)

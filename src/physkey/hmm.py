@@ -60,6 +60,12 @@ def json_float(value, finite: bool = True) -> float:
     return float(value)
 
 
+def _json_floats(value):
+    # nested lists of JSON numbers; validate_model names a non-finite one
+    return [_json_floats(v) for v in value] if isinstance(value, list) \
+        else json_float(value, finite=False)
+
+
 @dataclass(frozen=True)
 class HmmModel:
     """k hidden states over m symbols: initial pi, transitions, emissions.
@@ -109,8 +115,8 @@ class HmmModel:
                 raise TypeError(f"expected a list, got {type(d[name]).__name__}")
         model = cls(states=tuple(map(json_int, d["states"])),
                     symbols=tuple(map(json_int, d["symbols"])),
-                    pi=np.array(d["pi"], float), trans=np.array(d["trans"], float),
-                    emit=np.array(d["emit"], float))
+                    pi=_json_floats(d["pi"]), trans=_json_floats(d["trans"]),
+                    emit=_json_floats(d["emit"]))
         if "k" in d and json_int(d["k"]) != model.k:
             raise ValueError(f"k={d['k']} does not match {model.k} states")
         if "m" in d and json_int(d["m"]) != model.m:

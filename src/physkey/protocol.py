@@ -70,6 +70,12 @@ REFERENCE_ERROR_FIT = LinearFit(slope=0.043, intercept=0.048)
 PUBLISHED_MARGIN_CONSTANT = 549.4
 
 
+def _check_security_targets(lambda_: float, c: float) -> None:
+    for name, value in (("lambda", lambda_), ("c", c)):
+        if not (math.isfinite(value) and value >= 0):  # NaN fails both
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Everything one exchange needs: sample count, code, key-length targets."""
@@ -86,10 +92,7 @@ class ProtocolParams:
     def __post_init__(self):
         if self.n < 1 or self.l < 1:
             raise ValueError("n and l must be >= 1")
-        if self.lambda_ < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.c < 0:
-            raise ValueError("c must be >= 0")
+        _check_security_targets(self.lambda_, self.c)
         bits = self.n * BITS_PER_SAMPLE
         if not isinstance(self.code, BchCode) or self.code.n_sym < bits:
             raise ValueError(f"code must be a BchCode covering {bits} bits, got {self.code!r}")
@@ -211,10 +214,12 @@ def plan_parameters(l: int, lambda_: float, c: float,
     holds when the residual is certified and that probability reaches the
     1 - e^-c target.  The code covers n unary words of ``BITS_PER_SAMPLE``
     bits.  A given ``n`` replaces the planned sample count; the code and
-    the report are then sized for it.  Raises
-    InfeasiblePlanError when the fitted lines cannot satisfy the conditions
-    at any n, or when no supported code fits the chosen n.
+    the report are then sized for it.  Raises ValueError unless lambda_ and
+    c are finite and >= 0, and InfeasiblePlanError when the fitted lines
+    cannot satisfy the conditions at any n, or when no supported code fits
+    the chosen n.
     """
+    _check_security_targets(lambda_, c)
     if entropy_fit.slope <= 0:
         raise InfeasiblePlanError("entropy fit must have positive slope")
     loss_rate = SKETCH_BITS_PER_ERROR * ERROR_SAFETY_FACTOR  # 19.2 bits per e(n)

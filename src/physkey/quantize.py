@@ -9,12 +9,15 @@ negation embed alike.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 import numpy as np
 
 # the paper's word: every sample quantizes to one 8-bit unary word
 BITS_PER_SAMPLE = 8
+
+_HEX_FORM = re.compile(r"(0|[1-9][0-9]*):((?:[0-9a-f]{2})*)")
 
 
 class BitString:
@@ -68,31 +71,18 @@ class BitString:
 
     @classmethod
     def from_hex(cls, text: str) -> "BitString":
-        length_str, _, hexpart = text.strip().partition(":")
-        n = int(length_str)
-        if n < 0:
-            raise ValueError(f"negative bit length in {text!r}")
-        raw = bytes.fromhex(hexpart)
+        """Parse exactly the form ``to_hex`` writes (no sign, space or case)."""
+        form = _HEX_FORM.fullmatch(text)
+        if form is None:
+            raise ValueError("expected a decimal bit length, ':', then lowercase hex bytes")
+        n = int(form[1])
+        raw = bytes.fromhex(form[2])
         if len(raw) != (n + 7) // 8:
             raise ValueError(f"hex payload holds {len(raw)} bytes, need {(n + 7) // 8}")
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8))[:n]
-        tail = np.unpackbits(np.frombuffer(raw, np.uint8))[n:]
-        if tail.any():
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8))
+        if bits[n:].any():
             raise ValueError("nonzero padding bits in final byte")
-        return cls(bits)
-
-    def to_words(self) -> np.ndarray:
-        """Pack into 8-bit words (MSB first); length must be a multiple of 8."""
-        if len(self) % 8:
-            raise ValueError(f"bit length {len(self)} is not a multiple of 8")
-        return np.packbits(self._bits).astype(np.int64)
-
-    @classmethod
-    def from_words(cls, words: np.ndarray | Iterable[int]) -> "BitString":
-        arr = np.asarray(list(words) if not isinstance(words, np.ndarray) else words)
-        if arr.size and (arr.min() < 0 or arr.max() > 255):
-            raise ValueError("words must be in [0, 255]")
-        return cls(np.unpackbits(arr.astype(np.uint8)))
+        return cls(bits[:n])
 
 
 def embed_unary(x: int) -> BitString:

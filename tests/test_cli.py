@@ -240,6 +240,13 @@ def config_with(path, value):
      "field 'bob_error' has the wrong type: expected a number, got True"),
     ("simulate", "--config", {"calibrate": {"entropy_rate": "0.1248", "word_error_rate": 0.0054}},
      "field 'calibrate.entropy_rate' has the wrong type: expected a finite number, got '0.1248'"),
+    ("simulate", "--config", config_with(("model", "pi"), [True, False, False]),
+     "field 'model.pi' has the wrong type: expected a number, got True"),
+    ("simulate", "--config", config_with(("model", "trans"), [[True, False, False]] * 3),
+     "field 'model.trans' has the wrong type: expected a number, got True"),
+    ("simulate", "--config",
+     config_with(("model", "emit", 0), [str(p) for p in SMALL_CONFIG["model"]["emit"][0]]),
+     "field 'model.emit' has the wrong type: expected a number, got '"),
 ])
 def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, reason):
     path = tmp_path / "doc.json"
@@ -374,6 +381,23 @@ class TestPlanAndExtract:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["plan", "extract-key"])
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda", "inf"), ("--lambda", "nan"), ("--c", "inf"), ("--c", "nan")])
+def test_non_finite_exponent_fails_closed(run_dir, capsys, command, flag, value):
+    # checked before the planner sizes anything
+    extra = {"plan": ["--l", "128"],
+             "extract-key": ["--alice", run_dir / "alice.csv", "--bob", run_dir / "bob.csv",
+                             "--seed", "21"]}[command]
+    exponents = {"--lambda": "80", "--c": "1", flag: value}
+    code = main([command, *map(str, extra),
+                 *(a for item in exponents.items() for a in item)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {flag[2:]} must be finite and >= 0, got {value}\n"
+    assert captured.out == ""
 
 
 class TestValidateAssumptions:

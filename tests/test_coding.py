@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from physkey import coding
 from physkey.channel import family_config, simulate_run
-from physkey.coding import (PRIMITIVE_POLYS, BchCode, BchSketch, RsCode,
+from physkey.coding import (PRIMITIVE_POLYS, BchCode, BchSketch, RsCode, RsSketch,
                             _bm_locator, bch_decode, bch_generator, bch_syndrome,
-                            decode_error_from_syndrome, field_tables,
-                            rs_syndrome, ss_recover, ss_sketch)
+                            decode_error_from_syndrome, field_tables, rs_recover,
+                            rs_sketch, rs_syndrome, ss_recover, ss_sketch)
 from physkey.errors import PhyskeyError, SketchFormatError, UncorrectableBlockError
 from physkey.extract import ExtractorSeed, extract, random_seed
 from physkey.protocol import Transcript, plan_parameters, run_exchange
@@ -198,93 +198,102 @@ class TestDecode:
 
 class TestSketch:
     def test_800_bit_geometry(self, rng):
-        rho = BitString.from_words(rng.integers(0, 256, size=100))
-        sk = ss_sketch(rho, RsCode(255, 229))
-        assert sk.block_count == 1
+        sk = rs_sketch(rng.integers(0, 256, size=100), RsCode(255, 229))
         assert sk.syndromes.size == 26
-        assert sk.bit_length == 208
-        assert sk.padded_words == 155
+        assert 8 * sk.syndromes.size == 208  # bits of leakage
+        assert sk.n_words == 100
+        assert sk.code.n_sym - sk.n_words == 155  # words of zero padding
 
     def test_zero_string(self):
-        sk = ss_sketch(BitString([0] * 800), RsCode(255, 229))
+        sk = rs_sketch(np.zeros(100, dtype=np.int64), RsCode(255, 229))
         assert not sk.syndromes.any()
 
-    def test_block_count_2048_words(self, rng):
-        rho = BitString.from_words(rng.integers(0, 256, size=2048))
-        assert ss_sketch(rho, RsCode(255, 229)).block_count == 9
-
-    def test_byte_alignment_required(self):
-        with pytest.raises(ValueError, match="multiple of 8"):
-            ss_sketch(BitString([0] * 13), RsCode())
+    def test_word_range_required(self):
+        for bad in ([0, 256, 7], [0, -1, 7], [[0, 1, 7]], 7):
+            with pytest.raises(ValueError, match=r"1-d array of values in \[0, 255\]"):
+                rs_sketch(bad, RsCode())
 
 
 class TestRecover:
     def test_identity(self, rng):
-        rho = BitString.from_words(rng.integers(0, 256, size=300))
-        sk = ss_sketch(rho, RsCode(255, 229))
-        assert ss_recover(rho, sk) == rho
+        words = rng.integers(0, 256, size=300)
+        for block in (words[:255], words[255:]):  # a full block and a short one
+            sk = rs_sketch(block, RsCode(255, 229))
+            assert np.array_equal(rs_recover(block, sk), block)
 
     def test_within_capacity_multi_block(self, rng):
+        # a 600-word string sketched block by block, 255 + 255 + 90 words,
+        # with 13 (= t), 7 and 5 word errors
         code = RsCode(255, 229)
-        words = rng.integers(0, 256, size=600)  # 3 blocks: 255+255+90
-        rho = BitString.from_words(words)
-        sk = ss_sketch(rho, code)
+        words = rng.integers(0, 256, size=600)
+        bounds = ((0, 255), (255, 510), (510, 600))
+        sketches = [rs_sketch(words[lo:hi], code) for lo, hi in bounds]
         noisy = words.copy()
-        for blk, (lo, hi) in enumerate(((0, 255), (255, 510), (510, 600))):
-            n_err = [13, 7, 5][blk]
+        for n_err, (lo, hi) in zip((13, 7, 5), bounds):
             for p in rng.choice(hi - lo, size=n_err, replace=False):
                 noisy[lo + p] ^= int(rng.integers(1, 256))
-        assert ss_recover(BitString.from_words(noisy), sk) == rho
+        for (lo, hi), sk in zip(bounds, sketches):
+            assert np.array_equal(rs_recover(noisy[lo:hi], sk), words[lo:hi])
 
     def test_beyond_capacity_raises_with_block(self, rng):
         code = RsCode(255, 229)
-        words = rng.integers(0, 256, size=510)
-        rho = BitString.from_words(words)
-        sk = ss_sketch(rho, code)
+        words = rng.integers(0, 256, size=255)
+        sk = rs_sketch(words, code)
         noisy = words.copy()
         for p in rng.choice(255, size=14, replace=False):
-            noisy[255 + p] ^= int(rng.integers(1, 256))
+            noisy[p] ^= int(rng.integers(1, 256))
         try:
-            recovered = ss_recover(BitString.from_words(noisy), sk)
-            assert recovered != rho  # miscorrection must not masquerade as success
+            recovered = rs_recover(noisy, sk)
+            # miscorrection must not masquerade as success
+            assert not np.array_equal(recovered, words)
         except UncorrectableBlockError as exc:
-            assert exc.block == 1
+            assert exc.block == 0
 
     def test_failed_block_named_once(self, rng):
         code = RsCode(255, 229)
-        words = rng.integers(0, 256, size=510)
-        sk = ss_sketch(BitString.from_words(words), code)
+        words = rng.integers(0, 256, size=255)
+        sk = rs_sketch(words, code)
         noisy = words.copy()
-        noisy[255 + rng.choice(255, size=20, replace=False)] ^= 0x5A
+        noisy[rng.choice(255, size=20, replace=False)] ^= 0x5A
         with pytest.raises(UncorrectableBlockError) as info:
-            ss_recover(BitString.from_words(noisy), sk)
+            rs_recover(noisy, sk)
         exc = info.value
-        assert exc.block == 1 and exc.detail
+        assert exc.block == 0 and exc.detail
         assert "uncorrectable block" not in exc.detail
-        assert str(exc) == f"uncorrectable block 1: {exc.detail}"
+        assert str(exc) == f"uncorrectable block 0: {exc.detail}"
 
     def test_length_mismatch(self, rng):
-        rho = BitString.from_words(rng.integers(0, 256, size=100))
-        sk = ss_sketch(rho, RsCode())
+        sk = rs_sketch(rng.integers(0, 256, size=100), RsCode())
         with pytest.raises(ValueError, match="words"):
-            ss_recover(BitString.from_words(rng.integers(0, 256, size=99)), sk)
+            rs_recover(rng.integers(0, 256, size=99), sk)
+
+    def test_error_in_zero_padding_fails_closed(self, rng):
+        # the syndromes of a 100-word block whose zero padding holds one
+        # non-zero word at position 200: the one error decodes into the padding
+        code = RsCode(255, 229)
+        words = rng.integers(0, 256, size=100)
+        extended = np.concatenate([words, np.zeros(155, dtype=np.int64)])
+        extended[200] = 0x5A
+        sk = RsSketch(rs_syndrome(extended, code), code, 100)
+        with pytest.raises(UncorrectableBlockError,
+                           match=r"decoded error in zero padding \(position 200\)"):
+            rs_recover(words, sk)
 
     def test_round_trip_property(self, rng):
-        # fuzzy-extractor correctness over random strings and error patterns
+        # fuzzy-extractor correctness over random strings and error patterns,
+        # each string sketched in blocks of at most 255 words
         code = RsCode(255, 241)  # t = 7, cheaper loop
         for _ in range(25):
             n_words = int(rng.integers(1, 300))
             words = rng.integers(0, 256, size=n_words)
-            rho = BitString.from_words(words)
-            sk = ss_sketch(rho, code)
-            noisy = words.copy()
-            for blk in range(sk.block_count):
-                lo = blk * 255
-                hi = min(lo + 255, n_words)
-                n_err = int(rng.integers(0, min(code.t, hi - lo) + 1))
-                for p in rng.choice(hi - lo, size=n_err, replace=False):
-                    noisy[lo + p] ^= int(rng.integers(1, 256))
-            assert ss_recover(BitString.from_words(noisy), sk) == rho
+            for lo in range(0, n_words, code.n_sym):
+                block = words[lo:lo + code.n_sym]
+                sk = rs_sketch(block, code)
+                noisy = block.copy()
+                n_err = int(rng.integers(0, min(code.t, block.size) + 1))
+                for p in rng.choice(block.size, size=n_err, replace=False):
+                    noisy[p] ^= int(rng.integers(1, 256))
+                assert np.array_equal(rs_recover(noisy, sk), block)
 
 
 class TestExtensionFields:
@@ -624,14 +633,18 @@ class TestSeededOutputs:
         assert sizes[-1] == 8 * self.PARAMS.n
 
     def test_rs_sketch_golden(self):
+        # 600 words sketched as blocks of 255, 255 and 90 words
         rng = np.random.default_rng(2024)
         words = rng.integers(0, 256, size=600)
-        sk = ss_sketch(BitString.from_words(words), RsCode(255, 229))
-        assert hashlib.sha256(sk.syndromes.astype(np.uint8).tobytes()).hexdigest() == (
+        starts = range(0, 600, 255)
+        sketches = [rs_sketch(words[lo:lo + 255], RsCode(255, 229)) for lo in starts]
+        syndromes = np.concatenate([sk.syndromes for sk in sketches])
+        assert hashlib.sha256(syndromes.astype(np.uint8).tobytes()).hexdigest() == (
             "4f52ae2fb4a7a34123e12ea8a216ea8b71885a9b8b18b3a8df972ede953c7ab5")
         noisy = words.copy()
         noisy[rng.choice(600, size=25, replace=False)] ^= 0x33
-        assert ss_recover(BitString.from_words(noisy), sk) == BitString.from_words(words)
+        for lo, sk in zip(starts, sketches):
+            assert np.array_equal(rs_recover(noisy[lo:lo + 255], sk), words[lo:lo + 255])
 
     def test_rs_decode_golden(self):
         # decode_error_from_syndrome on 100 seeded RS(255, 229) error blocks,

@@ -121,6 +121,17 @@ class TestPlanner:
         assert p.report["n"] == 400 and p.report["bits"] == 3200
         assert p.report["sketch_bits"] == 12 * 21
 
+    @pytest.mark.parametrize("name, lambda_, c", [
+        ("lambda", math.inf, 1.0), ("lambda", math.nan, 1.0), ("lambda", -1.0, 1.0),
+        ("c", 80.0, math.inf), ("c", 80.0, math.nan), ("c", 80.0, -0.5)])
+    def test_exponents_must_be_finite_and_non_negative(self, name, lambda_, c):
+        reason = f"{name} must be finite and >= 0"
+        with pytest.raises(ValueError, match=reason):
+            plan_parameters(l=128, lambda_=lambda_, c=c)
+        with pytest.raises(ValueError, match=reason):
+            ProtocolParams(n=100, code=BchCode(10, 7), l=16, lambda_=lambda_, c=c,
+                           entropy_fit=REFERENCE_ENTROPY_FIT, error_fit=REFERENCE_ERROR_FIT)
+
     def test_no_code_beyond_largest_field(self):
         with pytest.raises(InfeasiblePlanError, match="no code"):
             plan_parameters(l=128, lambda_=80, c=1, n=2 ** 17)
@@ -385,6 +396,10 @@ class TestTranscript:
         lambda seed: b"9" + seed,                       # length disagrees with payload
         lambda seed: b"-" + seed,                       # negative length
         lambda seed: seed[:-2] + b"\xff\xfe",           # not ASCII
+        lambda seed: b"+" + seed,                       # signed length
+        lambda seed: seed[:1] + b"_" + seed[1:],        # digit separator in the length
+        lambda seed: b" " + seed,                       # space before the length
+        lambda seed: seed[:-4] + b" " + seed[-4:],      # space inside the payload
     ])
     def test_corrupt_seed_fails_closed(self, rng, code, corrupt):
         params = (flat_params(100, code=code) if code is not None

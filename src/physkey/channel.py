@@ -312,23 +312,19 @@ def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
     }
 
 
-def _bisect(rate_of, target: float, lo: float, hi: float, midpoint, report=None):
+def _bisect(rate_of, target: float, lo: float, hi: float, midpoint) -> float:
     # 40 halvings of [lo, hi] for an increasing rate_of; returns the first
-    # probe within 0.5% of target, else the last bracket's midpoint.  rate_of
-    # decides every probe; the rate returned is report's at the chosen probe
-    # (rate_of's when report is None), so a closed form can decide while the
-    # estimate it stands for runs once
+    # probe within 0.5% of target, else the last bracket's midpoint
     for _ in range(40):
         x = midpoint(lo, hi)
         achieved = rate_of(x)
         if abs(achieved - target) / target < 0.005:
-            return x, achieved if report is None else report(x)
+            return x
         if achieved < target:
             lo = x
         else:
             hi = x
-    x = midpoint(lo, hi)
-    return x, (report or rate_of)(x)
+    return midpoint(lo, hi)
 
 
 def calibrate_to_reference_rates(target_entropy_rate: float,
@@ -380,9 +376,9 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
         h_lo, h_hi = entropy_decided(lo_s, band), entropy_decided(hi_s, band)
         if not (h_lo <= entropy_per_sample <= h_hi):
             continue
-        spread, achieved = _bisect(lambda x: entropy_decided(x, band), entropy_per_sample,
-                                   lo_s, hi_s, lambda a, b: math.sqrt(a * b),
-                                   report=lambda x: entropy_measured(x, band))
+        spread = _bisect(lambda x: entropy_decided(x, band), entropy_per_sample,
+                         lo_s, hi_s, lambda a, b: math.sqrt(a * b))
+        achieved = entropy_measured(spread, band)
         if abs(achieved - entropy_per_sample) / entropy_per_sample <= CALIBRATION_REL_TOL:
             chosen = (spread, band, achieved)
             break
@@ -399,8 +395,8 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     lo_q, hi_q = 1e-5, 0.49
     if not (word_error_of(lo_q) <= word_error_per_word <= word_error_of(hi_q)):
         raise CalibrationError("calibration failed: word error target out of reach")
-    q, achieved_we = _bisect(word_error_of, word_error_per_word, lo_q, hi_q,
-                             lambda a, b: 0.5 * (a + b))
+    q = _bisect(word_error_of, word_error_per_word, lo_q, hi_q, lambda a, b: 0.5 * (a + b))
+    achieved_we = word_error_of(q)
     if abs(achieved_we - word_error_per_word) / word_error_per_word > CALIBRATION_REL_TOL:
         raise CalibrationError(
             f"calibration failed: word error {achieved_we:.5f} misses "

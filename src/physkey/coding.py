@@ -247,6 +247,16 @@ class RsSketch:
     code: RsCode
     n_words: int
 
+    def __post_init__(self):
+        arr = np.asarray(self.syndromes, dtype=np.int64)
+        if arr.shape != (self.code.n_syndromes,):
+            raise ValueError(f"expected {self.code.n_syndromes} syndromes, got {arr.size}")
+        if arr.min() < 0 or arr.max() > 255:
+            raise ValueError("syndromes must be elements of GF(2^8)")
+        if not 0 <= self.n_words <= self.code.n_sym:
+            raise ValueError(f"word count {self.n_words} outside 0..{self.code.n_sym}")
+        object.__setattr__(self, "syndromes", arr)
+
 
 def rs_sketch(words, code: RsCode) -> RsSketch:
     """Syndrome sketch of one block of at most n_sym words in [0, 255]."""

@@ -426,10 +426,6 @@ def fit_hmm_from_traces(hidden: MeasurementTrace, observed: MeasurementTrace,
     lo = states[0]
 
     for name, tr in (("hidden", hidden), ("observed", observed)):
-        n_distinct = np.unique(tr.levels).size
-        if n_distinct > levels:
-            raise ValueError(
-                f"levels={levels} is smaller than the {name} alphabet ({n_distinct})")
         if tr.levels.min() < lo or tr.levels.max() > 0:
             raise ValueError(
                 f"{name} trace has levels outside [{lo}, 0]; clamp during ingestion")

@@ -9,10 +9,9 @@ t-test significance, two-sample Kolmogorov-Smirnov tests on randomized
 partitions, and the per-slice entropy spread.
 
 RSSI data is heavily tied; the K-S statistic is taken over the merged
-discrete support, which makes the asymptotic p-values conservative.  The
-suite's own K-S tests run on level counts: D is the largest gap between
-the cumulative counts of two samples, each divided by its size, which is
-the same float ``ks_two_sample`` computes from the sorted samples.
+discrete support, which makes the asymptotic p-values conservative.  Every
+K-S test here runs on counts over that support: D is the largest gap
+between the cumulative counts of two samples, each divided by its size.
 """
 
 from __future__ import annotations
@@ -126,23 +125,17 @@ def _kolmogorov_sf(lam: float) -> float:
 
 def ks_two_sample(x, y, alpha: float = 0.05) -> KsReport:
     """Two-sample K-S test with asymptotic p-value (ne = nm / (n + m))."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 8 or y.size < 8:
         raise ValueError("each sample needs at least 8 points")
-    support = np.concatenate([x, y])
-    support.sort()
-    fx = np.searchsorted(x, support, side="right") / x.size
-    fy = np.searchsorted(y, support, side="right") / y.size
-    d = float(np.abs(fx - fy).max())
-    ne = x.size * y.size / (x.size + y.size)
-    p = _kolmogorov_sf(math.sqrt(ne) * d)
-    return KsReport(statistic=d, p_value=p, reject=p < alpha)
+    _, rank = np.unique(np.concatenate([x, y]), return_inverse=True)
+    cx, cy = (np.bincount(r, minlength=rank.max() + 1) for r in np.split(rank, [x.size]))
+    return _ks_counts(cx, cy, alpha)
 
 
 def _ks_counts(c1: np.ndarray, c2: np.ndarray, alpha: float) -> KsReport:
-    """``ks_two_sample`` of two samples given as counts over one sorted
-    support: the empirical CDFs are the running counts over the sizes."""
+    """K-S test of two samples given as counts over one sorted support: the
+    empirical CDFs are the running counts over the sizes."""
     c1, c2 = c1.tolist(), c2.tolist()  # a handful of levels: Python beats numpy
     n1, n2 = sum(c1), sum(c2)
     d = max(abs(a / n1 - b / n2) for a, b in zip(accumulate(c1), accumulate(c2)))
@@ -150,10 +143,10 @@ def _ks_counts(c1: np.ndarray, c2: np.ndarray, alpha: float) -> KsReport:
     return KsReport(statistic=d, p_value=p, reject=p < alpha)
 
 
-def _random_half_indices(rng: np.random.Generator, n: int):
-    perm = rng.permutation(n)
-    half = n // 2
-    return perm[:half], perm[half:2 * half]
+def _random_halves(rng: np.random.Generator, counts: np.ndarray, draws: int):
+    """``draws`` random halves' counts, each with its complement (one larger if n is odd)."""
+    halves = rng.multivariate_hypergeometric(counts, int(counts.sum()) // 2, size=draws)
+    return zip(halves, counts - halves)
 
 
 def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
@@ -168,6 +161,10 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     probes, and an HMM over ``levels`` levels (inferred from the traces
     when None).  Sub-tests that lack data are skipped and recorded in
     details rather than failing the suite.
+
+    A partition is a multivariate hypergeometric draw of one random half's
+    counts, and the complement (one sample larger when n is odd), so tests
+    (b) and (d) depend on a trace only through its level counts.
     """
     assert_aligned(alice, eve)
     n = len(alice)
@@ -195,11 +192,8 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     lx, ly = int(xc.max()) + 1, int(yc.max()) + 1
 
     # (b) identical distribution: K-S on random half partitions
-    rejects = 0
-    for _ in range(trials):
-        i1, i2 = _random_half_indices(rng, n)
-        rejects += _ks_counts(np.bincount(xc[i1], minlength=lx),
-                              np.bincount(xc[i2], minlength=lx), alpha).reject
+    rejects = sum(_ks_counts(c1, c2, alpha).reject
+                  for c1, c2 in _random_halves(rng, np.bincount(xc), trials))
     identical_rate = rejects / trials
 
     # (c) stationary transitions: successor samples from two disjoint time
@@ -210,22 +204,16 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     for _ in range(trials):
         s1 = int(rng.integers(0, n - 2 * w - 1))
         s2 = int(rng.integers(s1 + w, n - w - 1))
-        rejects += _ks_counts(np.bincount(xc[s1 + 1:s1 + w + 1], minlength=lx),
-                              np.bincount(xc[s2 + 1:s2 + w + 1], minlength=lx),
-                              alpha).reject
+        c1, c2 = (np.bincount(xc[s + 1:s + w + 1], minlength=lx) for s in (s1, s2))
+        rejects += _ks_counts(c1, c2, alpha).reject
     transition_rate = rejects / trials
 
-    # (d) stationary observation: per conditioning level, Y|X=x across a
-    # random index partition
-    rejects = 0
-    tests = 0
-    skipped_levels = 0
-    joint = xc * ly + yc  # row x_level of a count table holds Y | X = x_level
-    for _ in range(max(1, trials // 10)):
-        i1, i2 = _random_half_indices(rng, n)
-        t1, t2 = (np.bincount(joint[i], minlength=lx * ly).reshape(lx, ly)
-                  for i in (i1, i2))
-        for c1, c2 in zip(t1, t2):
+    # (d) stationary observation: per conditioning level x, Y | X = x (row x
+    # of a half's count table) across a random half of the (x, y) pairs
+    rejects = tests = skipped_levels = 0
+    joint = np.bincount(xc * ly + yc, minlength=lx * ly)  # cell x * ly + y
+    for h1, h2 in _random_halves(rng, joint, max(1, trials // 10)):
+        for c1, c2 in zip(h1.reshape(lx, ly), h2.reshape(lx, ly)):
             if c1.sum() < MIN_COND_SAMPLES or c2.sum() < MIN_COND_SAMPLES:
                 skipped_levels += 1
                 continue

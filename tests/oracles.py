@@ -232,6 +232,24 @@ def neighbor_bits_brute_force(levels) -> list:
     return found
 
 
+def sorted_ks_two_sample(x, y, alpha: float):
+    """Two-sample K-S test from the sorted samples: the empirical CDFs are
+    searchsorted counts at every point of the merged sample.  The reference
+    for the count-based ``stats.ks_two_sample``."""
+    from scipy.special import kolmogorov
+
+    from physkey.stats import KsReport
+
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    support = np.sort(np.concatenate([x, y]))
+    fx = np.searchsorted(x, support, side="right") / x.size
+    fy = np.searchsorted(y, support, side="right") / y.size
+    d = float(np.abs(fx - fy).max())
+    p = float(kolmogorov(math.sqrt(x.size * y.size / (x.size + y.size)) * d))
+    return KsReport(statistic=d, p_value=p, reject=p < alpha)
+
+
 class RowLoopTraceFile:
     """Trace CSV parsed one row at a time into (seq, node_id, frame_type,
     rssi) tuples: the reference for the column-wise ``TraceFile``.  Values

@@ -235,7 +235,7 @@ class TestCalibration:
     @pytest.mark.parametrize("band,target", [(2, 0.9984), (3, 1.5)])
     def test_closed_form_decides_as_the_kernel(self, seed, band, target):
         # the spread search driven by the kernel, and driven by the closed
-        # form reporting with the kernel, pick the same probe and rate
+        # form, pick the same probe
         idx, ue, _ = _draw(family_config(levels=9).model, seed, 10_000)
         ue_by_state = [np.sort(ue[idx == s]) for s in range(9)]
 
@@ -251,7 +251,7 @@ class TestCalibration:
         def geometric(a, b):
             return math.sqrt(a * b)
 
-        assert _bisect(closed, target, 1e-3, 1.0, geometric, report=kernel) == \
+        assert _bisect(closed, target, 1e-3, 1.0, geometric) == \
             _bisect(kernel, target, 1e-3, 1.0, geometric)
 
     def test_zero_entropy_target_fails(self):

@@ -213,6 +213,25 @@ class TestSketch:
             with pytest.raises(ValueError, match=r"1-d array of values in \[0, 255\]"):
                 rs_sketch(bad, RsCode())
 
+    # a sketch built by hand fails closed at construction, not in the decoder
+    def test_syndrome_count_checked(self):
+        for bad in ([7], np.zeros(25, dtype=np.int64), np.zeros((2, 13), dtype=np.int64)):
+            with pytest.raises(ValueError, match="expected 26 syndromes"):
+                RsSketch(bad, RsCode(255, 229), 100)
+
+    def test_syndrome_range_checked(self):
+        for value in (999, 256, -1):
+            synd = np.zeros(26, dtype=np.int64)
+            synd[3] = value
+            with pytest.raises(ValueError, match=r"elements of GF\(2\^8\)"):
+                RsSketch(synd, RsCode(255, 229), 100)
+
+    def test_word_count_checked(self):
+        for n_words in (300, 256, -1):
+            with pytest.raises(ValueError, match=r"word count .* outside 0\.\.255"):
+                RsSketch(np.zeros(26, dtype=np.int64), RsCode(255, 229), n_words)
+        assert RsSketch(np.zeros(26, dtype=np.int64), RsCode(255, 229), 0).n_words == 0
+
 
 class TestRecover:
     def test_identity(self, rng):

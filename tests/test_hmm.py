@@ -397,10 +397,15 @@ class TestFitFromTraces:
             fit_hmm_from_traces(h, o, levels=2)
 
     def test_levels_smaller_than_alphabet(self):
-        h = make_trace([0, -1, -2, 0], "alice")
-        o = make_trace([0, -1, -2, 0], "eve")
-        with pytest.raises(ValueError, match="smaller than"):
-            fit_hmm_from_traces(h, o, levels=2)
+        # levels in [-(levels - 1), 0] number at most levels, so a wider
+        # alphabet always trips the range check
+        h = make_trace([0, -1, -2, -3, -4, 0], "alice")
+        o = make_trace([0, -1, -2, 0, -1, -2], "eve")
+        with pytest.raises(ValueError, match=r"^hidden trace has levels outside \[-2, 0\]; "
+                                             "clamp during ingestion$"):
+            fit_hmm_from_traces(h, o, levels=3)
+        with pytest.raises(ValueError, match=r"^observed trace has levels outside \[-1, 0\]"):
+            fit_hmm_from_traces(make_trace([0, -1] * 3, "alice"), o, levels=2)
 
     def test_refit_recovers_generator(self):
         from physkey.channel import family_config, simulate_run

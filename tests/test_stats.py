@@ -7,10 +7,19 @@ from hypothesis import strategies as st
 
 from physkey.channel import ChannelConfig, simulate_run
 from physkey.hmm import HmmModel
-from physkey.stats import (_kolmogorov_sf, _ks_counts, ks_two_sample,
+from physkey.stats import (_kolmogorov_sf, _ks_counts, _random_halves, ks_two_sample,
                            lag_correlation_profile, pearson_significance,
                            validate_assumptions)
 from physkey.traces import MeasurementTrace, make_trace
+
+from .oracles import sorted_ks_two_sample
+
+
+def assert_matches_sorted_ks(rep, x, y, alpha):
+    ref = sorted_ks_two_sample(x, y, alpha)
+    assert rep.statistic == ref.statistic
+    assert rep.p_value == ref.p_value
+    assert rep.reject == ref.reject
 
 
 class TestPearson:
@@ -147,10 +156,27 @@ class TestKs:
 
 
 LEVEL_SAMPLES = st.lists(st.integers(-8, 0), min_size=8, max_size=80)
+# ties come from a small pool; the full float range (infinities too) from st.floats
+TIED_FLOATS = st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 7.0]),
+                                 st.floats(allow_nan=False)), min_size=8, max_size=80)
+
+
+class TestKsOnSamples:
+    """ks_two_sample ranks the samples and counts; the sorted-sample test
+    in the oracles is the reference."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(TIED_FLOATS, TIED_FLOATS, st.sampled_from([0.01, 0.05, 0.5]))
+    def test_matches_sorted_samples(self, x, y, alpha):
+        assert_matches_sorted_ks(ks_two_sample(x, y, alpha), x, y, alpha)
+
+    def test_continuous_samples(self, rng):
+        x, y = rng.normal(size=500), rng.normal(size=700) + 0.1
+        assert_matches_sorted_ks(ks_two_sample(x, y, 0.05), x, y, 0.05)
 
 
 class TestKsCounts:
-    """The suite's count-based K-S against ks_two_sample on the samples."""
+    """The suite's count-based K-S against the sorted-sample reference."""
 
     @staticmethod
     def counts(x, y, extra=()):
@@ -163,13 +189,13 @@ class TestKsCounts:
     @given(LEVEL_SAMPLES, LEVEL_SAMPLES, st.lists(st.integers(-12, 3), max_size=3),
            st.sampled_from([0.01, 0.05, 0.5]))
     def test_matches_ks_two_sample(self, x, y, extra, alpha):
-        assert _ks_counts(*self.counts(x, y, extra), alpha) == ks_two_sample(x, y, alpha)
+        assert_matches_sorted_ks(_ks_counts(*self.counts(x, y, extra), alpha), x, y, alpha)
 
     @settings(deadline=None, max_examples=100)
     @given(st.lists(st.integers(-8, -4), min_size=8, max_size=40),
            st.lists(st.integers(-4, 0), min_size=8, max_size=90))
     def test_levels_on_one_side_only(self, x, y):
-        assert _ks_counts(*self.counts(x, y), 0.05) == ks_two_sample(x, y, 0.05)
+        assert_matches_sorted_ks(_ks_counts(*self.counts(x, y), 0.05), x, y, 0.05)
 
     @pytest.mark.parametrize("x, y", [
         ([-3] * 9, [-3] * 31),
@@ -178,7 +204,32 @@ class TestKsCounts:
         (list(range(-8, 1)), list(range(-8, 1)) * 3),
     ], ids=["all-equal", "all-equal-same-size", "disjoint", "same-levels"])
     def test_edge_samples(self, x, y):
-        assert _ks_counts(*self.counts(x, y), 0.05) == ks_two_sample(x, y, 0.05)
+        assert_matches_sorted_ks(_ks_counts(*self.counts(x, y), 0.05), x, y, 0.05)
+
+
+class TestRandomHalves:
+    def test_complement_sizes(self):
+        counts = np.array([3, 0, 5, 1])  # n = 9: halves of 4 and 5
+        for h1, h2 in _random_halves(np.random.default_rng(0), counts, 50):
+            assert (h1 >= 0).all() and (h2 >= 0).all()
+            assert (h1 + h2 == counts).all()
+            assert (h1.sum(), h2.sum()) == (4, 5)
+
+    def test_count_draws_match_permutation_halves(self, calibrated_config):
+        # per level, a random half's count has one law whether the half is
+        # drawn as counts or as the first n/2 indices of a permutation
+        levels = simulate_run(replace(calibrated_config, n=10_000, seed=61)).alice.levels
+        codes = np.unique(levels, return_inverse=True)[1]
+        counts = np.bincount(codes)
+        draws = 2000
+        drawn = np.array([h1 for h1, _ in
+                          _random_halves(np.random.default_rng(62), counts, draws)])
+        rng = np.random.default_rng(63)
+        permuted = np.array([np.bincount(codes[rng.permutation(codes.size)[:codes.size // 2]],
+                                         minlength=counts.size) for _ in range(draws)])
+        assert counts.size == 9 and (counts >= 50).all()
+        for level in range(counts.size):
+            assert not ks_two_sample(drawn[:, level], permuted[:, level], 0.001).reject
 
 
 class TestDownsample:
@@ -215,6 +266,16 @@ class TestValidateAssumptions:
         assert cross["lag0_significant"]
         assert not any(v["significant_forward"] or v["significant_backward"]
                        for v in cross["nonzero_lags"].values())
+
+    def test_odd_length_trace(self, calibrated_config):
+        # the complement half holds one sample more than the drawn half
+        run = simulate_run(replace(calibrated_config, n=4001, seed=78))
+        report = validate_assumptions(run.alice, run.eve,
+                                      trials=120, slice_len=100, seed=4)
+        alpha = report.alpha
+        assert report.identical_distribution_rejection_rate <= 2 * alpha
+        assert report.stationary_transition_rejection_rate <= 2 * alpha
+        assert report.stationary_observation_rejection_rate <= 2 * alpha
 
     def test_regime_change_detected(self):
         # transition structure swapped mid-trace: successors shift regimes

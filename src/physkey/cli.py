@@ -34,7 +34,7 @@ def _load_trace(path: str, role: str):
     ids = tf.node_ids()
     if len(ids) != 1:
         raise PhyskeyError(f"{path}: expected a single node, found {ids}")
-    return replace(tf.trace(ids[0]), node_id=role)
+    return tf.trace(ids[0], role)
 
 
 def _load_aligned(paths: dict, **options):

@@ -4,18 +4,23 @@ Trace CSV format (fixed): header ``seq,node_id,frame_type,rssi``, one row per
 observation, frame_type in {PING, PONG, OBS}, rssi as signed integer dBm.
 
 A parsed ``TraceFile`` holds one column per field: seq and rssi as int64
-arrays, node_id and frame_type as lists of strings.  Parsing converts whole
-columns at once: one split of the joined rows, one int() pass per numeric
-column, one set check of the frame types.  Only when that fails are the
-rows walked, to raise a ``PhyskeyError`` naming ``path:line`` of the first
-bad one; a seq or rssi outside int64 is such a line.
+arrays, node_id and frame_type as codes into the column's distinct texts.
+Parsing works on the UTF-8 bytes of the body in one pass per column: the
+positions of commas and newlines give every row's comma count and every
+cell's bounds.  Seq and rssi cells of the form ``-?[0-9]{1,18}`` are
+converted together by one digit gather; any other cell goes through int()
+on its own text, so the grammar is int()'s.  Node and frame cells are
+decoded only where their bytes differ from the first row's.  A text with a
+line break other than ``\n`` is first rejoined from ``str.splitlines()``.
+When any row fails, the rows are walked to raise a ``PhyskeyError`` naming
+``path:line`` of the first bad one; a seq or rssi outside int64 is such a
+line.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -76,33 +81,36 @@ def assert_aligned(*traces: MeasurementTrace) -> None:
 
 @dataclass(eq=False)
 class TraceFile:
-    """Parsed trace CSV, one column per CSV field, in file row order."""
+    """Parsed trace CSV, one column per CSV field, in file row order.
+
+    seq and rssi are int64 arrays.  node_id and frame_type are kept as codes:
+    ``node[i]`` indexes ``nodes`` and ``frame[i]`` indexes ``frames``, the
+    distinct texts of each column in order of first appearance.
+    """
 
     seq: np.ndarray
-    node_id: list
-    frame_type: list
+    node: np.ndarray
+    nodes: list
+    frame: np.ndarray
+    frames: list
     rssi: np.ndarray
     path: str = ""
 
     @classmethod
     def parse(cls, text: str, path: str = "") -> "TraceFile":
         where = path or "<string>"
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != CSV_HEADER:
+        if any(brk in text for brk in _OTHER_LINE_BREAKS):
+            text = "\n".join(text.splitlines())
+        header, _, body = text.partition("\n")
+        if header.strip() != CSV_HEADER:
             raise PhyskeyError(f"{where}: missing header {CSV_HEADER!r}")
-        body = list(filter(str.strip, lines[1:]))  # blank lines are skipped
+        raw = body.encode("utf-8", "surrogatepass")
         try:
-            if set(map(str.count, body, repeat(","))) - {3}:
-                raise ValueError("a row without 4 cells")
-            cells = ",".join(body).split(",") if body else []
-            seq, rssi = (np.fromiter(map(int, cells[i::4]), np.int64, len(body))
-                         for i in (0, 3))
-            if not set(cells[2::4]) <= set(FRAME_TYPES):
-                raise ValueError("an unknown frame type")
-        except (ValueError, OverflowError):
-            _raise_first_bad_row(lines, where)
-            raise  # not reached: the row walk meets the row that failed
-        return cls(seq, cells[1::4], cells[2::4], rssi, path)
+            columns = _columns(raw)
+        except ValueError:
+            _raise_first_bad_row(text.splitlines(), where)
+            raise PhyskeyError(f"{where}: a data row does not parse") from None
+        return cls(*columns, path)
 
     @classmethod
     def load(cls, path) -> "TraceFile":
@@ -111,8 +119,8 @@ class TraceFile:
     @property
     def rows(self) -> list:
         """(seq, node_id, frame_type, rssi) tuples, one per data row."""
-        return list(zip(self.seq.tolist(), self.node_id, self.frame_type,
-                        self.rssi.tolist()))
+        return list(zip(self.seq.tolist(), _decode(self.nodes, self.node),
+                        _decode(self.frames, self.frame), self.rssi.tolist()))
 
     def serialize(self) -> str:
         out = io.StringIO()
@@ -125,15 +133,102 @@ class TraceFile:
         Path(path).write_text(self.serialize())
 
     def node_ids(self) -> list:
-        return list(dict.fromkeys(self.node_id))
+        return list(self.nodes)
 
-    def trace(self, node_id: str) -> MeasurementTrace:
-        picked = np.flatnonzero(np.array(self.node_id, dtype=object) == node_id)
-        if not picked.size:
+    def trace(self, node_id: str, name: str | None = None) -> MeasurementTrace:
+        """The rows of node_id in seq order, as a trace named name (default
+        node_id)."""
+        if node_id not in self.nodes:
             raise PhyskeyError(f"no rows for node {node_id!r} in {self.path or '<string>'}")
+        picked = np.flatnonzero(self.node == self.nodes.index(node_id))
         picked = picked[np.argsort(self.seq[picked], kind="stable")]
-        return MeasurementTrace(self.seq[picked], self.rssi[picked], node_id,
-                                self.frame_type[picked[0]])
+        return MeasurementTrace(self.seq[picked], self.rssi[picked],
+                                node_id if name is None else name,
+                                self.frames[self.frame[picked[0]]])
+
+
+# the line breaks of str.splitlines() other than "\n"
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# digits of the widest cell the vector pass converts: 10**18 - 1 < 2**63
+_DIGITS = 18
+_POW10 = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.int64)
+
+
+def _decode(names: list, codes: np.ndarray) -> list:
+    return np.array(names, dtype=object)[codes].tolist()
+
+
+def _text(raw: bytes, lo, hi) -> str:
+    return raw[lo:hi].decode("utf-8", "surrogatepass")
+
+
+def _columns(raw: bytes) -> tuple:
+    """(seq, node, nodes, frame, frames, rssi) of the data rows in raw, the
+    UTF-8 text after the header line; ValueError when a row does not parse.
+
+    Commas and newlines never occur inside a multi-byte UTF-8 character, so
+    their byte positions bound every line and cell.
+    """
+    b = np.frombuffer(raw + b"\n", np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))  # a newline ends every line
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(b == ord(","))
+    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+    rows = per_line == 3
+    # any other line must be blank, and a blank line has no comma
+    if per_line[~rows].any() or any(
+            _text(raw, lo, hi).strip() for lo, hi in zip(starts[~rows], ends[~rows])):
+        raise ValueError("a row without 4 cells")
+    cut = commas.reshape(-1, 3)
+    seq = _integers(raw, b, starts[rows], cut[:, 0])
+    node, nodes = _categories(raw, b, cut[:, 0] + 1, cut[:, 1])
+    frame, frames = _categories(raw, b, cut[:, 1] + 1, cut[:, 2])
+    if not set(frames) <= set(FRAME_TYPES):
+        raise ValueError("an unknown frame type")
+    return seq, node, nodes, frame, frames, _integers(raw, b, cut[:, 2] + 1, ends[rows])
+
+
+def _integers(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """int() of every cell raw[lo:hi] as an int64 array.
+
+    Cells of the form -?[0-9]{1,18} are converted together, by one gather of
+    their digits right-aligned on the cell end; every other cell goes through
+    int() on its own text, and a ValueError when it does not parse or does
+    not fit in int64.
+    """
+    neg = b[lo] == ord("-")
+    width = hi - lo - neg
+    w = min(_DIGITS, int(width.max(initial=0)))
+    offsets = np.arange(-w, 0)[:, None]
+    # row k holds the k-th of the last w bytes of every cell; a position
+    # before the buffer wraps to its end, is before its cell and is zeroed
+    digits = b[hi + offsets] - ord("0")  # uint8: 10 or more unless a digit
+    digits[offsets < -width] = 0
+    values = _POW10[_DIGITS - w:] @ digits
+    np.negative(values, out=values, where=neg)
+    for i in np.flatnonzero((width < 1) | (width > _DIGITS) | (digits >= 10).any(axis=0)):
+        value = int(_text(raw, lo[i], hi[i]))
+        if not -2 ** 63 <= value < 2 ** 63:
+            raise ValueError("a value outside int64")
+        values[i] = value
+    return values
+
+
+def _categories(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(codes, names): every cell raw[lo:hi] as an index into names, the
+    distinct cell texts in order of first appearance.  Only the cells whose
+    bytes differ from the first cell's are read one at a time."""
+    if not lo.size:
+        return np.zeros(0, np.intp), []
+    first = raw[lo[0]:hi[0]]
+    same = hi - lo == len(first)
+    for k, byte in enumerate(first, start=-len(first)):
+        same &= b[hi + k] == byte  # as in _integers, a wrapped position is outside its cell
+    codes = np.zeros(lo.size, np.intp)
+    seen = {first: 0}
+    for i in np.flatnonzero(~same):
+        codes[i] = seen.setdefault(raw[lo[i]:hi[i]], len(seen))
+    return codes, [cell.decode("utf-8", "surrogatepass") for cell in seen]
 
 
 def _raise_first_bad_row(lines: list, where: str) -> None:
@@ -157,7 +252,8 @@ def _raise_first_bad_row(lines: list, where: str) -> None:
 
 def trace_to_file(trace: MeasurementTrace) -> TraceFile:
     n = len(trace)
-    return TraceFile(trace.seqs, [trace.node_id] * n, [trace.frame_type] * n,
+    codes = np.zeros(n, np.intp)
+    return TraceFile(trace.seqs, codes, [trace.node_id][:n], codes, [trace.frame_type][:n],
                      trace.levels)
 
 

@@ -69,6 +69,16 @@ def brute_exact_avg_bits(model, n: int, chunk: int = 4096) -> float:
     return -np.log2(acc)
 
 
+def memoryless_exact_bits(model, n: int) -> float:
+    """Exact average-case conditional min-entropy of n samples of a chain
+    whose every transition row equals pi: n * h with
+    h = -log2 sum_y max_x pi_x b_x(y), since the sum over sequences of the
+    max joint probability factors per sample."""
+    if not np.allclose(model.trans, model.pi):
+        raise ValueError("closed form needs every transition row equal to pi")
+    return -n * math.log2((model.pi[:, None] * model.emit).max(axis=0).sum())
+
+
 def scalar_viterbi_log2(model, obs) -> float:
     """log2 P* of one sequence by the log-domain Viterbi loop over a state vector."""
     with np.errstate(divide="ignore"):

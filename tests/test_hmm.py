@@ -15,8 +15,9 @@ from physkey.hmm import (HmmModel, _recursions,
                          slice_experiments, validate_model, viterbi_max_joint)
 from physkey.traces import make_trace
 
-from .oracles import (brute_exact_avg_bits, brute_forward, brute_viterbi, random_model,
-                      scalar_forward_log2, scalar_viterbi_log2)
+from .oracles import (brute_exact_avg_bits, brute_forward, brute_viterbi,
+                      memoryless_exact_bits, random_model, scalar_forward_log2,
+                      scalar_viterbi_log2)
 
 
 @pytest.fixture()
@@ -345,6 +346,22 @@ class TestEstimator:
         est = estimate_avg_conditional_min_entropy(
             cfg.model, slice_experiments(cfg.model, run.eve.levels, 100))
         assert abs(est.mean_bits - 10 * exact10) <= 3 * est.std_bits
+
+    def test_mean_not_below_exact_on_calibrated_channel(self, calibrated_config):
+        # the estimator averages -log2(P*_j / P_j), and by Jensen that mean
+        # is never below H~ = -log2 sum_y P*(y); on the true calibrated
+        # (memoryless) model the closed form n * h gives H~ exactly
+        from dataclasses import replace
+        from physkey.channel import simulate_run
+        model, n = calibrated_config.model, 4
+        exact = memoryless_exact_bits(model, n)
+        assert exact == pytest.approx(brute_exact_avg_bits(model, n, chunk=256), abs=1e-9)
+        assert exact == pytest.approx(3.9107, abs=5e-5)
+        run = simulate_run(replace(calibrated_config, n=2000 * n, seed=77))
+        est = estimate_avg_conditional_min_entropy(
+            model, slice_experiments(model, run.eve.levels, n))
+        assert est.n_experiments == 2000
+        assert est.mean_bits >= exact - 4 * est.std_bits / math.sqrt(est.n_experiments)
 
 
 class TestFitFromTraces:

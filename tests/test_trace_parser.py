@@ -9,13 +9,16 @@ and only ``trace`` failed.
 
 import re
 
+import numpy as np
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from physkey.channel import family_config, simulate_run
 from physkey.errors import PhyskeyError
-from physkey.traces import CSV_HEADER, TraceFile
+from physkey.traces import CSV_HEADER, FRAME_TYPES, TraceFile, trace_to_file
 
 from .oracles import RowLoopTraceFile
-from .test_fail_closed import trace_rows
+from .test_fail_closed import row_text, trace_rows
 
 PATH = "t.csv"
 
@@ -56,18 +59,7 @@ def trace_outcome(tf, node_id):
     return t.node_id, t.seqs.tolist(), t.levels.tolist(), t.frame_type
 
 
-@settings(deadline=None, max_examples=400)
-@given(trace_rows())
-@example(["1,a,PING,2,3,b,PING", "4"])  # cells balance across two bad rows
-@example(["1,alice,PING,-3", "", "   ", "2,alice,PING,-4"])
-@example([" 1,alice,PING,+3", "1_0,alice,PING,٣", "007,alice,PING,-0"])
-@example(["1000000000000000000,a,OBS,-9223372036854775808", "-5,a,OBS,0"])
-@example([f"{2 ** 63},alice,PING,0"])
-@example(["1,alice,PING,0", f"2,alice,PING,{-2 ** 63 - 1}", "3,alice,BEEP,0"])
-@example(["1,alice,PING,0", "1,alice,PING,-1", "0,bob,PONG,-2"])
-@example([])
-def test_matches_row_loop(rows):
-    text = "\n".join([CSV_HEADER, *rows])
+def assert_matches_row_loop(text):
     want = outcome(RowLoopTraceFile.parse, text)
     got = outcome(TraceFile.parse, text)
     overflow = first_overflow_line(text)
@@ -79,8 +71,75 @@ def test_matches_row_loop(rows):
         assert isinstance(got, PhyskeyError) and str(got) == str(want)
     else:
         assert not isinstance(got, PhyskeyError)
-        assert len(got.rows) == len(want.rows)
+        assert got.rows == want.rows
         assert got.serialize() == want.serialize()
         assert got.node_ids() == want.node_ids()
         for node_id in want.node_ids():
             assert trace_outcome(got, node_id) == trace_outcome(want, node_id)
+
+
+@settings(deadline=None, max_examples=400)
+@given(trace_rows())
+@example(["1,a,PING,2,3,b,PING", "4"])  # cells balance across two bad rows
+@example(["1,alice,PING,-3", "", "   ", "2,alice,PING,-4"])
+@example([" 1,alice,PING,+3", "1_0,alice,PING,٣", "007,alice,PING,-0"])
+@example(["1000000000000000000,a,OBS,-9223372036854775808", "-5,a,OBS,0"])
+@example([f"{2 ** 63},alice,PING,0"])
+@example(["1,alice,PING,0", f"2,alice,PING,{-2 ** 63 - 1}", "3,alice,BEEP,0"])
+@example(["1,alice,PING,0", "1,alice,PING,-1", "0,bob,PONG,-2"])
+@example([])
+# 18 digits take the vector pass, 19 digits and int64's ends take int()
+@example(["123456789012345678,a,OBS,-987654321098765432",
+          "1234567890123456789,a,OBS,-9876543210987654321"])
+@example([f"{2 ** 63 - 1},a,OBS,{-(2 ** 63 - 1)}", f"{-2 ** 63},a,OBS,{-2 ** 63}"])
+@example(["1,a,OBS,0", f"2,a,OBS,{2 ** 63}"])
+@example(["1,a,OBS,-"])
+@example([",a,OBS,1"])
+@example(["1,a,OBS,"])
+@example(["-0,a,OBS,007", "00,a,OBS,-00"])
+@example(["1,a,OBS,-1\r\n2,a,OBS,-2\r\n"])
+@example(["1,a,OBS,-1\r2,a,OBS,x"])
+@example(["1,a,OBS,-1\x852,a,OBS,-2", "3,a,OBS,-3\u20284,a,OBS,-4"])
+@example(["1,ålice,OBS,-1", "2,ëve,PING,-2", "3,ålice,OBS,-3", "4,ålicé,OBS,-4"])
+@example([f"{i},{'ab'[i % 2]},OBS,{-i}" for i in range(9)])
+@example(["1,a,OBS,-1", "2,a,OBS,-2", ""])  # a trailing newline; all others end without
+def test_matches_row_loop(rows):
+    assert_matches_row_loop("\n".join([CSV_HEADER, *rows]))
+
+
+damaged_rows = st.one_of(row_text, st.integers(2 ** 63, 2 ** 65).map(lambda v: f"1,a,OBS,-{v}"))
+
+
+@st.composite
+def many_rows(draw):
+    """Up to 300 well-formed rows from a drawn seed, seq and rssi each up to
+    1, 7 or 19 digits wide at random, and a few damaged rows inserted among
+    them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(0, 300))
+    seq, rssi = (rng.integers(-high, high, endpoint=True).tolist()
+                 for high in rng.choice(np.array([9, 10 ** 6, 2 ** 63 - 1]), (2, size)))
+    rows = [f"{s},{node},{frame},{r}" for s, node, frame, r in zip(
+        seq, rng.choice(["alice", "bob", "eve", "ëve", ""], size),
+        rng.choice(FRAME_TYPES, size), rssi)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(damaged_rows))
+    return rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(many_rows())
+def test_many_rows_match_row_loop(rows):
+    assert_matches_row_loop("\n".join([CSV_HEADER, *rows]) + "\n")
+
+
+def test_simulated_files_match_row_loop(tmp_path):
+    # files of the run_dir channel at the size the analyze walkthrough reads
+    run = simulate_run(family_config(levels=9, decay=1.0, spread=0.4, band=2, q=0.02,
+                                     n=10_000, seed=3))
+    for trace in (run.alice, run.bob, run.eve):
+        path = tmp_path / f"{trace.node_id}.csv"
+        trace_to_file(trace).save(path)
+        text = path.read_text()
+        assert text.count("\n") == 10_001
+        assert_matches_row_loop(text)

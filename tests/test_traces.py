@@ -68,6 +68,14 @@ class TestTraceFile:
             TraceFile.parse(bad)
 
 
+    def test_missed_bad_row_fails_closed(self, monkeypatch):
+        # a row walk that finds no bad row still ends in a domain error
+        # naming the file, not the column pass's bare ValueError
+        monkeypatch.setattr("physkey.traces._raise_first_bad_row", lambda lines, where: None)
+        bad = "seq,node_id,frame_type,rssi\n1,alice,PING,x\n"
+        with pytest.raises(PhyskeyError, match=r"^t\.csv: a data row does not parse$"):
+            TraceFile.parse(bad, "t.csv")
+
 class TestIngest:
     def trio(self):
         return {

@@ -343,6 +343,8 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     if not (0.0 < target_entropy_rate < 1.0 and 0.0 < target_word_error_rate < 1.0):
         raise CalibrationError(
             "calibration failed: target rates must lie strictly inside (0, 1)")
+    if levels < 2:
+        raise CalibrationError(f"calibration failed: levels must be at least 2, got {levels}")
     entropy_per_sample = target_entropy_rate * BITS_PER_SAMPLE
     word_error_per_word = target_word_error_rate * BITS_PER_SAMPLE
     if entropy_per_sample >= math.log2(levels):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, hmm, protocol, stats
-from .errors import PhyskeyError
+from .errors import CalibrationError, PhyskeyError
 from .quantize import BITS_PER_SAMPLE
 from .traces import TraceFile, ingest_traces, trace_to_file
 
@@ -90,7 +90,10 @@ def _load_config(path: str) -> channel.ChannelConfig:
         rates = hmm.json_float(cal["entropy_rate"]), hmm.json_float(cal["word_error_rate"])
         levels = hmm.json_int(cal.get("levels", LEVELS))
         seed = hmm.json_int(cal.get("seed", 2026))
-    return channel.calibrate_to_reference_rates(*rates, levels=levels, seed=seed)
+    try:
+        return channel.calibrate_to_reference_rates(*rates, levels=levels, seed=seed)
+    except CalibrationError as exc:
+        raise PhyskeyError(f"{path}: {exc}") from None
 
 
 def _load_fits(path: str | None):

@@ -152,15 +152,14 @@ def _random_halves(rng: np.random.Generator, counts: np.ndarray, draws: int):
 def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
                          alpha: float = 0.05, trials: int = 200,
                          slice_len: int = hmm.SLICE_LEN, max_lag: int = 6,
-                         levels: int | None = None, seed: int = 0) -> AssumptionReport:
+                         levels: int, seed: int = 0) -> AssumptionReport:
     """Run the assumption suite on an aligned (alice, eve) trace pair.
 
     ``trials`` K-S partitions per test (a tenth of them for the
     conditional-observation test), ``slice_len``-sample entropy
     experiments, lags up to ``max_lag`` (at least 1) in both correlation
-    probes, and an HMM over ``levels`` levels (inferred from the traces
-    when None).  Sub-tests that lack data are skipped and recorded in
-    details rather than failing the suite.
+    probes, and an HMM over ``levels`` levels.  Sub-tests that lack data
+    are skipped and recorded in details rather than failing the suite.
 
     A partition is a multivariate hypergeometric draw of one random half's
     counts, and the complement (one sample larger when n is odd), so tests
@@ -239,8 +238,6 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
 
     # (e) stable entropy: per-slice conditional min-entropy spread under a
     # counting-fitted model
-    if levels is None:
-        levels = int(1 - min(alice.levels.min(), eve.levels.min()))
     model = hmm.fit_hmm_from_traces(alice, eve, levels=levels, smoothing=1e-3)
     experiments = hmm.slice_experiments(model, eve.levels, slice_len)
     stable = hmm.estimate_avg_conditional_min_entropy(model, experiments)

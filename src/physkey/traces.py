@@ -1,20 +1,21 @@
 """Measurement traces, trace-file CSV parsing and aligned ingestion.
 
-Trace CSV format (fixed): header ``seq,node_id,frame_type,rssi``, one row per
-observation, frame_type in {PING, PONG, OBS}, rssi as signed integer dBm.
+Trace CSV grammar, the one ``trace_to_file`` writes and the only one read:
+the header line ``seq,node_id,frame_type,rssi`` exactly, then one row per
+observation, ``-?[0-9]{1,19},<node>,PING|PONG|OBS,-?[0-9]{1,19}`` with seq
+and rssi (signed dBm) in int64 and ``<node>`` any text without ``,`` or
+``\\n``.  Empty lines are skipped.  ``TraceFile.parse`` splits lines on
+``\\n`` only; ``TraceFile.load`` reads the file with universal newlines, so
+a CRLF or CR file loads as its LF twin.
 
 A parsed ``TraceFile`` holds one column per field: seq and rssi as int64
 arrays, node_id and frame_type as codes into the column's distinct texts.
 Parsing works on the UTF-8 bytes of the body in one pass per column: the
-positions of commas and newlines give every row's comma count and every
-cell's bounds.  Seq and rssi cells of the form ``-?[0-9]{1,18}`` are
-converted together by one digit gather; any other cell goes through int()
-on its own text, so the grammar is int()'s.  Node and frame cells are
-decoded only where their bytes differ from the first row's.  A text with a
-line break other than ``\n`` is first rejoined from ``str.splitlines()``.
-When any row fails, the rows are walked to raise a ``PhyskeyError`` naming
-``path:line`` of the first bad one; a seq or rssi outside int64 is such a
-line.
+positions of commas and newlines bound every line and cell, the digits of
+every seq (or rssi) cell are gathered and summed together, and node and
+frame cells are decoded only where their bytes differ from the first
+row's.  The same pass marks every line outside the grammar, and a
+``PhyskeyError`` names ``path:line`` of the first.
 """
 
 from __future__ import annotations
@@ -99,17 +100,14 @@ class TraceFile:
     @classmethod
     def parse(cls, text: str, path: str = "") -> "TraceFile":
         where = path or "<string>"
-        if any(brk in text for brk in _OTHER_LINE_BREAKS):
-            text = "\n".join(text.splitlines())
         header, _, body = text.partition("\n")
-        if header.strip() != CSV_HEADER:
+        if header != CSV_HEADER:
             raise PhyskeyError(f"{where}: missing header {CSV_HEADER!r}")
-        raw = body.encode("utf-8", "surrogatepass")
-        try:
-            columns = _columns(raw)
-        except ValueError:
-            _raise_first_bad_row(text.splitlines(), where)
-            raise PhyskeyError(f"{where}: a data row does not parse") from None
+        *columns, bad = _columns(body.encode("utf-8", "surrogatepass"))
+        if bad.any():
+            k = int(bad.argmax())
+            line = body.split("\n", k + 1)[k]
+            raise PhyskeyError(f"{where}:{k + 2}: row {line!r} is not {CSV_HEADER} ({_CELLS})")
         return cls(*columns, path)
 
     @classmethod
@@ -147,24 +145,20 @@ class TraceFile:
                                 self.frames[self.frame[picked[0]]])
 
 
-# the line breaks of str.splitlines() other than "\n"
-_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# digits of the widest cell the vector pass converts: 10**18 - 1 < 2**63
-_DIGITS = 18
-_POW10 = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.int64)
+_CELLS = "decimal int64 seq and rssi, frame_type PING, PONG or OBS"
+# digits of the widest seq or rssi cell: 10**19 - 1 < 2**64, so a uint64 sum is exact
+_DIGITS = 19
+_POW10 = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.uint64)
 
 
 def _decode(names: list, codes: np.ndarray) -> list:
     return np.array(names, dtype=object)[codes].tolist()
 
 
-def _text(raw: bytes, lo, hi) -> str:
-    return raw[lo:hi].decode("utf-8", "surrogatepass")
-
-
 def _columns(raw: bytes) -> tuple:
-    """(seq, node, nodes, frame, frames, rssi) of the data rows in raw, the
-    UTF-8 text after the header line; ValueError when a row does not parse.
+    """(seq, node, nodes, frame, frames, rssi, bad) of the lines of raw, the
+    UTF-8 text after the header line; bad marks every line that is neither
+    empty nor a row of the grammar.
 
     Commas and newlines never occur inside a multi-byte UTF-8 character, so
     their byte positions bound every line and cell.
@@ -175,26 +169,23 @@ def _columns(raw: bytes) -> tuple:
     commas = np.flatnonzero(b == ord(","))
     per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
     rows = per_line == 3
-    # any other line must be blank, and a blank line has no comma
-    if per_line[~rows].any() or any(
-            _text(raw, lo, hi).strip() for lo, hi in zip(starts[~rows], ends[~rows])):
-        raise ValueError("a row without 4 cells")
-    cut = commas.reshape(-1, 3)
-    seq = _integers(raw, b, starts[rows], cut[:, 0])
+    bad = ~rows & (ends > starts)
+    cut = commas[np.repeat(rows, per_line)].reshape(-1, 3)
+    seq, bad_seq = _integers(b, starts[rows], cut[:, 0])
     node, nodes = _categories(raw, b, cut[:, 0] + 1, cut[:, 1])
     frame, frames = _categories(raw, b, cut[:, 1] + 1, cut[:, 2])
-    if not set(frames) <= set(FRAME_TYPES):
-        raise ValueError("an unknown frame type")
-    return seq, node, nodes, frame, frames, _integers(raw, b, cut[:, 2] + 1, ends[rows])
+    rssi, bad_rssi = _integers(b, cut[:, 2] + 1, ends[rows])
+    unknown = np.array([name not in FRAME_TYPES for name in frames], bool)
+    bad[rows] = bad_seq | bad_rssi | unknown[frame]
+    return seq, node, nodes, frame, frames, rssi, bad
 
 
-def _integers(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int() of every cell raw[lo:hi] as an int64 array.
+def _integers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(values, bad): every cell b[lo:hi] of the form -?[0-9]{1,19} as an
+    int64 array, and a mask of the cells not of that form or outside int64.
 
-    Cells of the form -?[0-9]{1,18} are converted together, by one gather of
-    their digits right-aligned on the cell end; every other cell goes through
-    int() on its own text, and a ValueError when it does not parse or does
-    not fit in int64.
+    The digits of all cells are gathered at once, right-aligned on the cell
+    end, and summed in uint64.
     """
     neg = b[lo] == ord("-")
     width = hi - lo - neg
@@ -205,13 +196,10 @@ def _integers(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
     digits = b[hi + offsets] - ord("0")  # uint8: 10 or more unless a digit
     digits[offsets < -width] = 0
     values = _POW10[_DIGITS - w:] @ digits
+    bad = ((width < 1) | (width > _DIGITS) | (digits >= 10).any(axis=0)
+           | (values > np.uint64(2 ** 63 - 1) + neg))  # -2**63 is in range
     np.negative(values, out=values, where=neg)
-    for i in np.flatnonzero((width < 1) | (width > _DIGITS) | (digits >= 10).any(axis=0)):
-        value = int(_text(raw, lo[i], hi[i]))
-        if not -2 ** 63 <= value < 2 ** 63:
-            raise ValueError("a value outside int64")
-        values[i] = value
-    return values
+    return values.view(np.int64), bad
 
 
 def _categories(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -231,26 +219,13 @@ def _categories(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tu
     return codes, [cell.decode("utf-8", "surrogatepass") for cell in seen]
 
 
-def _raise_first_bad_row(lines: list, where: str) -> None:
-    """Raise a PhyskeyError naming the first data line that does not parse."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise PhyskeyError(f"{where}:{lineno}: malformed row {line!r}")
-        try:
-            values = int(parts[0]), int(parts[3])
-        except ValueError as exc:
-            raise PhyskeyError(f"{where}:{lineno}: {exc}") from None
-        if parts[2] not in FRAME_TYPES:
-            raise PhyskeyError(f"{where}:{lineno}: unknown frame_type {parts[2]!r}")
-        if not all(-2 ** 63 <= v < 2 ** 63 for v in values):
-            raise PhyskeyError(
-                f"{where}:{lineno}: a seq or rssi value does not fit in 64 bits")
-
-
 def trace_to_file(trace: MeasurementTrace) -> TraceFile:
+    """The trace as a TraceFile; ValueError when its node_id or frame_type
+    would not read back (a ``\\r`` reads as a line break through ``load``)."""
+    if any(c in trace.node_id for c in ",\n\r"):
+        raise ValueError(f"node_id {trace.node_id!r} holds a comma or a line break")
+    if trace.frame_type not in FRAME_TYPES:
+        raise ValueError(f"frame_type {trace.frame_type!r} is not PING, PONG or OBS")
     n = len(trace)
     codes = np.zeros(n, np.intp)
     return TraceFile(trace.seqs, codes, [trace.node_id][:n], codes, [trace.frame_type][:n],

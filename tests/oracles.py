@@ -8,6 +8,7 @@ separate code from the batched kernel under test.
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -261,10 +262,11 @@ def sorted_ks_two_sample(x, y, alpha: float):
 
 
 class RowLoopTraceFile:
-    """Trace CSV parsed one row at a time into (seq, node_id, frame_type,
-    rssi) tuples: the reference for the column-wise ``TraceFile``.  Values
-    are Python ints of any size; ``trace`` names the node of a value that
-    does not fit in 64 bits."""
+    """Trace CSV parsed one line at a time into (seq, node_id, frame_type,
+    rssi) tuples, each line split on ``\\n`` and matched whole against the
+    row grammar: the reference for the column-wise ``TraceFile``."""
+
+    ROW = re.compile(r"(-?[0-9]{1,19}),([^,\n]*),(PING|PONG|OBS),(-?[0-9]{1,19})")
 
     def __init__(self, rows: list, path: str = ""):
         self.rows, self.path = rows, path
@@ -272,28 +274,22 @@ class RowLoopTraceFile:
     @classmethod
     def parse(cls, text: str, path: str = "") -> "RowLoopTraceFile":
         from physkey.errors import PhyskeyError
-        from physkey.traces import CSV_HEADER, FRAME_TYPES
+        from physkey.traces import CSV_HEADER
 
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != CSV_HEADER:
-            raise PhyskeyError(f"{path or '<string>'}: missing header {CSV_HEADER!r}")
+        where = path or "<string>"
+        lines = text.split("\n")
+        if lines[0] != CSV_HEADER:
+            raise PhyskeyError(f"{where}: missing header {CSV_HEADER!r}")
         rows = []
         for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
+            if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise PhyskeyError(f"{path or '<string>'}:{lineno}: malformed row {line!r}")
-            try:
-                seq = int(parts[0])
-                rssi = int(parts[3])
-            except ValueError as exc:
-                raise PhyskeyError(f"{path or '<string>'}:{lineno}: {exc}") from None
-            node_id, frame_type = parts[1], parts[2]
-            if frame_type not in FRAME_TYPES:
+            cells = cls.ROW.fullmatch(line)
+            if cells is None or not all(-2 ** 63 <= int(cells[i]) < 2 ** 63 for i in (1, 4)):
                 raise PhyskeyError(
-                    f"{path or '<string>'}:{lineno}: unknown frame_type {frame_type!r}")
-            rows.append((seq, node_id, frame_type, rssi))
+                    f"{where}:{lineno}: row {line!r} is not seq,node_id,frame_type,rssi "
+                    "(decimal int64 seq and rssi, frame_type PING, PONG or OBS)")
+            rows.append((int(cells[1]), cells[2], cells[3], int(cells[4])))
         return cls(rows, path)
 
     def serialize(self) -> str:
@@ -313,10 +309,6 @@ class RowLoopTraceFile:
         if not picked:
             raise PhyskeyError(f"no rows for node {node_id!r} in {self.path or '<string>'}")
         picked.sort(key=lambda t: t[0])
-        try:
-            seqs = np.array([s for s, _, _ in picked], dtype=np.int64)
-            levels = np.array([r for _, _, r in picked], dtype=np.int64)
-        except OverflowError:
-            raise PhyskeyError(f"node {node_id!r} in {self.path or '<string>'}: "
-                               "a seq or rssi value does not fit in 64 bits") from None
+        seqs = np.array([s for s, _, _ in picked], dtype=np.int64)
+        levels = np.array([r for _, _, r in picked], dtype=np.int64)
         return MeasurementTrace(seqs, levels, node_id, picked[0][1])

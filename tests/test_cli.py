@@ -247,6 +247,12 @@ def config_with(path, value):
     ("simulate", "--config",
      config_with(("model", "emit", 0), [str(p) for p in SMALL_CONFIG["model"]["emit"][0]]),
      "field 'model.emit' has the wrong type: expected a number, got '"),
+    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
+                                            "levels": 0}},
+     "calibration failed: levels must be at least 2, got 0"),
+    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
+                                            "levels": -3}},
+     "calibration failed: levels must be at least 2, got -3"),
 ])
 def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, reason):
     path = tmp_path / "doc.json"

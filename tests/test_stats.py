@@ -254,7 +254,7 @@ class TestValidateAssumptions:
     def test_calibrated_channel_passes(self, calibrated_config):
         run = simulate_run(replace(calibrated_config, n=4000, seed=77))
         report = validate_assumptions(run.alice, run.eve,
-                                      trials=120, slice_len=100, seed=3)
+                                      trials=120, slice_len=100, levels=9, seed=3)
         alpha = report.alpha
         assert report.identical_distribution_rejection_rate <= 2 * alpha
         assert report.stationary_transition_rejection_rate <= 2 * alpha
@@ -271,7 +271,7 @@ class TestValidateAssumptions:
         # the complement half holds one sample more than the drawn half
         run = simulate_run(replace(calibrated_config, n=4001, seed=78))
         report = validate_assumptions(run.alice, run.eve,
-                                      trials=120, slice_len=100, seed=4)
+                                      trials=120, slice_len=100, levels=9, seed=4)
         alpha = report.alpha
         assert report.identical_distribution_rejection_rate <= 2 * alpha
         assert report.stationary_transition_rejection_rate <= 2 * alpha
@@ -298,7 +298,7 @@ class TestValidateAssumptions:
         alice_t = make_trace(levels, "alice")
         eve_t = make_trace(eve, "eve")
         report = validate_assumptions(alice_t, eve_t,
-                                      trials=60, slice_len=100, seed=5)
+                                      trials=60, slice_len=100, levels=9, seed=5)
         assert report.stationary_transition_rejection_rate > 0.5
 
     def test_independent_eve_decouples(self, calibrated_config):
@@ -324,27 +324,29 @@ class TestValidateAssumptions:
         t = make_trace(rng.integers(-8, 1, size=500), "alice")
         e = make_trace(rng.integers(-8, 1, size=500), "eve")
         with pytest.raises(ValueError, match="at least"):
-            validate_assumptions(t, e, slice_len=100)
+            validate_assumptions(t, e, slice_len=100, levels=9)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, rng, alpha):
         t = make_trace(rng.integers(-8, 1, size=2000), "alice")
         e = make_trace(rng.integers(-8, 1, size=2000), "eve")
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-            validate_assumptions(t, e, alpha=alpha)
+            validate_assumptions(t, e, alpha=alpha, levels=9)
 
     def test_options_are_keywords(self, rng):
         t = make_trace(rng.integers(-8, 1, size=2000), "alice")
         e = make_trace(rng.integers(-8, 1, size=2000), "eve")
         with pytest.raises(TypeError):
-            validate_assumptions(t, e, {"trials": 5})
+            validate_assumptions(t, e, {"trials": 5}, levels=9)
         with pytest.raises(TypeError):
-            validate_assumptions(t, e, trails=5)  # misspelt option
+            validate_assumptions(t, e, trails=5, levels=9)  # misspelt option
+        with pytest.raises(TypeError):
+            validate_assumptions(t, e)  # the level count has no default
 
     def test_report_serializes(self, calibrated_config):
         import json
         run = simulate_run(replace(calibrated_config, n=2000, seed=13))
         report = validate_assumptions(run.alice, run.eve,
-                                      trials=20, slice_len=100, seed=1)
+                                      trials=20, slice_len=100, levels=9, seed=1)
         doc = json.dumps(report.to_dict())
         assert "stable_entropy" in doc

@@ -1,15 +1,14 @@
 """The column-wise trace parser against the row-loop oracle.
 
 Every text either parses to the same rows, node ids, traces and serialized
-text as ``oracles.RowLoopTraceFile``, or fails with a ``PhyskeyError`` on
-the same line.  One difference is intended: a seq or rssi that does not fit
-in 64 bits fails at parse, on its own line, where the row loop accepted it
-and only ``trace`` failed.
+text as ``oracles.RowLoopTraceFile``, or fails with the same
+``PhyskeyError`` on the same line.
 """
 
 import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,22 +34,6 @@ def error_line(exc: PhyskeyError):
     return int(found.group(1)) if found else None
 
 
-def first_overflow_line(text: str):
-    """The first line of four cells with integer seq and rssi, one of them
-    outside int64."""
-    for lineno, line in enumerate(text.splitlines()[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            continue
-        try:
-            values = int(parts[0]), int(parts[3])
-        except ValueError:
-            continue
-        if not all(-2 ** 63 <= v < 2 ** 63 for v in values):
-            return lineno
-    return None
-
-
 def trace_outcome(tf, node_id):
     try:
         t = tf.trace(node_id)
@@ -62,12 +45,7 @@ def trace_outcome(tf, node_id):
 def assert_matches_row_loop(text):
     want = outcome(RowLoopTraceFile.parse, text)
     got = outcome(TraceFile.parse, text)
-    overflow = first_overflow_line(text)
-    want_line = error_line(want) if isinstance(want, PhyskeyError) else None
-    if overflow is not None and (want_line is None or overflow < want_line):
-        assert isinstance(got, PhyskeyError) and error_line(got) == overflow
-        assert "does not fit in 64 bits" in str(got)
-    elif want_line is not None:
+    if isinstance(want, PhyskeyError):
         assert isinstance(got, PhyskeyError) and str(got) == str(want)
     else:
         assert not isinstance(got, PhyskeyError)
@@ -88,10 +66,13 @@ def assert_matches_row_loop(text):
 @example(["1,alice,PING,0", f"2,alice,PING,{-2 ** 63 - 1}", "3,alice,BEEP,0"])
 @example(["1,alice,PING,0", "1,alice,PING,-1", "0,bob,PONG,-2"])
 @example([])
-# 18 digits take the vector pass, 19 digits and int64's ends take int()
+# 19 digits are the widest cell; int64's ends parse, one past them fails
 @example(["123456789012345678,a,OBS,-987654321098765432",
           "1234567890123456789,a,OBS,-9876543210987654321"])
 @example([f"{2 ** 63 - 1},a,OBS,{-(2 ** 63 - 1)}", f"{-2 ** 63},a,OBS,{-2 ** 63}"])
+@example([f"1,a,OBS,{-2 ** 63}", f"2,a,OBS,{2 ** 63 - 1}"])
+@example(["1,a,OBS,-1", "00000000000000000001,a,OBS,-2"])  # zero-padded to 20 digits
+@example(["1,a,OBS,-1", " \t", "2,a,OBS,-2"])  # a whitespace-only line
 @example(["1,a,OBS,0", f"2,a,OBS,{2 ** 63}"])
 @example(["1,a,OBS,-"])
 @example([",a,OBS,1"])
@@ -143,3 +124,21 @@ def test_simulated_files_match_row_loop(tmp_path):
         text = path.read_text()
         assert text.count("\n") == 10_001
         assert_matches_row_loop(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"{CSV_HEADER}\n 1,alice,PING,-3\n", 2),  # int()'s whitespace
+    (f"{CSV_HEADER}\n1,alice,PING,+3\n", 2),  # int()'s sign
+    (f"{CSV_HEADER}\n1_0,alice,PING,-3\n", 2),  # int()'s digit separator
+    (f"{CSV_HEADER}\n1,alice,PING,\u0663\n", 2),  # a non-ASCII digit
+    (f"{CSV_HEADER}\n1,a,OBS,-1\n00000000000000000001,a,OBS,-2\n", 3),
+    (f"{CSV_HEADER}\n1,a,OBS,-1\r\n2,a,OBS,-2\r\n", 2),  # parse ends lines at \n only
+    (f"{CSV_HEADER}\n1,a,OBS,-1\x852,a,OBS,-2\n", 2),
+    (f"{CSV_HEADER}\n1,a,OBS,-1\u20282,a,OBS,-2\n", 2),
+    (f"{CSV_HEADER}\n1,a,OBS,-1\n   \n2,a,OBS,-2\n", 3),  # a whitespace-only line
+    (f"{CSV_HEADER} \n1,a,OBS,-1\n", None),  # a padded header
+])
+def test_outside_the_grammar_fails(text, line):
+    got = outcome(TraceFile.parse, text)
+    assert isinstance(got, PhyskeyError) and error_line(got) == line
+    assert_matches_row_loop(text)

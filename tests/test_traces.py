@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physkey.errors import PhyskeyError
-from physkey.traces import (MeasurementTrace, TraceFile, assert_aligned,
-                            ingest_traces, make_trace, trace_to_file)
+from physkey.traces import (CSV_HEADER, FRAME_TYPES, MeasurementTrace, TraceFile,
+                            assert_aligned, ingest_traces, make_trace, trace_to_file)
 
 SAMPLE = """seq,node_id,frame_type,rssi
 1,alice,PING,-3
@@ -67,14 +69,49 @@ class TestTraceFile:
         with pytest.raises(PhyskeyError, match=":2"):
             TraceFile.parse(bad)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_file_loads_as_its_lf_twin(self, tmp_path, newline):
+        # load reads with universal newlines; parse ends lines at "\n" only
+        text = SAMPLE.replace("\n", newline)
+        (tmp_path / "lf.csv").write_text(SAMPLE)
+        (tmp_path / "crlf.csv").write_bytes(text.encode())
+        lf, crlf = TraceFile.load(tmp_path / "lf.csv"), TraceFile.load(tmp_path / "crlf.csv")
+        for field in ("seq", "node", "frame", "rssi"):
+            assert np.array_equal(getattr(crlf, field), getattr(lf, field))
+        assert (crlf.nodes, crlf.frames) == (lf.nodes, lf.frames)
+        with pytest.raises(PhyskeyError, match="^t.csv: missing header"):
+            TraceFile.parse(text, "t.csv")
+        body = text.partition(newline)[2]
+        with pytest.raises(PhyskeyError, match="^t.csv:2: row "):
+            TraceFile.parse(f"{CSV_HEADER}\n{body}", "t.csv")
 
-    def test_missed_bad_row_fails_closed(self, monkeypatch):
-        # a row walk that finds no bad row still ends in a domain error
-        # naming the file, not the column pass's bare ValueError
-        monkeypatch.setattr("physkey.traces._raise_first_bad_row", lambda lines, where: None)
-        bad = "seq,node_id,frame_type,rssi\n1,alice,PING,x\n"
-        with pytest.raises(PhyskeyError, match=r"^t\.csv: a data row does not parse$"):
-            TraceFile.parse(bad, "t.csv")
+
+class TestTraceWriter:
+    @pytest.mark.parametrize("node_id, frame_type, field", [
+        ("a,b", "OBS", "node_id"), ("a\nb", "OBS", "node_id"), ("a\rb", "PING", "node_id"),
+        ("a", "BEEP", "frame_type")])
+    def test_rejects_what_the_reader_rejects(self, node_id, frame_type, field):
+        with pytest.raises(ValueError, match=field):
+            trace_to_file(make_trace([0, -1], node_id, frame_type=frame_type))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.text(st.sampled_from(",\n\r a\u00e9") | st.characters(blacklist_categories=("Cs",)),
+                   max_size=6),
+           st.sampled_from(FRAME_TYPES + ("BEEP", "ping", "OBS ", "")))
+    def test_writes_what_reads_back(self, tmp_path_factory, node_id, frame_type):
+        trace = make_trace([0, -3, -1], node_id, seq_start=7, frame_type=frame_type)
+        try:
+            tf = trace_to_file(trace)
+        except ValueError:
+            return
+        path = tmp_path_factory.getbasetemp() / "written.csv"
+        tf.save(path)
+        for again in (TraceFile.parse(tf.serialize()), TraceFile.load(path)):
+            back = again.trace(node_id)
+            assert (back.node_id, back.frame_type) == (node_id, frame_type)
+            assert np.array_equal(back.seqs, trace.seqs)
+            assert np.array_equal(back.levels, trace.levels)
+
 
 class TestIngest:
     def trio(self):

@@ -65,6 +65,8 @@ class ChannelConfig:
             raise ValueError("bob_error has a negative probability")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -192,23 +194,13 @@ def simulate_run(config: ChannelConfig) -> SimulatedRun:
     )
 
 
-def _banded_rows(k: int, ratio: float, band: int) -> np.ndarray:
-    # rows proportional to ratio^|i - j| within |i - j| <= band, else zero
+def _banded_rows(k: int, ratio: float, band: int):
+    # rows proportional to the symmetric weights ratio^|i - j| within
+    # |i - j| <= band, else zero, and the weights' row sums
     d = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
-    rows = np.where(d <= band, np.power(float(ratio), d), 0.0)
-    return rows / rows.sum(axis=1, keepdims=True)
-
-
-def _stationary(trans: np.ndarray) -> np.ndarray:
-    if (trans == trans[0]).all():
-        # an i.i.d. chain's law is its row, exact as the closed form needs
-        return trans[0].copy()
-    pi = np.full(trans.shape[0], 1.0 / trans.shape[0])
-    for _ in range(500):
-        pi, prev = pi @ trans, pi
-        if np.abs(pi - prev).max() < 1e-14:
-            break
-    return pi / pi.sum()
+    weights = np.where(d <= band, np.power(float(ratio), d), 0.0)
+    sums = weights.sum(axis=1)
+    return weights / sums[:, None], sums
 
 
 def family_config(levels: int = 9, decay: float = 1.0, spread: float = 0.5,
@@ -216,9 +208,11 @@ def family_config(levels: int = 9, decay: float = 1.0, spread: float = 0.5,
                   seed: int = 0) -> ChannelConfig:
     """One member of the calibration search family."""
     states = level_states(levels)
-    trans = _banded_rows(levels, decay, levels)
-    emit = _banded_rows(levels, spread, band)
-    pi = _stationary(trans)
+    trans, sums = _banded_rows(levels, decay, levels)
+    emit = _banded_rows(levels, spread, band)[0]
+    # symmetric weights over their row sums make a reversible chain, whose
+    # law is those sums over their total (exactly 1/levels at decay = 1)
+    pi = sums / sums.sum()
     model = HmmModel(states=states, symbols=states, pi=pi, trans=trans, emit=emit)
     return ChannelConfig(model=model, bob_error=_family_bob_error(q), n=n, seed=seed)
 
@@ -345,6 +339,8 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
             "calibration failed: target rates must lie strictly inside (0, 1)")
     if levels < 2:
         raise CalibrationError(f"calibration failed: levels must be at least 2, got {levels}")
+    if seed < 0:
+        raise CalibrationError(f"calibration failed: seed must be >= 0, got {seed}")
     entropy_per_sample = target_entropy_rate * BITS_PER_SAMPLE
     word_error_per_word = target_word_error_rate * BITS_PER_SAMPLE
     if entropy_per_sample >= math.log2(levels):
@@ -363,11 +359,11 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     ue_by_state = [np.sort(ue[idx == s]) for s in range(levels)]
 
     def entropy_decided(spread: float, band: int) -> float:
-        model = replace(base, emit=_banded_rows(levels, spread, band))
+        model = replace(base, emit=_banded_rows(levels, spread, band)[0])
         return float(_memoryless_entropy_bits(model, _eve_counts(model, ue_by_state))) / n
 
     def entropy_measured(spread: float, band: int) -> float:
-        model = replace(base, emit=_banded_rows(levels, spread, band))
+        model = replace(base, emit=_banded_rows(levels, spread, band)[0])
         return _entropy_estimate(model, idx, ue).mean_bits / SLICE_LEN
 
     # entropy is monotone in the emission spread; bracket then bisect, each

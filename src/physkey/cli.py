@@ -156,16 +156,17 @@ def _cmd_fit_growth(args) -> int:
                                     eve_filter=True, magnitude=args.levels - 1)
     alice, bob, eve = aligned["alice"], aligned["bob"], aligned["eve"]
 
-    slice_len = args.slice_samples
-    if args.step < 1:
-        raise PhyskeyError(f"--step must be at least 1 to place a checkpoint, got {args.step}")
+    slice_len, step = args.slice_samples, args.step
+    if not 1 <= step <= slice_len // 2:
+        raise PhyskeyError(f"--step must be at least 1 and at most --slice-samples // 2 = "
+                           f"{slice_len // 2} to place two checkpoints, got {step}")
     if len(alice) < 2 * slice_len:
         raise PhyskeyError(f"need at least {2 * slice_len} aligned samples")
     model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,
                                     smoothing=args.smoothing)
     experiments = hmm.slice_experiments(model, eve.levels, slice_len)
     n_slices = len(experiments)
-    checkpoints = list(range(args.step, slice_len + 1, args.step))
+    checkpoints = list(range(step, slice_len + 1, step))
     entropy = hmm.entropy_profile_batch(model, experiments, checkpoints)
     kept = n_slices * slice_len
     mismatch = (alice.levels[:kept] != bob.levels[:kept]).reshape(n_slices, slice_len)
@@ -324,6 +325,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "levels", LEVELS) < 2:
             raise PhyskeyError(f"--levels must be at least 2, got {args.levels}")
+        if (getattr(args, "seed", None) or 0) < 0:
+            raise PhyskeyError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (PhyskeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

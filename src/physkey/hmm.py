@@ -14,16 +14,16 @@ desk-scale reference for small models.
 
 One private kernel steps both recursions over the rows of an (r, n) matrix
 of symbol indices at once and reports their prefix values at requested
-lengths.  Its Viterbi scores are state-major, one (k, r) array, so the max
-over predecessors reduces the leading axis of a (k, k, r) array of
-candidates, elementwise over contiguous (k, r) slabs; the forward
-recursion keeps its (r, k) rows for one matrix product per step.  The
-single-sequence functions (viterbi_max_joint and forward_likelihood), the
-growth profiles, the sampled estimator and the exact enumeration all call
-it.  Observations are int64 arrays of alphabet indices throughout: one
-sequence is a 1-d array, a set of equal-length experiments an
-(experiments, n) matrix.  The per-sequence conditional min-entropy is a
-one-row batch of the growth profile.
+lengths.  Its Viterbi scores are state-major, one (k, r) array, and one
+max-plus step maps them to each state's best predecessor score by reducing
+the leading axis of a (k, k, r) array, elementwise over (k, r) slabs; the
+forward recursion keeps its (r, k) rows for one matrix product per step.
+The single-sequence functions, the growth profiles and the sampled
+estimator call the kernel; the exact enumeration calls only the max-plus
+step, growing each observation prefix once.  Observations are int64 arrays
+of alphabet indices throughout: one sequence is a 1-d array, a set of
+equal-length experiments an (experiments, n) matrix.  The per-sequence
+conditional min-entropy is a one-row batch of the growth profile.
 """
 
 from __future__ import annotations
@@ -242,6 +242,11 @@ class LinearFit:
                    json_float(d.get("residual_sum_squares", 0.0)))
 
 
+def _viterbi_step(delta: np.ndarray, log_a: np.ndarray) -> np.ndarray:
+    """out[j, c] = max_i(delta[i, c] + log2 a_ij) over state-major (k, r) scores."""
+    return (delta[:, None, :] + log_a[:, :, None]).max(axis=0)
+
+
 def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[int]):
     """Viterbi and scaled forward recursions over every row of an (r, n) matrix.
 
@@ -251,9 +256,7 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
     ``checkpoints`` are sorted prefix lengths in [1, n].  Returns log2 P* and
     log2 P of each row's prefix at each checkpoint (two (r, c) arrays) and
     the step at which each row's probability vanished (-1 if it never did;
-    log2 P is -inf from there on).  An impossible row does not raise: exact
-    enumeration sums over such rows.  ``delta`` is state-major, (k, r), with
-    cand[i, j, row] = delta[i, row] + log2 a_ij.
+    log2 P is -inf from there on); an impossible row does not raise.
     """
     if obs_matrix.ndim != 2 or obs_matrix.size < 1:
         raise ValueError("observations must be a non-empty 2-d matrix of symbol indices")
@@ -272,8 +275,7 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
             delta = log_pi[:, None] + log_b[:, obs_matrix[:, 0]]      # (k, r)
             alpha = model.pi[None, :] * model.emit[:, obs_matrix[:, 0]].T
         else:
-            cand = delta[:, None, :] + log_a[:, :, None]             # cand[i, j, row]
-            delta = cand.max(axis=0) + log_b[:, obs_matrix[:, t]]
+            delta = _viterbi_step(delta, log_a) + log_b[:, obs_matrix[:, t]]
             alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
         scale = alpha.sum(axis=1)
         if not scale.all():
@@ -353,7 +355,9 @@ def exact_avg_conditional_min_entropy(model: HmmModel, n: int) -> float:
     """-log2 sum over all m^n observation sequences of their max joint P*.
 
     Enumeration is guarded at m^n <= 1e6; intended as a desk-scale reference
-    for validating the sampled estimator.
+    for validating the sampled estimator.  The Viterbi scores of all m^t
+    length-t prefixes are one lexicographic (k, m^t) array: each prefix is
+    stepped once, then extended by every symbol.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -361,15 +365,12 @@ def exact_avg_conditional_min_entropy(model: HmmModel, n: int) -> float:
     if total > ENUMERATION_GUARD:
         raise ValueError(
             f"enumeration too large: {model.m}^{n} = {total} > {ENUMERATION_GUARD}")
-    # all sequences as base-m digit rows, chunked to bound memory
-    chunk = 65536
-    powers = model.m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    log_terms = []
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        block = (idx[:, None] // powers[None, :]) % model.m
-        log_terms.append(_recursions(model, block, [n])[0][:, 0])
-    logs = np.concatenate(log_terms)
+    with np.errstate(divide="ignore"):
+        log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
+    delta = log_pi[:, None] + log_b                                 # (k, m)
+    for _ in range(n - 1):
+        delta = (_viterbi_step(delta, log_a)[:, :, None] + log_b[:, None, :]).reshape(model.k, -1)
+    logs = delta.max(axis=0)
     top = logs.max()
     if top == -np.inf:
         raise ImpossibleObservationError("model assigns zero probability to every sequence")

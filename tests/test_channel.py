@@ -143,6 +143,14 @@ class TestSimulate:
         u = np.full(5, np.nextafter(1.0, 0.0))
         assert _sample_chain(np.array(row), np.array([row] * 4), u).tolist() == [2] * 5
 
+    @pytest.mark.parametrize("levels", [2, 5, 9, 12])
+    @pytest.mark.parametrize("decay", [1e-3, 0.1, 0.5, 0.9, 1.0])
+    def test_family_law_is_stationary(self, levels, decay):
+        # slow-mixing chains (decay 1e-3) included: pi comes in closed form
+        model = family_config(levels=levels, decay=decay).model
+        assert np.abs(model.pi @ model.trans - model.pi).max() <= 1e-15
+        assert model.pi.sum() == pytest.approx(1.0, abs=1e-15)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="bob_error"):
             two_state_config(q=0.1).__class__(

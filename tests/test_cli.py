@@ -164,13 +164,22 @@ class TestFitGrowth:
       for command in ("estimate-entropy", "fit-growth") for smoothing in ("nan", "inf")],
     *[("validate-assumptions", ["--alpha", alpha], "alpha must be in (0, 1)")
       for alpha in ("1.5", "nan")],
+    ("fit-growth", ["--step", "101"],
+     "--step must be at least 1 and at most --slice-samples // 2 = 100"),
+    ("fit-growth", ["--slice-samples", "30", "--step", "16"],
+     "at most --slice-samples // 2 = 15 to place two checkpoints, got 16"),
+    *[(command, ["--seed", "-1"], "--seed must be >= 0, got -1")
+      for command in ("simulate", "extract-key", "validate-assumptions")],
 ])
 def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
-    traces = {"alice": run_dir / "alice.csv", "eve": run_dir / "eve.csv"}
-    if command == "fit-growth":
-        traces["bob"] = run_dir / "bob.csv"
-    args = [a for role, path in traces.items() for a in (f"--{role}", path)]
-    code = main([command, *map(str, args), "--levels", "9", *extra])
+    roles = {"fit-growth": ["alice", "bob", "eve"],
+             "extract-key": ["alice", "bob"]}.get(command, ["alice", "eve"])
+    args = [a for role in roles for a in (f"--{role}", run_dir / f"{role}.csv")]
+    if command == "simulate":
+        args = ["--config", run_dir / "ch.json", "--out", run_dir / "sim"]
+    elif command != "extract-key":
+        args += ["--levels", "9"]
+    code = main([command, *map(str, args), *extra])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ") and reason in captured.err
@@ -253,6 +262,10 @@ def config_with(path, value):
     ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
                                             "levels": -3}},
      "calibration failed: levels must be at least 2, got -3"),
+    ("simulate", "--config", config_with(("seed",), -1), "seed must be >= 0, got -1"),
+    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
+                                            "seed": -1}},
+     "calibration failed: seed must be >= 0, got -1"),
 ])
 def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, reason):
     path = tmp_path / "doc.json"

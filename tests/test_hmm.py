@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physkey.errors import ImpossibleObservationError
 from physkey.channel import family_config
@@ -214,6 +217,33 @@ class TestExactAverage:
         got = exact_avg_conditional_min_entropy(model, 4)
         assert got == pytest.approx(brute_exact_avg_bits(model, 4), abs=1e-9)
         assert got == pytest.approx(2.58402, abs=5e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_kernel_over_every_sequence(self, data):
+        # every sequence through the batched kernel, reduced as the
+        # enumeration reduces its prefix scores: the same floats, bitwise
+        k, m, n = (data.draw(st.integers(1, hi)) for hi in (3, 3, 5))
+
+        def rows(r, c):  # integer weights, zeros included, none all zero
+            weights = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=c,
+                                                           max_size=c).filter(any),
+                                                  min_size=r, max_size=r)), dtype=float)
+            return weights / weights.sum(axis=1, keepdims=True)
+
+        model = HmmModel(states=tuple(range(k)), symbols=tuple(range(m)),
+                         pi=rows(1, k)[0], trans=rows(k, k), emit=rows(k, m))
+        every = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
+        logs = _recursions(model, every, [n])[0][:, 0]
+        top = logs.max()
+        want = float(max(0.0, -(top + math.log2(np.exp2(logs - top).sum()))))
+        assert exact_avg_conditional_min_entropy(model, n) == want
+
+    def test_nine_level_iid_family_at_guard(self):
+        # 9^6 = 531441 sequences, the guard's largest 9-level case
+        model = family_config(levels=9, decay=1.0, spread=0.41, band=2).model
+        got = exact_avg_conditional_min_entropy(model, 6)
+        assert got == pytest.approx(memoryless_exact_bits(model, 6), abs=1e-9)
 
     def test_upper_bound_n_log_k(self, rng):
         for _ in range(10):

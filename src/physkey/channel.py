@@ -23,8 +23,7 @@ level errors with two searches into his uniforms, sorted once.  A spread
 probe counts Eve's symbols from her uniforms, sorted once within each
 hidden state, and is decided by the closed-form entropy of a memoryless
 chain (decay = 1: every transition row equals pi), a sum of per-symbol
-terms; the kernel estimate that measure_rates reports is run once, at the
-spread the search picks, so the reported rate is the kernel's.
+terms.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import CalibrationError, ImpossibleObservationError
 from .hmm import SLICE_LEN, HmmModel, estimate_avg_conditional_min_entropy, \
-    json_float, json_int, level_states, slice_experiments, validate_model
+    json_float, json_int, level_states, seeded_rng, slice_experiments, validate_model
 from .quantize import BITS_PER_SAMPLE
 from .traces import MeasurementTrace, make_trace
 
@@ -149,9 +148,8 @@ def _draw(model: HmmModel, seed: int, n: int):
     The path depends on the model only through pi and trans, and the
     uniforms not at all.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    idx = _sample_chain(model.pi, model.trans, u)
+    rng = seeded_rng(seed)
+    idx = _sample_chain(model.pi, model.trans, rng.random(n))
     return idx, rng.random(n), rng.random(n)
 
 
@@ -332,7 +330,8 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     experiment's reporting: an entropy rate of 0.1248 and a word error rate
     of 0.0054 mean 99.8 bits of conditional min-entropy and 4.3 word errors
     per 100 samples at ``BITS_PER_SAMPLE`` = 8 bits per sample.  Entropy is
-    measured over ``SLICE_LEN``-sample experiments of an ``n_samples`` run.
+    the closed form over an ``n_samples`` run: measure_rates' kernel mean over
+    its ``SLICE_LEN``-sample experiments, up to rounding.
     """
     if not (0.0 < target_entropy_rate < 1.0 and 0.0 < target_word_error_rate < 1.0):
         raise CalibrationError(
@@ -358,42 +357,32 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     idx, ue, ub = _draw(base, seed, n)
     ue_by_state = [np.sort(ue[idx == s]) for s in range(levels)]
 
-    def entropy_decided(spread: float, band: int) -> float:
+    def entropy_of(spread: float, band: int) -> float:
         model = replace(base, emit=_banded_rows(levels, spread, band)[0])
         return float(_memoryless_entropy_bits(model, _eve_counts(model, ue_by_state))) / n
 
-    def entropy_measured(spread: float, band: int) -> float:
-        model = replace(base, emit=_banded_rows(levels, spread, band)[0])
-        return _entropy_estimate(model, idx, ue).mean_bits / SLICE_LEN
-
     # entropy is monotone in the emission spread; bracket then bisect, each
-    # probe decided in closed form and the chosen one measured by the kernel
-    chosen = None
+    # probe and the reported rate given by the closed form
     for band in (2, 1, 3, 4):
-        lo_s, hi_s = 1e-3, 1.0
-        h_lo, h_hi = entropy_decided(lo_s, band), entropy_decided(hi_s, band)
-        if not (h_lo <= entropy_per_sample <= h_hi):
+        if not entropy_of(1e-3, band) <= entropy_per_sample <= entropy_of(1.0, band):
             continue
-        spread = _bisect(lambda x: entropy_decided(x, band), entropy_per_sample,
-                         lo_s, hi_s, lambda a, b: math.sqrt(a * b))
-        achieved = entropy_measured(spread, band)
-        if abs(achieved - entropy_per_sample) / entropy_per_sample <= CALIBRATION_REL_TOL:
-            chosen = (spread, band, achieved)
+        spread = _bisect(lambda x: entropy_of(x, band), entropy_per_sample,
+                         1e-3, 1.0, lambda a, b: math.sqrt(a * b))
+        achieved_entropy = entropy_of(spread, band)
+        if abs(achieved_entropy - entropy_per_sample) / entropy_per_sample <= CALIBRATION_REL_TOL:
             break
-    if chosen is None:
+    else:
         raise CalibrationError(
             "calibration failed: no emission spread reaches the entropy target")
-    spread, band, achieved_entropy = chosen
 
     ub_down, ub_up = np.sort(ub[idx > 0]), np.sort(ub[idx < levels - 1])
 
     def word_error_of(q: float) -> float:
         return _bob_error_count(_family_bob_error(q), ub_down, ub_up) / n
 
-    lo_q, hi_q = 1e-5, 0.49
-    if not (word_error_of(lo_q) <= word_error_per_word <= word_error_of(hi_q)):
+    if not word_error_of(1e-5) <= word_error_per_word <= word_error_of(0.49):
         raise CalibrationError("calibration failed: word error target out of reach")
-    q = _bisect(word_error_of, word_error_per_word, lo_q, hi_q, lambda a, b: 0.5 * (a + b))
+    q = _bisect(word_error_of, word_error_per_word, 1e-5, 0.49, lambda a, b: 0.5 * (a + b))
     achieved_we = word_error_of(q)
     if abs(achieved_we - word_error_per_word) / word_error_per_word > CALIBRATION_REL_TOL:
         raise CalibrationError(

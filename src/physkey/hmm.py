@@ -60,6 +60,13 @@ def json_float(value, finite: bool = True) -> float:
     return float(value)
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for a seed; a negative one raises ValueError."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _json_floats(value):
     # nested lists of JSON numbers; validate_model names a non-finite one
     return [_json_floats(v) for v in value] if isinstance(value, list) \
@@ -254,9 +261,9 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
     kept in log2; alpha is the same recursion with a sum for the max, rescaled
     to sum 1 after each step so long sequences (n >= 1e4) do not underflow.
     ``checkpoints`` are sorted prefix lengths in [1, n].  Returns log2 P* and
-    log2 P of each row's prefix at each checkpoint (two (r, c) arrays) and
-    the step at which each row's probability vanished (-1 if it never did;
-    log2 P is -inf from there on); an impossible row does not raise.
+    log2 P of each row's prefix at each checkpoint, two (r, c) arrays.  At
+    the first step t where some row's probability is 0, raises
+    ImpossibleObservationError naming t, with the first such row as ``row``.
     """
     if obs_matrix.ndim != 2 or obs_matrix.size < 1:
         raise ValueError("observations must be a non-empty 2-d matrix of symbol indices")
@@ -265,9 +272,7 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
     with np.errstate(divide="ignore"):
         log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
     r, n = obs_matrix.shape
-    log_star = np.zeros((r, len(checkpoints)))
-    log_p = np.zeros((r, len(checkpoints)))
-    vanished = np.full(r, -1)
+    log_star, log_p = np.zeros((2, r, len(checkpoints)))
     pos = 0
     log_fwd = np.zeros(r)
     for t in range(n):
@@ -279,17 +284,16 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
             alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
         scale = alpha.sum(axis=1)
         if not scale.all():
-            dead = scale == 0
-            vanished[dead & (vanished < 0)] = t
-            log_fwd[dead] = -np.inf
-            scale[dead] = 1.0
+            raise ImpossibleObservationError(
+                f"impossible observation sequence: zero probability at step {t}",
+                row=int(np.argmin(scale)))
         alpha /= scale[:, None]
         log_fwd += np.log2(scale)
         if pos < len(checkpoints) and checkpoints[pos] == t + 1:
             log_star[:, pos] = delta.max(axis=0)
             log_p[:, pos] = log_fwd
             pos += 1
-    return log_star, log_p, vanished
+    return log_star, log_p
 
 
 def _row(obs: np.ndarray):
@@ -300,21 +304,13 @@ def _row(obs: np.ndarray):
 
 
 def viterbi_max_joint(model: HmmModel, obs: np.ndarray) -> float:
-    """Max joint probability P* = max_x Pr[X = x, Y = obs] over hidden paths, in log2."""
-    log_star, _, _ = _recursions(model, *_row(obs))
-    if log_star[0, 0] == -np.inf:
-        raise ImpossibleObservationError(
-            "impossible observation sequence: all path probabilities vanish")
-    return float(log_star[0, 0])
+    """log2 P* = log2 max_x Pr[X = x, Y = obs]; the kernel's error if Pr[Y = obs] = 0."""
+    return float(_recursions(model, *_row(obs))[0][0, 0])
 
 
 def forward_likelihood(model: HmmModel, obs: np.ndarray) -> float:
-    """Total observation probability Pr[Y = obs] in log2."""
-    _, log_p, vanished = _recursions(model, *_row(obs))
-    if vanished[0] >= 0:
-        raise ImpossibleObservationError(
-            f"impossible observation sequence: zero probability at step {vanished[0]}")
-    return float(log_p[0, 0])
+    """log2 P = log2 Pr[Y = obs]; the kernel's error, naming the step, if P = 0."""
+    return float(_recursions(model, *_row(obs))[1][0, 0])
 
 
 def conditional_min_entropy_given_obs(model: HmmModel, obs: np.ndarray) -> float:
@@ -342,12 +338,7 @@ def entropy_profile_batch(model: HmmModel, obs_matrix: np.ndarray,
         raise ValueError("checkpoint beyond sequence length")
     if checkpoints[0] < 1 or len(set(checkpoints)) < len(checkpoints):
         raise ValueError("duplicate or unreachable checkpoints")
-    log_star, log_p, vanished = _recursions(model, obs_matrix, checkpoints)
-    if vanished.max() >= 0:
-        t = vanished[vanished >= 0].min()
-        raise ImpossibleObservationError(
-            f"impossible observation sequence: zero probability at step {t}",
-            row=int(np.argmax(vanished == t)))
+    log_star, log_p = _recursions(model, obs_matrix, checkpoints)
     return np.maximum(0.0, log_p - log_star)
 
 

@@ -49,7 +49,7 @@ from scipy.special import bdtr
 from .coding import BchCode, BchSketch, ss_recover, ss_sketch
 from .errors import InfeasiblePlanError, SketchFormatError, UncorrectableBlockError
 from .extract import ExtractorSeed, extract, max_extractable_length, random_seed
-from .hmm import LinearFit
+from .hmm import LinearFit, seeded_rng
 from .quantize import BITS_PER_SAMPLE, BitString, embed_trace, hamming_distance, \
     neighbor_bits
 from .traces import MeasurementTrace, assert_aligned
@@ -197,8 +197,10 @@ def correctness_bound(n: int, error_fit: LinearFit) -> float:
 
 def _smallest_n_at_least(slope: float, intercept: float, target: float) -> int:
     # smallest integer n with slope * n + intercept >= target
-    n = math.ceil((target - intercept) / slope - 1e-12)
-    return max(1, n)
+    n = (target - intercept) / slope - 1e-12
+    if not math.isfinite(n):
+        raise InfeasiblePlanError(f"no finite n has {slope!r} * n + {intercept!r} >= {target}")
+    return max(1, math.ceil(n))
 
 
 def plan_parameters(l: int, lambda_: float, c: float,
@@ -322,7 +324,7 @@ def run_exchange(alice: MeasurementTrace, bob: MeasurementTrace,
     assert_aligned(alice, bob)
     if len(alice) < params.n:
         raise ValueError(f"traces hold {len(alice)} samples, plan needs {params.n}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     _, transcript, alice_key = alice_messages(alice, params, rng)
     bob_key, corrected, reason = bob_respond(bob, transcript, params)
     success = bob_key is not None and bob_key == alice_key

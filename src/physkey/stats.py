@@ -105,7 +105,7 @@ def lag_correlation_profile(trace: MeasurementTrace, max_lag: int, rows: int,
     n = levels.size
     if n <= max_lag + 1:
         raise ValueError(f"trace too short: {n} samples for max_lag={max_lag}")
-    rng = np.random.default_rng(seed)
+    rng = hmm.seeded_rng(seed)
     anchors = rng.integers(max_lag, n, size=rows)
     lag_idx = anchors[:, None] - np.arange(max_lag + 1)[None, :]
     matrix = levels[lag_idx]
@@ -177,7 +177,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
         raise ValueError(f"max_lag must be at least 1, got {max_lag}")
     if n < 20 * slice_len:
         raise ValueError(f"need at least {20 * slice_len} samples, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = hmm.seeded_rng(seed)
     details: dict = {}
 
     # (a) memorylessness probe: lag profile of Alice's own samples

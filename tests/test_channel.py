@@ -193,11 +193,18 @@ class TestCalibration:
         for what in ("entropy_per_sample_bits", "word_error_per_word"):
             target = cal[f"target_{what}"]
             assert abs(cal[f"achieved_{what}"] - target) <= 0.10 * target
+        # the reported entropy is the closed form over measure_rates' own
+        # draw, bitwise, and measure_rates' kernel mean agrees with it
+        idx, ue, _ = _draw(cfg.model, seed, 10_000)
+        ue_by_state = [np.sort(ue[idx == s]) for s in range(9)]
+        closed = float(_memoryless_entropy_bits(cfg.model, _eve_counts(cfg.model, ue_by_state)))
+        assert cal["achieved_entropy_per_sample_bits"] == closed / 10_000
         rates = measure_rates(cfg, seed=seed)
-        assert rates["per_sample_entropy_bits"] == cal["achieved_entropy_per_sample_bits"]
+        assert rates["per_sample_entropy_bits"] == \
+            pytest.approx(cal["achieved_entropy_per_sample_bits"], rel=1e-12)
         assert rates["word_error_rate_per_word"] == cal["achieved_word_error_per_word"]
 
-    def test_one_entropy_estimate_per_calibration(self, monkeypatch):
+    def test_no_entropy_estimate_per_calibration(self, monkeypatch):
         calls = []
 
         def spy(*args):
@@ -207,7 +214,7 @@ class TestCalibration:
         monkeypatch.setattr(physkey.channel, "estimate_avg_conditional_min_entropy", spy)
         cfg = calibrate_to_reference_rates(0.1248, 0.0054, levels=9, seed=2026)
         assert cfg.calibration == TestSeededOutputs.CALIBRATIONS[2026]
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_models_validated_a_fixed_number_of_times(self, monkeypatch):
         # the base model, the returned config and its copy with the
@@ -330,7 +337,7 @@ class TestClosedFormEntropy:
             np.bincount(levels - model.symbols[0], minlength=9).tolist()
 
     def test_rate_matches_calibration(self, calibrated_config):
-        # the calibrated run's closed-form rate is the reported kernel rate
+        # the calibrated run's closed-form rate is the reported rate
         cal = calibrated_config.calibration
         model = calibrated_config.model
         idx, ue, _ = _draw(model, cal["measure_seed"], 10_000)
@@ -344,32 +351,32 @@ class TestSeededOutputs:
 
     CALIBRATIONS = {
         2026: {"target_entropy_per_sample_bits": 0.9984,
-               "achieved_entropy_per_sample_bits": 0.9980483750046841,
+               "achieved_entropy_per_sample_bits": 0.9980483750046832,
                "target_word_error_per_word": 0.0432,
                "achieved_word_error_per_word": 0.0431,
                "spread": 0.41324816852731083, "band": 2, "q": 0.023456787109375002,
                "levels": 9, "measure_seed": 2026},
         1177726414: {"target_entropy_per_sample_bits": 0.9984,
-                     "achieved_entropy_per_sample_bits": 1.0028387571428092,
+                     "achieved_entropy_per_sample_bits": 1.0028387571428015,
                      "target_word_error_per_word": 0.0432,
                      "achieved_word_error_per_word": 0.0434,
                      "spread": 0.4160453045834137, "band": 2, "q": 0.022978281250000003,
                      "levels": 9, "measure_seed": 1177726414},
         284816770: {"target_entropy_per_sample_bits": 0.9984,
-                    "achieved_entropy_per_sample_bits": 0.9977777989037981,
+                    "achieved_entropy_per_sample_bits": 0.9977777989037975,
                     "target_word_error_per_word": 0.0432,
                     "achieved_word_error_per_word": 0.0434,
                     "spread": 0.41324816852731083, "band": 2, "q": 0.022978281250000003,
                     "levels": 9, "measure_seed": 284816770},
         # the calibration seeds perfbench derives from workload seeds 5 and 23
         1440510675: {"target_entropy_per_sample_bits": 0.9984,
-                     "achieved_entropy_per_sample_bits": 0.9939654256306427,
+                     "achieved_entropy_per_sample_bits": 0.9939654256306311,
                      "target_word_error_per_word": 0.0432,
                      "achieved_word_error_per_word": 0.0433,
                      "spread": 0.4104698380436544, "band": 2, "q": 0.022739028320312504,
                      "levels": 9, "measure_seed": 1440510675},
         77115417: {"target_entropy_per_sample_bits": 0.9984,
-                   "achieved_entropy_per_sample_bits": 0.993831744852073,
+                   "achieved_entropy_per_sample_bits": 0.9938317448520615,
                    "target_word_error_per_word": 0.0432,
                    "achieved_word_error_per_word": 0.0431,
                    "spread": 0.4104698380436544, "band": 2, "q": 0.02393529296875,

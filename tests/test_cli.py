@@ -419,6 +419,20 @@ def test_non_finite_exponent_fails_closed(run_dir, capsys, command, flag, value)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fits", [
+    {"g": {"slope": 1, "intercept": 0}, "e": {"slope": 0.01, "intercept": 1e308}},
+    {"g": {"slope": 1e-320, "intercept": 0}, "e": {"slope": 0, "intercept": 0}}])
+def test_extreme_fitted_line_fails_closed(tmp_path, capsys, fits):
+    # finite fits whose sample count overflows to infinity
+    (tmp_path / "f.json").write_text(json.dumps(fits))
+    code = main(["plan", "--l", "16", "--lambda", "2", "--c", "0.05",
+                 "--fits", str(tmp_path / "f.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "no finite n has " in captured.err and captured.out == ""
+
+
 class TestValidateAssumptions:
     def test_report_and_lag_csv(self, run_dir, capsys):
         code, out = invoke(capsys, "validate-assumptions",

@@ -35,6 +35,19 @@ def uniform2():
                     trans=[[0.5, 0.5], [0.5, 0.5]], emit=[[0.5, 0.5], [0.5, 0.5]])
 
 
+def drawn_model(data, k, m):
+    """A Hypothesis-drawn model: rows of integer weights 0..3, zeros
+    included, none all zero."""
+    def rows(r, c):
+        weights = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=c,
+                                                       max_size=c).filter(any),
+                                              min_size=r, max_size=r)), dtype=float)
+        return weights / weights.sum(axis=1, keepdims=True)
+
+    return HmmModel(states=tuple(range(k)), symbols=tuple(range(m)),
+                    pi=rows(1, k)[0], trans=rows(k, k), emit=rows(k, m))
+
+
 def permutation_model():
     # deterministic emissions: the state path is readable from the symbols
     return HmmModel(states=(0, 1), symbols=(0, 1), pi=[0.3, 0.7],
@@ -173,6 +186,27 @@ class TestConditionalEntropy:
             conditional_min_entropy_given_obs(model, [0, 2, 1])
         assert info.value.row == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_raises_where_a_prefix_first_vanishes(self, data):
+        # the earliest step at which some row's prefix has brute-force
+        # probability 0, and the first such row; no raise when none does
+        k, m, n, r = (data.draw(st.integers(1, hi)) for hi in (3, 3, 6, 4))
+        model = drawn_model(data, k, m)
+        obs = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n,
+                                                   max_size=n), min_size=r, max_size=r)))
+        first = [next((t for t in range(n) if brute_forward(model, row[:t + 1]) == 0.0), n)
+                 for row in obs]
+        step = min(first)
+        if step == n:
+            _recursions(model, obs, [n])
+            return
+        with pytest.raises(ImpossibleObservationError,
+                           match=f"^impossible observation sequence: zero probability at "
+                                 f"step {step}$") as info:
+            _recursions(model, obs, [n])
+        assert info.value.row == first.index(step)
+
     def test_equals_batch_row(self, rng):
         # a matrix product over more rows may sum in another order
         for _ in range(20):
@@ -221,20 +255,19 @@ class TestExactAverage:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_equals_kernel_over_every_sequence(self, data):
-        # every sequence through the batched kernel, reduced as the
-        # enumeration reduces its prefix scores: the same floats, bitwise
+        # every sequence through the kernel one row at a time (an
+        # impossible one scores -inf), reduced as the enumeration reduces
+        # its prefix scores: the same floats, bitwise
         k, m, n = (data.draw(st.integers(1, hi)) for hi in (3, 3, 5))
+        model = drawn_model(data, k, m)
 
-        def rows(r, c):  # integer weights, zeros included, none all zero
-            weights = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=c,
-                                                           max_size=c).filter(any),
-                                                  min_size=r, max_size=r)), dtype=float)
-            return weights / weights.sum(axis=1, keepdims=True)
+        def log_star(row):
+            try:
+                return viterbi_max_joint(model, np.array(row))
+            except ImpossibleObservationError:
+                return -np.inf
 
-        model = HmmModel(states=tuple(range(k)), symbols=tuple(range(m)),
-                         pi=rows(1, k)[0], trans=rows(k, k), emit=rows(k, m))
-        every = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
-        logs = _recursions(model, every, [n])[0][:, 0]
+        logs = np.array([log_star(row) for row in itertools.product(range(m), repeat=n)])
         top = logs.max()
         want = float(max(0.0, -(top + math.log2(np.exp2(logs - top).sum()))))
         assert exact_avg_conditional_min_entropy(model, n) == want
@@ -254,7 +287,8 @@ class TestExactAverage:
 
 
 class TestSeededOutputs:
-    """Both recursions' values and vanishing steps pinned to fixed digests."""
+    """Both recursions' values pinned to fixed digests, and the step and row
+    where a batch first vanishes."""
 
     @staticmethod
     def digest(model, obs, checkpoints):
@@ -267,7 +301,7 @@ class TestSeededOutputs:
         model = family_config(levels=9, spread=0.4, band=2).model
         obs = np.random.default_rng(99).integers(0, 9, size=(30, 100))
         assert self.digest(model, obs, [1, 37, 100]) == \
-            "aba8a9c25dffa6b9c202379e49646c1afc62faaa7e4d260185d5ab69efc2bb55"
+            "e1f3d77919f3fc5513b9520ab761f4edb548ed09ad5d320cce57e71b5809f7e1"
 
     def test_sticky_with_zeros(self):
         model = HmmModel(states=(0, 1, 2), symbols=(0, 1, 2), pi=[0.6, 0.4, 0.0],
@@ -275,7 +309,7 @@ class TestSeededOutputs:
                          emit=[[0.7, 0.3, 0.0], [0.2, 0.6, 0.2], [0.0, 0.3, 0.7]])
         obs = np.random.default_rng(7).integers(0, 3, size=(12, 40))
         assert self.digest(model, obs, [1, 2, 40]) == \
-            "66155b0a3030a0570812e640ce1e94ecac75a57bc98a3032220e40bd1dcaa500"
+            "1013a0798321e5226071230a12c924504237ef28e1975a19560c20bebb75bc4e"
 
     def test_batch_with_vanishing_row(self):
         model = HmmModel(states=(0, 1, 2), symbols=(0, 1, 2), pi=[0.5, 0.3, 0.2],
@@ -285,9 +319,13 @@ class TestSeededOutputs:
         # state 0 never moves to state 2: keep that step out of every row but one
         obs[:, 1:][(obs[:, :-1] == 0) & (obs[:, 1:] == 2)] = 1
         obs[3, 10:12] = (0, 2)
-        assert list(_recursions(model, obs, [25])[2]) == [-1, -1, -1, 11, -1, -1]
-        assert self.digest(model, obs, [5, 11, 25]) == \
-            "1f677a63b6b870f54fbe327ae7d439a60f54cbcd19697955da26669291ad9b7b"
+        with pytest.raises(ImpossibleObservationError,
+                           match="^impossible observation sequence: zero probability at step 11$"
+                           ) as info:
+            _recursions(model, obs, [5, 11, 25])
+        assert info.value.row == 3
+        assert self.digest(model, obs[[0, 1, 2, 4, 5]], [5, 11, 25]) == \
+            "95ed0a1f3da9b53258031472c7c6e9b007cb2b3baef554f773ece6d0dbebbff9"
 
 
 class TestEstimator:

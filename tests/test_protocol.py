@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from physkey.channel import simulate_run
+from physkey.channel import family_config, measure_rates, simulate_run
 from physkey.coding import BchCode, BchSketch, RsCode, ss_sketch
 from physkey.errors import InfeasiblePlanError, PhyskeyError, SketchFormatError
 from physkey.extract import max_extractable_length, random_seed
@@ -15,6 +15,7 @@ from physkey.protocol import (REFERENCE_ENTROPY_FIT, REFERENCE_ERROR_FIT,
                               correctness_bound, entropy_ledger, plan_parameters,
                               run_exchange, alice_messages)
 from physkey.quantize import BitString
+from physkey.stats import lag_correlation_profile, validate_assumptions
 from physkey.traces import make_trace
 
 
@@ -131,6 +132,15 @@ class TestPlanner:
         with pytest.raises(ValueError, match=reason):
             ProtocolParams(n=100, code=BchCode(10, 7), l=16, lambda_=lambda_, c=c,
                            entropy_fit=REFERENCE_ENTROPY_FIT, error_fit=REFERENCE_ERROR_FIT)
+
+    @pytest.mark.parametrize("g, e", [
+        (LinearFit(1.0, 0.0), LinearFit(0.01, 1e308)),   # the margin intercept is -inf
+        (LinearFit(1e-320, 0.0), LinearFit(0.0, 0.0)),   # n overflows to inf
+        (LinearFit(math.nan, 0.0), LinearFit(0.0, 0.0)),
+        (LinearFit(1.0, 0.0), LinearFit(math.nan, 0.0))])
+    def test_no_finite_sample_count_is_infeasible(self, g, e):
+        with pytest.raises(InfeasiblePlanError, match="^no finite n has "):
+            plan_parameters(l=16, lambda_=2, c=0.05, entropy_fit=g, error_fit=e)
 
     def test_no_code_beyond_largest_field(self):
         with pytest.raises(InfeasiblePlanError, match="no code"):
@@ -464,3 +474,19 @@ class TestBlockwiseFeasibility:
                 assert success < target, (n, t, success)
         # some configurations do satisfy the residual bar alone
         assert best, "sweep never reached the residual bar; widen it"
+
+
+@pytest.mark.parametrize("call", [
+    lambda run, seed: measure_rates(family_config(levels=9), n_samples=100, seed=seed),
+    lambda run, seed: validate_assumptions(run.alice, run.eve, trials=5, slice_len=10,
+                                           levels=9, seed=seed),
+    lambda run, seed: lag_correlation_profile(run.alice, max_lag=2, rows=10, seed=seed),
+    lambda run, seed: run_exchange(run.alice, run.bob, plan_parameters(16, 2, 0.05, n=400),
+                                   seed=seed),
+], ids=["measure_rates", "validate_assumptions", "lag_correlation_profile", "run_exchange"])
+def test_negative_seed_fails_closed(call):
+    # the arguments work with seed 0, so only the seed is at fault
+    run = simulate_run(family_config(levels=9, n=400, seed=3))
+    call(run, 0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        call(run, -1)

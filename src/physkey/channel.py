@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CalibrationError, ImpossibleObservationError
-from .hmm import SLICE_LEN, HmmModel, estimate_avg_conditional_min_entropy, \
+from .hmm import MAX_LEVELS, SLICE_LEN, HmmModel, estimate_avg_conditional_min_entropy, \
     json_float, json_int, level_states, seeded_rng, slice_experiments, validate_model
 from .quantize import BITS_PER_SAMPLE
 from .traces import MeasurementTrace, make_trace
@@ -225,12 +225,6 @@ def _measure_length(n_samples: int) -> int:
     return n - n % SLICE_LEN
 
 
-def _entropy_estimate(model: HmmModel, idx: np.ndarray, ue: np.ndarray):
-    # the sampled estimate over SLICE_LEN-sample experiments of Eve's trace
-    experiments = slice_experiments(model, _eve_levels(model, idx, ue), SLICE_LEN)
-    return estimate_avg_conditional_min_entropy(model, experiments)
-
-
 def _memoryless_entropy_bits(model: HmmModel, counts) -> np.ndarray:
     """Conditional min-entropy in bits of observation sequences given by
     their symbol counts (last axis), for a chain whose every transition row
@@ -267,12 +261,6 @@ def _eve_counts(model: HmmModel, ue_by_state: list) -> np.ndarray:
     return np.diff(edges, prepend=0)
 
 
-def _word_error_rate(config: ChannelConfig, idx: np.ndarray, ub: np.ndarray) -> float:
-    # fraction of samples where Bob's level differs from Alice's
-    alice = np.array(config.model.states, dtype=np.int64)[idx]
-    return float(np.mean(_bob_levels(config.model, config.bob_error, alice, ub) != alice))
-
-
 def _bob_error_count(bob_error: dict, ub_down: np.ndarray, ub_up: np.ndarray) -> int:
     # Bob's level errors for offsets -1, 0, +1 from his uniforms sorted over
     # the steps off the lowest state (ub_down) and off the highest (ub_up):
@@ -292,13 +280,14 @@ def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
     sample).  The run is the one simulate_run draws at this length and seed.
     """
     n = _measure_length(n_samples)
-    idx, ue, ub = _draw(config.model, seed, n)
-    est = _entropy_estimate(config.model, idx, ue)
+    run = simulate_run(replace(config, n=n, seed=seed))
+    est = estimate_avg_conditional_min_entropy(
+        config.model, slice_experiments(config.model, run.eve.levels, SLICE_LEN))
     return {
         "per_sample_entropy_bits": est.mean_bits / SLICE_LEN,
         "per_experiment_entropy_bits": est.mean_bits,
         "entropy_std_bits": est.std_bits,
-        "word_error_rate_per_word": _word_error_rate(config, idx, ub),
+        "word_error_rate_per_word": float(np.mean(run.alice.levels != run.bob.levels)),
         "slice_len": SLICE_LEN,
         "n_samples": n,
     }
@@ -336,8 +325,9 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     if not (0.0 < target_entropy_rate < 1.0 and 0.0 < target_word_error_rate < 1.0):
         raise CalibrationError(
             "calibration failed: target rates must lie strictly inside (0, 1)")
-    if levels < 2:
-        raise CalibrationError(f"calibration failed: levels must be at least 2, got {levels}")
+    if not 2 <= levels <= MAX_LEVELS:
+        bound = "at least 2" if levels < 2 else f"at most {MAX_LEVELS}"
+        raise CalibrationError(f"calibration failed: levels must be {bound}, got {levels}")
     if seed < 0:
         raise CalibrationError(f"calibration failed: seed must be >= 0, got {seed}")
     entropy_per_sample = target_entropy_rate * BITS_PER_SAMPLE

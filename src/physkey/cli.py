@@ -64,9 +64,9 @@ class _Fields(dict):
 
 @contextmanager
 def _json_object(path: str):
-    """Yield the JSON object at path; bad JSON, a non-object, or a missing or
-    mistyped field read in the block is a domain error naming the file, and
-    a value of the wrong type also names its field."""
+    """Yield the JSON object at path; bad or too deeply nested JSON, a
+    non-object, or a missing or mistyped field read in the block is a domain
+    error naming the file, and a value of the wrong type also names its field."""
     trail = []
     try:
         doc = json.loads(Path(path).read_text())
@@ -78,7 +78,7 @@ def _json_object(path: str):
     except (TypeError, AttributeError) as exc:
         field = f"field {trail[0]!r} has the wrong type: " if trail else ""
         raise PhyskeyError(f"{path}: {field}{exc}") from None
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:
         raise PhyskeyError(f"{path}: {exc}") from None
 
 
@@ -323,8 +323,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "levels", LEVELS) < 2:
-            raise PhyskeyError(f"--levels must be at least 2, got {args.levels}")
+        if not 2 <= getattr(args, "levels", LEVELS) <= hmm.MAX_LEVELS:
+            bound = "at least 2" if args.levels < 2 else f"at most {hmm.MAX_LEVELS}"
+            raise PhyskeyError(f"--levels must be {bound}, got {args.levels}")
         if (getattr(args, "seed", None) or 0) < 0:
             raise PhyskeyError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)

@@ -42,6 +42,7 @@ from .traces import MeasurementTrace, assert_aligned
 _ROW_TOL = 1e-9
 ENUMERATION_GUARD = 10 ** 6
 SLICE_LEN = 100  # samples per entropy experiment in the reference deployment
+MAX_LEVELS = 256  # largest level count: the kernel's (k, k, r) step is then 52 MB at r = 100
 
 
 def json_int(value) -> int:
@@ -394,8 +395,9 @@ def estimate_avg_conditional_min_entropy(model: HmmModel,
 
 def level_states(levels: int) -> tuple:
     """Signal-level state set for a given level count: -(levels-1) .. 0."""
-    if levels < 2:
-        raise ValueError("need at least 2 levels")
+    if not 2 <= levels <= MAX_LEVELS:
+        bound = "at least 2" if levels < 2 else f"at most {MAX_LEVELS}"
+        raise ValueError(f"levels must be {bound}, got {levels}")
     return tuple(range(-(levels - 1), 1))
 
 

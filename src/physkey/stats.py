@@ -12,13 +12,14 @@ RSSI data is heavily tied; the K-S statistic is taken over the merged
 discrete support, which makes the asymptotic p-values conservative.  Every
 K-S test here runs on counts over that support: D is the largest gap
 between the cumulative counts of two samples, each divided by its size.
+The tests come in batches, one sample pair per row of two count matrices,
+so each of the suite's three K-S tests is one array pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate
 
 import numpy as np
 from scipy.special import kolmogorov, stdtr
@@ -117,12 +118,6 @@ def lag_correlation_profile(trace: MeasurementTrace, max_lag: int, rows: int,
     return CorrelationReport(list(range(max_lag + 1)), rs, sig)
 
 
-def _kolmogorov_sf(lam: float) -> float:
-    # Q(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), which tends
-    # to 1 as lambda -> 0, where a truncated series falls short
-    return float(kolmogorov(lam))
-
-
 def ks_two_sample(x, y, alpha: float = 0.05) -> KsReport:
     """Two-sample K-S test with asymptotic p-value (ne = nm / (n + m))."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -130,23 +125,27 @@ def ks_two_sample(x, y, alpha: float = 0.05) -> KsReport:
         raise ValueError("each sample needs at least 8 points")
     _, rank = np.unique(np.concatenate([x, y]), return_inverse=True)
     cx, cy = (np.bincount(r, minlength=rank.max() + 1) for r in np.split(rank, [x.size]))
-    return _ks_counts(cx, cy, alpha)
+    (d,), (p,), (reject,) = _ks_counts(cx[None], cy[None], alpha)
+    return KsReport(statistic=float(d), p_value=float(p), reject=bool(reject))
 
 
-def _ks_counts(c1: np.ndarray, c2: np.ndarray, alpha: float) -> KsReport:
-    """K-S test of two samples given as counts over one sorted support: the
-    empirical CDFs are the running counts over the sizes."""
-    c1, c2 = c1.tolist(), c2.tolist()  # a handful of levels: Python beats numpy
-    n1, n2 = sum(c1), sum(c2)
-    d = max(abs(a / n1 - b / n2) for a, b in zip(accumulate(c1), accumulate(c2)))
-    p = _kolmogorov_sf(math.sqrt(n1 * n2 / (n1 + n2)) * d)
-    return KsReport(statistic=d, p_value=p, reject=p < alpha)
+def _ks_counts(c1: np.ndarray, c2: np.ndarray, alpha: float):
+    """K-S tests of sample pairs given as counts over one sorted support, one
+    pair per row of c1 and c2: the empirical CDFs are the running counts over
+    the sizes.  Returns each row's statistic, p-value and rejection."""
+    n1, n2 = c1.sum(axis=1), c2.sum(axis=1)
+    d = np.abs(c1.cumsum(axis=1) / n1[:, None] - c2.cumsum(axis=1) / n2[:, None]).max(axis=1)
+    # Q(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), which tends
+    # to 1 as lambda -> 0, where a truncated series falls short
+    p = kolmogorov(np.sqrt(n1 * n2 / (n1 + n2)) * d)
+    return d, p, p < alpha
 
 
 def _random_halves(rng: np.random.Generator, counts: np.ndarray, draws: int):
-    """``draws`` random halves' counts, each with its complement (one larger if n is odd)."""
+    """``draws`` random halves' counts, one per row, and their complements (one
+    larger if n is odd)."""
     halves = rng.multivariate_hypergeometric(counts, int(counts.sum()) // 2, size=draws)
-    return zip(halves, counts - halves)
+    return halves, counts - halves
 
 
 def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
@@ -191,36 +190,31 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     lx, ly = int(xc.max()) + 1, int(yc.max()) + 1
 
     # (b) identical distribution: K-S on random half partitions
-    rejects = sum(_ks_counts(c1, c2, alpha).reject
-                  for c1, c2 in _random_halves(rng, np.bincount(xc), trials))
-    identical_rate = rejects / trials
+    rejects = _ks_counts(*_random_halves(rng, np.bincount(xc), trials), alpha)[2]
+    identical_rate = float(rejects.mean())
 
     # (c) stationary transitions: successor samples from two disjoint time
     # windows drawn fresh each trial (fresh windows keep the trials
     # decorrelated, so the rejection rate concentrates near its level)
-    rejects = 0
     w = max(MIN_COND_SAMPLES, min(LAG_ROWS, n // 8))
-    for _ in range(trials):
+    windows = np.empty((2, trials, lx), dtype=np.int64)
+    for t in range(trials):
         s1 = int(rng.integers(0, n - 2 * w - 1))
         s2 = int(rng.integers(s1 + w, n - w - 1))
-        c1, c2 = (np.bincount(xc[s + 1:s + w + 1], minlength=lx) for s in (s1, s2))
-        rejects += _ks_counts(c1, c2, alpha).reject
-    transition_rate = rejects / trials
+        windows[:, t] = [np.bincount(xc[s + 1:s + w + 1], minlength=lx) for s in (s1, s2)]
+    transition_rate = float(_ks_counts(*windows, alpha)[2].mean())
 
     # (d) stationary observation: per conditioning level x, Y | X = x (row x
-    # of a half's count table) across a random half of the (x, y) pairs
-    rejects = tests = skipped_levels = 0
+    # of a half's count table) across a random half of the (x, y) pairs,
+    # one row per (draw, x); levels short of samples on either side are skipped
     joint = np.bincount(xc * ly + yc, minlength=lx * ly)  # cell x * ly + y
-    for h1, h2 in _random_halves(rng, joint, max(1, trials // 10)):
-        for c1, c2 in zip(h1.reshape(lx, ly), h2.reshape(lx, ly)):
-            if c1.sum() < MIN_COND_SAMPLES or c2.sum() < MIN_COND_SAMPLES:
-                skipped_levels += 1
-                continue
-            tests += 1
-            rejects += _ks_counts(c1, c2, alpha).reject
-    observation_rate = rejects / tests if tests else 0.0
+    c1, c2 = (h.reshape(-1, ly) for h in _random_halves(rng, joint, max(1, trials // 10)))
+    kept = (c1.sum(axis=1) >= MIN_COND_SAMPLES) & (c2.sum(axis=1) >= MIN_COND_SAMPLES)
+    tests = int(kept.sum())
+    rejects = _ks_counts(c1[kept], c2[kept], alpha)[2]
+    observation_rate = float(rejects.mean()) if tests else 0.0
     details["stationary_observation_tests"] = tests
-    details["stationary_observation_skipped"] = skipped_levels
+    details["stationary_observation_skipped"] = kept.size - tests
 
     # independent-observation probe (indirect): the eavesdropper's reading
     # must correlate with the source only at lag 0

@@ -8,14 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import physkey.channel
-from physkey.channel import (ChannelConfig, _bisect, _bob_error_count, _draw,
-                             _entropy_estimate, _eve_counts, _eve_levels,
-                             _memoryless_entropy_bits, _offset_cdf, _sample_chain,
-                             _word_error_rate, calibrate_to_reference_rates, family_config,
+from physkey.channel import (ChannelConfig, _bisect, _bob_error_count, _bob_levels, _draw,
+                             _eve_counts, _eve_levels, _memoryless_entropy_bits, _offset_cdf,
+                             _sample_chain, calibrate_to_reference_rates, family_config,
                              measure_rates, simulate_run)
 from physkey.errors import CalibrationError, ImpossibleObservationError
 from physkey.hmm import SLICE_LEN, HmmModel, entropy_profile_batch, \
-    estimate_avg_conditional_min_entropy, validate_model
+    estimate_avg_conditional_min_entropy, slice_experiments, validate_model
 from physkey.stats import lag_correlation_profile, pearson_significance
 
 from .oracles import choice_simulate_run, walk_chain
@@ -233,30 +232,37 @@ class TestCalibration:
     @pytest.mark.parametrize("seed", [0, 2026])
     @pytest.mark.parametrize("q", [0.0, 1e-5, 0.023456787109375002, 0.25, 0.49])
     def test_error_count_matches_word_error_rate(self, seed, q):
-        # the sorted-uniform count against _word_error_rate, including
-        # uniforms on and just below both CDF boundaries (those below 1), 0
-        # and just below 1 at every state, the two clamp states among them
-        cfg = family_config(levels=9, q=q)
+        # the sorted-uniform count against Bob's errors in the simulated run,
+        # and in Bob's levels at uniforms on and just below both CDF
+        # boundaries (those below 1), 0 and just below 1 at every state, the
+        # two clamp states among them
+        cfg = family_config(levels=9, q=q, n=2000, seed=seed)
+        run = simulate_run(cfg)
         idx, _, ub = _draw(cfg.model, seed, 2000)
         cdf = _offset_cdf(cfg.bob_error)[1]
         edges = [u for u in (0.0, cdf[0], np.nextafter(cdf[0], 0.0), cdf[1],
                              np.nextafter(cdf[1], 0.0), np.nextafter(1.0, 0.0)) if u < 1.0]
         idx = np.r_[idx, np.repeat(np.arange(9), len(edges))]
         ub = np.r_[ub, np.tile(edges, 9)]
+        alice = np.r_[run.alice.levels, idx[2000:] - 8]
+        bob = np.r_[run.bob.levels,
+                    _bob_levels(cfg.model, cfg.bob_error, alice[2000:], ub[2000:])]
         count = _bob_error_count(cfg.bob_error, np.sort(ub[idx > 0]), np.sort(ub[idx < 8]))
-        assert count / idx.size == _word_error_rate(cfg, idx, ub)
+        assert count == np.count_nonzero(alice != bob)
 
     @pytest.mark.parametrize("seed", [2026, 1177726414, 284816770, 1888305565, 1, 2])
     @pytest.mark.parametrize("band,target", [(2, 0.9984), (3, 1.5)])
     def test_closed_form_decides_as_the_kernel(self, seed, band, target):
-        # the spread search driven by the kernel, and driven by the closed
-        # form, pick the same probe
+        # the spread search driven by the kernel over Eve's simulated trace,
+        # and driven by the closed form, pick the same probe
         idx, ue, _ = _draw(family_config(levels=9).model, seed, 10_000)
         ue_by_state = [np.sort(ue[idx == s]) for s in range(9)]
 
         def kernel(spread):
-            model = family_config(levels=9, spread=spread, band=band).model
-            return _entropy_estimate(model, idx, ue).mean_bits / SLICE_LEN
+            cfg = family_config(levels=9, spread=spread, band=band, n=10_000, seed=seed)
+            experiments = slice_experiments(cfg.model, simulate_run(cfg).eve.levels, SLICE_LEN)
+            return estimate_avg_conditional_min_entropy(cfg.model, experiments).mean_bits \
+                / SLICE_LEN
 
         def closed(spread):
             model = family_config(levels=9, spread=spread, band=band).model

@@ -170,6 +170,8 @@ class TestFitGrowth:
      "at most --slice-samples // 2 = 15 to place two checkpoints, got 16"),
     *[(command, ["--seed", "-1"], "--seed must be >= 0, got -1")
       for command in ("simulate", "extract-key", "validate-assumptions")],
+    *[(command, ["--levels", "257"], "--levels must be at most 256, got 257")
+      for command in ("estimate-entropy", "fit-growth", "validate-assumptions")],
 ])
 def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
     roles = {"fit-growth": ["alice", "bob", "eve"],
@@ -266,10 +268,17 @@ def config_with(path, value):
     ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
                                             "seed": -1}},
      "calibration failed: seed must be >= 0, got -1"),
+    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
+                                            "levels": 257}},
+     "calibration failed: levels must be at most 256, got 257"),
+    # raw text, not a document: nesting too deep for the JSON decoder
+    *[pytest.param(command, flag, "[" * 100_000, "maximum recursion depth exceeded",
+                   id=f"{command}-{flag}-deeply-nested")
+      for command, flag in (("simulate", "--config"), ("plan", "--fits"))],
 ])
 def test_bad_config_or_fits_fails_closed(tmp_path, capsys, command, flag, doc, reason):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     required = {"plan": ["--l", "64", "--lambda", "40", "--c", "0.5"],
                 "simulate": ["--out", str(tmp_path / "sim")]}[command]
     code = main([command, *required, flag, str(path)])
@@ -463,7 +472,8 @@ class TestReport:
         ("[1, 2]", "expected a JSON object, got list"),
         ('"abc"', "expected a JSON object, got str"),
         ("5", "expected a JSON object, got int"),
-        ('{"success": tru', "Expecting value")])
+        ('{"success": tru', "Expecting value"),
+        pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deeply-nested")])
     def test_non_object_fails_closed(self, tmp_path, capsys, text, reason):
         path = tmp_path / "r.json"
         path.write_text(text)

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physkey.errors import ImpossibleObservationError
-from physkey.channel import family_config
-from physkey.hmm import (HmmModel, _recursions,
+from physkey.errors import CalibrationError, ImpossibleObservationError
+from physkey.channel import calibrate_to_reference_rates, family_config
+from physkey.hmm import (MAX_LEVELS, HmmModel, _recursions,
                          conditional_min_entropy_given_obs, entropy_profile_batch,
                          estimate_avg_conditional_min_entropy,
                          exact_avg_conditional_min_entropy, fit_hmm_from_traces,
                          fit_linear_growth, forward_likelihood, obs_from_values,
-                         slice_experiments, validate_model, viterbi_max_joint)
+                         level_states, slice_experiments, validate_model,
+                         viterbi_max_joint)
 from physkey.traces import make_trace
 
 from .oracles import (brute_exact_avg_bits, brute_forward, brute_viterbi,
@@ -433,6 +434,18 @@ class TestEstimator:
 
 
 class TestFitFromTraces:
+    def test_level_count_is_bounded(self):
+        # every entry that sizes arrays by the level count checks it first
+        assert MAX_LEVELS == 256 and len(level_states(MAX_LEVELS)) == 256
+        trace = make_trace([-1, 0] * 10, "alice")
+        message = "levels must be at most 256, got 257"
+        for build in (lambda: level_states(257), lambda: family_config(levels=257),
+                      lambda: fit_hmm_from_traces(trace, trace, levels=257)):
+            with pytest.raises(ValueError, match=message):
+                build()
+        with pytest.raises(CalibrationError, match=f"calibration failed: {message}"):
+            calibrate_to_reference_rates(0.1248, 0.0054, levels=257)
+
     def test_constant_trace_self_transition(self):
         hidden = make_trace([-1] * 50, "alice")
         observed = make_trace([-1] * 50, "eve")

@@ -1,13 +1,17 @@
+import hashlib
+import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physkey.channel import ChannelConfig, simulate_run
+import physkey.stats
+from physkey.channel import ChannelConfig, family_config, simulate_run
 from physkey.hmm import HmmModel
-from physkey.stats import (_kolmogorov_sf, _ks_counts, _random_halves, ks_two_sample,
+from physkey.stats import (KsReport, _ks_counts, _random_halves, ks_two_sample,
                            lag_correlation_profile, pearson_significance,
                            validate_assumptions)
 from physkey.traces import MeasurementTrace, make_trace
@@ -20,6 +24,11 @@ def assert_matches_sorted_ks(rep, x, y, alpha):
     assert rep.statistic == ref.statistic
     assert rep.p_value == ref.p_value
     assert rep.reject == ref.reject
+
+
+def ks_row(c1, c2, alpha):
+    # _ks_counts on one pair of count vectors, as a one-row batch
+    return KsReport(*(v[0] for v in _ks_counts(c1[None], c2[None], alpha)))
 
 
 class TestPearson:
@@ -127,18 +136,29 @@ class TestKs:
     @pytest.mark.parametrize("lam, q", [(0.5, 0.9639452436648751),
                                         (1.0, 0.26999967167735456)])
     def test_kolmogorov_tail_known_values(self, lam, q):
-        assert _kolmogorov_sf(lam) == pytest.approx(q, rel=1e-12)
+        # D = 0.5 at 8 lambda^2 samples a side: [2, 0] against [1, 1] gives
+        # lambda = 0.5, [8, 0] against [4, 4] gives 1
+        m = round(8 * lam ** 2)
+        d, p, reject = _ks_counts(np.array([[m, 0]]), np.array([[m // 2, m // 2]]), 0.05)
+        assert d[0] == 0.5 and np.sqrt(m / 2) * d[0] == lam
+        assert p[0] == pytest.approx(q, rel=1e-12) and not reject[0]
 
     @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.01, 0.02])
     def test_kolmogorov_tail_near_one_for_tiny_lambda(self, lam):
-        # a series cut after 100 terms gave 0.02 at 1e-3 and 0.87 at 0.01
-        assert _kolmogorov_sf(lam) == pytest.approx(1.0, abs=1e-12)
+        # one sample of 1 / (2 lambda^2) a side moved across two levels gives
+        # lambda (none moved gives 0); a series cut after 100 terms gave 0.02
+        # at 1e-3 and 0.87 at 0.01
+        m = round(0.5 / lam ** 2) if lam else 8
+        moved = int(lam > 0)
+        d, p, reject = _ks_counts(np.array([[moved, m - moved]]), np.array([[0, m]]), 0.05)
+        assert np.sqrt(m / 2) * d[0] == pytest.approx(lam, rel=1e-12)
+        assert p[0] == pytest.approx(1.0, abs=1e-12) and not reject[0]
 
     def test_tiny_statistic_does_not_reject(self):
         # unequal sizes leave D = 3.2e-6; it once gave p = 5.7e-5 and rejected
         x, y = [0] + [1] * 560, [0] + [1] * 559
-        for rep in (ks_two_sample(x, y, 0.05), _ks_counts(np.array([1, 560]),
-                                                          np.array([1, 559]), 0.05)):
+        for rep in (ks_two_sample(x, y, 0.05), ks_row(np.array([1, 560]),
+                                                      np.array([1, 559]), 0.05)):
             assert 0 < rep.statistic < 1e-5
             assert rep.p_value == pytest.approx(1.0) and not rep.reject
 
@@ -189,13 +209,27 @@ class TestKsCounts:
     @given(LEVEL_SAMPLES, LEVEL_SAMPLES, st.lists(st.integers(-12, 3), max_size=3),
            st.sampled_from([0.01, 0.05, 0.5]))
     def test_matches_ks_two_sample(self, x, y, extra, alpha):
-        assert_matches_sorted_ks(_ks_counts(*self.counts(x, y, extra), alpha), x, y, alpha)
+        assert_matches_sorted_ks(ks_row(*self.counts(x, y, extra), alpha), x, y, alpha)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(LEVEL_SAMPLES, LEVEL_SAMPLES), min_size=1, max_size=6),
+           st.sampled_from([0.01, 0.05, 0.5]))
+    def test_rows_match_ks_two_sample(self, pairs, alpha):
+        # pairs of unequal sizes in one batch, counted over their shared support
+        support = np.unique(np.concatenate([v for pair in pairs for v in pair]))
+        c1, c2 = (np.array([np.bincount(np.searchsorted(support, pair[side]),
+                                        minlength=support.size) for pair in pairs])
+                  for side in (0, 1))
+        d, p, reject = _ks_counts(c1, c2, alpha)
+        assert d.shape == p.shape == reject.shape == (len(pairs),)
+        for row, (x, y) in enumerate(pairs):
+            assert_matches_sorted_ks(KsReport(d[row], p[row], reject[row]), x, y, alpha)
 
     @settings(deadline=None, max_examples=100)
     @given(st.lists(st.integers(-8, -4), min_size=8, max_size=40),
            st.lists(st.integers(-4, 0), min_size=8, max_size=90))
     def test_levels_on_one_side_only(self, x, y):
-        assert_matches_sorted_ks(_ks_counts(*self.counts(x, y), 0.05), x, y, 0.05)
+        assert_matches_sorted_ks(ks_row(*self.counts(x, y), 0.05), x, y, 0.05)
 
     @pytest.mark.parametrize("x, y", [
         ([-3] * 9, [-3] * 31),
@@ -204,16 +238,17 @@ class TestKsCounts:
         (list(range(-8, 1)), list(range(-8, 1)) * 3),
     ], ids=["all-equal", "all-equal-same-size", "disjoint", "same-levels"])
     def test_edge_samples(self, x, y):
-        assert_matches_sorted_ks(_ks_counts(*self.counts(x, y), 0.05), x, y, 0.05)
+        assert_matches_sorted_ks(ks_row(*self.counts(x, y), 0.05), x, y, 0.05)
 
 
 class TestRandomHalves:
     def test_complement_sizes(self):
         counts = np.array([3, 0, 5, 1])  # n = 9: halves of 4 and 5
-        for h1, h2 in _random_halves(np.random.default_rng(0), counts, 50):
-            assert (h1 >= 0).all() and (h2 >= 0).all()
-            assert (h1 + h2 == counts).all()
-            assert (h1.sum(), h2.sum()) == (4, 5)
+        h1, h2 = _random_halves(np.random.default_rng(0), counts, 50)
+        assert h1.shape == h2.shape == (50, 4)
+        assert (h1 >= 0).all() and (h2 >= 0).all()
+        assert (h1 + h2 == counts).all()
+        assert (h1.sum(axis=1) == 4).all() and (h2.sum(axis=1) == 5).all()
 
     def test_count_draws_match_permutation_halves(self, calibrated_config):
         # per level, a random half's count has one law whether the half is
@@ -222,8 +257,7 @@ class TestRandomHalves:
         codes = np.unique(levels, return_inverse=True)[1]
         counts = np.bincount(codes)
         draws = 2000
-        drawn = np.array([h1 for h1, _ in
-                          _random_halves(np.random.default_rng(62), counts, draws)])
+        drawn = _random_halves(np.random.default_rng(62), counts, draws)[0]
         rng = np.random.default_rng(63)
         permuted = np.array([np.bincount(codes[rng.permutation(codes.size)[:codes.size // 2]],
                                          minlength=counts.size) for _ in range(draws)])
@@ -350,3 +384,61 @@ class TestValidateAssumptions:
                                       trials=20, slice_len=100, levels=9, seed=1)
         doc = json.dumps(report.to_dict())
         assert "stable_entropy" in doc
+
+    def test_one_ks_call_per_test(self, monkeypatch):
+        calls = []
+
+        def spy(c1, c2, alpha):
+            calls.append(c1.shape)
+            return _ks_counts(c1, c2, alpha)
+
+        monkeypatch.setattr(physkey.stats, "_ks_counts", spy)
+        run = simulate_run(family_config(levels=9, n=3000, seed=14))
+        report = validate_assumptions(run.alice, run.eve, trials=50, levels=9, seed=2)
+        tests = report.details["stationary_observation_tests"]
+        assert calls == [(50, 9), (50, 9), (tests, 9)]
+
+
+def rare_level_pair():
+    # level -4 holds about 8 of 2000 samples, too few for test (d) in a half
+    rng = np.random.default_rng(5)
+    a = rng.choice(np.arange(-4, 1), p=[0.004, 0.249, 0.249, 0.249, 0.249], size=2000)
+    e = np.clip(a + rng.integers(-1, 2, size=2000), -4, 0)
+    return make_trace(a, "alice"), make_trace(e, "eve")
+
+
+def simulated_pair(**family):
+    run = simulate_run(family_config(**family))
+    return run.alice, run.eve
+
+
+class TestSeededOutputs:
+    """Assumption-suite reports pinned to the sha256 of their sorted-key JSON:
+    a change to how the K-S tests are batched must reproduce every byte."""
+
+    REPORTS = {  # case: (trace pair, validate_assumptions options, sha256)
+        "odd-n-one-trial": (
+            partial(simulated_pair, levels=9, n=2001, seed=11),
+            {"trials": 1, "levels": 9, "seed": 0},
+            "a0c382cb35f7ea383c583fea021b46143787a844a00cb3f618f0cc035a017dae"),
+        "chain-with-memory": (
+            partial(simulated_pair, levels=5, decay=0.5, n=3000, seed=12),
+            {"trials": 37, "max_lag": 3, "levels": 5, "seed": 9},
+            "599d949d4a45d80b8fbcd75aa833a16ceff0171640a73371d4e12efc2a4adbcf"),
+        "reference-trials": (
+            partial(simulated_pair, levels=9, n=10_000, seed=13),
+            {"trials": 200, "levels": 9, "seed": 0},
+            "ed4e9ee185d848ba197235e527e5a15061ae46d6ba79eb14edfdec2663e860c6"),
+        "skipped-level": (
+            rare_level_pair,
+            {"trials": 40, "levels": 5, "seed": 2},
+            "a9cb5e9bb775cdcd6b57eb155c2fda8ecb92f3625533e6ba670a166d4cdd3bc3"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REPORTS))
+    def test_report_digest(self, case):
+        pair, options, digest = self.REPORTS[case]
+        report = validate_assumptions(*pair(), **options)
+        doc = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+        assert (report.details["stationary_observation_skipped"] > 0) == (case == "skipped-level")

@@ -31,10 +31,9 @@ def _emit(obj) -> None:
 
 def _load_trace(path: str, role: str):
     tf = TraceFile.load(path)
-    ids = tf.node_ids()
-    if len(ids) != 1:
-        raise PhyskeyError(f"{path}: expected a single node, found {ids}")
-    return tf.trace(ids[0], role)
+    if tf.node_id is None:
+        raise PhyskeyError(f"{path}: no data rows")
+    return tf.trace(tf.node_id, role)
 
 
 def _load_aligned(paths: dict, **options):
@@ -140,11 +139,11 @@ def _cmd_estimate_entropy(args) -> int:
     aligned, report = _load_aligned({"alice": args.alice, "eve": args.eve},
                                     eve_filter=True, magnitude=args.levels - 1)
     alice, eve = aligned["alice"], aligned["eve"]
+    if len(eve) < args.slice:
+        raise PhyskeyError(f"need at least {args.slice} aligned samples")
     model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,
                                     smoothing=args.smoothing)
     experiments = hmm.slice_experiments(model, eve.levels, args.slice)
-    if not experiments.size:
-        raise PhyskeyError(f"need at least {args.slice} aligned samples")
     est = hmm.estimate_avg_conditional_min_entropy(model, experiments)
     _emit({"estimate": est.to_dict(), "levels": args.levels,
            "slice": args.slice, "ingest": report})
@@ -331,6 +330,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PhyskeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the allocation, Python's own is bare
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -4,18 +4,19 @@ Trace CSV grammar, the one ``trace_to_file`` writes and the only one read:
 the header line ``seq,node_id,frame_type,rssi`` exactly, then one row per
 observation, ``-?[0-9]{1,19},<node>,PING|PONG|OBS,-?[0-9]{1,19}`` with seq
 and rssi (signed dBm) in int64 and ``<node>`` any text without ``,`` or
-``\\n``.  Empty lines are skipped.  ``TraceFile.parse`` splits lines on
-``\\n`` only; ``TraceFile.load`` reads the file with universal newlines, so
-a CRLF or CR file loads as its LF twin.
+``\\n``.  A file is one node's trace: every row carries the first row's
+node id and frame type, and each row's seq is above the previous row's.
+Empty lines are skipped.  ``TraceFile.parse`` splits lines on ``\\n`` only;
+``TraceFile.load`` reads the file with universal newlines, so a CRLF or CR
+file loads as its LF twin.
 
-A parsed ``TraceFile`` holds one column per field: seq and rssi as int64
-arrays, node_id and frame_type as codes into the column's distinct texts.
-Parsing works on the UTF-8 bytes of the body in one pass per column: the
-positions of commas and newlines bound every line and cell, the digits of
-every seq (or rssi) cell are gathered and summed together, and node and
-frame cells are decoded only where their bytes differ from the first
-row's.  The same pass marks every line outside the grammar, and a
-``PhyskeyError`` names ``path:line`` of the first.
+A parsed ``TraceFile`` holds seq and rssi as int64 arrays in file order
+and the one node id and frame type.  Parsing works on the UTF-8 bytes of
+the body in one pass per column: the positions of commas and newlines
+bound every line and cell, the digits of every seq (or rssi) cell are
+gathered and summed together, and node and frame cells are compared
+bytewise with the first row's.  The same pass marks every line outside the
+grammar, and a ``PhyskeyError`` names ``path:line`` of the first.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class MeasurementTrace:
         levels = np.array(self.levels, dtype=np.int64)
         if seqs.shape != levels.shape or seqs.ndim != 1:
             raise ValueError("seqs and levels must be equal-length 1-d arrays")
-        if seqs.size > 1 and not np.all(np.diff(seqs) > 0):
+        if np.any(seqs[1:] <= seqs[:-1]):  # neighbours: a difference overflows int64
             raise ValueError(f"sequence numbers not strictly increasing in {self.node_id!r}")
         seqs.setflags(write=False)
         levels.setflags(write=False)
@@ -82,19 +83,14 @@ def assert_aligned(*traces: MeasurementTrace) -> None:
 
 @dataclass(eq=False)
 class TraceFile:
-    """Parsed trace CSV, one column per CSV field, in file row order.
-
-    seq and rssi are int64 arrays.  node_id and frame_type are kept as codes:
-    ``node[i]`` indexes ``nodes`` and ``frame[i]`` indexes ``frames``, the
-    distinct texts of each column in order of first appearance.
-    """
+    """One node's parsed trace CSV: seq and rssi as int64 arrays in file row
+    order, and the node_id and frame_type every row carries (None for a file
+    with no rows)."""
 
     seq: np.ndarray
-    node: np.ndarray
-    nodes: list
-    frame: np.ndarray
-    frames: list
     rssi: np.ndarray
+    node_id: str | None = None
+    frame_type: str | None = None
     path: str = ""
 
     @classmethod
@@ -117,8 +113,8 @@ class TraceFile:
     @property
     def rows(self) -> list:
         """(seq, node_id, frame_type, rssi) tuples, one per data row."""
-        return list(zip(self.seq.tolist(), _decode(self.nodes, self.node),
-                        _decode(self.frames, self.frame), self.rssi.tolist()))
+        return [(seq, self.node_id, self.frame_type, rssi)
+                for seq, rssi in zip(self.seq.tolist(), self.rssi.tolist())]
 
     def serialize(self) -> str:
         out = io.StringIO()
@@ -131,34 +127,28 @@ class TraceFile:
         Path(path).write_text(self.serialize())
 
     def node_ids(self) -> list:
-        return list(self.nodes)
+        return [] if self.node_id is None else [self.node_id]
 
     def trace(self, node_id: str, name: str | None = None) -> MeasurementTrace:
-        """The rows of node_id in seq order, as a trace named name (default
-        node_id)."""
-        if node_id not in self.nodes:
+        """The file's rows as a trace named name (default node_id)."""
+        if node_id != self.node_id:
             raise PhyskeyError(f"no rows for node {node_id!r} in {self.path or '<string>'}")
-        picked = np.flatnonzero(self.node == self.nodes.index(node_id))
-        picked = picked[np.argsort(self.seq[picked], kind="stable")]
-        return MeasurementTrace(self.seq[picked], self.rssi[picked],
-                                node_id if name is None else name,
-                                self.frames[self.frame[picked[0]]])
+        return MeasurementTrace(self.seq, self.rssi, node_id if name is None else name,
+                                self.frame_type)
 
 
-_CELLS = "decimal int64 seq and rssi, frame_type PING, PONG or OBS"
+_CELLS = ("decimal int64 seq and rssi, frame_type PING, PONG or OBS, the first row's "
+          "node_id and frame_type, seq above the previous row's")
 # digits of the widest seq or rssi cell: 10**19 - 1 < 2**64, so a uint64 sum is exact
 _DIGITS = 19
 _POW10 = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.uint64)
 
 
-def _decode(names: list, codes: np.ndarray) -> list:
-    return np.array(names, dtype=object)[codes].tolist()
-
-
 def _columns(raw: bytes) -> tuple:
-    """(seq, node, nodes, frame, frames, rssi, bad) of the lines of raw, the
-    UTF-8 text after the header line; bad marks every line that is neither
-    empty nor a row of the grammar.
+    """(seq, rssi, node_id, frame_type, bad) of the lines of raw, the UTF-8
+    text after the header line: the first row's node_id and frame_type (None
+    with no rows), and a mask of every line that is neither empty nor a row
+    of the grammar.
 
     Commas and newlines never occur inside a multi-byte UTF-8 character, so
     their byte positions bound every line and cell.
@@ -172,12 +162,13 @@ def _columns(raw: bytes) -> tuple:
     bad = ~rows & (ends > starts)
     cut = commas[np.repeat(rows, per_line)].reshape(-1, 3)
     seq, bad_seq = _integers(b, starts[rows], cut[:, 0])
-    node, nodes = _categories(raw, b, cut[:, 0] + 1, cut[:, 1])
-    frame, frames = _categories(raw, b, cut[:, 1] + 1, cut[:, 2])
+    node_id, other_node = _unlike_first(raw, b, cut[:, 0] + 1, cut[:, 1])
+    frame_type, other_frame = _unlike_first(raw, b, cut[:, 1] + 1, cut[:, 2])
     rssi, bad_rssi = _integers(b, cut[:, 2] + 1, ends[rows])
-    unknown = np.array([name not in FRAME_TYPES for name in frames], bool)
-    bad[rows] = bad_seq | bad_rssi | unknown[frame]
-    return seq, node, nodes, frame, frames, rssi, bad
+    bad_seq[1:] |= seq[1:] <= seq[:-1]  # neighbours: a difference overflows int64
+    bad[rows] = (bad_seq | bad_rssi | other_node | other_frame
+                 | (frame_type not in FRAME_TYPES))
+    return seq, rssi, node_id, frame_type, bad
 
 
 def _integers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -202,21 +193,16 @@ def _integers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return values.view(np.int64), bad
 
 
-def _categories(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """(codes, names): every cell raw[lo:hi] as an index into names, the
-    distinct cell texts in order of first appearance.  Only the cells whose
-    bytes differ from the first cell's are read one at a time."""
+def _unlike_first(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(first, differs): the text of the first cell raw[lo:hi] (None with no
+    cells) and a mask of the cells whose bytes differ from it."""
     if not lo.size:
-        return np.zeros(0, np.intp), []
+        return None, np.zeros(0, bool)
     first = raw[lo[0]:hi[0]]
-    same = hi - lo == len(first)
+    differs = hi - lo != len(first)
     for k, byte in enumerate(first, start=-len(first)):
-        same &= b[hi + k] == byte  # as in _integers, a wrapped position is outside its cell
-    codes = np.zeros(lo.size, np.intp)
-    seen = {first: 0}
-    for i in np.flatnonzero(~same):
-        codes[i] = seen.setdefault(raw[lo[i]:hi[i]], len(seen))
-    return codes, [cell.decode("utf-8", "surrogatepass") for cell in seen]
+        differs |= b[hi + k] != byte  # as in _integers, a wrapped position is outside its cell
+    return first.decode("utf-8", "surrogatepass"), differs
 
 
 def trace_to_file(trace: MeasurementTrace) -> TraceFile:
@@ -226,10 +212,9 @@ def trace_to_file(trace: MeasurementTrace) -> TraceFile:
         raise ValueError(f"node_id {trace.node_id!r} holds a comma or a line break")
     if trace.frame_type not in FRAME_TYPES:
         raise ValueError(f"frame_type {trace.frame_type!r} is not PING, PONG or OBS")
-    n = len(trace)
-    codes = np.zeros(n, np.intp)
-    return TraceFile(trace.seqs, codes, [trace.node_id][:n], codes, [trace.frame_type][:n],
-                     trace.levels)
+    if not len(trace):
+        return TraceFile(trace.seqs, trace.levels)
+    return TraceFile(trace.seqs, trace.levels, trace.node_id, trace.frame_type)
 
 
 def ingest_traces(traces: dict, eve_filter: bool = False,

@@ -263,8 +263,10 @@ def sorted_ks_two_sample(x, y, alpha: float):
 
 class RowLoopTraceFile:
     """Trace CSV parsed one line at a time into (seq, node_id, frame_type,
-    rssi) tuples, each line split on ``\\n`` and matched whole against the
-    row grammar: the reference for the column-wise ``TraceFile``."""
+    rssi) tuples, each line split on ``\\n``, matched whole against the
+    row grammar and checked against the first row's node_id and frame_type
+    and the previous row's seq: the reference for the column-wise
+    ``TraceFile``."""
 
     ROW = re.compile(r"(-?[0-9]{1,19}),([^,\n]*),(PING|PONG|OBS),(-?[0-9]{1,19})")
 
@@ -285,11 +287,14 @@ class RowLoopTraceFile:
             if not line:
                 continue
             cells = cls.ROW.fullmatch(line)
-            if cells is None or not all(-2 ** 63 <= int(cells[i]) < 2 ** 63 for i in (1, 4)):
+            row = cells and (int(cells[1]), cells[2], cells[3], int(cells[4]))
+            if (not row or not all(-2 ** 63 <= row[i] < 2 ** 63 for i in (0, 3))
+                    or rows and (row[1:3] != rows[0][1:3] or row[0] <= rows[-1][0])):
                 raise PhyskeyError(
                     f"{where}:{lineno}: row {line!r} is not seq,node_id,frame_type,rssi "
-                    "(decimal int64 seq and rssi, frame_type PING, PONG or OBS)")
-            rows.append((int(cells[1]), cells[2], cells[3], int(cells[4])))
+                    "(decimal int64 seq and rssi, frame_type PING, PONG or OBS, the first "
+                    "row's node_id and frame_type, seq above the previous row's)")
+            rows.append(row)
         return cls(rows, path)
 
     def serialize(self) -> str:

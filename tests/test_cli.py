@@ -172,6 +172,9 @@ class TestFitGrowth:
       for command in ("simulate", "extract-key", "validate-assumptions")],
     *[(command, ["--levels", "257"], "--levels must be at most 256, got 257")
       for command in ("estimate-entropy", "fit-growth", "validate-assumptions")],
+    ("estimate-entropy", ["--slice", str(10 ** 20)],
+     f"need at least {10 ** 20} aligned samples"),
+    ("estimate-entropy", ["--slice", "0"], "slice length must be at least 1, got 0"),
 ])
 def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
     roles = {"fit-growth": ["alice", "bob", "eve"],
@@ -185,6 +188,45 @@ def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ") and reason in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("row", [
+    "2,bob,PING,-1",  # a second node id
+    "1,alice,PING,-1",  # a repeated seq
+    "2,alice,OBS,-1",  # a second frame type
+])
+def test_second_node_frame_or_repeated_seq_fails_closed(run_dir, capsys, row):
+    # alice.csv holds node alice, frame type PING, seqs 0, 1, 2, ...
+    path = run_dir / "alice.csv"
+    lines = path.read_text().splitlines()
+    lines.insert(3, row)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["estimate-entropy", "--alice", str(path), "--eve", str(run_dir / "eve.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {path}:4: row {row!r} is not ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("command, target, message", [
+    ("simulate", "physkey.channel.simulate_run", ""),
+    ("validate-assumptions", "physkey.stats.validate_assumptions",
+     "Unable to allocate 671. GiB for an array with shape (10000000000, 9)"),
+])
+def test_out_of_memory_fails_closed(run_dir, capsys, monkeypatch, command, target, message):
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(target, allocate)
+    args = {"simulate": ["--config", run_dir / "ch.json", "--out", run_dir / "sim",
+                         "--n", 10 ** 12],
+            "validate-assumptions": ["--alice", run_dir / "alice.csv",
+                                     "--eve", run_dir / "eve.csv", "--trials", 10 ** 10]}
+    code = main([command, *map(str, args[command])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("error: out of memory" + (f": {message}" if message else "") + "\n")
     assert captured.out == ""
 
 

@@ -84,6 +84,8 @@ def assert_matches_row_loop(text):
 @example(["1,ålice,OBS,-1", "2,ëve,PING,-2", "3,ålice,OBS,-3", "4,ålicé,OBS,-4"])
 @example([f"{i},{'ab'[i % 2]},OBS,{-i}" for i in range(9)])
 @example(["1,a,OBS,-1", "2,a,OBS,-2", ""])  # a trailing newline; all others end without
+@example([f"{-2 ** 63},a,OBS,0", f"{2 ** 63 - 1},a,OBS,0"])  # seq[1] - seq[0] overflows int64
+@example(["1,a,OBS,0", "1,a,OBS,0"])  # a repeated seq fails at line 3
 def test_matches_row_loop(rows):
     assert_matches_row_loop("\n".join([CSV_HEADER, *rows]))
 
@@ -93,18 +95,32 @@ damaged_rows = st.one_of(row_text, st.integers(2 ** 63, 2 ** 65).map(lambda v: f
 
 @st.composite
 def many_rows(draw):
-    """Up to 300 well-formed rows from a drawn seed, seq and rssi each up to
-    1, 7 or 19 digits wide at random, and a few damaged rows inserted among
-    them."""
+    """Up to 300 rows of one node and one frame type from a drawn seed, seq
+    and rssi each up to 1, 7 or 19 digits wide at random and seq strictly
+    increasing, and in some texts a few damaged rows inserted among them:
+    arbitrary text, an rssi out of range, or a copy of a row with a foreign
+    node, a foreign frame type, the same seq or a smaller one right after
+    it."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     size = draw(st.integers(0, 300))
     seq, rssi = (rng.integers(-high, high, endpoint=True).tolist()
                  for high in rng.choice(np.array([9, 10 ** 6, 2 ** 63 - 1]), (2, size)))
-    rows = [f"{s},{node},{frame},{r}" for s, node, frame, r in zip(
-        seq, rng.choice(["alice", "bob", "eve", "ëve", ""], size),
-        rng.choice(FRAME_TYPES, size), rssi)]
+    seq = sorted(set(seq))
+    node = rng.choice(["alice", "bob", "eve", "ëve", ""])
+    frame, other_frame = rng.permutation(FRAME_TYPES)[:2]
+    rows = [f"{s},{node},{frame},{r}" for s, r in zip(seq, rssi)]
+    well_formed = list(rows)
     for _ in range(draw(st.integers(0, 3))):
-        rows.insert(draw(st.integers(0, len(rows))), draw(damaged_rows))
+        if well_formed and draw(st.booleans()):
+            k = draw(st.integers(0, len(well_formed) - 1))
+            s, r = seq[k], rssi[k]
+            damaged = draw(st.sampled_from([f"{s},mallory,{frame},{r}",
+                                            f"{s},{node},{other_frame},{r}",
+                                            f"{s},{node},{frame},{r - 1}",
+                                            f"{s - 1},{node},{frame},{r}"]))
+            rows.insert(rows.index(well_formed[k]) + 1, damaged)
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), draw(damaged_rows))
     return rows
 
 

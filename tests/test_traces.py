@@ -11,8 +11,8 @@ SAMPLE = """seq,node_id,frame_type,rssi
 1,alice,PING,-3
 2,alice,PING,-4
 3,alice,PING,-2
-1,eve0,OBS,-5
-3,eve0,OBS,-4
+5,alice,PING,-5
+7,alice,PING,-4
 """
 
 
@@ -33,10 +33,28 @@ class TestTrace:
 class TestTraceFile:
     def test_parse(self):
         tf = TraceFile.parse(SAMPLE)
-        assert tf.node_ids() == ["alice", "eve0"]
+        assert tf.node_ids() == ["alice"]
         alice = tf.trace("alice")
-        assert np.array_equal(alice.levels, [-3, -4, -2])
+        assert np.array_equal(alice.seqs, [1, 2, 3, 5, 7])
+        assert np.array_equal(alice.levels, [-3, -4, -2, -5, -4])
         assert alice.frame_type == "PING"
+
+    @pytest.mark.parametrize("row, line", [
+        ("2,eve0,PING,-1", 3),  # a second node id
+        ("4,alice,PONG,-1", 5),  # a second frame type
+        ("7,alice,PING,-1", 7),  # a repeated seq
+        ("2,alice,PING,-1", 5),  # a smaller seq
+    ])
+    def test_second_node_frame_or_unordered_seq_fails(self, row, line):
+        lines = SAMPLE.splitlines()
+        lines.insert(line - 1, row)
+        with pytest.raises(PhyskeyError, match=f"^t.csv:{line}: row {row!r} is not "):
+            TraceFile.parse("\n".join(lines), "t.csv")
+
+    def test_int64_ends_are_increasing(self):
+        # seq[1:] - seq[:-1] would wrap to -1 here
+        tf = TraceFile.parse(f"{CSV_HEADER}\n{-2 ** 63},a,OBS,0\n{2 ** 63 - 1},a,OBS,-1\n")
+        assert tf.trace("a").seqs.tolist() == [-2 ** 63, 2 ** 63 - 1]
 
     def test_round_trip_identity(self):
         tf = TraceFile.parse(SAMPLE)
@@ -76,9 +94,9 @@ class TestTraceFile:
         (tmp_path / "lf.csv").write_text(SAMPLE)
         (tmp_path / "crlf.csv").write_bytes(text.encode())
         lf, crlf = TraceFile.load(tmp_path / "lf.csv"), TraceFile.load(tmp_path / "crlf.csv")
-        for field in ("seq", "node", "frame", "rssi"):
+        for field in ("seq", "rssi"):
             assert np.array_equal(getattr(crlf, field), getattr(lf, field))
-        assert (crlf.nodes, crlf.frames) == (lf.nodes, lf.frames)
+        assert (crlf.node_id, crlf.frame_type) == (lf.node_id, lf.frame_type) == ("alice", "PING")
         with pytest.raises(PhyskeyError, match="^t.csv: missing header"):
             TraceFile.parse(text, "t.csv")
         body = text.partition(newline)[2]

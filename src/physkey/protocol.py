@@ -44,7 +44,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import bdtr
 
 from .coding import BchCode, BchSketch, ss_recover, ss_sketch
 from .errors import InfeasiblePlanError, SketchFormatError, UncorrectableBlockError
@@ -52,6 +51,7 @@ from .extract import ExtractorSeed, extract, max_extractable_length, random_seed
 from .hmm import LinearFit, seeded_rng
 from .quantize import BITS_PER_SAMPLE, BitString, embed_trace, hamming_distance, \
     neighbor_bits
+from .stats import binomial_cdf
 from .traces import MeasurementTrace, assert_aligned
 
 # the planner's idealised sketch charge per budgeted error, which sizes n;
@@ -263,7 +263,7 @@ def plan_parameters(l: int, lambda_: float, c: float,
     certified = residual >= need
     # each of the n words errs independently at rate e(n)/n; the pooled
     # sketch succeeds iff at most t of them do
-    success = float(bdtr(code.t, n, min(max(error_fit(n) / n, 0.0), 1.0)))
+    success = binomial_cdf(code.t, n, min(max(error_fit(n) / n, 0.0), 1.0))
 
     report = {
         "n": n,

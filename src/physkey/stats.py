@@ -8,6 +8,10 @@ implements the corresponding checks: lagged Pearson correlation with
 t-test significance, two-sample Kolmogorov-Smirnov tests on randomized
 partitions, and the per-slice entropy spread.
 
+The distribution tails come from the standard library and numpy: one
+regularized incomplete beta gives the planner's binomial CDF and the
+t-test, and one vectorised Kolmogorov tail gives every K-S p-value.
+
 RSSI data is heavily tied; the K-S statistic is taken over the merged
 discrete support, which makes the asymptotic p-values conservative.  Every
 K-S test here runs on counts over that support: D is the largest gap
@@ -22,13 +26,91 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import kolmogorov, stdtr
 
 from . import hmm
 from .traces import MeasurementTrace, assert_aligned
 
 LAG_ROWS = 2000  # the suite's lag-profile anchors and longest transition window
 MIN_COND_SAMPLES = 8  # fewest samples per side of a window or conditional K-S test
+
+
+def _stirlerr(z: float) -> float:
+    """log Gamma(z + 1) - log(sqrt(2 pi z) (z / e)^z): the asymptotic series
+    above 15, where that difference cancels."""
+    if z > 15.0:
+        z2 = z * z
+        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / z2) / z2) / z2) / z2) / z
+    return math.lgamma(z + 1.0) - (z + 0.5) * math.log(z) + z - 0.5 * math.log(2.0 * math.pi)
+
+
+def _deviance(k: float, mean: float) -> float:
+    """k log(k / mean) + mean - k, small near k = mean and computed so."""
+    return k * math.log1p((k - mean) / mean) + mean - k
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and y = 1 - x:
+    x^a y^b / (a B(a, b)) over the continued fraction 1 + d_1 / (1 + d_2 /
+    (1 + ...)) by the modified Lentz method, in O(sqrt(a + b)) terms; past
+    x = (a + 1) / (a + b + 2) it is 1 - I_y(b, a).  The front factor is
+    Stirling's formula with its error terms and the deviances of a and b
+    from (a + b) x and (a + b) y, so no term as large as log Gamma(a + b)
+    cancels."""
+    if x == 0.0 or y == 0.0:
+        return float(y == 0.0)
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, y, x)
+    n = a + b
+    front = math.sqrt(b / (2.0 * math.pi * a * n)) * math.exp(
+        _stirlerr(n) - _stirlerr(a) - _stirlerr(b) - _deviance(a, n * x) - _deviance(b, n * y))
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(1, 2 * int(100 + 10 * math.sqrt(n))):
+        m = i // 2  # d_2m = m (b - m) x / .., d_2m+1 = -(a + m)(a + b + m) x / ..
+        num = m * (b - m) if i % 2 == 0 else -(a + m) * (n + m)
+        step = num * x / ((a + i - 1) * (a + i))
+        d = 1.0 / ((1.0 + step * d) or 1e-300)
+        c = (1.0 + step / c) or 1e-300
+        f *= c * d
+        if i % 2 and abs(c * d - 1.0) < 1e-15:  # after each pair of steps
+            return front / f
+    raise ArithmeticError(f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge")
+
+
+def binomial_cdf(k: int, n: int, p: float) -> float:
+    """P[Binomial(n, p) <= k] = I_{1-p}(n - k, k + 1)."""
+    if k < 0 or k >= n:
+        return float(k >= 0)
+    if p in (0.0, 1.0):
+        return float(p == 0.0)
+    return _betainc(n - k, k + 1, 1.0 - p, p)
+
+
+def _pearson_p_value(r: float, n: int) -> float:
+    """Two-sided t-test p-value of a Pearson r over n points: with
+    t^2 = (n - 2) r^2 / (1 - r^2) on n - 2 degrees of freedom,
+    P[|T| >= |t|] = I_{1-r^2}((n - 2) / 2, 1 / 2)."""
+    return _betainc((n - 2) / 2, 0.5, 1.0 - r * r, r * r)
+
+
+def _kolmogorov_sf(lam) -> np.ndarray:
+    """Kolmogorov tail Q(lambda) = P[K > lambda] of every entry of lam.
+
+    From lambda = 1, Q = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), whose
+    fifth term is under 1e-20 of Q.  Below 1, where a truncated series falls
+    short of Q(0) = 1, the theta form Q = 1 - sqrt(2 pi) / lambda
+    sum_{j>=1} exp(-(2j - 1)^2 pi^2 / (8 lambda^2)), whose fourth term is
+    under 1e-25 of Q; at or below 0.1 its sum is under 1e-50 and Q = 1.
+    Each series is summed term by term over its own entries, so an entry's
+    tail is the same alone as in any batch."""
+    lam = np.asarray(lam, dtype=float)
+    q = np.ones_like(lam)
+    low, high = (lam > 0.1) & (lam < 1.0), lam >= 1.0
+    w = -np.pi ** 2 / (8.0 * lam[low] ** 2)
+    s = np.exp(w) + np.exp(9.0 * w) + np.exp(25.0 * w)
+    q[low] = 1.0 - math.sqrt(2.0 * math.pi) / lam[low] * s
+    v = -2.0 * lam[high] ** 2
+    q[high] = 2.0 * (np.exp(v) - np.exp(4.0 * v) + np.exp(9.0 * v) - np.exp(16.0 * v))
+    return q
 
 
 @dataclass(frozen=True)
@@ -86,12 +168,7 @@ def pearson_significance(x, y, alpha: float = 0.05):
         raise ValueError("zero-variance input")
     r = float(xc @ yc) / math.sqrt(vx * vy)
     r = max(-1.0, min(1.0, r))
-    if abs(r) >= 1.0:
-        p = 0.0
-    else:
-        t = r * math.sqrt((n - 2) / (1.0 - r * r))
-        p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return r, p < alpha
+    return r, _pearson_p_value(r, n) < alpha
 
 
 def lag_correlation_profile(trace: MeasurementTrace, max_lag: int, rows: int,
@@ -135,9 +212,7 @@ def _ks_counts(c1: np.ndarray, c2: np.ndarray, alpha: float):
     the sizes.  Returns each row's statistic, p-value and rejection."""
     n1, n2 = c1.sum(axis=1), c2.sum(axis=1)
     d = np.abs(c1.cumsum(axis=1) / n1[:, None] - c2.cumsum(axis=1) / n2[:, None]).max(axis=1)
-    # Q(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), which tends
-    # to 1 as lambda -> 0, where a truncated series falls short
-    p = kolmogorov(np.sqrt(n1 * n2 / (n1 + n2)) * d)
+    p = _kolmogorov_sf(np.sqrt(n1 * n2 / (n1 + n2)) * d)
     return d, p, p < alpha
 
 

@@ -21,7 +21,6 @@ grammar, and a ``PhyskeyError`` names ``path:line`` of the first.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,11 +116,9 @@ class TraceFile:
                 for seq, rssi in zip(self.seq.tolist(), self.rssi.tolist())]
 
     def serialize(self) -> str:
-        out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        for seq, node_id, frame_type, rssi in self.rows:
-            out.write(f"{seq},{node_id},{frame_type},{rssi}\n")
-        return out.getvalue()
+        middle = f",{self.node_id},{self.frame_type},"
+        return "".join([f"{CSV_HEADER}\n"] + [f"{seq}{middle}{rssi}\n" for seq, rssi
+                                               in zip(self.seq.tolist(), self.rssi.tolist())])
 
     def save(self, path) -> None:
         Path(path).write_text(self.serialize())

@@ -6,6 +6,7 @@ scalar_forward_log2 run the two recursions one sequence at a time, as
 separate code from the batched kernel under test.
 """
 
+import decimal
 import itertools
 import math
 import re
@@ -243,13 +244,27 @@ def neighbor_bits_brute_force(levels) -> list:
     return found
 
 
+def decimal_binomial_cdf(k: int, n: int, p: float) -> float:
+    """P[Binomial(n, p) <= k] as the sum of its k + 1 probabilities in
+    60-digit decimal arithmetic, from the exact binary value of p; each term
+    is the previous one times (n - i) p / ((i + 1) (1 - p))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = decimal.Decimal(p)
+        term = (1 - p) ** n
+        total = term
+        for i in range(min(k, n)):
+            term = term * (n - i) * p / ((i + 1) * (1 - p))
+            total += term
+        return float(total)
+
+
 def sorted_ks_two_sample(x, y, alpha: float):
     """Two-sample K-S test from the sorted samples: the empirical CDFs are
     searchsorted counts at every point of the merged sample.  The reference
-    for the count-based ``stats.ks_two_sample``."""
-    from scipy.special import kolmogorov
-
-    from physkey.stats import KsReport
+    for the count-based ``stats.ks_two_sample``'s statistic; the tail is
+    the package's own ``_kolmogorov_sf``, which has its own tests."""
+    from physkey.stats import KsReport, _kolmogorov_sf
 
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
@@ -257,7 +272,7 @@ def sorted_ks_two_sample(x, y, alpha: float):
     fx = np.searchsorted(x, support, side="right") / x.size
     fy = np.searchsorted(y, support, side="right") / y.size
     d = float(np.abs(fx - fy).max())
-    p = float(kolmogorov(math.sqrt(x.size * y.size / (x.size + y.size)) * d))
+    p = float(_kolmogorov_sf(math.sqrt(x.size * y.size / (x.size + y.size)) * d))
     return KsReport(statistic=d, p_value=p, reject=p < alpha)
 
 

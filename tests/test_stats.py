@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -7,16 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import kolmogorov, stdtr
+from scipy.stats import binom
 
 import physkey.stats
 from physkey.channel import ChannelConfig, family_config, simulate_run
 from physkey.hmm import HmmModel
-from physkey.stats import (KsReport, _ks_counts, _random_halves, ks_two_sample,
+from physkey.protocol import REFERENCE_ERROR_FIT
+from physkey.stats import (KsReport, _kolmogorov_sf, _ks_counts, _pearson_p_value,
+                           _random_halves, binomial_cdf, ks_two_sample,
                            lag_correlation_profile, pearson_significance,
                            validate_assumptions)
 from physkey.traces import MeasurementTrace, make_trace
 
-from .oracles import sorted_ks_two_sample
+from .oracles import decimal_binomial_cdf, sorted_ks_two_sample
 
 
 def assert_matches_sorted_ks(rep, x, y, alpha):
@@ -29,6 +34,87 @@ def assert_matches_sorted_ks(rep, x, y, alpha):
 def ks_row(c1, c2, alpha):
     # _ks_counts on one pair of count vectors, as a one-row batch
     return KsReport(*(v[0] for v in _ks_counts(c1[None], c2[None], alpha)))
+
+
+def binomial_cases(seed: int, count: int, max_n: int):
+    """(k, n, p) with n log-uniform up to max_n, p uniform or log-uniform
+    down to 1e-4, and k uniform on 0..n-1 or within two standard deviations
+    of the mean, where the continued fraction converges slowest."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        n = int(10 ** rng.uniform(0, math.log10(max_n)))
+        p = float(rng.random() if i % 2 else 10 ** rng.uniform(-4, 0))
+        mean, sd = n * p, math.sqrt(n * p * (1 - p))
+        k = int(rng.integers(n)) if i % 3 == 0 else int(mean + rng.uniform(-2, 2) * sd)
+        cases.append((min(max(k, 0), n - 1), n, p))
+    return cases
+
+
+class TestBinomialCdf:
+    """P[Binomial(n, p) <= k] from the incomplete beta, against an exact sum
+    and against SciPy."""
+
+    def test_matches_exact_sum(self):
+        # the planner's reference point is one of the cases
+        cases = binomial_cases(1, 150, 3000) + [(121, 2325, REFERENCE_ERROR_FIT(2325) / 2325)]
+        checked = 0
+        for k, n, p in cases:
+            exact = decimal_binomial_cdf(k, n, p)
+            if exact >= 1e-6:
+                assert binomial_cdf(k, n, p) == pytest.approx(exact, rel=1e-11, abs=0)
+                checked += 1
+        assert checked >= 100
+
+    def test_matches_scipy_up_to_1e5(self):
+        for k, n, p in binomial_cases(2, 400, 100_000):
+            assert abs(binomial_cdf(k, n, p) - binom.cdf(k, n, p)) <= 1e-10
+
+    @pytest.mark.parametrize("k, n, p, cdf", [
+        (-1, 5, 0.3, 0.0), (5, 5, 0.3, 1.0), (7, 5, 0.3, 1.0), (0, 5, 0.0, 1.0),
+        (4, 5, 1.0, 0.0), (0, 1, 0.25, 0.75), (0, 3, 0.5, 0.125), (1, 2, 0.5, 0.75),
+    ])
+    def test_edges(self, k, n, p, cdf):
+        assert binomial_cdf(k, n, p) == pytest.approx(cdf, rel=1e-15, abs=0)
+
+
+class TestPearsonPValue:
+    def test_matches_student_t(self):
+        # t = r sqrt(df / (1 - r^2)) on df = n - 2 degrees of freedom
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            df = int(10 ** rng.uniform(0, 5))
+            r = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
+            if abs(r) == 1.0:
+                continue
+            t = r * math.sqrt(df / (1.0 - r * r))
+            expected = 2.0 * float(stdtr(df, -abs(t)))
+            if expected > 1e-300:
+                assert _pearson_p_value(r, df + 2) == pytest.approx(expected, rel=1e-8, abs=0)
+
+    def test_ends(self):
+        assert _pearson_p_value(0.0, 50) == 1.0
+        assert _pearson_p_value(1.0, 50) == _pearson_p_value(-1.0, 50) == 0.0
+
+
+class TestKolmogorovTail:
+    LAMBDAS = np.linspace(0.0, 4.0, 40_001)
+
+    def test_matches_scipy(self):
+        expected = kolmogorov(self.LAMBDAS)
+        assert _kolmogorov_sf(self.LAMBDAS) == pytest.approx(expected, rel=1e-13, abs=0)
+        assert _kolmogorov_sf(0.0) == 1.0
+
+    def test_alone_as_in_any_batch(self):
+        # every entry's tail is the same bits alone (as a one-entry array and
+        # as a scalar), in the full grid and in a shuffled sub-batch; an
+        # axis reduction over the series terms fails this near lambda = 1
+        batch = _kolmogorov_sf(self.LAMBDAS)
+        pick = np.random.default_rng(4).permutation(self.LAMBDAS.size)[:4001]
+        assert np.array_equal(_kolmogorov_sf(self.LAMBDAS[pick]), batch[pick])
+        alone = [_kolmogorov_sf(self.LAMBDAS[i:i + 1])[0] for i in range(0, self.LAMBDAS.size, 4)]
+        assert np.array_equal(alone, batch[::4])
+        assert all(_kolmogorov_sf(self.LAMBDAS[i]) == batch[i] for i in pick[:200])
 
 
 class TestPearson:

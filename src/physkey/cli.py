@@ -95,11 +95,20 @@ def _load_config(path: str) -> channel.ChannelConfig:
         raise PhyskeyError(f"{path}: {exc}") from None
 
 
-def _load_fits(path: str | None):
+def _load_fits(path: str | None) -> dict:
+    """plan_parameters' fitted inputs: the reference lines without a file;
+    a file's missing or null max_level_offset is not measured."""
     if path is None:
-        return protocol.REFERENCE_ENTROPY_FIT, protocol.REFERENCE_ERROR_FIT
+        return {}
     with _json_object(path) as doc:
-        return hmm.LinearFit.from_dict(doc["g"]), hmm.LinearFit.from_dict(doc["e"])
+        offset = doc.get("max_level_offset")
+        if offset is not None:
+            offset = hmm.json_int(offset)
+            if offset < 0:
+                raise ValueError(f"max_level_offset must be >= 0, got {offset}")
+        return {"entropy_fit": hmm.LinearFit.from_dict(doc["g"]),
+                "error_fit": hmm.LinearFit.from_dict(doc["e"]),
+                "max_level_offset": offset}
 
 
 def _cmd_simulate(args) -> int:
@@ -179,7 +188,8 @@ def _cmd_fit_growth(args) -> int:
                          f"{errors[:, i].mean():.6f},{errors[:, i].std(ddof=1):.6f}")
         Path(args.out_csv).write_text("\n".join(lines) + "\n")
     _emit({"g": g.to_dict(), "e": e.to_dict(), "slices": n_slices,
-           "checkpoints": checkpoints, "ingest": report})
+           "checkpoints": checkpoints, "ingest": report,
+           "max_level_offset": int(np.abs(alice.levels - bob.levels).max())})
     return 0
 
 
@@ -198,17 +208,15 @@ def _cmd_validate_assumptions(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    g, e = _load_fits(args.fits)
     params = protocol.plan_parameters(l=args.l, lambda_=getattr(args, "lambda"),
-                                      c=args.c, entropy_fit=g, error_fit=e)
+                                      c=args.c, **_load_fits(args.fits))
     _emit(params.report)
     return 0
 
 
 def _cmd_extract_key(args) -> int:
-    g, e = _load_fits(args.fits)
     params = protocol.plan_parameters(l=args.l, lambda_=getattr(args, "lambda"),
-                                      c=args.c, entropy_fit=g, error_fit=e, n=args.n)
+                                      c=args.c, n=args.n, **_load_fits(args.fits))
     aligned, _ = _load_aligned({"alice": args.alice, "bob": args.bob})
     result = protocol.run_exchange(aligned["alice"], aligned["bob"], params,
                                    seed=args.seed)

@@ -17,6 +17,9 @@ import numpy as np
 
 from .quantize import BitString
 
+# extract convolves in float32, exact for integers below 2^24
+MAX_INPUT_BITS = (1 << 24) - 1
+
 
 @dataclass(frozen=True)
 class ExtractorSeed:
@@ -29,6 +32,8 @@ class ExtractorSeed:
     def __post_init__(self):
         if self.t < 1 or self.l < 1:
             raise ValueError("input and output lengths must be >= 1")
+        if self.t > MAX_INPUT_BITS:
+            raise ValueError(f"input length {self.t} exceeds {MAX_INPUT_BITS} bits")
         if len(self.bits) != self.t + self.l - 1:
             raise ValueError(
                 f"seed has {len(self.bits)} bits, expected t + l - 1 = "
@@ -47,13 +52,14 @@ def extract(input_bits: BitString, seed: ExtractorSeed) -> BitString:
 
     Row i of T x is sum_j seed[i - j + t - 1] x[j]: the valid part of the
     integer convolution of the seed with the input, taken mod 2.  The
-    convolution runs in float64, where every partial sum is an integer of
-    at most t < 2^53 and so exact; no l x t matrix is formed.
+    convolution runs in float32, where every partial sum is an integer of
+    at most t < 2^24 (``ExtractorSeed`` refuses a longer input) and so
+    exact; no l x t matrix is formed.
     """
     if len(input_bits) != seed.t:
         raise ValueError(f"input has {len(input_bits)} bits, seed expects {seed.t}")
-    sums = np.convolve(seed.bits.bits.astype(np.float64),
-                       input_bits.bits.astype(np.float64), mode="valid")
+    sums = np.convolve(seed.bits.bits.astype(np.float32),
+                       input_bits.bits.astype(np.float32), mode="valid")
     return BitString((sums.astype(np.int64) & 1).astype(np.uint8))
 
 

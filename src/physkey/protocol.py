@@ -1,13 +1,17 @@
 """End-to-end key agreement, entropy-loss accounting and parameter planning.
 
-Exchange shape: both parties quantize their aligned level traces into
-bitstrings; Alice publishes the syndrome sketch of hers plus a Toeplitz
-extractor seed; Bob reconciles his copy against the sketch and both extract
-the key.  The public transcript is exactly (sketch, seed).  Bob also names
-the bits of rho_B that an off-by-one level would flip, the two at each
-word's 0 -> 1 boundary; the pooled decoder searches those first and
-every bit only when they do not explain the sketch, so they change its
-cost, never its result.
+Exchange shape: both parties quantize their aligned level traces.  Alice
+publishes the syndrome sketch of her residue words (|x| mod 8 in 3-bit
+Gray code, 3n bits) plus a Toeplitz extractor seed for her 8n-bit unary
+string.  Bob recovers her residue words from his own, takes for each
+sample the one level within 3 of his with that residue, and both extract
+the key from the unary string of those levels.  The public transcript is
+exactly (sketch, seed).  Bob also names the bits of his residue words
+that an off-by-one level would flip, two per word; the pooled decoder
+searches those first and every bit only when they do not explain the
+sketch, so they change its cost, never its result.  An offset of exactly
+4 leaves Bob no level and fails closed; plan_parameters refuses a fitted
+channel whose offsets exceed 3.
 
 Accounting chain: starting from the fitted conditional min-entropy g(n),
 the sketch leaks its own bit-length |u| and the extractor costs
@@ -20,13 +24,16 @@ The planner inverts the two fitted growth lines:
 * correctness condition e(n) >= 100*c   (Chernoff exponent for staying
   within a 6/5 error-budget margin),
 
-and sizes one pooled binary BCH code over GF(2^m) for the whole quantized
-string: m is the smallest field degree with 2^m - 1 >= bits, and
+and sizes one pooled binary BCH code over GF(2^m) for the 3n-bit residue
+string: m is the smallest field degree with 2^m - 1 >= 3n, and
 t = ceil((6/5) e(n)) bit errors.  With one level of noise per erroneous
-sample a word error flips one unary bit, so t is the word-error budget
-itself.  The report's residual charges the sketch's real m*t bits; at the
-reference point that is 15 * 121 = 1815, within the 19.2 e(n) = 1920.4 the
-entropy condition budgets.  (Per-block Reed-Solomon capacity sized from
+sample a word error flips one residue bit, so t is the word-error budget
+itself.  The sketch is a function of Alice's levels of m*t bits, so it
+costs at most m*t bits of average min-entropy (Dodis, Ostrovsky, Reyzin
+and Smith, "Fuzzy extractors", 2008, Lemma 2.2b).  The report's residual
+charges those real m*t bits; at the reference point that is
+13 * 121 = 1573, within the 19.2 e(n) = 1920.4 the entropy condition
+budgets.  (Per-block Reed-Solomon capacity sized from
 the mean budget cannot clear both conditions at the reference rates; see
 tests/test_protocol.py::TestBlockwiseFeasibility.)
 
@@ -49,14 +56,15 @@ from .coding import BchCode, BchSketch, ss_recover, ss_sketch
 from .errors import InfeasiblePlanError, SketchFormatError, UncorrectableBlockError
 from .extract import ExtractorSeed, extract, max_extractable_length, random_seed
 from .hmm import LinearFit, seeded_rng
-from .quantize import BITS_PER_SAMPLE, BitString, embed_trace, hamming_distance, \
-    neighbor_bits
+from .quantize import BITS_PER_SAMPLE, MAX_RESIDUE_OFFSET, RESIDUE_BITS, BitString, \
+    embed_trace, residue_levels, residue_neighbor_bits, residue_words
 from .stats import binomial_cdf
 from .traces import MeasurementTrace, assert_aligned
 
 # the planner's idealised sketch charge per budgeted error, which sizes n;
-# the pooled BCH sketch really spends m bits per bit error (m = 15 at the
-# reference operating point), and the plan certifies those m*t bits
+# the pooled BCH sketch of the residue words really spends m bits per bit
+# error (m = 13 at the reference operating point), and the plan certifies
+# those m*t bits
 SKETCH_BITS_PER_ERROR = 16
 ERROR_SAFETY_FACTOR = 6.0 / 5.0
 CHERNOFF_DENOMINATOR = 100.0
@@ -93,7 +101,7 @@ class ProtocolParams:
         if self.n < 1 or self.l < 1:
             raise ValueError("n and l must be >= 1")
         _check_security_targets(self.lambda_, self.c)
-        bits = self.n * BITS_PER_SAMPLE
+        bits = self.n * RESIDUE_BITS
         if not isinstance(self.code, BchCode) or self.code.n_sym < bits:
             raise ValueError(f"code must be a BchCode covering {bits} bits, got {self.code!r}")
 
@@ -134,9 +142,10 @@ class Transcript:
         try:
             bits = BitString.from_hex(raw[cut:].decode("ascii"))
             seed = ExtractorSeed(bits, t=len(bits) + 1 - l, l=l)
-            if seed.t != sketch.n_bits:
-                raise ValueError(f"seed takes a {seed.t}-bit input, "
-                                 f"the sketch covers {sketch.n_bits} bits")
+            if RESIDUE_BITS * seed.t != BITS_PER_SAMPLE * sketch.n_bits:
+                raise ValueError(f"seed takes a {seed.t}-bit input, the sketch covers "
+                                 f"{sketch.n_bits} bits; {BITS_PER_SAMPLE} unary bits "
+                                 f"go with {RESIDUE_BITS} residue bits")
         except ValueError as exc:
             raise SketchFormatError(
                 f"transcript seed field at byte {cut}: {exc}") from None
@@ -206,22 +215,29 @@ def _smallest_n_at_least(slope: float, intercept: float, target: float) -> int:
 def plan_parameters(l: int, lambda_: float, c: float,
                     entropy_fit: LinearFit = REFERENCE_ENTROPY_FIT,
                     error_fit: LinearFit = REFERENCE_ERROR_FIT,
-                    n: Optional[int] = None) -> ProtocolParams:
+                    n: Optional[int] = None,
+                    max_level_offset: Optional[int] = None) -> ProtocolParams:
     """Choose the sample count and code for an (l, e^-c, 2^-lambda) exchange.
 
     c = 0 disables the correctness condition (useful when probing the
     entropy bound alone).  The report's ``predicted_success_exact`` is the
     pooled sketch's success probability P[Binomial(n, e(n)/n) <= t], next
     to the Chernoff figure ``predicted_correctness_bound``; ``feasible``
-    holds when the residual is certified and that probability reaches the
-    1 - e^-c target.  The code covers n unary words of ``BITS_PER_SAMPLE``
-    bits.  A given ``n`` replaces the planned sample count; the code and
-    the report are then sized for it.  Raises ValueError unless lambda_ and
-    c are finite and >= 0, and InfeasiblePlanError when the fitted lines
+    holds when the residual is certified, that probability reaches the
+    1 - e^-c target and ``max_level_offset``, the largest |alice - bob|
+    level offset the fitted traces showed (None: not measured, not
+    checked), is at most MAX_RESIDUE_OFFSET; ``infeasible_reasons`` names
+    each condition that fails.  The code covers n residue words of
+    ``RESIDUE_BITS`` bits.  A given ``n`` replaces the planned sample count;
+    the code and the report are then sized for it.  Raises ValueError
+    unless lambda_ and c are finite and >= 0 and max_level_offset is None
+    or >= 0, and InfeasiblePlanError when the fitted lines
     cannot satisfy the conditions at any n, or when no supported code fits
     the chosen n.
     """
     _check_security_targets(lambda_, c)
+    if max_level_offset is not None and max_level_offset < 0:
+        raise ValueError(f"max_level_offset must be >= 0, got {max_level_offset}")
     if entropy_fit.slope <= 0:
         raise InfeasiblePlanError("entropy fit must have positive slope")
     loss_rate = SKETCH_BITS_PER_ERROR * ERROR_SAFETY_FACTOR  # 19.2 bits per e(n)
@@ -247,7 +263,7 @@ def plan_parameters(l: int, lambda_: float, c: float,
     elif n < 1:
         raise ValueError("n must be >= 1")
 
-    bits = n * BITS_PER_SAMPLE
+    bits = n * RESIDUE_BITS
     budget = ERROR_SAFETY_FACTOR * error_fit(n)
     try:
         code = BchCode.for_length(bits, max(1, math.ceil(budget - 1e-12)))
@@ -264,6 +280,17 @@ def plan_parameters(l: int, lambda_: float, c: float,
     # each of the n words errs independently at rate e(n)/n; the pooled
     # sketch succeeds iff at most t of them do
     success = binomial_cdf(code.t, n, min(max(error_fit(n) / n, 0.0), 1.0))
+    target = 1.0 - math.exp(-c)
+    reasons = []
+    if not certified:
+        reasons.append(f"predicted residual {residual:.1f} bits is below the "
+                       f"required {need:.1f}")
+    if success < target:
+        reasons.append(f"predicted success {success:.4f} is below the target {target:.4f}")
+    if max_level_offset is not None and max_level_offset > MAX_RESIDUE_OFFSET:
+        reasons.append(f"max_level_offset {max_level_offset} exceeds {MAX_RESIDUE_OFFSET}: "
+                       f"a residue word names a level only within {MAX_RESIDUE_OFFSET} "
+                       "of Bob's")
 
     report = {
         "n": n,
@@ -283,7 +310,9 @@ def plan_parameters(l: int, lambda_: float, c: float,
         "predicted_correctness_bound": correctness_bound(n, error_fit)
         if error_fit(n) > 0 else 1.0,
         "predicted_success_exact": success,
-        "feasible": certified and success >= 1.0 - math.exp(-c),
+        "max_level_offset": max_level_offset,
+        "feasible": not reasons,
+        "infeasible_reasons": reasons,
         "margin_constant_published": PUBLISHED_MARGIN_CONSTANT,
         "margin_constant_recomputed": recomputed_constant,
         "margin_constant_discrepancy": PUBLISHED_MARGIN_CONSTANT - recomputed_constant,
@@ -295,9 +324,11 @@ def plan_parameters(l: int, lambda_: float, c: float,
 
 def alice_messages(alice: MeasurementTrace, params: ProtocolParams,
                    rng: np.random.Generator):
-    """Alice's side: quantize, sketch, draw the extractor seed, extract."""
-    rho_a = embed_trace(alice.levels[:params.n])
-    sketch = ss_sketch(rho_a, params.code)
+    """Alice's side: quantize, sketch the residue words, draw the extractor
+    seed, extract from the unary string."""
+    levels = alice.levels[:params.n]
+    rho_a = embed_trace(levels)
+    sketch = ss_sketch(residue_words(levels), params.code)
     seed = random_seed(rng, t=len(rho_a), l=params.l)
     key = extract(rho_a, seed)
     return rho_a, Transcript(sketch, seed), key
@@ -305,17 +336,25 @@ def alice_messages(alice: MeasurementTrace, params: ProtocolParams,
 
 def bob_respond(bob: MeasurementTrace, transcript: Transcript,
                 params: ProtocolParams):
-    """Bob's side, a function of (rho_B, sketch, seed) only.
+    """Bob's side, a function of (his levels, sketch, seed) only.
 
-    Returns (key or None, corrected bit count, failure reason or None).
+    Recovers Alice's residue words, takes for each sample the one level
+    within 3 of his own with that residue, and extracts from its unary
+    string.  Returns (key or None, corrected unary bit count, failure
+    reason or None).
     """
     levels = bob.levels[:params.n]
-    rho_b = embed_trace(levels)
     try:
-        recovered = ss_recover(rho_b, transcript.sketch, neighbor_bits(levels))
+        residues = ss_recover(residue_words(levels), transcript.sketch,
+                              residue_neighbor_bits(levels))
     except UncorrectableBlockError as exc:
         return None, 0, str(exc)
-    return extract(recovered, transcript.seed), hamming_distance(recovered, rho_b), None
+    try:
+        recovered = residue_levels(residues, levels)
+    except ValueError as exc:
+        return None, 0, f"no level for the recovered residues: {exc}"
+    corrected = int(np.abs(recovered - np.abs(levels)).sum())
+    return extract(embed_trace(recovered), transcript.seed), corrected, None
 
 
 def run_exchange(alice: MeasurementTrace, bob: MeasurementTrace,

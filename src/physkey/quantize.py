@@ -5,6 +5,10 @@ magnitude ``a`` (with ``a <= m``, m = ``BITS_PER_SAMPLE``) to ``m - a``
 zeros followed by ``a`` ones, so Hamming distance between two same-sign
 embeddings equals the L1 distance between the levels.  A level and its
 negation embed alike.
+
+The exchange reconciles a shorter string: ``residue_words`` keeps only
+|level| mod 8 in 3-bit reflected Gray code, which is enough for a party
+whose own level lies within 3 of it (``residue_levels``).
 """
 
 from __future__ import annotations
@@ -16,6 +20,11 @@ import numpy as np
 
 # the paper's word: every sample quantizes to one 8-bit unary word
 BITS_PER_SAMPLE = 8
+# the reconciled word: |level| mod 8 in 3-bit reflected Gray code, which
+# names a level uniquely among the 7 within MAX_RESIDUE_OFFSET of a guess
+RESIDUE_BITS = 3
+RESIDUE_MODULUS = 1 << RESIDUE_BITS
+MAX_RESIDUE_OFFSET = (RESIDUE_MODULUS - 1) // 2
 
 _HEX_FORM = re.compile(r"(0|[1-9][0-9]*):((?:[0-9a-f]{2})*)")
 
@@ -117,21 +126,68 @@ def embed_trace(levels) -> BitString:
     return BitString(body.reshape(-1))
 
 
-def neighbor_bits(levels) -> np.ndarray:
-    """Ascending positions in embed_trace(levels) whose flip moves a
+def _word_bits(codes: np.ndarray) -> np.ndarray:
+    # the RESIDUE_BITS-bit words of codes, MSB first, one row per code
+    shifts = np.arange(RESIDUE_BITS - 1, -1, -1)
+    return ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def _gray(r):
+    return r ^ (r >> 1)
+
+
+def residue_words(levels) -> BitString:
+    """The reflected Gray code of each |level| mod 8, RESIDUE_BITS bits MSB
+    first; n levels give 3n bits.
+
+    The code is cyclic, so magnitudes up to 3 apart have words that differ
+    in at most that many bits, and a +1 or a -1 move flips one bit each,
+    not the same one.
+    """
+    return BitString(_word_bits(_gray(_magnitudes(levels) % RESIDUE_MODULUS)).reshape(-1))
+
+
+def residue_neighbor_bits(levels) -> np.ndarray:
+    """Ascending positions in residue_words(levels) whose flip moves a
     level's magnitude by exactly one.
 
-    These are the two bits at each word's 0 -> 1 boundary: for magnitude a
-    in word i, bit m*i + m-1-a (its last zero, when a < m) and bit
-    m*i + m-a (its first one, when a > 0).  A copy of the string that
-    differs from the levels' embedding only by off-by-one levels differs
-    from it only at these positions.
+    These are, in each sample's word, the bit a +1 move flips (when its
+    magnitude is below m) and the bit a -1 move flips (when it is above 0).
+    A copy of the string that differs from the levels' words only by
+    off-by-one levels differs from it only at these positions.
     """
-    m = BITS_PER_SAMPLE
     mag = _magnitudes(levels)
-    last_zero = m * np.arange(mag.size) + m - 1 - mag
-    positions = np.stack([last_zero, last_zero + 1], axis=1).ravel()
-    return positions[np.stack([mag < m, mag > 0], axis=1).ravel()]
+    r = mag % RESIDUE_MODULUS
+    up = _gray(r) ^ _gray((r + 1) % RESIDUE_MODULUS)
+    down = _gray(r) ^ _gray((r - 1) % RESIDUE_MODULUS)
+    flips = np.where(mag < BITS_PER_SAMPLE, up, 0) | np.where(mag > 0, down, 0)
+    return np.flatnonzero(_word_bits(flips))
+
+
+def residue_levels(words: BitString, levels) -> np.ndarray:
+    """Invert residue_words against nearby levels: for each sample, the one
+    magnitude within MAX_RESIDUE_OFFSET of |level| whose word is given.
+
+    Raises ValueError, naming the first sample, when no magnitude in 0..m
+    within the window has the residue: the residue is 4 levels from
+    |level|, or the one level within 3 that has it is below 0 or above m.
+    """
+    mag = _magnitudes(levels)
+    if len(words) != RESIDUE_BITS * mag.size:
+        raise ValueError(f"{len(words)} residue bits for {mag.size} levels")
+    # a Gray word's binary digits are the running xor of its bits, MSB first
+    binary = np.bitwise_xor.accumulate(words.bits.reshape(-1, RESIDUE_BITS), axis=1)
+    r = binary.astype(np.int64) @ (1 << np.arange(RESIDUE_BITS - 1, -1, -1))
+    offset = (r - mag + MAX_RESIDUE_OFFSET) % RESIDUE_MODULUS - MAX_RESIDUE_OFFSET
+    found = mag + offset
+    bad = np.flatnonzero((offset > MAX_RESIDUE_OFFSET) | (found < 0)
+                         | (found > BITS_PER_SAMPLE))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"residue of sample {i} is {r[i]}, and no level in "
+                         f"0..{BITS_PER_SAMPLE} within {MAX_RESIDUE_OFFSET} of "
+                         f"magnitude {mag[i]} has it")
+    return found
 
 
 def hamming_distance(a: BitString, b: BitString) -> int:

@@ -226,20 +226,24 @@ def toeplitz_int64(seed_bits, input_bits) -> np.ndarray:
     return (sums & 1).astype(np.uint8)
 
 
-def neighbor_bits_brute_force(levels) -> list:
-    """Positions of embed_trace(levels) whose flip leaves a unary word one
-    magnitude away from its level's, found by flipping every bit in turn."""
-    from physkey.quantize import BITS_PER_SAMPLE as m
-    from physkey.quantize import BitString, embed_trace, embed_unary
+def gray_residue_word(level) -> list:
+    """The 3-bit reflected Gray code of |level| mod 8, MSB first, from its
+    definition: r xor (r >> 1)."""
+    r = abs(int(level)) % 8
+    return [int(b) for b in format(r ^ (r >> 1), "03b")]
 
-    magnitude = {embed_unary(a): a for a in range(m + 1)}
-    bits = embed_trace(levels).bits
+
+def residue_neighbor_bits_brute_force(levels) -> list:
+    """Positions of the concatenated residue words of levels whose flip
+    gives the word of a magnitude in 0..8 one away from its level's, found
+    by flipping every bit in turn."""
+    bits = [b for x in levels for b in gray_residue_word(x)]
     found = []
-    for p in range(bits.size):
-        word = bits[p - p % m:p - p % m + m].copy()
-        word[p % m] ^= 1
-        a = magnitude.get(BitString(word))
-        if a is not None and abs(a - abs(levels[p // m])) == 1:
+    for p in range(len(bits)):
+        word = bits[p - p % 3:p - p % 3 + 3]
+        word[p % 3] ^= 1
+        a = abs(int(levels[p // 3]))
+        if any(gray_residue_word(b) == word for b in (a - 1, a + 1) if 0 <= b <= 8):
             found.append(p)
     return found
 

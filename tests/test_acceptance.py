@@ -173,9 +173,9 @@ def test_criterion_7_end_to_end(calibrated_config):
     """Stated target: >= 1 - 1/e success (one-sided binomial, alpha 0.05) AND
     ledger residual >= l + 2*lambda - 2 at the planner-chosen n.
 
-    The plan reconciles with one BCH sketch over the whole 18600-bit string
-    (m = 15, t = 121, 1815 sketch bits), so an exchange fails only when the
-    total error count exceeds the pooled budget.  Per-block RS capacity
+    The plan reconciles with one BCH sketch over the whole 6975-bit string
+    of residue words (m = 13, t = 121, 1573 sketch bits), so an exchange
+    fails only when the total error count exceeds the pooled budget.  Per-block RS capacity
     cannot clear both bars at any sample count (exact sweep in
     test_protocol.py::TestBlockwiseFeasibility).
     """

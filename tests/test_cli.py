@@ -143,6 +143,7 @@ class TestFitGrowth:
         doc = json.loads(out)
         assert doc["g"]["slope"] > 0
         assert doc["e"]["slope"] > 0
+        assert doc["max_level_offset"] == 1  # Bob's levels err by one at most
         lines = (run_dir / "series.csv").read_text().strip().splitlines()
         assert lines[0].startswith("n,entropy_mean")
         assert len(lines) == 11
@@ -316,6 +317,12 @@ def config_with(path, value):
     ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
                                             "levels": 257}},
      "calibration failed: levels must be at most 256, got 257"),
+    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
+                        "e": {"slope": 0.04, "intercept": 0.0}, "max_level_offset": 1.5},
+     "field 'max_level_offset' has the wrong type: expected an integer, got 1.5"),
+    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
+                        "e": {"slope": 0.04, "intercept": 0.0}, "max_level_offset": -1},
+     "max_level_offset must be >= 0, got -1"),
     # raw text, not a document: nesting too deep for the JSON decoder
     *[pytest.param(command, flag, "[" * 100_000, "maximum recursion depth exceeded",
                    id=f"{command}-{flag}-deeply-nested")
@@ -429,6 +436,29 @@ class TestPlanAndExtract:
         doc = json.loads(out)
         assert doc["n"] >= doc["entropy_bound_n"]
 
+    @pytest.mark.parametrize("offset", ["missing", None, 0, 3, 4])
+    def test_level_offset_guard(self, run_dir, capsys, offset):
+        # the fits file's max_level_offset is copied into the plan; above 3 it
+        # makes the plan infeasible, and missing or null it checks nothing
+        fits = {"g": {"slope": 0.985, "intercept": 1.467},
+                "e": {"slope": 0.043, "intercept": 0.048}}
+        if offset != "missing":
+            fits["max_level_offset"] = offset
+        (run_dir / "fits.json").write_text(json.dumps(fits))
+        exponents = ["--l", "16", "--lambda", "2", "--c", "0.05", "--fits", run_dir / "fits.json"]
+        code, out = invoke(capsys, "plan", *exponents)
+        assert code == 0
+        plan = json.loads(out)
+        code, out = invoke(capsys, "extract-key", "--alice", run_dir / "alice.csv",
+                           "--bob", run_dir / "bob.csv", "--seed", "21", "--n", "400",
+                           *exponents)
+        assert code == 0
+        for report in (plan, json.loads(out)["plan"]):
+            assert report["max_level_offset"] == (None if offset == "missing" else offset)
+            assert report["residual_certified"] is True
+            assert report["feasible"] is (offset != 4)
+            assert len(report["infeasible_reasons"]) == (offset == 4)
+
     def test_extract_key_round_trip(self, run_dir, capsys):
         code, out = invoke(capsys, "extract-key",
                            "--alice", run_dir / "alice.csv",
@@ -540,7 +570,7 @@ class TestSeededOutputs:
         "estimate-entropy": (["--levels", "9"],
                              "bbe8b9d2360b87358369004f84d764e2dc790c3740944a0bb74cf8018aa27e89"),
         "fit-growth": (["--levels", "9", "--slice-samples", "200", "--step", "20"],
-                       "0b00e24fac995b6b901b7814a01afdaee4a7ad723a18896738a7842cf3fa6f82"),
+                       "a276cc38c49c7ae9b18650ad4a67cc7b0c794bc900590a4759e8a60752dce766"),
         "validate-assumptions": (
             [], "9f60b97250bc305be5c7fcca71a57a6056bb8ae16dd34b88f744ca83768d6904"),
         "validate-assumptions --trials 37 --seed 9": (
@@ -550,7 +580,7 @@ class TestSeededOutputs:
             ["--eve-filter"], "fade55bb10c9000444570da6c09c48c87958c5f7ba0ae66899bbfa2471ba4d4b"),
         "extract-key": (
             ["--l", "16", "--lambda", "2", "--c", "0.05", "--seed", "21"],
-            "6217095e48e3856d2989e211709aff08dea7d05a1a8cd831abe38580b4a2064f"),
+            "c857f9a3019e5ca6b10cb13204cf28757003991dc4ea05e384ffb1aba52d8f9d"),
     }
     ROLES = {"estimate-entropy": ("alice", "eve"), "fit-growth": ("alice", "bob", "eve"),
              "validate-assumptions": ("alice", "eve"), "ingest": ("alice", "bob", "eve"),
@@ -576,7 +606,7 @@ class TestSeededOutputs:
                            "--fits", run_dir / "fits.json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "129d70e8ceca96334bb30837866a5fadef102e19e929e2de2ace288fef2f21ac"
+            "234fee8e6a0f00ee06e231d77766ae8b092e2af4bf1f92a69b13e4e21e03d33d"
 
 
 def test_cli_import_loads_no_scipy():

@@ -587,7 +587,7 @@ class TestExtractReference:
         assert np.array_equal(out.bits, toeplitz_int64(seed.bits.bits, x.bits))
 
     def test_all_ones_sums_reach_t(self):
-        # every sum is t: the largest the float64 convolution has to hold
+        # every sum is t: the largest the float32 convolution has to hold
         t, l = 18_601, 128
         seed = ExtractorSeed(BitString(np.ones(t + l - 1, dtype=np.uint8)), t, l)
         out = extract(BitString(np.ones(t, dtype=np.uint8)), seed)
@@ -598,11 +598,11 @@ class TestSeededOutputs:
     """Transcripts, keys and RS sketches pinned to fixed digests."""
 
     EXCHANGES = {  # channel seed: (transcript sha256, Alice's key, corrected words)
-        11: ("afaefe82be7691b38f22b4132dbea33985770192598aa6662e1bd31a054ac35e",
+        11: ("8266de5a6deeec9b2e9f2b74d0a5dad0214d119689b3d100617cb7188b840469",
              "128:945968859d4ad6304dad5b73c89acd88", 83),
-        12: ("79b29594686557e9454d1794567206aa7443ce97c6c6e75bab58da3017f0ef08",
+        12: ("2d40bb84f503a28721405408b5e32a342a93b945fa639a9c5989590bb9aaa19a",
              "128:9d2cf90b3d40ad29de8600be78d6958c", 89),
-        13: ("b97d592069783d1ce5078df814dfd3f348c57bfc6497be534cb52000c6041593",
+        13: ("d437a1f385a270acdbdbca6be3848b0ac361569620c16e33eabd4a1e3c4e5719",
              "128:443089ce8e5582ca3e93fa0150e4b329", 97),
     }
 
@@ -636,20 +636,20 @@ class TestSeededOutputs:
             assert result.n_corrected_bits == corrected
             assert result.failure_reason is None
         # Bob's one-level-off bits held every error: no full-range search
-        assert len(sizes) == 3 and max(sizes) < 8 * self.PARAMS.n
+        assert len(sizes) == 3 and max(sizes) < 3 * self.PARAMS.n
 
     def test_pooled_exchange_failure_golden(self, monkeypatch):
         sizes = self.searched_sizes(monkeypatch)
         result = self.exchange(26)
         assert hashlib.sha256(result.transcript.to_bytes()).hexdigest() == (
-            "3458dfd562b3b650954c30b340cc0175f1b20d7628a1749eddd4cb7b9c9ecf6d")
+            "35f1a30221d76aefa427c1c5d9e2d61cd494742cc5ea97276b01f50155d72e63")
         assert result.alice_key.to_hex() == "128:2562a90d3c7f22e8b469b792a96b4955"
         assert not result.success and result.bob_key is None
         assert result.n_corrected_bits == 0
         assert result.failure_reason == (
-            "uncorrectable block 0: locator has 1 roots among 18600 bits, expected 121")
+            "uncorrectable block 0: locator has 1 roots among 6975 bits, expected 121")
         # the candidates fell short of the locator degree, so every bit was searched
-        assert sizes[-1] == 8 * self.PARAMS.n
+        assert sizes[-1] == 3 * self.PARAMS.n
 
     def test_rs_sketch_golden(self):
         # 600 words sketched as blocks of 255, 255 and 90 words

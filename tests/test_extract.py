@@ -14,6 +14,14 @@ def test_dimensions_enforced():
         ExtractorSeed(BitString([1, 0]), t=3, l=2)
 
 
+def test_input_beyond_float32_exact_range_refused():
+    # every convolution sum must stay an exact float32 integer, below 2^24
+    with pytest.raises(ValueError, match="input length 16777216 exceeds 16777215 bits"):
+        ExtractorSeed(BitString([1]), t=2 ** 24, l=1)
+    with pytest.raises(ValueError, match="seed has 1 bits"):
+        ExtractorSeed(BitString([1]), t=2 ** 24 - 1, l=1)
+
+
 def test_zero_input_maps_to_zero(rng):
     for _ in range(20):
         seed = random_seed(rng, t=40, l=8)

@@ -42,13 +42,13 @@ class TestPlanner:
 
     def test_code_sizing(self):
         p = plan_parameters(l=128, lambda_=80, c=1)
-        # one pooled code over the 8 * 2325 = 18600-bit string:
+        # one pooled code over the 3 * 2325 = 6975-bit residue string:
         # t = ceil(1.2 * e(2325)) = ceil(120.03) = 121 bit errors, and
-        # 2^14 - 1 < 18600 <= 2^15 - 1 gives m = 15
-        assert p.report["bits"] == 8 * 2325
-        assert p.code == BchCode(m=15, t=121)
-        assert p.report["code"] == {"kind": "bch", "m": 15, "t": 121, "n_sym": 2 ** 15 - 1}
-        assert p.report["sketch_bits"] == 15 * 121 == 1815
+        # 2^12 - 1 < 6975 <= 2^13 - 1 gives m = 13
+        assert p.report["bits"] == 3 * 2325
+        assert p.code == BchCode(m=13, t=121)
+        assert p.report["code"] == {"kind": "bch", "m": 13, "t": 121, "n_sym": 2 ** 13 - 1}
+        assert p.report["sketch_bits"] == 13 * 121 == 1573
 
     def test_symbolic_solve(self):
         # unit entropy slope, flat error line, l=10, lambda=0:
@@ -83,11 +83,11 @@ class TestPlanner:
     def test_planner_surfaces_blockwise_overshoot(self):
         # the report carries the real sketch bits next to the idealized
         # 19.2 * e(n) and certifies the residual from the real ones:
-        # 15 * 121 = 1815 <= 19.2 * 100.023 = 1920.4
+        # 13 * 121 = 1573 <= 19.2 * 100.023 = 1920.4
         p = plan_parameters(l=128, lambda_=80, c=1)
         assert p.report["idealized_sketch_bits"] == pytest.approx(19.2 * 100.023)
         assert p.report["sketch_bits"] <= p.report["idealized_sketch_bits"]
-        residual = REFERENCE_ENTROPY_FIT(2325) - 1815
+        residual = REFERENCE_ENTROPY_FIT(2325) - 1573
         assert p.report["predicted_residual_bits"] == pytest.approx(residual)
         assert residual >= 286
         assert p.report["residual_certified"] is True
@@ -114,13 +114,13 @@ class TestPlanner:
             assert p.report["feasible"] is feasible
 
     def test_sample_count_override_resizes_code(self):
-        # 400 samples are 3200 bits: 2^11 - 1 < 3200 <= 2^12 - 1 gives m = 12,
-        # and t = ceil(1.2 * (0.043 * 400 + 0.048)) = ceil(20.70) = 21
+        # 400 samples are 1200 residue bits: 2^10 - 1 < 1200 <= 2^11 - 1 gives
+        # m = 11, and t = ceil(1.2 * (0.043 * 400 + 0.048)) = ceil(20.70) = 21
         p = plan_parameters(l=16, lambda_=2, c=0.05, n=400)
         assert p.n == 400
-        assert p.code == BchCode(m=12, t=21)
-        assert p.report["n"] == 400 and p.report["bits"] == 3200
-        assert p.report["sketch_bits"] == 12 * 21
+        assert p.code == BchCode(m=11, t=21)
+        assert p.report["n"] == 400 and p.report["bits"] == 1200
+        assert p.report["sketch_bits"] == 11 * 21
 
     @pytest.mark.parametrize("name, lambda_, c", [
         ("lambda", math.inf, 1.0), ("lambda", math.nan, 1.0), ("lambda", -1.0, 1.0),
@@ -142,9 +142,38 @@ class TestPlanner:
         with pytest.raises(InfeasiblePlanError, match="^no finite n has "):
             plan_parameters(l=16, lambda_=2, c=0.05, entropy_fit=g, error_fit=e)
 
+    def test_level_offset_guard(self):
+        # residue words name a level only within 3 of Bob's: a fitted channel
+        # with larger offsets is infeasible, and an unmeasured one unchecked
+        base = plan_parameters(l=128, lambda_=80, c=1).report
+        assert base["max_level_offset"] is None and base["infeasible_reasons"] == []
+        for offset in (0, 3):
+            rep = plan_parameters(l=128, lambda_=80, c=1, max_level_offset=offset).report
+            assert rep == {**base, "max_level_offset": offset}
+        rep = plan_parameters(l=128, lambda_=80, c=1, max_level_offset=4).report
+        assert rep["feasible"] is False and rep["residual_certified"] is True
+        assert rep["infeasible_reasons"] == [
+            "max_level_offset 4 exceeds 3: a residue word names a level only within 3 "
+            "of Bob's"]
+        with pytest.raises(ValueError, match="max_level_offset must be >= 0, got -1"):
+            plan_parameters(l=128, lambda_=80, c=1, max_level_offset=-1)
+
+    def test_infeasible_reasons_name_each_failed_condition(self):
+        # at n = 50: g(50) = 50.717 less the 8 * 3 sketch bits falls short of
+        # 64 + 2 * 2 - 2, and a 3-error budget holds with probability ~0.82,
+        # short of 1 - e^-3
+        rep = plan_parameters(l=64, lambda_=2, c=3.0, n=50, max_level_offset=5).report
+        assert rep["feasible"] is False
+        assert rep["infeasible_reasons"] == [
+            "predicted residual 26.7 bits is below the required 66.0",
+            "predicted success 0.8234 is below the target 0.9502",
+            "max_level_offset 5 exceeds 3: a residue word names a level only within 3 "
+            "of Bob's"]
+
     def test_no_code_beyond_largest_field(self):
+        # the smallest n whose 3n residue bits outgrow GF(2^20)'s 2^20 - 1
         with pytest.raises(InfeasiblePlanError, match="no code"):
-            plan_parameters(l=128, lambda_=80, c=1, n=2 ** 17)
+            plan_parameters(l=128, lambda_=80, c=1, n=2 ** 20 // 3 + 1)
 
 
 class TestPlannerAgainstExchanges:
@@ -230,7 +259,8 @@ class TestLedger:
 
 
 def flat_params(n, code=None, l=16, lambda_=8.0):
-    # a hand-set pooled code correcting 13 bit errors in the 8n-bit string
+    # a hand-set pooled code correcting 13 bit errors in the 3n-bit residue
+    # string, over a field sized for 8n bits: wider than the string needs
     code = code or BchCode.for_length(8 * n, 13)
     return ProtocolParams(n=n, code=code, l=l, lambda_=lambda_, c=0.0,
                           entropy_fit=REFERENCE_ENTROPY_FIT,
@@ -284,6 +314,30 @@ class TestExchange:
         c = run_exchange(alice, bob, flat_params(100), seed=12)
         assert c.transcript.to_bytes() != a.transcript.to_bytes()
 
+    def test_every_level_pair_within_3_recovered(self):
+        # every (alice, bob) magnitude pair over 9 levels with |a - b| <= 3,
+        # one per sample: 51 samples, 80 unary bits and at most 80 residue
+        # bits apart, within a t = 80 code
+        pairs = [(a, b) for a in range(9) for b in range(9) if abs(a - b) <= 3]
+        alice = make_trace([-a for a, _ in pairs], "alice")
+        bob = make_trace([-b for _, b in pairs], "bob")
+        params = flat_params(len(pairs), code=BchCode(8, 80))
+        res = run_exchange(alice, bob, params, seed=3)
+        assert res.success and res.failure_reason is None
+        assert res.n_corrected_bits == sum(abs(a - b) for a, b in pairs) == 80
+
+    def test_offset_of_4_fails_closed(self):
+        # the sketch recovers Alice's residue word exactly, but no level
+        # within 3 of Bob's 4 has residue 0
+        alice = make_trace(np.zeros(20, dtype=np.int64), "alice")
+        bob_levels = np.zeros(20, dtype=np.int64)
+        bob_levels[7] = -4
+        res = run_exchange(alice, make_trace(bob_levels, "bob"), flat_params(20), seed=8)
+        assert not res.success and res.bob_key is None and res.n_corrected_bits == 0
+        assert res.failure_reason == (
+            "no level for the recovered residues: residue of sample 7 is 0, and no "
+            "level in 0..8 within 3 of magnitude 4 has it")
+
     def test_traces_too_short(self, rng):
         levels = rng.integers(-8, 1, size=50)
         t = make_trace(levels, "alice")
@@ -291,9 +345,10 @@ class TestExchange:
             run_exchange(t, make_trace(levels, "bob"), flat_params(100), seed=1)
 
     def test_params_need_covering_bch_code(self):
-        # an RS code or a code shorter than the 800-bit string fails at construction
+        # an RS code or a code shorter than the 300-bit residue string fails
+        # at construction
         for code in (RsCode(255, 229), BchCode(7, 3)):
-            with pytest.raises(ValueError, match="BchCode covering 800 bits"):
+            with pytest.raises(ValueError, match="BchCode covering 300 bits"):
                 flat_params(100, code=code)
 
     def test_transcript_sufficiency(self, rng):
@@ -332,11 +387,11 @@ class TestExchange:
 class TestPooledExchange:
     """Planned exchanges reconcile with one BCH sketch over the whole string."""
 
-    PARAMS = plan_parameters(l=16, lambda_=2, c=0.05, n=400)  # BchCode(12, 21)
+    PARAMS = plan_parameters(l=16, lambda_=2, c=0.05, n=400)  # BchCode(11, 21)
 
     def noisy_pair(self, rng, weight):
         # levels in [-7, -1] so a one-level offset stays in range; each
-        # offset sample differs from alice's in exactly one unary bit
+        # offset sample differs from alice's in exactly one residue bit
         levels = rng.integers(-7, 0, size=self.PARAMS.n)
         noisy = levels.copy()
         flips = rng.choice(self.PARAMS.n, size=weight, replace=False)
@@ -350,7 +405,7 @@ class TestPooledExchange:
             res = run_exchange(alice, bob, self.PARAMS, seed=seed)
             assert res.success and res.alice_key == res.bob_key
             assert res.n_corrected_bits == t
-            assert res.ledger.sketch_loss_bits == 12 * 21
+            assert res.ledger.sketch_loss_bits == 11 * 21
 
     def test_beyond_capacity_never_reports_success(self, rng):
         t = self.PARAMS.code.t
@@ -370,6 +425,19 @@ class TestTranscript:
         with pytest.raises(SketchFormatError, match="transcript seed field.*100-bit input"):
             Transcript.from_bytes(sketch.to_bytes() + seed.to_hex().encode("ascii"), l=16)
 
+    @pytest.mark.parametrize("seed_t", [300, 799, 801])
+    def test_seed_breaking_8_to_3_fails_closed(self, rng, seed_t):
+        # a 300-bit residue sketch goes with an 800-bit unary seed input only
+        sketch = ss_sketch(BitString(rng.integers(0, 2, size=300)), BchCode(9, 6))
+        seed = random_seed(rng, t=seed_t, l=16)
+        raw = sketch.to_bytes() + seed.to_hex().encode("ascii")
+        with pytest.raises(SketchFormatError,
+                           match=f"{seed_t}-bit input, the sketch covers 300 bits"):
+            Transcript.from_bytes(raw, l=16)
+        seed = random_seed(rng, t=800, l=16)
+        back = Transcript.from_bytes(sketch.to_bytes() + seed.to_hex().encode("ascii"), l=16)
+        assert back.seed.t == 800 and back.sketch.n_bits == 300
+
     def test_pooled_bytes_round_trip(self, rng):
         params = plan_parameters(l=24, lambda_=2, c=0.05, n=100)
         levels = rng.integers(-8, 1, size=100)
@@ -380,7 +448,7 @@ class TestTranscript:
         back = Transcript.from_bytes(raw, l=24)
         assert isinstance(back.sketch, BchSketch)
         assert back.sketch.code == params.code
-        assert back.sketch.n_bits == 800
+        assert back.sketch.n_bits == 300
         assert np.array_equal(back.sketch.syndromes, res.transcript.sketch.syndromes)
         assert back.seed.bits == res.transcript.seed.bits
         assert back.seed.t == res.transcript.seed.t

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physkey.quantize import (BITS_PER_SAMPLE, BitString, embed_trace, embed_unary,
-                              hamming_distance, neighbor_bits)
+                              hamming_distance, residue_levels, residue_neighbor_bits,
+                              residue_words)
 
-from .oracles import neighbor_bits_brute_force
+from .oracles import gray_residue_word, residue_neighbor_bits_brute_force
 
 
 def bits(s: str) -> BitString:
@@ -61,19 +62,66 @@ class TestEmbedTrace:
         assert len(embed_trace([0, -1, -2, -3])) == 4 * BITS_PER_SAMPLE
 
 
-class TestNeighborBits:
+MAGNITUDES = range(BITS_PER_SAMPLE + 1)
+
+
+class TestResidueWords:
+    def test_gray_code_of_magnitude_mod_8(self):
+        levels = [-8, -7, -3, 0, 1, 4, 5, 8]
+        expect = [b for x in levels for b in gray_residue_word(x)]
+        assert residue_words(levels).bits.tolist() == expect
+        assert len(residue_words(levels)) == 3 * len(levels)
+
+    def test_offsets_up_to_3_move_at_most_as_many_bits(self):
+        for a in MAGNITUDES:
+            for b in MAGNITUDES:
+                if abs(a - b) <= 3:
+                    d = hamming_distance(residue_words([a]), residue_words([b]))
+                    assert d <= abs(a - b) and (d == 0) == (a == b), (a, b)
+
+    def test_every_level_within_3_recovered(self):
+        # Bob's own level is b; Alice's residue names a, either sign
+        for a in MAGNITUDES:
+            for b in MAGNITUDES:
+                if abs(a - b) <= 3:
+                    for bob in (b, -b):
+                        assert residue_levels(residue_words([-a]), [bob]).tolist() == [a]
+
+    def test_offset_of_4_names_no_level(self):
+        for a in MAGNITUDES:
+            for b in MAGNITUDES:
+                if abs(a - b) == 4:
+                    with pytest.raises(ValueError, match=f"^residue of sample 1 is {a % 8}, "
+                                                         "and no level in 0..8 within 3 of "
+                                                         f"magnitude {b} has it$"):
+                        residue_levels(residue_words([0, a]), [0, b])
+
+    def test_level_outside_range_fails(self):
+        # residue 7 within 3 of magnitude 2 is -1, not a level
+        with pytest.raises(ValueError, match="^residue of sample 0 is 7, and no level in "
+                                             "0..8 within 3 of magnitude 2 has it$"):
+            residue_levels(residue_words([7]), [2])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="6 residue bits for 3 levels"):
+            residue_levels(residue_words([1, 2]), [1, 2, 3])
+
+
+class TestResidueNeighborBits:
     @given(st.lists(st.integers(-BITS_PER_SAMPLE, BITS_PER_SAMPLE), max_size=12))
     @settings(max_examples=200)
     def test_matches_brute_force_flips(self, levels):
-        assert neighbor_bits(levels).tolist() == neighbor_bits_brute_force(levels)
+        assert residue_neighbor_bits(levels).tolist() == \
+            residue_neighbor_bits_brute_force(levels)
 
     def test_reference_words(self):
-        # 0 -> last zero only; 3 -> bits 4 and 5; 8 -> first one only
-        assert neighbor_bits([0, -3, -8]).tolist() == [7, 12, 13, 16]
+        # 0 (000) -> its +1 bit only; 3 (010) -> the MSB to 4 (110) and the
+        # LSB to 2 (011); 8 (000) -> the MSB to 7 (100) only
+        assert residue_neighbor_bits([0, -3, -8]).tolist() == [2, 3, 5, 6]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="sample 1"):
-            neighbor_bits([0, -9])
+            residue_neighbor_bits([0, -9])
 
 
 class TestHamming:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from physkey import coding
@@ -536,6 +536,60 @@ class TestBinaryBerlekampMassey:
                 half = synd[j // 2 - 1]
                 synd[j - 1] = tables.exp[2 * tables.log[half]] if half else 0
             assert _bm_locator(synd, tables, binary=True) == _bm_locator(synd, tables)
+
+
+def rooted_locator(roots, power, tables):
+    # prod_r (1 + alpha^r x)^power, low degree first: zero at every x = alpha^-r,
+    # and for power > 1 a polynomial in x^power, zero between its terms
+    lam = np.array([1], dtype=np.int64)
+    for r in roots:
+        lam = np.append(lam, 0) ^ np.append(0, tables.exp[tables.log[lam] + r])
+    spread = np.zeros(power * (lam.size - 1) + 1, dtype=np.int64)
+    spread[::power] = tables.exp[tables.log[lam] * power % tables.order] * (lam != 0)
+    return spread
+
+
+class TestChien:
+    # m = 8 is the RS field; m = 17 takes the uint32 power table
+    FIELDS = [*range(3, 14), 8, 17]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(0, 45), st.sampled_from([1, 2, 4]),
+           st.sampled_from([0.0, 0.3, 1.0]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @example(17, 40, 1, 0.0, True, 1)   # 40 coefficients: 4 reductions at P = 8
+    @example(17, 12, 4, 0.0, False, 2)  # 48 coefficients, 36 of them zero
+    @example(13, 35, 1, 0.3, False, 3)  # 35 coefficients: 2 reductions at P = 16
+    @example(8, 13, 1, 0.0, False, 4)   # an RS-sized locator, descending points
+    def test_roots_match_direct_evaluation(self, m, n_roots, power, zero_share,
+                                           ascending, seed):
+        tables = field_tables(m)
+        order = tables.order
+        rng = np.random.default_rng(seed)
+        points = np.sort(rng.choice(order, size=min(order, int(rng.integers(1, 600))),
+                                    replace=False))
+        if not ascending:
+            points = points[::-1]
+        # roots mostly among the points, some elsewhere in the field
+        roots = np.where(rng.random(n_roots) < 0.8, rng.choice(points, size=n_roots),
+                         rng.integers(0, order, size=n_roots))
+        lam = rooted_locator(roots, power, tables)
+        # zeroing coefficients keeps zeros in the loop and usually moves the roots
+        hit = rng.random(lam.size) < zero_share
+        hit[0] = False
+        lam[hit] = 0
+        values = coding._gf_sums(lam, np.arange(lam.size), -points % order, tables)
+        found = coding._chien(lam.tolist(), points, tables)
+        assert found.tolist() == points[values == 0].tolist()
+
+    @pytest.mark.parametrize("m", [3, 8, 13, 16, 17])
+    def test_power_table_is_read_only_and_no_larger_than_exp(self, m):
+        tables = field_tables(m)
+        powers = coding._power_periods(m)
+        assert powers.dtype == (np.uint16 if m <= 16 else np.uint32)
+        assert not powers.flags.writeable
+        assert powers.nbytes <= tables.exp.nbytes
+        assert powers.size % tables.order == 0
+        assert np.array_equal(powers, tables.exp[np.arange(powers.size) % tables.order])
 
 
 def decode_outcome(odd, code, n_bits, candidates=()):

@@ -9,12 +9,11 @@ correction.
 
 Both codes compute in one field layer: ``field_tables(m)``, the log/antilog
 tables of GF(2^m) under the primitive polynomial ``PRIMITIVE_POLYS[m]`` with
-generator alpha = x.  Their one layout gives zero a logarithm that points
-into a zero tail of the antilog table, so a product is one gather with no
-mask for a zero operand.  Both codes locate error positions with one
-strength-reduced Chien loop, ``_chien``, which reads a cached table of
-several periods of alpha's powers, ``_power_periods(m)``, so that it
-reduces its exponents only every few coefficients; every other sum of the form
+generator alpha = x.  Their one layout lists several periods of alpha's
+powers and gives zero a logarithm that points into a zero tail, so a
+product is one gather with no mask for a zero operand.  Both codes locate
+error positions with one strength-reduced Chien loop, ``_chien``, which
+reads the same antilog table; every other sum of the form
 sum_i c_i alpha^(e_i x) (RS syndromes and Forney evaluations, and both
 syndrome re-checks) goes through one array evaluator, ``_gf_sums``.
 
@@ -66,13 +65,15 @@ PRIMITIVE_POLYS = {
 class GfTables:
     """Log/antilog tables for GF(2^m) under its fixed primitive polynomial.
 
-    exp[log[a] + log[b]] is a * b, and exp[log[a] + k] is a * alpha^k for
-    0 <= k <= order, for every a and b, zero included: log[0] = 2 * order
-    points into a zero tail of exp long enough for both sums.
+    exp lists alpha^i for i < P * order (P periods) and then a zero tail of
+    P * order + 1 entries, with log[0] = P * order.  So exp[log[a] + log[b]]
+    is a * b, and exp[log[a] + k] is a * alpha^k for 0 <= k < (P - 1) * order,
+    for every a and b, zero included.  exp is uint16 with P = 16 up to
+    m = 16, and uint32 with P = 8 above.
     """
 
-    exp: np.ndarray  # alpha^i for i < 2 * order, then 2 * order + 1 zeros
-    log: np.ndarray  # length 2^m; log[0] = 2 * order
+    exp: np.ndarray  # P periods of alpha^i, then P * order + 1 zeros
+    log: np.ndarray  # length 2^m, int64; log[0] = P * order
 
     @property
     def order(self) -> int:
@@ -94,13 +95,14 @@ def field_tables(m: int) -> GfTables:
         x <<= 1  # multiply by the generator alpha = x
         if x >> m:
             x ^= poly
-    exp = np.zeros(4 * order + 1, dtype=np.int64)
-    exp[:order] = exp[order:2 * order] = powers
+    dtype, periods = (np.uint16, 16) if m <= 16 else (np.uint32, 8)
+    exp = np.zeros(2 * periods * order + 1, dtype=dtype)
+    exp[:periods * order] = np.tile(np.array(powers, dtype=dtype), periods)
     log = np.zeros(order + 1, dtype=np.int64)
     log[exp[:order]] = np.arange(order)
     if np.count_nonzero(log) != order - 1:  # alpha's powers repeat early
         raise ValueError(f"polynomial {poly:#x} is not primitive for GF(2^{m})")
-    log[0] = 2 * order
+    log[0] = periods * order
     exp.setflags(write=False)
     log.setflags(write=False)
     return GfTables(exp, log)
@@ -345,7 +347,7 @@ def bch_generator(code: BchCode) -> int:
         # minimal polynomials of the cosets of this size, one per row, built
         # as prod (x - alpha^e) over the coset, low degree first
         roots = np.array([c for c in cosets if len(c) == size], dtype=np.int64)
-        poly = np.zeros((len(roots), size + 1), dtype=np.int64)
+        poly = np.zeros((len(roots), size + 1), dtype=tables.exp.dtype)
         poly[:, 0] = 1
         for k in range(size):
             scaled = tables.exp[tables.log[poly] + roots[:, k:k + 1]]
@@ -429,39 +431,26 @@ def bch_syndrome(bits, code: BchCode) -> np.ndarray:
     return np.bitwise_xor.reduce(terms, axis=1)
 
 
-@functools.lru_cache(maxsize=None)
-def _power_periods(m: int) -> np.ndarray:
-    """alpha^i for 0 <= i < P * (2^m - 1), read-only: P periods of the
-    antilog table, in uint16 with P = 16 up to m = 16 and in uint32 with
-    P = 8 above, so no larger in bytes than ``field_tables(m).exp``."""
-    tables = field_tables(m)
-    dtype, periods = (np.uint16, 16) if m <= 16 else (np.uint32, 8)
-    powers = np.tile(tables.exp[:tables.order].astype(dtype), periods)
-    powers.setflags(write=False)
-    return powers
-
-
 def _chien(lam, points: np.ndarray, tables: GfTables) -> np.ndarray:
     # the points p with Lambda(alpha^-p) = 0, in the order given.  One pass
     # per coefficient over a running exponent k * log alpha^-p per point
     # (not _gf_sums' coefficients x points temporary), left unreduced for
     # P - 2 coefficients: below (P - 1) * order, plus log lambda_k < order,
-    # it indexes the P-period power table directly, so a coefficient costs
-    # an add, a gather and an xor, and a zero one only the add.  On the
-    # exchange's candidate sets (about 4 100 points, about 100 coefficients,
-    # m = 13) this took 0.67 ms per search against 1.52 ms for a loop that
-    # reduced at every coefficient, and 1.2 ms against 2.6 ms over all
-    # 6 975 bits (best of 7, 2-vCPU Xeon).
-    powers = _power_periods(tables.order.bit_length())
-    log, order = tables.log, tables.order
-    period = powers.size // order - 2
+    # it stays within exp's P periods, so a coefficient costs an add, a
+    # gather and an xor, and a zero one only the add.  On the exchange's
+    # candidate sets (about 4 100 points, about 100 coefficients, m = 13)
+    # this took 0.67 ms per search against 1.52 ms for a loop that reduced
+    # at every coefficient, and 1.2 ms against 2.6 ms over all 6 975 bits
+    # (best of 7, 2-vCPU Xeon).
+    exp, log, order = tables.exp, tables.log, tables.order
+    period = exp.size // (2 * order) - 2
     step = (order - points.astype(np.intp)) % order  # log alpha^-p
     exponent = np.zeros(points.size, dtype=np.intp)  # k log alpha^-p, unreduced
-    value = np.ones(points.size, dtype=powers.dtype)  # lambda_0 = 1
+    value = np.ones(points.size, dtype=exp.dtype)  # lambda_0 = 1
     for k, coef in enumerate(lam[1:], 1):
         exponent += step
         if coef:
-            value ^= powers[log[coef]:].take(exponent)
+            value ^= exp[log[coef]:].take(exponent)
         if k % period == 0:
             np.remainder(exponent, order, out=exponent)
     return points[value == 0]

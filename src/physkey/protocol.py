@@ -26,10 +26,10 @@ The planner inverts the two fitted growth lines:
 
 and sizes one pooled binary BCH code over GF(2^m) for the 3n-bit residue
 string: m is the smallest field degree with 2^m - 1 >= 3n, and
-t = ceil((6/5) e(n)) bit errors.  With one level of noise per erroneous
-sample a word error flips one residue bit, so t is the word-error budget
-itself.  The sketch is a function of Alice's levels of m*t bits, so it
-costs at most m*t bits of average min-entropy (Dodis, Ostrovsky, Reyzin
+t = ceil((6/5) o e(n)) bit errors.  A level offset of o flips up to o bits
+of a residue word, so o is the largest offset the fitted traces showed,
+capped at 3, or 1 when that is unknown or at most 1.  The sketch is a
+function of Alice's levels of m*t bits, so it costs at most m*t bits of average min-entropy (Dodis, Ostrovsky, Reyzin
 and Smith, "Fuzzy extractors", 2008, Lemma 2.2b).  The report's residual
 charges those real m*t bits; at the reference point that is
 13 * 121 = 1573, within the 19.2 e(n) = 1920.4 the entropy condition
@@ -220,9 +220,12 @@ def plan_parameters(l: int, lambda_: float, c: float,
     """Choose the sample count and code for an (l, e^-c, 2^-lambda) exchange.
 
     c = 0 disables the correctness condition (useful when probing the
-    entropy bound alone).  The report's ``predicted_success_exact`` is the
-    pooled sketch's success probability P[Binomial(n, e(n)/n) <= t], next
-    to the Chernoff figure ``predicted_correctness_bound``; ``feasible``
+    entropy bound alone).  The code corrects t = ceil((6/5) o e(n)) bits,
+    where o, the residue bits one erring sample can flip, is
+    min(max_level_offset, MAX_RESIDUE_OFFSET) from 2 up and 1 otherwise.
+    The report's ``predicted_success_exact`` is the pooled sketch's success
+    probability P[Binomial(n, e(n)/n) <= t // o] (a lower bound for o > 1),
+    next to the Chernoff figure ``predicted_correctness_bound``; ``feasible``
     holds when the residual is certified, that probability reaches the
     1 - e^-c target and ``max_level_offset``, the largest |alice - bob|
     level offset the fitted traces showed (None: not measured, not
@@ -264,7 +267,8 @@ def plan_parameters(l: int, lambda_: float, c: float,
         raise ValueError("n must be >= 1")
 
     bits = n * RESIDUE_BITS
-    budget = ERROR_SAFETY_FACTOR * error_fit(n)
+    per_error = min(max_level_offset or 1, MAX_RESIDUE_OFFSET)  # o
+    budget = ERROR_SAFETY_FACTOR * per_error * error_fit(n)
     try:
         code = BchCode.for_length(bits, max(1, math.ceil(budget - 1e-12)))
     except ValueError as exc:
@@ -278,8 +282,8 @@ def plan_parameters(l: int, lambda_: float, c: float,
     residual = initial - sketch_bits
     certified = residual >= need
     # each of the n words errs independently at rate e(n)/n; the pooled
-    # sketch succeeds iff at most t of them do
-    success = binomial_cdf(code.t, n, min(max(error_fit(n) / n, 0.0), 1.0))
+    # sketch succeeds when at most t // o of them do (iff, at o = 1)
+    success = binomial_cdf(code.t // per_error, n, min(max(error_fit(n) / n, 0.0), 1.0))
     target = 1.0 - math.exp(-c)
     reasons = []
     if not certified:

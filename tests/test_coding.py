@@ -336,6 +336,22 @@ class TestExtensionFields:
             expected = [peasant_mul(int(x), alpha_power(k, m), m) for x in a[:64]]
             assert tables.exp[tables.log[a[:64]] + k].tolist() == expected
 
+    @pytest.mark.parametrize("m", [3, 8, 13, 16, 17])
+    def test_antilog_layout(self, m):
+        # P periods of alpha's powers, then a zero tail that zero's log
+        # points into, long enough for the sum of two logs
+        tables = field_tables(m)
+        order = tables.order
+        dtype, periods = (np.uint16, 16) if m <= 16 else (np.uint32, 8)
+        assert tables.exp.dtype == dtype
+        assert tables.exp.size == 2 * periods * order + 1
+        assert tables.log[0] == periods * order
+        assert not tables.exp.flags.writeable
+        head, tail = np.split(tables.exp, [periods * order])
+        assert np.array_equal(head, np.tile(tables.exp[:order], periods))
+        assert not tail.any()
+        assert tables.exp[tables.log[0] + tables.log[0]] == 0
+
 
 class TestBchCode:
     def test_sizing(self):
@@ -550,7 +566,7 @@ def rooted_locator(roots, power, tables):
 
 
 class TestChien:
-    # m = 8 is the RS field; m = 17 takes the uint32 power table
+    # m = 8 is the RS field; m = 17 takes the uint32 antilog table
     FIELDS = [*range(3, 14), 8, 17]
 
     @settings(max_examples=60, deadline=None)
@@ -580,16 +596,6 @@ class TestChien:
         values = coding._gf_sums(lam, np.arange(lam.size), -points % order, tables)
         found = coding._chien(lam.tolist(), points, tables)
         assert found.tolist() == points[values == 0].tolist()
-
-    @pytest.mark.parametrize("m", [3, 8, 13, 16, 17])
-    def test_power_table_is_read_only_and_no_larger_than_exp(self, m):
-        tables = field_tables(m)
-        powers = coding._power_periods(m)
-        assert powers.dtype == (np.uint16 if m <= 16 else np.uint32)
-        assert not powers.flags.writeable
-        assert powers.nbytes <= tables.exp.nbytes
-        assert powers.size % tables.order == 0
-        assert np.array_equal(powers, tables.exp[np.arange(powers.size) % tables.order])
 
 
 def decode_outcome(odd, code, n_bits, candidates=()):

@@ -16,7 +16,7 @@ from physkey.protocol import (REFERENCE_ENTROPY_FIT, REFERENCE_ERROR_FIT,
                               correctness_bound, entropy_ledger, plan_parameters,
                               run_exchange, alice_messages)
 from physkey.quantize import BitString
-from physkey.stats import lag_correlation_profile, validate_assumptions
+from physkey.stats import binomial_cdf, lag_correlation_profile, validate_assumptions
 from physkey.traces import make_trace
 
 
@@ -145,29 +145,42 @@ class TestPlanner:
 
     def test_level_offset_guard(self):
         # residue words name a level only within 3 of Bob's: a fitted channel
-        # with larger offsets is infeasible, and an unmeasured one unchecked
+        # with larger offsets is infeasible, and an unmeasured one unchecked;
+        # an offset o of 2 or 3 flips up to o bits of a word, so the code
+        # budgets o bits per erring sample and the exact figure counts
+        # t // o erring samples
         base = plan_parameters(l=128, lambda_=80, c=1).report
         assert base["max_level_offset"] is None and base["infeasible_reasons"] == []
-        for offset in (0, 3):
+        for offset in (0, 1):
             rep = plan_parameters(l=128, lambda_=80, c=1, max_level_offset=offset).report
             assert rep == {**base, "max_level_offset": offset}
-        rep = plan_parameters(l=128, lambda_=80, c=1, max_level_offset=4).report
-        assert rep["feasible"] is False and rep["residual_certified"] is True
-        assert rep["infeasible_reasons"] == [
+        e_n = REFERENCE_ERROR_FIT(base["n"])
+        for offset in (2, 3, 4):
+            rep = plan_parameters(l=128, lambda_=80, c=1, max_level_offset=offset).report
+            o = min(offset, 3)
+            assert rep["n"] == base["n"]
+            assert rep["code"]["t"] == math.ceil(1.2 * o * e_n)
+            assert rep["predicted_success_exact"] == binomial_cdf(
+                rep["code"]["t"] // o, base["n"], e_n / base["n"])
+            # m * t sketch bits then exceed what the entropy line leaves
+            assert rep["residual_certified"] is False and rep["feasible"] is False
+            assert rep["infeasible_reasons"][0].startswith("predicted residual ")
+        assert rep["infeasible_reasons"][1:] == [
             "max_level_offset 4 exceeds 3: a residue word names a level only within 3 "
             "of Bob's"]
         with pytest.raises(ValueError, match="max_level_offset must be >= 0, got -1"):
             plan_parameters(l=128, lambda_=80, c=1, max_level_offset=-1)
 
     def test_infeasible_reasons_name_each_failed_condition(self):
-        # at n = 50: g(50) = 50.717 less the 8 * 3 sketch bits falls short of
-        # 64 + 2 * 2 - 2, and a 3-error budget holds with probability ~0.82,
-        # short of 1 - e^-3
+        # at n = 50, with offsets priced at 3 bits per erring sample:
+        # g(50) = 50.717 less the 8 * 8 sketch bits falls short of
+        # 64 + 2 * 2 - 2, and at most 8 // 3 erring samples hold with
+        # probability ~0.62, short of 1 - e^-3
         rep = plan_parameters(l=64, lambda_=2, c=3.0, n=50, max_level_offset=5).report
         assert rep["feasible"] is False
         assert rep["infeasible_reasons"] == [
-            "predicted residual 26.7 bits is below the required 66.0",
-            "predicted success 0.8234 is below the target 0.9502",
+            "predicted residual -13.3 bits is below the required 66.0",
+            "predicted success 0.6221 is below the target 0.9502",
             "max_level_offset 5 exceeds 3: a residue word names a level only within 3 "
             "of Bob's"]
 
@@ -213,6 +226,27 @@ class TestPlannerAgainstExchanges:
         rate = params.error_fit(params.n) / params.n
         assert word_errors <= binom.ppf(0.999, self.TRIALS * params.n, rate), \
             (word_errors, rate)
+
+    @pytest.mark.parametrize("channel_seed", [3, 4])
+    def test_offsets_of_two_are_priced_in_bits(self, channel_seed):
+        # Bob's levels err by exactly 2, which flips 2 bits of a residue
+        # word: a plan that budgets one bit per erring sample predicts
+        # 0.867 here, and 37 and 38 of 100 exchanges succeed at these seeds
+        cfg = replace(family_config(levels=9, spread=0.41325, band=2),
+                      bob_error={-2: 0.008, 0: 0.984, 2: 0.008})
+        fit_run = simulate_run(replace(cfg, n=20_000, seed=2))
+        offsets = fit_run.alice.levels - fit_run.bob.levels
+        params = plan_parameters(
+            l=16, lambda_=2, c=0.05, max_level_offset=int(np.abs(offsets).max()),
+            error_fit=LinearFit(np.count_nonzero(offsets) / offsets.size, 0.0))
+        assert params.report["max_level_offset"] == 2
+        assert params.code.t == math.ceil(2.4 * params.error_fit(params.n))
+        successes = 0
+        for i in range(100):
+            run = simulate_run(replace(cfg, n=params.n, seed=1000 * channel_seed + i))
+            successes += run_exchange(run.alice, run.bob, params, seed=i).success
+        predicted = params.report["predicted_success_exact"]
+        assert binomial_cdf(successes, 100, predicted) >= 0.01, (successes, predicted)
 
 
 class TestCorrectnessBound:

@@ -151,15 +151,15 @@ def validate_model(model: HmmModel) -> list:
     def check_rows(name, mat):
         if np.isnan(mat).any():
             out.append(f"{name} has a NaN probability")
-        if np.any(mat < 0):
+        if (mat < 0).any():
             out.append(f"{name} has a negative probability")
-        if np.any(mat > 1):
+        if (mat > 1).any():
             out.append(f"{name} has an entry > 1")
         sums = mat.sum(axis=1) if mat.ndim == 2 else np.array([mat.sum()])
-        for i, s in enumerate(sums):
-            if abs(s - 1.0) > _ROW_TOL:
-                where = f"row {i} of {name}" if mat.ndim == 2 else name
-                out.append(f"{where} sums to {s:.12g}")
+        # one comparison finds the rows that are off; a NaN sum is not one
+        for i in (np.abs(sums - 1.0) > _ROW_TOL).nonzero()[0]:
+            where = f"row {i} of {name}" if mat.ndim == 2 else name
+            out.append(f"{where} sums to {sums[i]:.12g}")
 
     check_rows("pi", model.pi)
     check_rows("trans", model.trans)

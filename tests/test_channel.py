@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import physkey.channel
-from physkey.channel import (ChannelConfig, _bisect, _bob_error_count, _bob_levels, _draw,
-                             _eve_counts, _eve_levels, _memoryless_entropy_bits, _offset_cdf,
-                             _sample_chain, calibrate_to_reference_rates, family_config,
+from physkey.channel import (_COUNT_MAX, ChannelConfig, _bisect, _bob_error_count,
+                             _bob_levels, _cdf, _count_le, _draw, _eve_counts, _eve_levels,
+                             _memoryless_entropy_bits, _offset_cdf, _sample_chain,
+                             _sorted_by_state, calibrate_to_reference_rates, family_config,
                              measure_rates, simulate_run)
 from physkey.errors import CalibrationError, ImpossibleObservationError
 from physkey.hmm import SLICE_LEN, HmmModel, entropy_profile_batch, \
@@ -161,6 +162,42 @@ class TestSimulate:
         assert back.n == 77 and back.seed == 5
         assert np.allclose(back.model.trans, cfg.model.trans)
         assert back.bob_error == cfg.bob_error
+
+
+class TestDrawHelpers:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40).filter(any), st.booleans(),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=60))
+    @example([1] * _COUNT_MAX, True, [0.5])
+    @example([2, 0, 1] * 11, False, [0.25])
+    @example([0, 3, 0, 0, 1, 0], True, [])
+    def test_count_le_matches_searchsorted(self, weights, inf_tail, uniforms):
+        # both sides of the cutover; zero weights repeat a CDF entry, and
+        # the uniforms take 0.0, every entry and the float just below it
+        p = np.array(weights, dtype=float) / sum(weights)
+        cum = np.cumsum(p)
+        cdf = _cdf(p) if inf_tail else cum / cum[-1]
+        finite = cdf[np.isfinite(cdf) & (cdf < 1.0)]
+        u = np.r_[uniforms, 0.0, finite, np.nextafter(finite, 0.0)]
+        counted = _count_le(cdf, u)
+        assert counted.dtype == np.intp
+        assert counted.tolist() == np.searchsorted(cdf, u, side="right").tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 256]), st.data())
+    def test_sorted_by_state_matches_masked_sorts(self, levels, data):
+        # empty states included (most of them at 256), repeated uniforms too
+        n = data.draw(st.integers(0, 300))
+        idx = np.array(data.draw(st.lists(st.integers(0, levels - 1), min_size=n,
+                                          max_size=n)), dtype=np.int64)
+        u = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75])
+                                        | st.floats(0.0, 1.0, exclude_max=True),
+                                        min_size=n, max_size=n)), dtype=float)
+        grouped = _sorted_by_state(idx, u, levels)
+        masked = [np.sort(u[idx == s]) for s in range(levels)]
+        assert len(grouped) == levels
+        for g, m in zip(grouped, masked):
+            assert g.dtype == m.dtype and g.tolist() == m.tolist()
 
 
 class TestCalibration:

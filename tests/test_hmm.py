@@ -72,6 +72,53 @@ class TestValidate:
         violations = validate_model(bad)
         assert any("negative" in v for v in violations)
 
+    @staticmethod
+    def row_checks(model):
+        # validate_model's probability checks as a per-row loop
+        out = []
+        for name in ("pi", "trans", "emit"):
+            mat = getattr(model, name)
+            if np.isnan(mat).any():
+                out.append(f"{name} has a NaN probability")
+            if np.any(mat < 0):
+                out.append(f"{name} has a negative probability")
+            if np.any(mat > 1):
+                out.append(f"{name} has an entry > 1")
+            sums = mat.sum(axis=1) if mat.ndim == 2 else [mat.sum()]
+            for i, s in enumerate(sums):
+                if abs(s - 1.0) > 1e-9:
+                    where = f"row {i} of {name}" if mat.ndim == 2 else name
+                    out.append(f"{where} sums to {s:.12g}")
+        return out
+
+    @pytest.mark.parametrize("case", ["one_row", "several_rows", "nan", "pi"])
+    def test_messages_match_per_row_loop(self, case):
+        trans = np.full((4, 4), 0.25)
+        emit = np.eye(4)
+        pi = np.full(4, 0.25)
+        if case == "one_row":
+            trans[2, 1] += 1e-6
+        elif case == "several_rows":
+            trans[0] = [0.5, 0.4, 0.0, 0.0]
+            trans[3, 3] = 0.3
+            emit[1] = [0.0, 1.5, -0.5, 0.2]
+        elif case == "nan":
+            emit[2, 0] = np.nan
+        else:
+            pi[0] = 0.2
+        model = HmmModel(states=(0, 1, 2, 3), symbols=(0, 1, 2, 3), pi=pi, trans=trans,
+                         emit=emit)
+        violations = validate_model(model)
+        assert violations == self.row_checks(model)
+        expected = {"one_row": ["row 2 of trans sums to 1.000001"],
+                    "several_rows": ["row 0 of trans sums to 0.9",
+                                     "row 3 of trans sums to 1.05",
+                                     "emit has a negative probability",
+                                     "emit has an entry > 1", "row 1 of emit sums to 1.2"],
+                    "nan": ["emit has a NaN probability"],
+                    "pi": ["pi sums to 0.95"]}[case]
+        assert violations == expected
+
     def test_dimension_mismatch(self, two_state):
         bad = HmmModel(states=(0, 1), symbols=(0, 1), pi=[1.0],
                        trans=two_state.trans, emit=two_state.emit)

@@ -19,7 +19,7 @@ import numpy as np
 from . import channel, hmm, protocol, stats
 from .errors import CalibrationError, PhyskeyError
 from .quantize import BITS_PER_SAMPLE
-from .traces import TraceFile, ingest_traces, trace_to_file
+from .traces import ingest_traces, load_trace, trace_to_file
 
 LEVELS = BITS_PER_SAMPLE + 1  # default level count: magnitudes 0..BITS_PER_SAMPLE
 
@@ -29,17 +29,10 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _load_trace(path: str, role: str):
-    tf = TraceFile.load(path)
-    if tf.node_id is None:
-        raise PhyskeyError(f"{path}: no data rows")
-    return tf.trace(tf.node_id, role)
-
-
 def _load_aligned(paths: dict, **options):
     """Load each role's single-node trace file and align them all with
     ``ingest_traces(..., **options)``; returns its (traces, report) pair."""
-    return ingest_traces({role: _load_trace(path, role) for role, path in paths.items()},
+    return ingest_traces({role: load_trace(path, role) for role, path in paths.items()},
                          **options)
 
 

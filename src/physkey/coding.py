@@ -4,7 +4,7 @@ Two codes reconcile two noisy copies through a syndrome sketch, whose
 linearity makes syn(w) xor syn(w') the syndrome of the error pattern
 alone.  Only the pooled BCH sketch has a wire format (``PKB1``) and is
 published; the RS sketch is one in-memory block.  Decoding is fail-closed: any
-inconsistency reports an uncorrectable block rather than a silently wrong
+inconsistency reports an uncorrectable sketch rather than a silently wrong
 correction.
 
 Both codes compute in one field layer: ``field_tables(m)``, the log/antilog
@@ -194,8 +194,8 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
 
     Returns a list of (position, magnitude) pairs in ascending position,
     position 0 being the block's first word, at degree n_sym - 1.  Raises
-    UncorrectableBlockError (block 0: the sketch is one block) when the
-    syndromes are inconsistent with any weight-<= t error.
+    UncorrectableBlockError when the syndromes are inconsistent with any
+    weight-<= t error.
     """
     synd = np.asarray(syndrome_diff, dtype=np.int64)
     if synd.size != code.n_syndromes:
@@ -206,15 +206,14 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
     tables = field_tables(8)
     lam, degree = _bm_locator(synd, tables)
     if degree > code.t:
-        raise UncorrectableBlockError(0, f"locator degree {degree} exceeds t={code.t}")
+        raise UncorrectableBlockError(f"locator degree {degree} exceeds t={code.t}")
 
     # Chien search: position p is in error iff Lambda(X_p^-1) = 0, where
     # X_p = alpha^(n_sym - 1 - p); searching log X_p from the top keeps the
     # positions ascending.
     x_logs = _chien(lam, np.arange(code.n_sym - 1, -1, -1), tables)
     if x_logs.size != degree:
-        raise UncorrectableBlockError(
-            0, f"locator has {x_logs.size} roots, expected {degree}")
+        raise UncorrectableBlockError(f"locator has {x_logs.size} roots, expected {degree}")
     positions = code.n_sym - 1 - x_logs
 
     # Forney with fcr = 1: Omega(x) = S(x) Lambda(x) mod x^2t,
@@ -230,16 +229,16 @@ def decode_error_from_syndrome(syndrome_diff, code: RsCode) -> list:
     num = _gf_sums(omega, np.arange(omega.size), x_inv, tables)
     den = _gf_sums(lam_deriv, np.arange(degree), x_inv, tables)
     if not den.all():
-        raise UncorrectableBlockError(0, "zero locator derivative at a root")
+        raise UncorrectableBlockError("zero locator derivative at a root")
     mags = exp[log[num] + order - log[den]]
 
     # fail-closed: the reconstructed pattern must reproduce the syndromes
     if not mags.all():
-        raise UncorrectableBlockError(0, "zero error magnitude")
+        raise UncorrectableBlockError("zero error magnitude")
     located = _gf_sums(mags, code.n_sym - 1 - positions,
                        np.arange(1, code.n_syndromes + 1), tables)
     if not np.array_equal(located, synd):
-        raise UncorrectableBlockError(0, "syndrome re-check failed")
+        raise UncorrectableBlockError("syndrome re-check failed")
     return list(zip(positions.tolist(), mags.tolist()))
 
 
@@ -280,7 +279,7 @@ def rs_recover(noisy_words, sketch: RsSketch) -> np.ndarray:
     diff = rs_syndrome(words, sketch.code) ^ sketch.syndromes
     for p, mag in decode_error_from_syndrome(diff, sketch.code):
         if p >= sketch.n_words:
-            raise UncorrectableBlockError(0, f"decoded error in zero padding (position {p})")
+            raise UncorrectableBlockError(f"decoded error in zero padding (position {p})")
         words[p] ^= mag
     return words
 
@@ -464,8 +463,8 @@ def bch_decode(syndrome_diff, code: BchCode, n_bits: int, candidates=()) -> np.n
     are likely; they are searched first, and the full search over all
     n_bits positions runs only when they do not hold every root of the
     locator.  The positions returned, and any error raised, are the same
-    whatever the candidates.  Raises UncorrectableBlockError (block 0:
-    the sketch is one block) when no such pattern exists.
+    whatever the candidates.  Raises UncorrectableBlockError when no such
+    pattern exists.
     """
     odd = np.asarray(syndrome_diff, dtype=np.int64)
     if odd.shape != (code.t,):
@@ -486,7 +485,7 @@ def bch_decode(syndrome_diff, code: BchCode, n_bits: int, candidates=()) -> np.n
     synd = np.where(base != 0, tables.exp[tables.log[base] * power % tables.order], 0)
     lam, degree = _bm_locator(synd, tables, binary=True)
     if degree > code.t:
-        raise UncorrectableBlockError(0, f"locator degree {degree} exceeds t={code.t}")
+        raise UncorrectableBlockError(f"locator degree {degree} exceeds t={code.t}")
 
     # Chien search: position p is in error iff Lambda(alpha^-p) = 0.  The
     # alpha^-p of distinct p < n_bits <= 2^m - 1 are distinct, and Lambda
@@ -497,12 +496,12 @@ def bch_decode(syndrome_diff, code: BchCode, n_bits: int, candidates=()) -> np.n
         positions = _chien(lam, np.arange(n_bits), tables)
     if positions.size != degree:
         raise UncorrectableBlockError(
-            0, f"locator has {positions.size} roots among {n_bits} bits, expected {degree}")
+            f"locator has {positions.size} roots among {n_bits} bits, expected {degree}")
     # fail-closed: the located pattern must reproduce the syndromes
     located = _gf_sums(np.ones(positions.size, dtype=np.int64), positions,
                        np.arange(1, 2 * code.t, 2), tables)
     if not np.array_equal(located, odd):
-        raise UncorrectableBlockError(0, "syndrome re-check failed")
+        raise UncorrectableBlockError("syndrome re-check failed")
     return positions
 
 
@@ -591,10 +590,9 @@ def ss_recover(rho_prime: BitString, sketch: BchSketch, candidates=()) -> BitStr
 
     Decodes the error pattern of syn(rho') xor u and subtracts it (xor):
     up to t bit errors anywhere in the string.  Raises
-    UncorrectableBlockError (block 0) beyond capacity.  candidates are
-    ascending bit positions of rho' where errors are likely; the decoder
-    searches them first (see bch_decode), and the result never depends on
-    them.
+    UncorrectableBlockError beyond capacity.  candidates are ascending bit
+    positions of rho' where errors are likely; the decoder searches them
+    first (see bch_decode), and the result never depends on them.
     """
     if len(rho_prime) != sketch.n_bits:
         raise ValueError(f"noisy copy has {len(rho_prime)} bits; sketch covers {sketch.n_bits}")

@@ -17,12 +17,11 @@ class ImpossibleObservationError(PhyskeyError):
 
 
 class UncorrectableBlockError(PhyskeyError):
-    """A sketch block's error weight exceeds the code's correction capacity."""
+    """A sketch's error weight exceeds the code's correction capacity."""
 
-    def __init__(self, block: int, detail: str):
-        self.block = block
+    def __init__(self, detail: str):
         self.detail = detail
-        super().__init__(f"uncorrectable block {block}: {detail}")
+        super().__init__(f"uncorrectable sketch: {detail}")
 
 
 class SketchFormatError(PhyskeyError, ValueError):

@@ -96,14 +96,7 @@ class BitString:
 
 def embed_unary(x: int) -> BitString:
     """Embed one integer level: (m - |x|) zeros ++ |x| ones."""
-    m = BITS_PER_SAMPLE
-    a = abs(int(x))
-    if a > m:
-        raise ValueError(f"level out of range: |{x}| > {m}")
-    body = np.zeros(m, np.uint8)
-    if a:
-        body[m - a:] = 1
-    return BitString(body)
+    return embed_trace([x])
 
 
 def _magnitudes(levels) -> np.ndarray:

@@ -11,12 +11,14 @@ Empty lines are skipped.  ``TraceFile.parse`` splits lines on ``\\n`` only;
 file loads as its LF twin.
 
 A parsed ``TraceFile`` holds seq and rssi as int64 arrays in file order
-and the one node id and frame type.  Parsing works on the UTF-8 bytes of
-the body in one pass per column: the positions of commas and newlines
-bound every line and cell, the digits of every seq (or rssi) cell are
-gathered and summed together, and node and frame cells are compared
-bytewise with the first row's.  The same pass marks every line outside the
-grammar, and a ``PhyskeyError`` names ``path:line`` of the first.
+and the one node id and frame type; ``load_trace`` reads a file as its one
+``MeasurementTrace``, under the name the caller gives it.  Parsing works
+on the UTF-8 bytes of the body in one pass per column: the positions of
+commas and newlines bound every line and cell, the digits of every seq
+(or rssi) cell are gathered and summed together, and node and frame
+cells are compared bytewise with the first row's.  The same pass marks
+every line outside the grammar, and a ``PhyskeyError`` names
+``path:line`` of the first.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ class TraceFile:
     rssi: np.ndarray
     node_id: str | None = None
     frame_type: str | None = None
-    path: str = ""
 
     @classmethod
     def parse(cls, text: str, path: str = "") -> "TraceFile":
@@ -103,7 +104,7 @@ class TraceFile:
             k = int(bad.argmax())
             line = body.split("\n", k + 1)[k]
             raise PhyskeyError(f"{where}:{k + 2}: row {line!r} is not {CSV_HEADER} ({_CELLS})")
-        return cls(*columns, path)
+        return cls(*columns)
 
     @classmethod
     def load(cls, path) -> "TraceFile":
@@ -122,16 +123,6 @@ class TraceFile:
 
     def save(self, path) -> None:
         Path(path).write_text(self.serialize())
-
-    def node_ids(self) -> list:
-        return [] if self.node_id is None else [self.node_id]
-
-    def trace(self, node_id: str, name: str | None = None) -> MeasurementTrace:
-        """The file's rows as a trace named name (default node_id)."""
-        if node_id != self.node_id:
-            raise PhyskeyError(f"no rows for node {node_id!r} in {self.path or '<string>'}")
-        return MeasurementTrace(self.seq, self.rssi, node_id if name is None else name,
-                                self.frame_type)
 
 
 _CELLS = ("decimal int64 seq and rssi, frame_type PING, PONG or OBS, the first row's "
@@ -200,6 +191,15 @@ def _unlike_first(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     for k, byte in enumerate(first, start=-len(first)):
         differs |= b[hi + k] != byte  # as in _integers, a wrapped position is outside its cell
     return first.decode("utf-8", "surrogatepass"), differs
+
+
+def load_trace(path, name: str) -> MeasurementTrace:
+    """The one trace in the trace CSV at path, named name; a file with no
+    data rows raises."""
+    tf = TraceFile.load(path)
+    if tf.node_id is None:
+        raise PhyskeyError(f"{path}: no data rows")
+    return MeasurementTrace(tf.seq, tf.rssi, name, tf.frame_type)
 
 
 def trace_to_file(trace: MeasurementTrace) -> TraceFile:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from physkey.channel import ChannelConfig, family_config, simulate_run
 from physkey.cli import _load_config, main
 from physkey.errors import PhyskeyError
-from physkey.traces import MeasurementTrace, TraceFile, trace_to_file
+from physkey.traces import CSV_HEADER, MeasurementTrace, load_trace, trace_to_file
 
 
 @pytest.fixture()
@@ -28,7 +28,7 @@ def run_dir(tmp_path):
 
 def save_without(run_dir, role, seqs, name):
     """Save run_dir's trace of role, less the samples at seqs, as name.csv."""
-    trace = TraceFile.load(run_dir / f"{role}.csv").trace(role)
+    trace = load_trace(run_dir / f"{role}.csv", role)
     keep = ~np.isin(trace.seqs, list(seqs))
     path = run_dir / f"{name}.csv"
     trace_to_file(MeasurementTrace(trace.seqs[keep], trace.levels[keep], role,
@@ -211,6 +211,18 @@ def test_second_node_frame_or_repeated_seq_fails_closed(run_dir, capsys, row):
     assert code == 1
     assert captured.err.startswith(f"error: {path}:4: row {row!r} is not ")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["estimate-entropy", "ingest"])
+@pytest.mark.parametrize("body", ["", "\n\n"])
+def test_file_without_rows_fails_closed(run_dir, capsys, command, body):
+    path = run_dir / "empty.csv"
+    path.write_text(f"{CSV_HEADER}\n{body}")
+    other = {"estimate-entropy": "--eve", "ingest": "--bob"}[command]
+    code = main([command, "--alice", str(path), other, str(run_dir / "eve.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {path}: no data rows\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("command, target, message", [
@@ -622,3 +634,36 @@ def test_cli_import_loads_no_scipy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_commands_run_without_scipy(tmp_path):
+    # the walkthrough's commands in one process where importing scipy fails
+    src = Path(__file__).resolve().parent.parent / "src"
+    (tmp_path / "ch.json").write_text(json.dumps(
+        {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054, "levels": 9}}))
+    alice, bob, eve = (str(tmp_path / "sim" / f"{role}.csv") for role in ("alice", "bob", "eve"))
+    commands = [
+        ["plan", "--l", "128", "--lambda", "80", "--c", "1"],
+        ["simulate", "--config", str(tmp_path / "ch.json"), "--n", "4000", "--seed", "7",
+         "--out", str(tmp_path / "sim")],
+        ["estimate-entropy", "--alice", alice, "--eve", eve, "--levels", "9", "--slice", "100"],
+        ["fit-growth", "--alice", alice, "--bob", bob, "--eve", eve, "--levels", "9",
+         "--slice-samples", "200", "--step", "10"],
+        ["validate-assumptions", "--alice", alice, "--eve", eve, "--levels", "9"],
+        ["extract-key", "--alice", alice, "--bob", bob, "--l", "16", "--lambda", "2",
+         "--c", "0.05", "--seed", "21"],
+        ["report", "--input", str(tmp_path / "extract-key.json")],
+    ]
+    # each command's standard output goes to <command>.json in tmp_path
+    code = (f"import contextlib, json, sys; sys.modules['scipy'] = None; "
+            f"sys.path.insert(0, {str(src)!r}); from physkey.cli import main\n"
+            "codes = []\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            f"    with open({str(tmp_path)!r} + '/' + args[0] + '.json', 'w') as out, \\\n"
+            "            contextlib.redirect_stdout(out):\n"
+            "        codes.append(main(args))\n"
+            "print(codes)\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[0] * len(commands)}\n", proc.stderr

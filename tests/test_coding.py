@@ -266,7 +266,7 @@ class TestRecover:
             # miscorrection must not masquerade as success
             assert not np.array_equal(recovered, words)
         except UncorrectableBlockError as exc:
-            assert exc.block == 0
+            assert str(exc) == f"uncorrectable sketch: {exc.detail}"
 
     def test_failed_block_named_once(self, rng):
         code = RsCode(255, 229)
@@ -277,9 +277,8 @@ class TestRecover:
         with pytest.raises(UncorrectableBlockError) as info:
             rs_recover(noisy, sk)
         exc = info.value
-        assert exc.block == 0 and exc.detail
-        assert "uncorrectable block" not in exc.detail
-        assert str(exc) == f"uncorrectable block 0: {exc.detail}"
+        assert exc.detail and "uncorrectable" not in exc.detail
+        assert str(exc) == f"uncorrectable sketch: {exc.detail}"
 
     def test_length_mismatch(self, rng):
         sk = rs_sketch(rng.integers(0, 256, size=100), RsCode())
@@ -419,7 +418,7 @@ class TestPooledSketch:
             try:
                 recovered = ss_recover(self.noisy(rho, self.CODE.t + 1, rng), sk)
             except UncorrectableBlockError as exc:
-                assert exc.block == 0
+                assert str(exc) == f"uncorrectable sketch: {exc.detail}"
                 continue
             assert recovered != rho
 
@@ -707,7 +706,7 @@ class TestSeededOutputs:
         assert not result.success and result.bob_key is None
         assert result.n_corrected_bits == 0
         assert result.failure_reason == (
-            "uncorrectable block 0: locator has 1 roots among 6975 bits, expected 121")
+            "uncorrectable sketch: locator has 1 roots among 6975 bits, expected 121")
         # the candidates fell short of the locator degree, so every bit was searched
         assert sizes[-1] == 3 * self.PARAMS.n
 

@@ -14,7 +14,7 @@ from physkey.coding import BchCode, BchSketch, ss_sketch
 from physkey.errors import PhyskeyError
 from physkey.protocol import Transcript
 from physkey.quantize import BitString
-from physkey.traces import CSV_HEADER, FRAME_TYPES, TraceFile
+from physkey.traces import CSV_HEADER, FRAME_TYPES, MeasurementTrace, TraceFile
 
 FUZZ = settings(deadline=None, max_examples=150)
 
@@ -79,9 +79,9 @@ class TestTraceText:
     @given(trace_rows())
     def test_rows_parse_or_fail_closed(self, rows):
         tf = parses_or_fails_closed(TraceFile.parse, "\n".join([CSV_HEADER, *rows]))
-        if tf is not None:
-            for node_id in tf.node_ids():
-                tf.trace(node_id)  # a parsed file is one node's trace, seq strictly increasing
+        if tf is not None and tf.node_id is not None:
+            # a parsed file is one node's trace, seq strictly increasing
+            MeasurementTrace(tf.seq, tf.rssi, tf.node_id, tf.frame_type)
 
     @FUZZ
     @given(row_text)

@@ -335,7 +335,7 @@ class TestExchange:
         bob = make_trace(noisy, "bob")
         res = run_exchange(alice, bob, flat_params(255), seed=7)
         assert not res.success
-        assert "uncorrectable block" in res.failure_reason
+        assert "uncorrectable sketch" in res.failure_reason
         assert res.bob_key is None
 
     def test_deterministic(self, rng):
@@ -450,7 +450,7 @@ class TestPooledExchange:
             alice, bob = self.noisy_pair(rng, t + 1)
             res = run_exchange(alice, bob, self.PARAMS, seed=seed)
             assert not res.success
-            assert ("uncorrectable block 0" in res.failure_reason
+            assert (res.failure_reason.startswith("uncorrectable sketch: ")
                     or res.failure_reason == "key mismatch after reconciliation")
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from physkey.errors import PhyskeyError
 from physkey.traces import (CSV_HEADER, FRAME_TYPES, MeasurementTrace, TraceFile,
-                            assert_aligned, ingest_traces, make_trace, trace_to_file)
+                            assert_aligned, ingest_traces, load_trace, make_trace,
+                            trace_to_file)
 
 SAMPLE = """seq,node_id,frame_type,rssi
 1,alice,PING,-3
@@ -33,11 +36,9 @@ class TestTrace:
 class TestTraceFile:
     def test_parse(self):
         tf = TraceFile.parse(SAMPLE)
-        assert tf.node_ids() == ["alice"]
-        alice = tf.trace("alice")
-        assert np.array_equal(alice.seqs, [1, 2, 3, 5, 7])
-        assert np.array_equal(alice.levels, [-3, -4, -2, -5, -4])
-        assert alice.frame_type == "PING"
+        assert (tf.node_id, tf.frame_type) == ("alice", "PING")
+        assert np.array_equal(tf.seq, [1, 2, 3, 5, 7])
+        assert np.array_equal(tf.rssi, [-3, -4, -2, -5, -4])
 
     @pytest.mark.parametrize("row, line", [
         ("2,eve0,PING,-1", 3),  # a second node id
@@ -54,7 +55,7 @@ class TestTraceFile:
     def test_int64_ends_are_increasing(self):
         # seq[1:] - seq[:-1] would wrap to -1 here
         tf = TraceFile.parse(f"{CSV_HEADER}\n{-2 ** 63},a,OBS,0\n{2 ** 63 - 1},a,OBS,-1\n")
-        assert tf.trace("a").seqs.tolist() == [-2 ** 63, 2 ** 63 - 1]
+        assert tf.seq.tolist() == [-2 ** 63, 2 ** 63 - 1]
 
     def test_round_trip_identity(self):
         tf = TraceFile.parse(SAMPLE)
@@ -63,9 +64,9 @@ class TestTraceFile:
     def test_serialize_parse_fixpoint(self, rng):
         trace = make_trace(rng.integers(-8, 1, size=40), "bob", frame_type="PONG")
         text = trace_to_file(trace).serialize()
-        again = TraceFile.parse(text).trace("bob")
-        assert np.array_equal(again.levels, trace.levels)
-        assert np.array_equal(again.seqs, trace.seqs)
+        again = TraceFile.parse(text)
+        assert np.array_equal(again.rssi, trace.levels)
+        assert np.array_equal(again.seq, trace.seqs)
         assert TraceFile.parse(text).serialize() == text
 
     def test_missing_header(self):
@@ -104,6 +105,31 @@ class TestTraceFile:
             TraceFile.parse(f"{CSV_HEADER}\n{body}", "t.csv")
 
 
+class TestLoadTrace:
+    def test_loads_the_one_trace_under_the_given_name(self, tmp_path):
+        (tmp_path / "t.csv").write_text(SAMPLE)
+        trace = load_trace(tmp_path / "t.csv", "bob")
+        assert (trace.node_id, trace.frame_type) == ("bob", "PING")
+        assert np.array_equal(trace.seqs, [1, 2, 3, 5, 7])
+        assert np.array_equal(trace.levels, [-3, -4, -2, -5, -4])
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n\n"])
+    def test_file_without_rows_fails(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{CSV_HEADER}\n{body}")
+        with pytest.raises(PhyskeyError, match=f"^{re.escape(str(path))}: no data rows$"):
+            load_trace(path, "alice")
+
+    def test_reads_through_tracefile_load(self, tmp_path, monkeypatch):
+        # the benchmark times and counts every trace file read as TraceFile.load
+        (tmp_path / "t.csv").write_text(SAMPLE)
+        loaded = []
+        load = TraceFile.load
+        monkeypatch.setattr(TraceFile, "load", lambda path: loaded.append(path) or load(path))
+        load_trace(tmp_path / "t.csv", "alice")
+        assert loaded == [tmp_path / "t.csv"]
+
+
 class TestTraceWriter:
     @pytest.mark.parametrize("node_id, frame_type, field", [
         ("a,b", "OBS", "node_id"), ("a\nb", "OBS", "node_id"), ("a\rb", "PING", "node_id"),
@@ -125,10 +151,13 @@ class TestTraceWriter:
         path = tmp_path_factory.getbasetemp() / "written.csv"
         tf.save(path)
         for again in (TraceFile.parse(tf.serialize()), TraceFile.load(path)):
-            back = again.trace(node_id)
-            assert (back.node_id, back.frame_type) == (node_id, frame_type)
-            assert np.array_equal(back.seqs, trace.seqs)
-            assert np.array_equal(back.levels, trace.levels)
+            assert (again.node_id, again.frame_type) == (node_id, frame_type)
+            assert np.array_equal(again.seq, trace.seqs)
+            assert np.array_equal(again.rssi, trace.levels)
+        back = load_trace(path, node_id)
+        assert (back.node_id, back.frame_type) == (node_id, frame_type)
+        assert np.array_equal(back.seqs, trace.seqs)
+        assert np.array_equal(back.levels, trace.levels)
 
 
 class TestIngest:

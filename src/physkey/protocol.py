@@ -20,7 +20,7 @@ bits.
 
 The planner inverts the two fitted growth lines:
 
-* entropy condition     g(n) - 16*(6/5)*e(n) >= l + 2*lambda - 2,
+* entropy condition     g(n) - 16*(6/5)*o*e(n) >= l + 2*lambda - 2,
 * correctness condition e(n) >= 100*c   (Chernoff exponent for staying
   within a 6/5 error-budget margin),
 
@@ -28,13 +28,14 @@ and sizes one pooled binary BCH code over GF(2^m) for the 3n-bit residue
 string: m is the smallest field degree with 2^m - 1 >= 3n, and
 t = ceil((6/5) o e(n)) bit errors.  A level offset of o flips up to o bits
 of a residue word, so o is the largest offset the fitted traces showed,
-capped at 3, or 1 when that is unknown or at most 1.  The sketch is a
-function of Alice's levels of m*t bits, so it costs at most m*t bits of average min-entropy (Dodis, Ostrovsky, Reyzin
-and Smith, "Fuzzy extractors", 2008, Lemma 2.2b).  The report's residual
-charges those real m*t bits; at the reference point that is
-13 * 121 = 1573, within the 19.2 e(n) = 1920.4 the entropy condition
-budgets.  (Per-block Reed-Solomon capacity sized from
-the mean budget cannot clear both conditions at the reference rates; see
+capped at 3, or 1 when that is unknown or at most 1; the entropy
+condition charges the same o.  The sketch is a function of Alice's levels
+of m*t bits, so it costs at most m*t bits of average min-entropy (Dodis,
+Ostrovsky, Reyzin and Smith, "Fuzzy extractors", 2008, Lemma 2.2b).  The
+report's residual charges those real m*t bits; at the reference point
+that is 13 * 121 = 1573, within the 19.2 e(n) = 1920.4 the entropy
+condition budgets.  (Per-block Reed-Solomon capacity sized from the mean
+budget cannot clear both conditions at the reference rates; see
 tests/test_protocol.py::TestBlockwiseFeasibility.)
 
 The closed-form reference bound max(12.54*lambda + 6.27*l - 3.24,
@@ -78,8 +79,8 @@ REFERENCE_ERROR_FIT = LinearFit(slope=0.043, intercept=0.048)
 PUBLISHED_MARGIN_CONSTANT = 549.4
 
 
-def _check_security_targets(lambda_: float, c: float) -> None:
-    for name, value in (("lambda", lambda_), ("c", c)):
+def _check_security_targets(*targets) -> None:
+    for name, value in targets:
         if not (math.isfinite(value) and value >= 0):  # NaN fails both
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
@@ -92,15 +93,13 @@ class ProtocolParams:
     code: BchCode
     l: int
     lambda_: float
-    c: float
     entropy_fit: LinearFit
-    error_fit: LinearFit
     report: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1 or self.l < 1:
             raise ValueError("n and l must be >= 1")
-        _check_security_targets(self.lambda_, self.c)
+        _check_security_targets(("lambda", self.lambda_))
         bits = self.n * RESIDUE_BITS
         if not isinstance(self.code, BchCode) or self.code.n_sym < bits:
             raise ValueError(f"code must be a BchCode covering {bits} bits, got {self.code!r}")
@@ -222,28 +221,29 @@ def plan_parameters(l: int, lambda_: float, c: float,
     c = 0 disables the correctness condition (useful when probing the
     entropy bound alone).  The code corrects t = ceil((6/5) o e(n)) bits,
     where o, the residue bits one erring sample can flip, is
-    min(max_level_offset, MAX_RESIDUE_OFFSET) from 2 up and 1 otherwise.
+    min(max_level_offset, MAX_RESIDUE_OFFSET) from 2 up and 1 otherwise, and
+    the entropy condition that sizes n charges 16 o bits per budgeted error.
     The report's ``predicted_success_exact`` is the pooled sketch's success
     probability P[Binomial(n, e(n)/n) <= t // o] (a lower bound for o > 1),
-    next to the Chernoff figure ``predicted_correctness_bound``; ``feasible``
-    holds when the residual is certified, that probability reaches the
-    1 - e^-c target and ``max_level_offset``, the largest |alice - bob|
-    level offset the fitted traces showed (None: not measured, not
-    checked), is at most MAX_RESIDUE_OFFSET; ``infeasible_reasons`` names
+    next to the Chernoff figure ``predicted_correctness_bound``;
+    ``feasible`` holds when the residual is certified, that probability
+    reaches the 1 - e^-c target and ``max_level_offset``, the largest
+    |alice - bob| level offset the fitted traces showed (None: not measured,
+    not checked), is at most MAX_RESIDUE_OFFSET; ``infeasible_reasons`` names
     each condition that fails.  The code covers n residue words of
     ``RESIDUE_BITS`` bits.  A given ``n`` replaces the planned sample count;
-    the code and the report are then sized for it.  Raises ValueError
-    unless lambda_ and c are finite and >= 0 and max_level_offset is None
-    or >= 0, and InfeasiblePlanError when the fitted lines
-    cannot satisfy the conditions at any n, or when no supported code fits
-    the chosen n.
+    the code and the report are then sized for it.  Raises ValueError unless
+    lambda_ and c are finite and >= 0 and max_level_offset is None or >= 0,
+    and InfeasiblePlanError when the fitted lines cannot satisfy the
+    conditions at any n, or when no supported code fits the chosen n.
     """
-    _check_security_targets(lambda_, c)
+    _check_security_targets(("lambda", lambda_), ("c", c))
     if max_level_offset is not None and max_level_offset < 0:
         raise ValueError(f"max_level_offset must be >= 0, got {max_level_offset}")
     if entropy_fit.slope <= 0:
         raise InfeasiblePlanError("entropy fit must have positive slope")
-    loss_rate = SKETCH_BITS_PER_ERROR * ERROR_SAFETY_FACTOR  # 19.2 bits per e(n)
+    per_error = min(max_level_offset or 1, MAX_RESIDUE_OFFSET)  # o
+    loss_rate = SKETCH_BITS_PER_ERROR * ERROR_SAFETY_FACTOR * per_error  # 19.2 o bits per e(n)
     margin_slope = entropy_fit.slope - loss_rate * error_fit.slope
     margin_intercept = entropy_fit.intercept - loss_rate * error_fit.intercept
     need = l + 2.0 * lambda_ - 2.0
@@ -267,7 +267,6 @@ def plan_parameters(l: int, lambda_: float, c: float,
         raise ValueError("n must be >= 1")
 
     bits = n * RESIDUE_BITS
-    per_error = min(max_level_offset or 1, MAX_RESIDUE_OFFSET)  # o
     budget = ERROR_SAFETY_FACTOR * per_error * error_fit(n)
     try:
         code = BchCode.for_length(bits, max(1, math.ceil(budget - 1e-12)))
@@ -321,21 +320,20 @@ def plan_parameters(l: int, lambda_: float, c: float,
         "margin_constant_recomputed": recomputed_constant,
         "margin_constant_discrepancy": PUBLISHED_MARGIN_CONSTANT - recomputed_constant,
     }
-    return ProtocolParams(n=n, code=code, l=l, lambda_=lambda_, c=c,
-                          entropy_fit=entropy_fit, error_fit=error_fit,
-                          report=report)
+    return ProtocolParams(n=n, code=code, l=l, lambda_=lambda_,
+                          entropy_fit=entropy_fit, report=report)
 
 
 def alice_messages(alice: MeasurementTrace, params: ProtocolParams,
                    rng: np.random.Generator):
     """Alice's side: quantize, sketch the residue words, draw the extractor
-    seed, extract from the unary string."""
+    seed, extract from the unary string.  Returns (transcript, key)."""
     levels = alice.levels[:params.n]
     rho_a = embed_trace(levels)
     sketch = ss_sketch(residue_words(levels), params.code)
     seed = random_seed(rng, t=len(rho_a), l=params.l)
     key = extract(rho_a, seed)
-    return rho_a, Transcript(sketch, seed), key
+    return Transcript(sketch, seed), key
 
 
 def bob_respond(bob: MeasurementTrace, transcript: Transcript,
@@ -368,7 +366,7 @@ def run_exchange(alice: MeasurementTrace, bob: MeasurementTrace,
     if len(alice) < params.n:
         raise ValueError(f"traces hold {len(alice)} samples, plan needs {params.n}")
     rng = seeded_rng(seed)
-    _, transcript, alice_key = alice_messages(alice, params, rng)
+    transcript, alice_key = alice_messages(alice, params, rng)
     bob_key, corrected, reason = bob_respond(bob, transcript, params)
     success = bob_key is not None and bob_key == alice_key
     if bob_key is not None and reason is None and not success:

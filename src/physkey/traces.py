@@ -60,12 +60,10 @@ class MeasurementTrace:
         return int(self.seqs.size)
 
 
-def make_trace(levels, node_id: str = "node", seq_start: int = 0,
-               frame_type: str = "OBS") -> MeasurementTrace:
-    """Build a trace with consecutive sequence numbers from a level array."""
+def make_trace(levels, node_id: str = "node", frame_type: str = "OBS") -> MeasurementTrace:
+    """Build a trace with sequence numbers 0, 1, .. from a level array."""
     levels = np.asarray(levels, dtype=np.int64)
-    seqs = np.arange(seq_start, seq_start + levels.size, dtype=np.int64)
-    return MeasurementTrace(seqs, levels, node_id, frame_type)
+    return MeasurementTrace(np.arange(levels.size), levels, node_id, frame_type)
 
 
 def assert_aligned(*traces: MeasurementTrace) -> None:
@@ -209,8 +207,6 @@ def trace_to_file(trace: MeasurementTrace) -> TraceFile:
         raise ValueError(f"node_id {trace.node_id!r} holds a comma or a line break")
     if trace.frame_type not in FRAME_TYPES:
         raise ValueError(f"frame_type {trace.frame_type!r} is not PING, PONG or OBS")
-    if not len(trace):
-        return TraceFile(trace.seqs, trace.levels)
     return TraceFile(trace.seqs, trace.levels, trace.node_id, trace.frame_type)
 
 

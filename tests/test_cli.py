@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,8 @@ class TestFitGrowth:
     ("estimate-entropy", ["--slice", str(10 ** 20)],
      f"need at least {10 ** 20} aligned samples"),
     ("estimate-entropy", ["--slice", "0"], "slice length must be at least 1, got 0"),
+    # the run holds 4000 aligned samples, fewer than two slices of 2001
+    ("fit-growth", ["--slice-samples", "2001"], "need at least 4002 aligned samples"),
 ])
 def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
     roles = {"fit-growth": ["alice", "bob", "eve"],
@@ -335,6 +338,9 @@ def config_with(path, value):
     ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
                         "e": {"slope": 0.04, "intercept": 0.0}, "max_level_offset": -1},
      "max_level_offset must be >= 0, got -1"),
+    ("simulate", "--config", config_with(("bob_error",), {"-1": -0.1, "0": 1.1}),
+     "bob_error has a negative probability"),
+    ("simulate", "--config", config_with(("n",), 0), "n must be >= 1"),
     # raw text, not a document: nesting too deep for the JSON decoder
     *[pytest.param(command, flag, "[" * 100_000, "maximum recursion depth exceeded",
                    id=f"{command}-{flag}-deeply-nested")
@@ -452,10 +458,10 @@ class TestPlanAndExtract:
     def test_level_offset_guard(self, run_dir, capsys, offset):
         # the fits file's max_level_offset is copied into the plan; above 3 it
         # makes the plan infeasible, and missing or null it checks nothing.
-        # From 3 on the code budgets 3 bits per erring sample, whose m * t
-        # sketch bits this entropy line cannot pay for
+        # From 3 on the code and the entropy condition budget 3 bits per
+        # erring sample, which this error line leaves room for
         fits = {"g": {"slope": 0.985, "intercept": 1.467},
-                "e": {"slope": 0.043, "intercept": 0.048}}
+                "e": {"slope": 0.016, "intercept": 0.0}}
         if offset != "missing":
             fits["max_level_offset"] = offset
         (run_dir / "fits.json").write_text(json.dumps(fits))
@@ -467,12 +473,19 @@ class TestPlanAndExtract:
                            "--bob", run_dir / "bob.csv", "--seed", "21", "--n", "400",
                            *exponents)
         assert code == 0
+        o = 3 if offset in (3, 4) else 1
         for report in (plan, json.loads(out)["plan"]):
             assert report["max_level_offset"] == (None if offset == "missing" else offset)
-            priced = offset in (3, 4)
-            assert report["residual_certified"] is not priced
-            assert report["feasible"] is not priced
-            assert len(report["infeasible_reasons"]) == priced + (offset == 4)
+            assert report["code"]["t"] == math.ceil(1.2 * o * 0.016 * report["n"])
+            assert report["residual_certified"] is True
+            assert report["feasible"] is (offset != 4)
+            assert len(report["infeasible_reasons"]) == (offset == 4)
+        # on the reference error line 57.6 e(n) outgrows g(n) at every n
+        fits["e"] = {"slope": 0.043, "intercept": 0.048}
+        (run_dir / "fits.json").write_text(json.dumps(fits))
+        assert main(["plan", *map(str, exponents)]) == (1 if o == 3 else 0)
+        if o == 3:
+            assert "net entropy slope -" in capsys.readouterr().err
 
     def test_extract_key_round_trip(self, run_dir, capsys):
         code, out = invoke(capsys, "extract-key",

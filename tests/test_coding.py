@@ -391,6 +391,16 @@ class TestBchCode:
         with pytest.raises(ValueError, match="odd syndromes"):
             bch_decode(np.zeros(3, int), BchCode(10, 12), 900)
 
+    def test_decode_refuses_a_locator_longer_than_t(self):
+        # beyond capacity: Berlekamp-Massey gives this weight-6 pattern a
+        # locator of degree 6, which a t = 5 code cannot trust
+        code = BchCode(8, 5)
+        err = np.zeros(200, dtype=np.uint8)
+        err[[109, 140, 152, 154, 163, 165]] = 1
+        with pytest.raises(UncorrectableBlockError,
+                           match="^uncorrectable sketch: locator degree 6 exceeds t=5$"):
+            bch_decode(bch_syndrome(err, code), code, 200)
+
 
 class TestPooledSketch:
     CODE = BchCode.for_length(18600, 121)  # the reference operating point

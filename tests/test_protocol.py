@@ -127,12 +127,15 @@ class TestPlanner:
         ("lambda", math.inf, 1.0), ("lambda", math.nan, 1.0), ("lambda", -1.0, 1.0),
         ("c", 80.0, math.inf), ("c", 80.0, math.nan), ("c", 80.0, -0.5)])
     def test_exponents_must_be_finite_and_non_negative(self, name, lambda_, c):
+        # the plan takes both exponents; ProtocolParams keeps only lambda,
+        # which the ledger charges
         reason = f"{name} must be finite and >= 0"
         with pytest.raises(ValueError, match=reason):
             plan_parameters(l=128, lambda_=lambda_, c=c)
-        with pytest.raises(ValueError, match=reason):
-            ProtocolParams(n=100, code=BchCode(10, 7), l=16, lambda_=lambda_, c=c,
-                           entropy_fit=REFERENCE_ENTROPY_FIT, error_fit=REFERENCE_ERROR_FIT)
+        if name == "lambda":
+            with pytest.raises(ValueError, match=reason):
+                ProtocolParams(n=100, code=BchCode(10, 7), l=16, lambda_=lambda_,
+                               entropy_fit=REFERENCE_ENTROPY_FIT)
 
     @pytest.mark.parametrize("g, e", [
         (LinearFit(1.0, 0.0), LinearFit(0.01, 1e308)),   # the margin intercept is -inf
@@ -146,26 +149,36 @@ class TestPlanner:
     def test_level_offset_guard(self):
         # residue words name a level only within 3 of Bob's: a fitted channel
         # with larger offsets is infeasible, and an unmeasured one unchecked;
-        # an offset o of 2 or 3 flips up to o bits of a word, so the code
-        # budgets o bits per erring sample and the exact figure counts
-        # t // o erring samples
+        # an offset o of 2 or 3 flips up to o bits of a word, so the entropy
+        # condition and the code budget o bits per erring sample and the
+        # exact figure counts t // o erring samples
         base = plan_parameters(l=128, lambda_=80, c=1).report
         assert base["max_level_offset"] is None and base["infeasible_reasons"] == []
         for offset in (0, 1):
             rep = plan_parameters(l=128, lambda_=80, c=1, max_level_offset=offset).report
             assert rep == {**base, "max_level_offset": offset}
-        e_n = REFERENCE_ERROR_FIT(base["n"])
+        # on the reference lines 19.2 o e(n) outgrows g(n) from o = 2 on
         for offset in (2, 3, 4):
-            rep = plan_parameters(l=128, lambda_=80, c=1, max_level_offset=offset).report
-            o = min(offset, 3)
-            assert rep["n"] == base["n"]
-            assert rep["code"]["t"] == math.ceil(1.2 * o * e_n)
+            with pytest.raises(InfeasiblePlanError, match="net entropy slope -"):
+                plan_parameters(l=128, lambda_=80, c=1, max_level_offset=offset)
+        e = LinearFit(0.016, 0.0)
+        assert plan_parameters(l=128, lambda_=80, c=0.05, error_fit=e).n == 420
+        sizes = {}
+        for offset in (2, 3, 4):
+            rep = plan_parameters(l=128, lambda_=80, c=0.05, error_fit=e,
+                                  max_level_offset=offset).report
+            o, n = min(offset, 3), rep["n"]
+            sizes[offset] = n, rep["code"]["m"], rep["code"]["t"]
+            assert n == rep["entropy_bound_n"]
+            assert rep["code"]["t"] == math.ceil(1.2 * o * e(n))
+            assert rep["idealized_sketch_bits"] == pytest.approx(19.2 * o * e(n))
+            assert rep["sketch_bits"] <= rep["idealized_sketch_bits"]
             assert rep["predicted_success_exact"] == binomial_cdf(
-                rep["code"]["t"] // o, base["n"], e_n / base["n"])
-            # m * t sketch bits then exceed what the entropy line leaves
-            assert rep["residual_certified"] is False and rep["feasible"] is False
-            assert rep["infeasible_reasons"][0].startswith("predicted residual ")
-        assert rep["infeasible_reasons"][1:] == [
+                rep["code"]["t"] // o, n, e(n) / n)
+            assert rep["residual_certified"] is True
+            assert rep["feasible"] is (offset < 4)
+        assert sizes == {2: (768, 12, 30), 3: (4488, 14, 259), 4: (4488, 14, 259)}
+        assert rep["infeasible_reasons"] == [
             "max_level_offset 4 exceeds 3: a residue word names a level only within 3 "
             "of Bob's"]
         with pytest.raises(ValueError, match="max_level_offset must be >= 0, got -1"):
@@ -173,13 +186,14 @@ class TestPlanner:
 
     def test_infeasible_reasons_name_each_failed_condition(self):
         # at n = 50, with offsets priced at 3 bits per erring sample:
-        # g(50) = 50.717 less the 8 * 8 sketch bits falls short of
+        # g(50) = 125 less the 8 * 8 sketch bits falls short of
         # 64 + 2 * 2 - 2, and at most 8 // 3 erring samples hold with
         # probability ~0.62, short of 1 - e^-3
-        rep = plan_parameters(l=64, lambda_=2, c=3.0, n=50, max_level_offset=5).report
+        rep = plan_parameters(l=64, lambda_=2, c=3.0, entropy_fit=LinearFit(2.5, 0.0),
+                              n=50, max_level_offset=5).report
         assert rep["feasible"] is False
         assert rep["infeasible_reasons"] == [
-            "predicted residual -13.3 bits is below the required 66.0",
+            "predicted residual 61.0 bits is below the required 66.0",
             "predicted success 0.6221 is below the target 0.9502",
             "max_level_offset 5 exceeds 3: a residue word names a level only within 3 "
             "of Bob's"]
@@ -223,24 +237,21 @@ class TestPlannerAgainstExchanges:
             word_errors += differ
         predicted = params.report["predicted_success_exact"]
         assert successes >= binom.ppf(0.001, self.TRIALS, predicted), (successes, predicted)
-        rate = params.error_fit(params.n) / params.n
+        rate = REFERENCE_ERROR_FIT(params.n) / params.n
         assert word_errors <= binom.ppf(0.999, self.TRIALS * params.n, rate), \
             (word_errors, rate)
 
     @pytest.mark.parametrize("channel_seed", [3, 4])
-    def test_offsets_of_two_are_priced_in_bits(self, channel_seed):
+    def test_offsets_of_two_are_priced_in_bits(self, offset_two_channel, channel_seed):
         # Bob's levels err by exactly 2, which flips 2 bits of a residue
         # word: a plan that budgets one bit per erring sample predicts
         # 0.867 here, and 37 and 38 of 100 exchanges succeed at these seeds
-        cfg = replace(family_config(levels=9, spread=0.41325, band=2),
-                      bob_error={-2: 0.008, 0: 0.984, 2: 0.008})
-        fit_run = simulate_run(replace(cfg, n=20_000, seed=2))
-        offsets = fit_run.alice.levels - fit_run.bob.levels
-        params = plan_parameters(
-            l=16, lambda_=2, c=0.05, max_level_offset=int(np.abs(offsets).max()),
-            error_fit=LinearFit(np.count_nonzero(offsets) / offsets.size, 0.0))
+        cfg, error_fit, offset = offset_two_channel
+        params = plan_parameters(l=16, lambda_=2, c=0.05, error_fit=error_fit,
+                                 max_level_offset=offset)
         assert params.report["max_level_offset"] == 2
-        assert params.code.t == math.ceil(2.4 * params.error_fit(params.n))
+        assert params.n == 348  # the Chernoff line, not the entropy line, sets n
+        assert params.code.t == math.ceil(2.4 * error_fit(params.n))
         successes = 0
         for i in range(100):
             run = simulate_run(replace(cfg, n=params.n, seed=1000 * channel_seed + i))
@@ -297,9 +308,8 @@ def flat_params(n, code=None, l=16, lambda_=8.0):
     # a hand-set pooled code correcting 13 bit errors in the 3n-bit residue
     # string, over a field sized for 8n bits: wider than the string needs
     code = code or BchCode.for_length(8 * n, 13)
-    return ProtocolParams(n=n, code=code, l=l, lambda_=lambda_, c=0.0,
-                          entropy_fit=REFERENCE_ENTROPY_FIT,
-                          error_fit=REFERENCE_ERROR_FIT)
+    return ProtocolParams(n=n, code=code, l=l, lambda_=lambda_,
+                          entropy_fit=REFERENCE_ENTROPY_FIT)
 
 
 class TestExchange:
@@ -395,8 +405,8 @@ class TestExchange:
         bob_levels = levels.copy()
         bob_levels[rng.choice(120, size=5, replace=False)] += 1
         params = flat_params(120)
-        _, transcript, alice_key = alice_messages(make_trace(levels, "alice"), params,
-                                                  np.random.default_rng(3))
+        transcript, alice_key = alice_messages(make_trace(levels, "alice"), params,
+                                               np.random.default_rng(3))
         bob = make_trace(bob_levels, "bob")
         published = Transcript.from_bytes(transcript.to_bytes(), l=params.l)
         in_memory = bob_respond(bob, transcript, params)
@@ -474,6 +484,15 @@ class TestTranscript:
         seed = random_seed(rng, t=800, l=16)
         back = Transcript.from_bytes(sketch.to_bytes() + seed.to_hex().encode("ascii"), l=16)
         assert back.seed.t == 800 and back.sketch.n_bits == 300
+
+    def test_key_longer_than_the_seed_fails_closed(self, rng):
+        # an 815-bit seed holds keys of at most 815 bits: l = 816 leaves
+        # the Toeplitz matrix no input column
+        sketch = ss_sketch(BitString(rng.integers(0, 2, size=300)), BchCode(9, 6))
+        raw = sketch.to_bytes() + random_seed(rng, t=800, l=16).to_hex().encode("ascii")
+        with pytest.raises(SketchFormatError, match="^transcript seed field at byte [0-9]+: "
+                           "input and output lengths must be >= 1$"):
+            Transcript.from_bytes(raw, l=816)
 
     def test_pooled_bytes_round_trip(self, rng):
         params = plan_parameters(l=24, lambda_=2, c=0.05, n=100)

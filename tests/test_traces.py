@@ -28,7 +28,7 @@ class TestTrace:
         a = make_trace([0, -1], "alice")
         b = make_trace([0, -1], "bob")
         assert_aligned(a, b)
-        c = make_trace([0, -1], "bob", seq_start=5)
+        c = MeasurementTrace([5, 6], [0, -1], "bob")
         with pytest.raises(ValueError, match="sequence numbers"):
             assert_aligned(a, c)
 
@@ -138,12 +138,17 @@ class TestTraceWriter:
         with pytest.raises(ValueError, match=field):
             trace_to_file(make_trace([0, -1], node_id, frame_type=frame_type))
 
+    def test_empty_trace_writes_the_header_alone(self):
+        tf = trace_to_file(make_trace([], "alice"))
+        assert tf.serialize() == f"{CSV_HEADER}\n"
+        assert TraceFile.parse(tf.serialize()).node_id is None
+
     @settings(deadline=None, max_examples=150)
     @given(st.text(st.sampled_from(",\n\r a\u00e9") | st.characters(blacklist_categories=("Cs",)),
                    max_size=6),
            st.sampled_from(FRAME_TYPES + ("BEEP", "ping", "OBS ", "")))
     def test_writes_what_reads_back(self, tmp_path_factory, node_id, frame_type):
-        trace = make_trace([0, -3, -1], node_id, seq_start=7, frame_type=frame_type)
+        trace = MeasurementTrace([7, 8, 9], [0, -3, -1], node_id, frame_type)
         try:
             tf = trace_to_file(trace)
         except ValueError:
@@ -199,8 +204,8 @@ class TestIngest:
         assert aligned["bob"].levels.max() == 0
 
     def test_empty_intersection(self):
-        traces = {"alice": make_trace([0], "alice", seq_start=0),
-                  "bob": make_trace([0], "bob", seq_start=10)}
+        traces = {"alice": make_trace([0], "alice"),
+                  "bob": MeasurementTrace([10], [0], "bob")}
         with pytest.raises(PhyskeyError, match="empty"):
             ingest_traces(traces)
 

@@ -29,11 +29,11 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _load_aligned(paths: dict, **options):
+def _load_aligned(paths: dict, levels: int = LEVELS):
     """Load each role's single-node trace file and align them all with
-    ``ingest_traces(..., **options)``; returns its (traces, report) pair."""
+    ``ingest_traces`` at magnitude ``levels - 1``; returns its (traces, report) pair."""
     return ingest_traces({role: load_trace(path, role) for role, path in paths.items()},
-                         **options)
+                         magnitude=levels - 1)
 
 
 class _Fields(dict):
@@ -125,8 +125,7 @@ def _cmd_ingest(args) -> int:
     eves = args.eve or []
     roles = [f"eve{i}" for i in range(len(eves))] if len(eves) > 1 else ["eve"]
     aligned, report = _load_aligned(
-        {"alice": args.alice, "bob": args.bob, **dict(zip(roles, eves))},
-        eve_filter=args.eve_filter, magnitude=args.magnitude)
+        {"alice": args.alice, "bob": args.bob, **dict(zip(roles, eves))}, args.levels)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -138,8 +137,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_estimate_entropy(args) -> int:
-    aligned, report = _load_aligned({"alice": args.alice, "eve": args.eve},
-                                    eve_filter=True, magnitude=args.levels - 1)
+    aligned, report = _load_aligned({"alice": args.alice, "eve": args.eve}, args.levels)
     alice, eve = aligned["alice"], aligned["eve"]
     if len(eve) < args.slice:
         raise PhyskeyError(f"need at least {args.slice} aligned samples")
@@ -154,7 +152,7 @@ def _cmd_estimate_entropy(args) -> int:
 
 def _cmd_fit_growth(args) -> int:
     aligned, report = _load_aligned({"alice": args.alice, "bob": args.bob, "eve": args.eve},
-                                    eve_filter=True, magnitude=args.levels - 1)
+                                    args.levels)
     alice, bob, eve = aligned["alice"], aligned["bob"], aligned["eve"]
 
     slice_len, step = args.slice_samples, args.step
@@ -187,8 +185,7 @@ def _cmd_fit_growth(args) -> int:
 
 
 def _cmd_validate_assumptions(args) -> int:
-    aligned, report = _load_aligned({"alice": args.alice, "eve": args.eve},
-                                    eve_filter=True, magnitude=args.levels - 1)
+    aligned, report = _load_aligned({"alice": args.alice, "eve": args.eve}, args.levels)
     result = stats.validate_assumptions(
         aligned["alice"], aligned["eve"], alpha=args.alpha, trials=args.trials,
         slice_len=args.slice, max_lag=args.max_lag, levels=args.levels, seed=args.seed)
@@ -257,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alice", required=True)
     p.add_argument("--bob", required=True)
     p.add_argument("--eve", action="append")
-    p.add_argument("--eve-filter", action="store_true")
-    p.add_argument("--magnitude", type=int, default=BITS_PER_SAMPLE)
+    p.add_argument("--levels", type=int, default=LEVELS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ingest)
 

@@ -210,34 +210,29 @@ def trace_to_file(trace: MeasurementTrace) -> TraceFile:
     return TraceFile(trace.seqs, trace.levels, trace.node_id, trace.frame_type)
 
 
-def ingest_traces(traces: dict, eve_filter: bool = False,
-                  magnitude: int = BITS_PER_SAMPLE):
-    """Align traces on shared sequence numbers and clamp levels into [-magnitude, 0].
+def ingest_traces(traces: dict, magnitude: int = BITS_PER_SAMPLE):
+    """Keep the sequence numbers every trace holds and clamp levels into
+    [-magnitude, 0].
 
-    ``traces`` maps role -> MeasurementTrace; every role other than 'alice'
-    and 'bob' is an eavesdropper.  Only the sequence numbers seen by Alice,
-    by Bob when given and, with ``eve_filter``, by every eavesdropper are
-    kept, which takes 'alice' and, with ``eve_filter``, an eavesdropper,
-    else 'bob'.  ``magnitude`` must be at least 1.
+    ``traces`` maps role -> MeasurementTrace: 'alice' and at least one other
+    role, where every role other than 'alice' and 'bob' is an eavesdropper.
+    ``magnitude`` must be at least 1.
 
-    Returns (aligned role->trace dict, report dict with drop/clamp counts and
-    ``eve_ids``, the eavesdroppers that constrained the intersection).
+    Returns (aligned role->trace dict, whose traces share their sequence
+    numbers, and a report dict with drop/clamp counts and ``eve_ids``).
     """
-    required = [role for role in traces if eve_filter or role in ("alice", "bob")]
-    eve_ids = [role for role in required if role not in ("alice", "bob")]
-    if "alice" not in traces or not (eve_ids if eve_filter else "bob" in traces):
-        raise PhyskeyError("ingestion requires 'alice' and, under eve_filter, "
-                           "an eavesdropper trace, else 'bob'")
+    if "alice" not in traces or len(traces) < 2:
+        raise PhyskeyError("ingestion requires 'alice' and another trace")
     if magnitude < 1:
         raise PhyskeyError(f"magnitude must be at least 1 (2 levels), got {magnitude}")
 
     # sequence numbers are strictly increasing, so each trace's are unique
-    # and every required trace keeps all of the intersection
-    kept = traces[required[0]].seqs
-    for role in required[1:]:
-        kept = np.intersect1d(kept, traces[role].seqs, assume_unique=True)
+    first, *others = traces.values()
+    kept = first.seqs
+    for trace in others:
+        kept = np.intersect1d(kept, trace.seqs, assume_unique=True)
     if not kept.size:
-        raise PhyskeyError("empty sequence-number intersection across required traces")
+        raise PhyskeyError("empty sequence-number intersection across traces")
 
     aligned = {}
     dropped = {}
@@ -255,7 +250,6 @@ def ingest_traces(traces: dict, eve_filter: bool = False,
         "dropped": dropped,
         "clamped": clamped,
         "magnitude": magnitude,
-        "eve_filter": bool(eve_filter),
-        "eve_ids": eve_ids,
+        "eve_ids": [role for role in traces if role not in ("alice", "bob")],
     }
     return aligned, report

@@ -65,18 +65,31 @@ class TestIngest:
     def test_report(self, run_dir, capsys):
         code, out = invoke(capsys, "ingest", "--alice", run_dir / "alice.csv",
                            "--bob", run_dir / "bob.csv", "--eve", run_dir / "eve.csv",
-                           "--eve-filter", "--out", run_dir / "aligned")
+                           "--out", run_dir / "aligned")
         assert code == 0
         doc = json.loads(out)
         assert doc["kept"] == 4000
         assert (run_dir / "aligned" / "alice.csv").exists()
 
+    def test_writes_what_every_trace_holds(self, run_dir, capsys):
+        eve = save_without(run_dir, "eve", range(100, 110), "eve_gaps")
+        code, out = invoke(capsys, "ingest", "--alice", run_dir / "alice.csv",
+                           "--bob", run_dir / "bob.csv", "--eve", eve,
+                           "--out", run_dir / "aligned")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kept"] == 4000 - 10
+        assert doc["dropped"] == {"alice": 10, "bob": 10, "eve": 0}
+        seqs = [load_trace(run_dir / "aligned" / f"{role}.csv", role).seqs
+                for role in ("alice", "bob", "eve")]
+        assert seqs[0].size == 4000 - 10 and not np.isin(range(100, 110), seqs[0]).any()
+        assert all(np.array_equal(s, seqs[0]) for s in seqs[1:])
+
     def test_eve_filter_drops_what_any_eve_missed(self, run_dir, capsys):
         eves = [save_without(run_dir, "eve", range(10, 15), "eve_a"),   # has 15..19
                 save_without(run_dir, "eve", range(12, 20), "eve_b")]   # has 10, 11
         code, out = invoke(capsys, "ingest", "--alice", run_dir / "alice.csv",
-                           "--bob", run_dir / "bob.csv", "--eve", eves[0], "--eve", eves[1],
-                           "--eve-filter")
+                           "--bob", run_dir / "bob.csv", "--eve", eves[0], "--eve", eves[1])
         assert code == 0
         doc = json.loads(out)
         assert doc["kept"] == 4000 - 10
@@ -94,15 +107,6 @@ class TestIngest:
         with pytest.raises(SystemExit) as exc:
             main(["ingest", "--alice", "x.csv"])  # --bob missing
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize("magnitude", ["-1", "0"])
-    def test_magnitude_below_one_fails_closed(self, run_dir, capsys, magnitude):
-        code = main(["ingest", "--alice", str(run_dir / "alice.csv"),
-                     "--bob", str(run_dir / "bob.csv"), "--magnitude", magnitude])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error: magnitude must be at least 1")
-        assert captured.out == ""
 
 
 class TestEstimateEntropy:
@@ -129,7 +133,7 @@ def test_eve_view_reported_as_eve(run_dir, capsys, command):
     ingest = json.loads(out)["ingest"]
     assert ingest["kept"] == 4000 - 8
     assert ingest["dropped"] == {"alice": 3, "eve": 5}
-    assert ingest["eve_filter"] is True and ingest["eve_ids"] == ["eve"]
+    assert ingest["eve_ids"] == ["eve"]
 
 
 class TestFitGrowth:
@@ -151,40 +155,64 @@ class TestFitGrowth:
         (run_dir / "fits.json").write_text(json.dumps(doc))
 
 
+def case(label, *values):
+    """pytest.param of values whose id joins its string values, with label in
+    place of the one that is not a string.  A case's id is fixed where it is
+    written, so adding a case renames none."""
+    return pytest.param(*values, id="-".join(v if isinstance(v, str) else label
+                                             for v in values))
+
+
 @pytest.mark.parametrize("command, extra, reason", [
-    ("estimate-entropy", ["--slice", "0"], "at least 1"),
-    ("estimate-entropy", ["--slice", "-5"], "at least 1"),
-    ("fit-growth", ["--slice-samples", "0"], "at least 1"),
-    ("fit-growth", ["--step", "500"], "checkpoint"),
-    ("fit-growth", ["--step", "-10"], "checkpoint"),
-    ("validate-assumptions", ["--slice", "0"], "at least 1"),
-    ("fit-growth", ["--step", "0"], "--step must be at least 1"),
-    ("validate-assumptions", ["--trials", "0"], "trials must be at least 1"),
-    ("validate-assumptions", ["--max-lag", "0"], "max_lag must be at least 1"),
-    ("validate-assumptions", ["--max-lag", "-2"], "max_lag must be at least 1"),
-    *[(command, ["--levels", levels], "--levels must be at least 2")
-      for command in ("estimate-entropy", "fit-growth", "validate-assumptions")
-      for levels in ("0", "1")],
-    *[(command, ["--smoothing", smoothing], "smoothing must be finite and >= 0")
-      for command in ("estimate-entropy", "fit-growth") for smoothing in ("nan", "inf")],
-    *[("validate-assumptions", ["--alpha", alpha], "alpha must be in (0, 1)")
-      for alpha in ("1.5", "nan")],
-    ("fit-growth", ["--step", "101"],
-     "--step must be at least 1 and at most --slice-samples // 2 = 100"),
-    ("fit-growth", ["--slice-samples", "30", "--step", "16"],
-     "at most --slice-samples // 2 = 15 to place two checkpoints, got 16"),
-    *[(command, ["--seed", "-1"], "--seed must be >= 0, got -1")
-      for command in ("simulate", "extract-key", "validate-assumptions")],
-    *[(command, ["--levels", "257"], "--levels must be at most 256, got 257")
-      for command in ("estimate-entropy", "fit-growth", "validate-assumptions")],
-    ("estimate-entropy", ["--slice", str(10 ** 20)],
-     f"need at least {10 ** 20} aligned samples"),
-    ("estimate-entropy", ["--slice", "0"], "slice length must be at least 1, got 0"),
+    case("extra0", "estimate-entropy", ["--slice", "0"], "at least 1"),
+    case("extra1", "estimate-entropy", ["--slice", "-5"], "at least 1"),
+    case("extra2", "fit-growth", ["--slice-samples", "0"], "at least 1"),
+    case("extra3", "fit-growth", ["--step", "500"], "checkpoint"),
+    case("extra4", "fit-growth", ["--step", "-10"], "checkpoint"),
+    case("extra5", "validate-assumptions", ["--slice", "0"], "at least 1"),
+    case("extra6", "fit-growth", ["--step", "0"], "--step must be at least 1"),
+    case("extra7", "validate-assumptions", ["--trials", "0"], "trials must be at least 1"),
+    case("extra8", "validate-assumptions", ["--max-lag", "0"], "max_lag must be at least 1"),
+    case("extra9", "validate-assumptions", ["--max-lag", "-2"], "max_lag must be at least 1"),
+    case("extra10", "estimate-entropy", ["--levels", "0"], "--levels must be at least 2"),
+    case("extra11", "estimate-entropy", ["--levels", "1"], "--levels must be at least 2"),
+    case("extra12", "fit-growth", ["--levels", "0"], "--levels must be at least 2"),
+    case("extra13", "fit-growth", ["--levels", "1"], "--levels must be at least 2"),
+    case("extra14", "validate-assumptions", ["--levels", "0"], "--levels must be at least 2"),
+    case("extra15", "validate-assumptions", ["--levels", "1"], "--levels must be at least 2"),
+    case("extra16", "estimate-entropy", ["--smoothing", "nan"],
+         "smoothing must be finite and >= 0"),
+    case("extra17", "estimate-entropy", ["--smoothing", "inf"],
+         "smoothing must be finite and >= 0"),
+    case("extra18", "fit-growth", ["--smoothing", "nan"], "smoothing must be finite and >= 0"),
+    case("extra19", "fit-growth", ["--smoothing", "inf"], "smoothing must be finite and >= 0"),
+    case("extra20", "validate-assumptions", ["--alpha", "1.5"], "alpha must be in (0, 1)"),
+    case("extra21", "validate-assumptions", ["--alpha", "nan"], "alpha must be in (0, 1)"),
+    case("extra22", "fit-growth", ["--step", "101"],
+         "--step must be at least 1 and at most --slice-samples // 2 = 100"),
+    case("extra23", "fit-growth", ["--slice-samples", "30", "--step", "16"],
+         "at most --slice-samples // 2 = 15 to place two checkpoints, got 16"),
+    case("extra24", "simulate", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    case("extra25", "extract-key", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    case("extra26", "validate-assumptions", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    case("extra27", "estimate-entropy", ["--levels", "257"],
+         "--levels must be at most 256, got 257"),
+    case("extra28", "fit-growth", ["--levels", "257"], "--levels must be at most 256, got 257"),
+    case("extra29", "validate-assumptions", ["--levels", "257"],
+         "--levels must be at most 256, got 257"),
+    case("extra30", "estimate-entropy", ["--slice", str(10 ** 20)],
+         f"need at least {10 ** 20} aligned samples"),
+    case("extra31", "estimate-entropy", ["--slice", "0"],
+         "slice length must be at least 1, got 0"),
     # the run holds 4000 aligned samples, fewer than two slices of 2001
-    ("fit-growth", ["--slice-samples", "2001"], "need at least 4002 aligned samples"),
+    case("extra32", "fit-growth", ["--slice-samples", "2001"],
+         "need at least 4002 aligned samples"),
+    case("levels0", "ingest", ["--levels", "0"], "--levels must be at least 2"),
+    case("levels1", "ingest", ["--levels", "1"], "--levels must be at least 2"),
+    case("levels257", "ingest", ["--levels", "257"], "--levels must be at most 256, got 257"),
 ])
 def test_bad_slice_or_step_fails_closed(run_dir, capsys, command, extra, reason):
-    roles = {"fit-growth": ["alice", "bob", "eve"],
+    roles = {"fit-growth": ["alice", "bob", "eve"], "ingest": ["alice", "bob", "eve"],
              "extract-key": ["alice", "bob"]}.get(command, ["alice", "eve"])
     args = [a for role in roles for a in (f"--{role}", run_dir / f"{role}.csv")]
     if command == "simulate":
@@ -268,79 +296,89 @@ def config_with(path, value):
 
 
 @pytest.mark.parametrize("command, flag, doc, reason", [
-    ("plan", "--fits", {}, "missing field 'g'"),
-    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0}, "e": {}},
-     "missing field 'slope'"),
-    ("plan", "--fits", [1, 2], "expected a JSON object"),
-    ("simulate", "--config", {}, "missing field 'model'"),
-    ("simulate", "--config", {"calibrate": {}}, "missing field 'entropy_rate'"),
-    ("simulate", "--config", {"calibrate": 5}, "not subscriptable"),
-    ("simulate", "--config", [1, 2], "expected a JSON object"),
-    ("simulate", "--config", {"calibrate": 5}, "field 'calibrate' has the wrong type"),
-    ("plan", "--fits", {"g": [1.0], "e": {}}, "field 'g' has the wrong type"),
-    ("simulate", "--config", config_with(("n",), True), "field 'n' has the wrong type"),
-    ("simulate", "--config", config_with(("seed",), False), "field 'seed' has the wrong type"),
-    ("simulate", "--config", config_with(("model", "k"), True),
-     "field 'model.k' has the wrong type"),
-    ("simulate", "--config", config_with(("model", "k"), None),
-     "field 'model.k' has the wrong type"),
-    ("simulate", "--config", config_with(("model", "m"), None),
-     "field 'model.m' has the wrong type"),
-    ("simulate", "--config", config_with(("model", "states"), "012"),
-     "field 'model.states' has the wrong type"),
-    ("simulate", "--config", config_with(("model", "symbols"), {"0": 1, "1": 2, "2": 3}),
-     "field 'model.symbols' has the wrong type"),
-    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
-                                            "levels": True}},
-     "field 'calibrate.levels' has the wrong type"),
-    ("simulate", "--config", config_with(("model", "states"), [0.5, 1.5, 2.5]),
-     "field 'model.states' has the wrong type: expected an integer, got 0.5"),
-    ("simulate", "--config", config_with(("model", "symbols"), [-2, -1, 0.7]),
-     "field 'model.symbols' has the wrong type: expected an integer, got 0.7"),
-    ("simulate", "--config", config_with(("model", "states"), ["-2", "-1", "0"]),
-     "field 'model.states' has the wrong type"),
-    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": float("inf")}, "e": {}},
-     "field 'g.intercept' has the wrong type: expected a finite number, got inf"),
-    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": float("nan")}, "e": {}},
-     "field 'g.intercept' has the wrong type: expected a finite number, got nan"),
-    ("plan", "--fits", {"g": {"slope": True, "intercept": 0.0}, "e": {}},
-     "field 'g.slope' has the wrong type: expected a finite number, got True"),
-    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
-                        "e": {"slope": "0.04", "intercept": 0.0}},
-     "field 'e.slope' has the wrong type: expected a finite number, got '0.04'"),
-    ("simulate", "--config", config_with(("bob_error", "0"), True),
-     "field 'bob_error' has the wrong type: expected a number, got True"),
-    ("simulate", "--config", {"calibrate": {"entropy_rate": "0.1248", "word_error_rate": 0.0054}},
-     "field 'calibrate.entropy_rate' has the wrong type: expected a finite number, got '0.1248'"),
-    ("simulate", "--config", config_with(("model", "pi"), [True, False, False]),
-     "field 'model.pi' has the wrong type: expected a number, got True"),
-    ("simulate", "--config", config_with(("model", "trans"), [[True, False, False]] * 3),
-     "field 'model.trans' has the wrong type: expected a number, got True"),
-    ("simulate", "--config",
-     config_with(("model", "emit", 0), [str(p) for p in SMALL_CONFIG["model"]["emit"][0]]),
-     "field 'model.emit' has the wrong type: expected a number, got '"),
-    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
-                                            "levels": 0}},
-     "calibration failed: levels must be at least 2, got 0"),
-    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
-                                            "levels": -3}},
-     "calibration failed: levels must be at least 2, got -3"),
-    ("simulate", "--config", config_with(("seed",), -1), "seed must be >= 0, got -1"),
-    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
-                                            "seed": -1}},
-     "calibration failed: seed must be >= 0, got -1"),
-    ("simulate", "--config", {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054,
-                                            "levels": 257}},
-     "calibration failed: levels must be at most 256, got 257"),
-    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
-                        "e": {"slope": 0.04, "intercept": 0.0}, "max_level_offset": 1.5},
-     "field 'max_level_offset' has the wrong type: expected an integer, got 1.5"),
-    ("plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
-                        "e": {"slope": 0.04, "intercept": 0.0}, "max_level_offset": -1},
-     "max_level_offset must be >= 0, got -1"),
-    ("simulate", "--config", config_with(("bob_error",), {"-1": -0.1, "0": 1.1}),
-     "bob_error has a negative probability"),
-    ("simulate", "--config", config_with(("n",), 0), "n must be >= 1"),
+    case("doc0", "plan", "--fits", {}, "missing field 'g'"),
+    case("doc1", "plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0}, "e": {}},
+         "missing field 'slope'"),
+    case("doc2", "plan", "--fits", [1, 2], "expected a JSON object"),
+    case("doc3", "simulate", "--config", {}, "missing field 'model'"),
+    case("doc4", "simulate", "--config", {"calibrate": {}}, "missing field 'entropy_rate'"),
+    case("doc5", "simulate", "--config", {"calibrate": 5}, "not subscriptable"),
+    case("doc6", "simulate", "--config", [1, 2], "expected a JSON object"),
+    case("doc7", "simulate", "--config", {"calibrate": 5},
+         "field 'calibrate' has the wrong type"),
+    case("doc8", "plan", "--fits", {"g": [1.0], "e": {}}, "field 'g' has the wrong type"),
+    case("doc9", "simulate", "--config", config_with(("n",), True),
+         "field 'n' has the wrong type"),
+    case("doc10", "simulate", "--config", config_with(("seed",), False),
+         "field 'seed' has the wrong type"),
+    case("doc11", "simulate", "--config", config_with(("model", "k"), True),
+         "field 'model.k' has the wrong type"),
+    case("doc12", "simulate", "--config", config_with(("model", "k"), None),
+         "field 'model.k' has the wrong type"),
+    case("doc13", "simulate", "--config", config_with(("model", "m"), None),
+         "field 'model.m' has the wrong type"),
+    case("doc14", "simulate", "--config", config_with(("model", "states"), "012"),
+         "field 'model.states' has the wrong type"),
+    case("doc15", "simulate", "--config",
+         config_with(("model", "symbols"), {"0": 1, "1": 2, "2": 3}),
+         "field 'model.symbols' has the wrong type"),
+    case("doc16", "simulate", "--config",
+         {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054, "levels": True}},
+         "field 'calibrate.levels' has the wrong type"),
+    case("doc17", "simulate", "--config", config_with(("model", "states"), [0.5, 1.5, 2.5]),
+         "field 'model.states' has the wrong type: expected an integer, got 0.5"),
+    case("doc18", "simulate", "--config", config_with(("model", "symbols"), [-2, -1, 0.7]),
+         "field 'model.symbols' has the wrong type: expected an integer, got 0.7"),
+    case("doc19", "simulate", "--config", config_with(("model", "states"), ["-2", "-1", "0"]),
+         "field 'model.states' has the wrong type"),
+    case("doc20", "plan", "--fits", {"g": {"slope": 1.0, "intercept": float("inf")}, "e": {}},
+         "field 'g.intercept' has the wrong type: expected a finite number, got inf"),
+    case("doc21", "plan", "--fits", {"g": {"slope": 1.0, "intercept": float("nan")}, "e": {}},
+         "field 'g.intercept' has the wrong type: expected a finite number, got nan"),
+    case("doc22", "plan", "--fits", {"g": {"slope": True, "intercept": 0.0}, "e": {}},
+         "field 'g.slope' has the wrong type: expected a finite number, got True"),
+    case("doc23", "plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
+                                     "e": {"slope": "0.04", "intercept": 0.0}},
+         "field 'e.slope' has the wrong type: expected a finite number, got '0.04'"),
+    case("doc24", "simulate", "--config", config_with(("bob_error", "0"), True),
+         "field 'bob_error' has the wrong type: expected a number, got True"),
+    case("doc25", "simulate", "--config",
+         {"calibrate": {"entropy_rate": "0.1248", "word_error_rate": 0.0054}},
+         "field 'calibrate.entropy_rate' has the wrong type: expected a finite number, "
+         "got '0.1248'"),
+    case("doc26", "simulate", "--config", config_with(("model", "pi"), [True, False, False]),
+         "field 'model.pi' has the wrong type: expected a number, got True"),
+    case("doc27", "simulate", "--config",
+         config_with(("model", "trans"), [[True, False, False]] * 3),
+         "field 'model.trans' has the wrong type: expected a number, got True"),
+    case("doc28", "simulate", "--config",
+         config_with(("model", "emit", 0), [str(p) for p in SMALL_CONFIG["model"]["emit"][0]]),
+         "field 'model.emit' has the wrong type: expected a number, got '"),
+    case("doc29", "simulate", "--config",
+         {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054, "levels": 0}},
+         "calibration failed: levels must be at least 2, got 0"),
+    case("doc30", "simulate", "--config",
+         {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054, "levels": -3}},
+         "calibration failed: levels must be at least 2, got -3"),
+    case("doc31", "simulate", "--config", config_with(("seed",), -1),
+         "seed must be >= 0, got -1"),
+    case("doc32", "simulate", "--config",
+         {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054, "seed": -1}},
+         "calibration failed: seed must be >= 0, got -1"),
+    case("doc33", "simulate", "--config",
+         {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.0054, "levels": 257}},
+         "calibration failed: levels must be at most 256, got 257"),
+    case("doc34", "plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
+                                     "e": {"slope": 0.04, "intercept": 0.0},
+                                     "max_level_offset": 1.5},
+         "field 'max_level_offset' has the wrong type: expected an integer, got 1.5"),
+    case("doc35", "plan", "--fits", {"g": {"slope": 1.0, "intercept": 0.0},
+                                     "e": {"slope": 0.04, "intercept": 0.0},
+                                     "max_level_offset": -1},
+         "max_level_offset must be >= 0, got -1"),
+    case("doc36", "simulate", "--config", config_with(("bob_error",), {"-1": -0.1, "0": 1.1}),
+         "bob_error has a negative probability"),
+    case("doc37", "simulate", "--config", config_with(("n",), 0), "n must be >= 1"),
     # raw text, not a document: nesting too deep for the JSON decoder
     *[pytest.param(command, flag, "[" * 100_000, "maximum recursion depth exceeded",
                    id=f"{command}-{flag}-deeply-nested")
@@ -531,6 +569,20 @@ def test_non_finite_exponent_fails_closed(run_dir, capsys, command, flag, value)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["plan", "extract-key"])
+@pytest.mark.parametrize("l", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+def test_oversized_key_length_fails_closed(run_dir, capsys, command, l):
+    # an l no float holds, checked before the planner sizes anything
+    extra = {"plan": [],
+             "extract-key": ["--alice", run_dir / "alice.csv", "--bob", run_dir / "bob.csv",
+                             "--seed", "21"]}[command]
+    code = main([command, *map(str, extra), "--l", str(l), "--lambda", "80", "--c", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: l of 1329 bits does not fit a float\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("fits", [
     {"g": {"slope": 1, "intercept": 0}, "e": {"slope": 0.01, "intercept": 1e308}},
     {"g": {"slope": 1e-320, "intercept": 0}, "e": {"slope": 0, "intercept": 0}}])
@@ -596,16 +648,15 @@ class TestSeededOutputs:
 
     COMMANDS = {  # name: (argv after the trace flags, sha256 of stdout)
         "estimate-entropy": (["--levels", "9"],
-                             "bbe8b9d2360b87358369004f84d764e2dc790c3740944a0bb74cf8018aa27e89"),
+                             "50aa7df1a85ba6afcfc8036e80d8f583c0179d1789c5c80a5472a5521ba77f11"),
         "fit-growth": (["--levels", "9", "--slice-samples", "200", "--step", "20"],
-                       "a276cc38c49c7ae9b18650ad4a67cc7b0c794bc900590a4759e8a60752dce766"),
+                       "e9ec3bb844b2e4dfcfca0f4f0ab6d1ff0da4248e13c43e9061678aa6f29c4e8b"),
         "validate-assumptions": (
-            [], "9f60b97250bc305be5c7fcca71a57a6056bb8ae16dd34b88f744ca83768d6904"),
+            [], "2c32b4dd1216021e6ac3e3bd8ade953d4e93208ec7554315f91c05f38e5fdf01"),
         "validate-assumptions --trials 37 --seed 9": (
             ["--trials", "37", "--seed", "9"],
-            "afc25ae47997ac4f1187d570ac6638abb1d7f5187085be533cd4baa03aba0722"),
-        "ingest --eve-filter": (
-            ["--eve-filter"], "fade55bb10c9000444570da6c09c48c87958c5f7ba0ae66899bbfa2471ba4d4b"),
+            "86c18b7c5dfedd401f25b7d93dd99c37a3d0d24c8c3a1661f039fbacd144b4f6"),
+        "ingest": ([], "c7ba80cbb61e398f32e1b2468fbde2e4f4036ca3f6293aa6d0c13615534da30b"),
         "extract-key": (
             ["--l", "16", "--lambda", "2", "--c", "0.05", "--seed", "21"],
             "c857f9a3019e5ca6b10cb13204cf28757003991dc4ea05e384ffb1aba52d8f9d"),

@@ -181,19 +181,12 @@ class TestIngest:
         assert report["dropped"] == {"alice": 0, "bob": 0}
 
     def test_intersection(self):
-        aligned, report = ingest_traces(self.trio(), eve_filter=True)
+        aligned, report = ingest_traces(self.trio())
         assert report["kept"] == 1
         assert report["eve_ids"] == ["eve"]
         assert np.array_equal(aligned["alice"].seqs, [2])
         assert np.array_equal(aligned["bob"].seqs, [2])
         assert np.array_equal(aligned["eve"].seqs, [2])
-
-    def test_without_eve_filter(self):
-        aligned, report = ingest_traces(self.trio(), eve_filter=False)
-        assert report["kept"] == 2  # alice {0,1,2} & bob {1,2,3}
-        assert report["eve_ids"] == []
-        assert np.array_equal(aligned["alice"].seqs, [1, 2])
-        assert len(aligned["eve"]) == 1  # eve keeps what it saw of the kept set
 
     def test_clamping_counted(self):
         traces = {"alice": make_trace([-30, -2], "alice"),
@@ -202,6 +195,11 @@ class TestIngest:
         assert report["clamped"] == 2
         assert aligned["alice"].levels.min() == -8
         assert aligned["bob"].levels.max() == 0
+
+    @pytest.mark.parametrize("magnitude", [-1, 0])
+    def test_magnitude_below_one_fails_closed(self, magnitude):
+        with pytest.raises(PhyskeyError, match=f"^magnitude must be at least 1 .* {magnitude}$"):
+            ingest_traces(self.trio(), magnitude=magnitude)
 
     def test_empty_intersection(self):
         traces = {"alice": make_trace([0], "alice"),
@@ -212,14 +210,13 @@ class TestIngest:
     def test_requires_alice_and_bob(self):
         with pytest.raises(PhyskeyError, match="requires"):
             ingest_traces({"alice": make_trace([0], "alice")})
-        # without the filter an eavesdropper constrains nothing
         with pytest.raises(PhyskeyError, match="requires"):
-            ingest_traces({"alice": make_trace([0], "alice"), "eve": make_trace([0], "eve")})
+            ingest_traces({"bob": make_trace([0], "bob"), "eve": make_trace([0], "eve")})
 
-    def test_eve_filter_aligns_without_bob(self):
+    def test_aligns_without_bob(self):
         traces = {"alice": make_trace([-1, -2, -3], "alice"),                 # seqs 0,1,2
                   "eve": MeasurementTrace(np.array([1, 2, 5]), np.array([-4, -5, -6]), "eve")}
-        aligned, report = ingest_traces(traces, eve_filter=True)
+        aligned, report = ingest_traces(traces)
         assert np.array_equal(aligned["alice"].seqs, [1, 2])
         assert np.array_equal(aligned["eve"].levels, [-4, -5])
         assert report["dropped"] == {"alice": 1, "eve": 1}
@@ -229,14 +226,14 @@ class TestIngest:
         traces = {**self.trio(),
                   "eve2": MeasurementTrace(np.array([1, 2]), np.array([-1, -1]), "eve2")}
         traces["eve"] = MeasurementTrace(np.array([1, 3]), np.array([-5, -5]), "eve")
-        aligned, report = ingest_traces(traces, eve_filter=True)
+        aligned, report = ingest_traces(traces)
         assert report["kept"] == 1  # alice {0,1,2} & bob {1,2,3} & eve {1,3} & eve2 {1,2}
         assert all(np.array_equal(t.seqs, [1]) for t in aligned.values())
         assert report["eve_ids"] == ["eve", "eve2"]
 
     def test_order_insensitive(self):
         t = self.trio()
-        a1, _ = ingest_traces(dict(t), eve_filter=True)
-        a2, _ = ingest_traces(dict(reversed(list(t.items()))), eve_filter=True)
+        a1, _ = ingest_traces(dict(t))
+        a2, _ = ingest_traces(dict(reversed(list(t.items()))))
         for role in t:
             assert np.array_equal(a1[role].levels, a2[role].levels)

@@ -81,10 +81,17 @@ class ChannelConfig:
     def from_dict(cls, d: dict) -> "ChannelConfig":
         return cls(model=HmmModel.from_dict(d["model"]),
                    # a non-finite probability fails the sum check, which names it
-                   bob_error={int(k): json_float(v, finite=False)
+                   bob_error={_offset_key(k): json_float(v, finite=False)
                               for k, v in d["bob_error"].items()},
                    n=json_int(d["n"]), seed=json_int(d.get("seed", 0)),
                    calibration=dict(d.get("calibration", {})))
+
+
+def _offset_key(key: str) -> int:
+    # the one form to_dict writes, str(offset); int() also reads "01", "+1", " 1" and "1_0"
+    if key.removeprefix("-").isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"bob_error key {key!r} is not an integer offset")
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,7 @@ def _cmd_estimate_entropy(args) -> int:
     alice, eve = aligned["alice"], aligned["eve"]
     if len(eve) < args.slice:
         raise PhyskeyError(f"need at least {args.slice} aligned samples")
-    model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,
-                                    smoothing=args.smoothing)
+    model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels)
     experiments = hmm.slice_experiments(model, eve.levels, args.slice)
     est = hmm.estimate_avg_conditional_min_entropy(model, experiments)
     _emit({"estimate": est.to_dict(), "levels": args.levels,
@@ -161,8 +160,7 @@ def _cmd_fit_growth(args) -> int:
                            f"{slice_len // 2} to place two checkpoints, got {step}")
     if len(alice) < 2 * slice_len:
         raise PhyskeyError(f"need at least {2 * slice_len} aligned samples")
-    model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels,
-                                    smoothing=args.smoothing)
+    model = hmm.fit_hmm_from_traces(alice, eve, levels=args.levels)
     experiments = hmm.slice_experiments(model, eve.levels, slice_len)
     n_slices = len(experiments)
     checkpoints = list(range(step, slice_len + 1, step))
@@ -189,8 +187,6 @@ def _cmd_validate_assumptions(args) -> int:
     result = stats.validate_assumptions(
         aligned["alice"], aligned["eve"], alpha=args.alpha, trials=args.trials,
         slice_len=args.slice, max_lag=args.max_lag, levels=args.levels, seed=args.seed)
-    if args.lag_csv:
-        Path(args.lag_csv).write_text(result.markov_lag_profile.to_csv())
     doc = result.to_dict()
     doc["ingest"] = report
     _emit(doc)
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eve", required=True)
     p.add_argument("--levels", type=int, default=LEVELS)
     p.add_argument("--slice", type=int, default=hmm.SLICE_LEN)
-    p.add_argument("--smoothing", type=float, default=0.0)
     p.set_defaults(func=_cmd_estimate_entropy)
 
     p = sub.add_parser("fit-growth", help="fit entropy and word-error growth lines")
@@ -273,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=LEVELS)
     p.add_argument("--slice-samples", type=int, default=200)
     p.add_argument("--step", type=int, default=10)
-    p.add_argument("--smoothing", type=float, default=0.0)
     p.add_argument("--out-csv")
     p.set_defaults(func=_cmd_fit_growth)
 
@@ -286,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lag", type=int, default=6)
     p.add_argument("--levels", type=int, default=LEVELS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lag-csv")
     p.set_defaults(func=_cmd_validate_assumptions)
 
     p = sub.add_parser("plan", help="choose sample count and code for a key length")

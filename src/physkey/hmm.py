@@ -402,19 +402,17 @@ def level_states(levels: int) -> tuple:
 
 
 def fit_hmm_from_traces(hidden: MeasurementTrace, observed: MeasurementTrace,
-                        levels: int, smoothing: float = 0.0) -> HmmModel:
+                        levels: int) -> HmmModel:
     """Counting estimators for pi, transitions and emissions from paired traces.
 
-    a_ij = (#(i -> j) + smoothing) / (#i as predecessor + k * smoothing) and
-    likewise for emissions; pi is the empirical marginal of the hidden levels.
-    With zero smoothing, rows of unvisited states fall back to uniform and a
-    warning is issued.
+    a_ij = #(i -> j) / #i as predecessor and likewise for emissions; pi is
+    the empirical marginal of the hidden levels.  Rows of unvisited states
+    fall back to uniform and a warning is issued.  Every analysis command
+    (estimate-entropy, fit-growth, validate-assumptions) fits this one model.
     """
     assert_aligned(hidden, observed)
     if len(hidden) < 2:
         raise ValueError("need at least 2 aligned samples to count transitions")
-    if not 0 <= smoothing < math.inf:  # NaN fails too
-        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     states = level_states(levels)
     k = m = levels
     lo = states[0]
@@ -434,10 +432,9 @@ def fit_hmm_from_traces(hidden: MeasurementTrace, observed: MeasurementTrace,
     emit_counts = np.bincount(h * m + o, minlength=k * m).reshape(k, m).astype(float)
 
     def normalize(counts, width, what):
-        sm = counts + smoothing
-        denom = sm.sum(axis=1, keepdims=True)
+        denom = counts.sum(axis=1, keepdims=True)
         seen = denom > 0
-        rows = np.divide(sm, denom, out=np.full_like(sm, 1.0 / width), where=seen)
+        rows = np.divide(counts, denom, out=np.full_like(counts, 1.0 / width), where=seen)
         empty = [states[i] for i in np.flatnonzero(~seen)]
         if empty:
             warnings.warn(

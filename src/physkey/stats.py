@@ -121,12 +121,6 @@ class CorrelationReport:
     r: list
     significant: list
 
-    def to_csv(self) -> str:
-        lines = ["lag,r,significant"]
-        for lag, r, sig in zip(self.lags, self.r, self.significant):
-            lines.append(f"{lag},{r:.6f},{int(sig)}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class KsReport:
@@ -233,7 +227,10 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     conditional-observation test), ``slice_len``-sample entropy
     experiments, lags up to ``max_lag`` (at least 1) in both correlation
     probes, and an HMM over ``levels`` levels.  Sub-tests that lack data
-    are skipped and recorded in details rather than failing the suite.
+    are skipped and recorded in details rather than failing the suite, but
+    a trace holding one level fails it: the correlation probes need two.
+    Stage (e) fits the model estimate-entropy and fit-growth fit, so
+    ``stable_entropy`` is estimate-entropy's estimate at the same slice.
 
     A partition is a multivariate hypergeometric draw of one random half's
     counts, and the complement (one sample larger when n is odd), so tests
@@ -251,6 +248,10 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
         raise ValueError(f"max_lag must be at least 1, got {max_lag}")
     if n < 20 * slice_len:
         raise ValueError(f"need at least {20 * slice_len} samples, got {n}")
+    for name, trace in (("alice", alice), ("eve", eve)):
+        if trace.levels.min() == trace.levels.max():
+            raise ValueError(f"{name} trace holds a single level ({trace.levels[0]}); "
+                             "the correlation probes need two")
     rng = hmm.seeded_rng(seed)
     details: dict = {}
 
@@ -305,9 +306,9 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     details["cross_lag"] = {"lag0_r": r0, "lag0_significant": bool(sig0),
                             "nonzero_lags": cross}
 
-    # (e) stable entropy: per-slice conditional min-entropy spread under a
-    # counting-fitted model
-    model = hmm.fit_hmm_from_traces(alice, eve, levels=levels, smoothing=1e-3)
+    # (e) stable entropy: per-slice conditional min-entropy spread under the
+    # counting-fitted model estimate-entropy and fit-growth use
+    model = hmm.fit_hmm_from_traces(alice, eve, levels=levels)
     experiments = hmm.slice_experiments(model, eve.levels, slice_len)
     stable = hmm.estimate_avg_conditional_min_entropy(model, experiments)
     details["levels"] = levels

@@ -90,7 +90,7 @@ def test_criterion_2_estimator_validity():
 def test_criterion_3_linear_growth(calibrated_config):
     start = time.time()
     run = simulate_run(replace(calibrated_config, n=8000, seed=20104))
-    model = fit_hmm_from_traces(run.alice, run.eve, levels=9, smoothing=0.0)
+    model = fit_hmm_from_traces(run.alice, run.eve, levels=9)
     slice_len, n_slices = 200, 40
     checkpoints = list(range(10, 201, 10))
     obs = slice_experiments(model, run.eve.levels, slice_len)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from physkey.channel import ChannelConfig, family_config, simulate_run
 from physkey.cli import _load_config, main
 from physkey.errors import PhyskeyError
-from physkey.traces import CSV_HEADER, MeasurementTrace, load_trace, trace_to_file
+from physkey.traces import (CSV_HEADER, MeasurementTrace, load_trace, make_trace,
+                            trace_to_file)
 
 
 @pytest.fixture()
@@ -180,12 +181,6 @@ def case(label, *values):
     case("extra13", "fit-growth", ["--levels", "1"], "--levels must be at least 2"),
     case("extra14", "validate-assumptions", ["--levels", "0"], "--levels must be at least 2"),
     case("extra15", "validate-assumptions", ["--levels", "1"], "--levels must be at least 2"),
-    case("extra16", "estimate-entropy", ["--smoothing", "nan"],
-         "smoothing must be finite and >= 0"),
-    case("extra17", "estimate-entropy", ["--smoothing", "inf"],
-         "smoothing must be finite and >= 0"),
-    case("extra18", "fit-growth", ["--smoothing", "nan"], "smoothing must be finite and >= 0"),
-    case("extra19", "fit-growth", ["--smoothing", "inf"], "smoothing must be finite and >= 0"),
     case("extra20", "validate-assumptions", ["--alpha", "1.5"], "alpha must be in (0, 1)"),
     case("extra21", "validate-assumptions", ["--alpha", "nan"], "alpha must be in (0, 1)"),
     case("extra22", "fit-growth", ["--step", "101"],
@@ -379,6 +374,21 @@ def config_with(path, value):
     case("doc36", "simulate", "--config", config_with(("bob_error",), {"-1": -0.1, "0": 1.1}),
          "bob_error has a negative probability"),
     case("doc37", "simulate", "--config", config_with(("n",), 0), "n must be >= 1"),
+    # bob_error keys in the one form to_dict writes; int() reads each of these
+    case("doc38", "simulate", "--config",
+         config_with(("bob_error",), {"1": 0.3, "01": 0.3, "0": 0.7}),
+         "bob_error key '01' is not an integer offset"),
+    case("doc39", "simulate", "--config",
+         config_with(("bob_error",), {"-1": 0.02, "0": 0.96, "+1": 0.02}),
+         "bob_error key '+1' is not an integer offset"),
+    case("doc40", "simulate", "--config",
+         config_with(("bob_error",), {"-1": 0.02, "0": 0.96, " 1": 0.02}),
+         "bob_error key ' 1' is not an integer offset"),
+    case("doc41", "simulate", "--config", config_with(("bob_error",), {"0": 0.98, "1_0": 0.02}),
+         "bob_error key '1_0' is not an integer offset"),
+    case("doc42", "simulate", "--config",
+         config_with(("bob_error",), {"-1": 0.02, "-0": 0.96, "1": 0.02}),
+         "bob_error key '-0' is not an integer offset"),
     # raw text, not a document: nesting too deep for the JSON decoder
     *[pytest.param(command, flag, "[" * 100_000, "maximum recursion depth exceeded",
                    id=f"{command}-{flag}-deeply-nested")
@@ -603,14 +613,42 @@ class TestValidateAssumptions:
                            "--alice", run_dir / "alice.csv",
                            "--eve", run_dir / "eve.csv",
                            "--trials", "30", "--max-lag", "3",
-                           "--levels", "9", "--seed", "4",
-                           "--lag-csv", run_dir / "lag.csv")
+                           "--levels", "9", "--seed", "4")
         assert code == 0
         doc = json.loads(out)
         assert doc["identical_distribution_rejection_rate"] <= 0.10
-        lag_lines = (run_dir / "lag.csv").read_text().strip().splitlines()
-        assert lag_lines[0] == "lag,r,significant"
-        assert len(lag_lines) == 5
+        assert len(doc["markov_lag_profile"]["lags"]) == 4
+
+    def test_stable_entropy_is_the_estimate(self, run_dir, capsys):
+        # the suite's stage (e) fits the model estimate-entropy fits
+        traces = ["--alice", run_dir / "alice.csv", "--eve", run_dir / "eve.csv",
+                  "--slice", "100"]
+        code, estimate = invoke(capsys, "estimate-entropy", *traces)
+        assert code == 0
+        code, report = invoke(capsys, "validate-assumptions", *traces, "--trials", "10")
+        assert code == 0
+        assert json.loads(report)["stable_entropy"] == json.loads(estimate)["estimate"]
+
+    @pytest.mark.parametrize("role", ["alice", "eve"])
+    def test_single_level_trace_fails_closed(self, run_dir, capsys, role):
+        trace_to_file(make_trace(np.full(4000, -2), role)).save(run_dir / f"{role}.csv")
+        code = main(["validate-assumptions", "--alice", str(run_dir / "alice.csv"),
+                     "--eve", str(run_dir / "eve.csv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: {role} trace holds a single level (-2); "
+                                "the correlation probes need two\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, option", [
+        ("estimate-entropy", ["--smoothing", "0"]), ("fit-growth", ["--smoothing", "0"]),
+        ("validate-assumptions", ["--lag-csv", "x"])])
+    def test_removed_option_is_a_usage_error(self, run_dir, command, option):
+        roles = ["alice", "bob", "eve"] if command == "fit-growth" else ["alice", "eve"]
+        traces = [a for role in roles for a in (f"--{role}", run_dir / f"{role}.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *map(str, traces), *option])
+        assert exc.value.code == 2
 
 
 class TestReport:
@@ -652,10 +690,10 @@ class TestSeededOutputs:
         "fit-growth": (["--levels", "9", "--slice-samples", "200", "--step", "20"],
                        "e9ec3bb844b2e4dfcfca0f4f0ab6d1ff0da4248e13c43e9061678aa6f29c4e8b"),
         "validate-assumptions": (
-            [], "2c32b4dd1216021e6ac3e3bd8ade953d4e93208ec7554315f91c05f38e5fdf01"),
+            [], "93a3a5c0e90095e229978a99ac442922397bb04ac18235e336428ba93146ee09"),
         "validate-assumptions --trials 37 --seed 9": (
             ["--trials", "37", "--seed", "9"],
-            "86c18b7c5dfedd401f25b7d93dd99c37a3d0d24c8c3a1661f039fbacd144b4f6"),
+            "ee6b07e5bd5662af0c859996045510d27ea665326badca6e394273bebee1cd54"),
         "ingest": ([], "c7ba80cbb61e398f32e1b2468fbde2e4f4036ca3f6293aa6d0c13615534da30b"),
         "extract-key": (
             ["--l", "16", "--lambda", "2", "--c", "0.05", "--seed", "21"],

@@ -498,7 +498,7 @@ class TestFitFromTraces:
         observed = make_trace([-1] * 50, "eve")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = fit_hmm_from_traces(hidden, observed, levels=3, smoothing=0.0)
+            model = fit_hmm_from_traces(hidden, observed, levels=3)
         i = model.states.index(-1)
         assert model.trans[i, i] == 1.0
         assert model.pi[i] == 1.0
@@ -506,7 +506,7 @@ class TestFitFromTraces:
     def test_alternating_forced_counts(self):
         hidden = make_trace([-1, 0] * 20, "alice")
         observed = make_trace([-1, 0] * 20, "eve")
-        model = fit_hmm_from_traces(hidden, observed, levels=2, smoothing=0.0)
+        model = fit_hmm_from_traces(hidden, observed, levels=2)
         a, b = model.states.index(-1), model.states.index(0)
         assert model.trans[a, b] == 1.0
         assert model.trans[b, a] == 1.0
@@ -515,25 +515,9 @@ class TestFitFromTraces:
         hidden = make_trace([0] * 30, "alice")
         observed = make_trace([0] * 30, "eve")
         with pytest.warns(UserWarning, match="uniform"):
-            model = fit_hmm_from_traces(hidden, observed, levels=4, smoothing=0.0)
+            model = fit_hmm_from_traces(hidden, observed, levels=4)
         i = model.states.index(-3)
         assert np.allclose(model.trans[i], 0.25)
-
-    def test_smoothing(self):
-        hidden = make_trace([-1, 0] * 10, "alice")
-        observed = make_trace([-1, 0] * 10, "eve")
-        model = fit_hmm_from_traces(hidden, observed, levels=2, smoothing=1.0)
-        a, b = model.states.index(-1), model.states.index(0)
-        # 9 observed -1 -> 0 transitions out of 9, plus smoothing mass
-        assert model.trans[a, b] == pytest.approx((10 + 1) / (10 + 2), abs=1e-9)
-
-    @pytest.mark.parametrize("smoothing", [-0.5, math.nan, math.inf])
-    def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
-        # NaN smoothing made every row uniform, the log2 k ceiling per sample
-        h = make_trace([-1, 0] * 10, "alice")
-        with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
-            fit_hmm_from_traces(h, make_trace([-1, 0] * 10, "eve"), levels=2,
-                                smoothing=smoothing)
 
     def test_unaligned_rejected(self):
         h = make_trace([0, -1, 0], "alice")
@@ -558,7 +542,7 @@ class TestFitFromTraces:
         cfg = family_config(levels=3, decay=0.5, spread=0.6, band=1, q=0.02,
                             n=100_000, seed=5)
         run = simulate_run(cfg)
-        model = fit_hmm_from_traces(run.alice, run.eve, levels=3, smoothing=0.0)
+        model = fit_hmm_from_traces(run.alice, run.eve, levels=3)
         assert np.abs(model.trans - cfg.model.trans).max() < 0.02
         assert np.abs(model.emit - cfg.model.emit).max() < 0.02
 
@@ -569,7 +553,7 @@ class TestFitFromTraces:
         tv = []
         for n in (1_000, 10_000, 100_000):
             run = simulate_run(replace(cfg, n=n))
-            model = fit_hmm_from_traces(run.alice, run.eve, levels=3, smoothing=0.0)
+            model = fit_hmm_from_traces(run.alice, run.eve, levels=3)
             tv.append(0.5 * np.abs(model.trans - cfg.model.trans).sum(axis=1).max())
         assert tv[0] >= tv[1] >= tv[2]
 

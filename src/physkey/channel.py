@@ -18,12 +18,18 @@ min-entropy and q against the measured word error rate.  Each bisection
 returns the first probe that lands within 0.5% of its target, with the rate
 measured there; only when 40 steps run out does it take the bracket
 midpoint.  Both searches use one draw, the run measure_rates would simulate
-at the calibration seed, and no probe re-maps it.  A q probe counts Bob's
-level errors with two searches into his uniforms, sorted once.  A spread
-probe counts Eve's symbols from her uniforms, sorted once within each
-hidden state, and is decided by the closed-form entropy of a memoryless
-chain (decay = 1: every transition row equals pi), a sum of per-symbol
-terms.
+at the calibration seed, and no probe re-maps it.
+
+Built once per calibration: that draw; Eve's uniforms sorted within each
+hidden state; Bob's uniforms sorted over the steps off the lowest state and
+over those off the highest; the level distances |i - j|; the chain's law pi,
+checked once to be memoryless (decay = 1: every transition row equals pi);
+and per band, the mask of the CDF entries that are +inf.  A spread probe is
+then a few numpy calls on emission rows: the banded rows for its spread,
+their CDF, one search per state into Eve's sorted uniforms for her symbol
+counts, and the closed-form entropy of a memoryless chain, a sum of
+per-symbol terms.  A q probe is Bob's two offset thresholds in float
+arithmetic and two searches into his sorted uniforms.
 """
 
 from __future__ import annotations
@@ -103,18 +109,24 @@ class SimulatedRun:
     eve: MeasurementTrace
 
 
-def _cdf(p: np.ndarray) -> np.ndarray:
+def _inf_tail(p: np.ndarray) -> np.ndarray:
+    """Mask of the entries from each row's last positive one on (last axis)."""
+    k = p.shape[-1]
+    last = k - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
+    return np.arange(k) >= last[..., None]
+
+
+def _cdf(p: np.ndarray, tail: np.ndarray | None = None) -> np.ndarray:
     """Cumulative sums along the last axis for inverse-CDF sampling, +inf
-    from each row's last positive entry on.
+    from each row's last positive entry on (the mask ``tail``, _inf_tail(p)
+    unless given).
 
     A uniform in [0, 1) then falls in the bin of an outcome the row can give
     even where the sum rounds below 1: the last positive outcome takes what
     lies above it.
     """
     cum = np.cumsum(p, axis=-1)
-    k = p.shape[-1]
-    last = k - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
-    cum[np.arange(k) >= last[..., None]] = np.inf
+    cum[_inf_tail(p) if tail is None else tail] = np.inf
     return cum
 
 
@@ -123,7 +135,8 @@ def _count_le(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     number of its entries <= each uniform.
 
     A short cdf is counted with one comparison pass per entry into uint8
-    counts, which needs no (entries, n) temporary.  A binary search over
+    counts (each pass's bools viewed as uint8, so the add needs no cast),
+    which needs no (entries, n) temporary.  A binary search over
     random needles stalls on branch mispredictions, so up to _COUNT_MAX
     entries the branch-free passes are faster (9 entries, 10,000 fresh
     uniforms: 234 -> 58 us on a 2-vCPU x86-64 machine).
@@ -132,7 +145,7 @@ def _count_le(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.searchsorted(cdf, u, side="right")
     out = np.zeros(u.shape, dtype=np.uint8)
     for c in cdf:
-        out += c <= u
+        out += (c <= u).view(np.uint8)
     return out.astype(np.intp)
 
 
@@ -149,16 +162,20 @@ def _sample_chain(pi: np.ndarray, trans: np.ndarray, u: np.ndarray) -> np.ndarra
     whatever came before it, and stays constant under further passes; the
     scan stops once every row is constant (after a few passes for a chain
     that mixes quickly).  An i.i.d. chain (every row equal) moves every
-    state alike, so its table is one column, constant from the start: one
-    count gives the path.  The counts make other comparisons than a
-    one-sample walk's search, but each row is non-decreasing, so they put
-    every uniform in the same bin and the path is identical to the walk.
+    state alike, so one count against its row gives the path, no table.
+    The counts make other comparisons than a one-sample walk's search, but
+    each row is non-decreasing, so they put every uniform in the same bin
+    and the path is identical to the walk.
     """
-    rows = trans[:1] if (trans == trans[0]).all() else trans
-    n, k = u.size, rows.shape[0]
-    cum_trans = _cdf(rows)
+    first = np.searchsorted(_cdf(pi), u[0], side="right")
+    if (trans == trans[0]).all():
+        path = _count_le(_cdf(trans[0]), u)
+        path[0] = first
+        return path
+    n, k = u.size, trans.shape[0]
+    cum_trans = _cdf(trans)
     table = np.empty((n, k), dtype=np.int64)
-    table[0] = np.searchsorted(_cdf(pi), u[0], side="right")
+    table[0] = first
     for s in range(k):
         table[1:, s] = _count_le(cum_trans[s], u[1:])
     d = 1
@@ -219,27 +236,37 @@ def simulate_run(config: ChannelConfig) -> SimulatedRun:
     )
 
 
-def _banded_rows(k: int, ratio: float, band: int):
-    # rows proportional to the symmetric weights ratio^|i - j| within
-    # |i - j| <= band, else zero, and the weights' row sums
-    d = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
+def _distances(levels: int) -> np.ndarray:
+    # |i - j| between level indices: the family's band geometry
+    i = np.arange(levels)
+    return np.abs(np.subtract.outer(i, i))
+
+
+def _banded_rows(d: np.ndarray, ratio: float, band: int):
+    # rows proportional to the symmetric weights ratio^d within d <= band,
+    # else zero, and the weights' row sums, for distances d from _distances
     weights = np.where(d <= band, np.power(float(ratio), d), 0.0)
     sums = weights.sum(axis=1)
     return weights / sums[:, None], sums
+
+
+def _family_model(levels: int, decay: float, spread: float, band: int) -> HmmModel:
+    states = level_states(levels)
+    d = _distances(levels)
+    trans, sums = _banded_rows(d, decay, levels)
+    emit = _banded_rows(d, spread, band)[0]
+    # symmetric weights over their row sums make a reversible chain, whose
+    # law is those sums over their total (exactly 1/levels at decay = 1)
+    pi = sums / sums.sum()
+    return HmmModel(states=states, symbols=states, pi=pi, trans=trans, emit=emit)
 
 
 def family_config(levels: int = 9, decay: float = 1.0, spread: float = 0.5,
                   band: int = 2, q: float = 0.02, n: int = 10_000,
                   seed: int = 0) -> ChannelConfig:
     """One member of the calibration search family."""
-    states = level_states(levels)
-    trans, sums = _banded_rows(levels, decay, levels)
-    emit = _banded_rows(levels, spread, band)[0]
-    # symmetric weights over their row sums make a reversible chain, whose
-    # law is those sums over their total (exactly 1/levels at decay = 1)
-    pi = sums / sums.sum()
-    model = HmmModel(states=states, symbols=states, pi=pi, trans=trans, emit=emit)
-    return ChannelConfig(model=model, bob_error=_family_bob_error(q), n=n, seed=seed)
+    return ChannelConfig(model=_family_model(levels, decay, spread, band),
+                         bob_error=_family_bob_error(q), n=n, seed=seed)
 
 
 def _family_bob_error(q: float) -> dict:
@@ -252,58 +279,81 @@ def _measure_length(n_samples: int) -> int:
     return n - n % SLICE_LEN
 
 
-def _memoryless_entropy_bits(model: HmmModel, counts) -> np.ndarray:
+def _memoryless_law(model: HmmModel) -> np.ndarray:
+    """pi of a chain whose every transition row equals pi, the chains
+    _memoryless_entropy_bits covers; ValueError for any other chain."""
+    if not (model.trans == model.pi).all():
+        raise ValueError("the closed-form entropy needs every transition row equal to pi")
+    return model.pi
+
+
+def _memoryless_entropy_bits(pi: np.ndarray, emit: np.ndarray, symbols: tuple,
+                             counts) -> np.ndarray:
     """Conditional min-entropy in bits of observation sequences given by
-    their symbol counts (last axis), for a chain whose every transition row
-    equals pi.
+    their symbol counts (last axis), for a chain with law pi (from
+    _memoryless_law) and emission rows emit over symbols.
 
     Such a chain is i.i.d., so P* = max_x Pr[X = x, Y = y] and P = Pr[Y = y]
     both factor per symbol and -log2(P*/P) is
     sum_t [log2 sum_x pi_x b_x(y_t) - log2 max_x pi_x b_x(y_t)]: the counts
     weighted by a per-symbol table.  That is the kernel's value up to
-    rounding, without its per-step dynamic program.  Raises ValueError for
-    any other chain, and ImpossibleObservationError when a counted symbol
-    has zero probability.
+    rounding, without its per-step dynamic program.  Raises
+    ImpossibleObservationError when a counted symbol has zero probability.
     """
-    if not (model.trans == model.pi).all():
-        raise ValueError("the closed-form entropy needs every transition row equal to pi")
-    joint = model.pi[:, None] * model.emit
+    joint = pi[:, None] * emit
     total = joint.sum(axis=0)
     counts = np.asarray(counts)
-    impossible = (counts.reshape(-1, model.m) > 0).any(axis=0) & (total == 0)
-    if impossible.any():
-        raise ImpossibleObservationError(
-            "impossible observation sequence: symbol "
-            f"{model.symbols[int(np.argmax(impossible))]} has zero probability")
+    possible = total > 0
+    if not possible.all():
+        impossible = (counts.reshape(-1, len(symbols)) > 0).any(axis=0) & ~possible
+        if impossible.any():
+            raise ImpossibleObservationError(
+                "impossible observation sequence: symbol "
+                f"{symbols[int(np.argmax(impossible))]} has zero probability")
     with np.errstate(divide="ignore", invalid="ignore"):
         bits = np.log2(total) - np.log2(joint.max(axis=0))
-    return counts @ np.where(total > 0, bits, 0.0)
+    return counts @ np.where(possible, bits, 0.0)
 
 
-def _sorted_by_state(idx: np.ndarray, u: np.ndarray, levels: int) -> list:
-    """[np.sort(u[idx == s]) for s in range(levels)] without a masked pass
-    per state: a stable argsort of the uint8 state codes (a radix sort;
-    MAX_LEVELS keeps every code below 256) gathers each state's uniforms,
-    split at the running state counts, and each segment is then sorted."""
-    order = np.argsort(idx.astype(np.uint8), kind="stable")
-    bounds = np.bincount(idx, minlength=levels).cumsum()[:-1]
-    return [np.sort(part) for part in np.split(u[order], bounds)]
+def _state_order(idx: np.ndarray, levels: int):
+    """The steps in a stable order by hidden state, and where in it each of
+    the states 1..levels-1 begins: np.split(order, starts)[s] is
+    np.flatnonzero(idx == s).  A stable argsort of the uint8 state codes is
+    a radix sort; MAX_LEVELS keeps every code below 256."""
+    codes = idx.astype(np.uint8)
+    order = np.argsort(codes, kind="stable")
+    return order, np.searchsorted(codes[order], np.arange(1, levels))
 
 
-def _eve_counts(model: HmmModel, ue_by_state: list) -> np.ndarray:
-    # Eve's symbol counts over a run, given its uniforms sorted within each
-    # hidden state: symbols 0..j take the uniforms below the row's CDF at j,
-    # the bins _eve_levels draws from
-    edges = sum(np.searchsorted(u, row) for u, row in zip(ue_by_state, _cdf(model.emit)))
-    return np.diff(edges, prepend=0)
+def _sorted_by_state(u: np.ndarray, order: np.ndarray, starts: np.ndarray) -> list:
+    """[np.sort(u[idx == s]) for s in range(levels)] from _state_order(idx,
+    levels): one gather, then each state's segment sorted in place."""
+    parts = np.split(u[order], starts)
+    for part in parts:
+        part.sort()
+    return parts
 
 
-def _bob_error_count(bob_error: dict, ub_down: np.ndarray, ub_up: np.ndarray) -> int:
-    # Bob's level errors for offsets -1, 0, +1 from his uniforms sorted over
-    # the steps off the lowest state (ub_down) and off the highest (ub_up):
-    # he draws -1 exactly below cdf[0] and +1 exactly at or above cdf[1]
-    cdf = _offset_cdf(bob_error)[1]
-    return int(ub_down.searchsorted(cdf[0]) + ub_up.size - ub_up.searchsorted(cdf[1]))
+def _eve_counts(cdf_rows: np.ndarray, ue_by_state: list) -> np.ndarray:
+    # Eve's symbol counts over a run, given the _cdf of each state's
+    # emission row and its uniforms sorted within each hidden state:
+    # symbols 0..j take the uniforms below the row's CDF at j, the bins
+    # _eve_levels draws from
+    edges = sum(u.searchsorted(row) for u, row in zip(ue_by_state, cdf_rows))
+    counts = edges.copy()
+    counts[1:] -= edges[:-1]
+    return counts
+
+
+def _bob_error_count(q: float, ub_down: np.ndarray, ub_up: np.ndarray) -> int:
+    # Bob's level errors under _family_bob_error(q) from his uniforms sorted
+    # over the steps off the lowest state (ub_down) and off the highest
+    # (ub_up): he draws -1 exactly below cdf[0] and +1 exactly at or above
+    # cdf[1], the cdf _offset_cdf builds, summed and normalised here in its
+    # order of operations
+    mid = q + (1.0 - 2.0 * q)
+    total = mid + q
+    return int(ub_down.searchsorted(q / total) + ub_up.size - ub_up.searchsorted(mid / total))
 
 
 def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
@@ -330,19 +380,21 @@ def measure_rates(config: ChannelConfig, n_samples: int = 10_000,
     }
 
 
-def _bisect(rate_of, target: float, lo: float, hi: float, midpoint) -> float:
+def _bisect(rate_of, target: float, lo: float, hi: float, midpoint):
     # 40 halvings of [lo, hi] for an increasing rate_of; returns the first
-    # probe within 0.5% of target, else the last bracket's midpoint
+    # probe within 0.5% of target, else the last bracket's midpoint, and
+    # the rate there
     for _ in range(40):
         x = midpoint(lo, hi)
         achieved = rate_of(x)
         if abs(achieved - target) / target < 0.005:
-            return x
+            return x, achieved
         if achieved < target:
             lo = x
         else:
             hi = x
-    return midpoint(lo, hi)
+    x = midpoint(lo, hi)
+    return x, rate_of(x)
 
 
 def calibrate_to_reference_rates(target_entropy_rate: float,
@@ -365,6 +417,8 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
     if not 2 <= levels <= MAX_LEVELS:
         bound = "at least 2" if levels < 2 else f"at most {MAX_LEVELS}"
         raise CalibrationError(f"calibration failed: levels must be {bound}, got {levels}")
+    if n_samples < 1:
+        raise CalibrationError(f"calibration failed: n_samples must be >= 1, got {n_samples}")
     if seed < 0:
         raise CalibrationError(f"calibration failed: seed must be >= 0, got {seed}")
     entropy_per_sample = target_entropy_rate * BITS_PER_SAMPLE
@@ -378,47 +432,54 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
 
     # every probe draws from the same seed and length, and with decay = 1 its
     # hidden chain depends on levels alone, so one draw serves them all, and
-    # a probe's model is the base model with its own emissions; Eve's
-    # uniforms are sorted once within each hidden state, for every probe
+    # a probe's model is the base model with its own emissions
     n = _measure_length(n_samples)
-    base = family_config(levels=levels).model
+    base = _family_model(levels, 1.0, 1.0, levels)
+    pi, d = _memoryless_law(base), _distances(levels)
     idx, ue, ub = _draw(base, seed, n)
-    ue_by_state = _sorted_by_state(idx, ue, levels)
+    order, starts = _state_order(idx, levels)
+    ue_by_state = _sorted_by_state(ue, order, starts)
 
-    def entropy_of(spread: float, band: int) -> float:
-        model = replace(base, emit=_banded_rows(levels, spread, band)[0])
-        return float(_memoryless_entropy_bits(model, _eve_counts(model, ue_by_state))) / n
+    def entropy_of(spread: float, band: int, tail: np.ndarray) -> float:
+        emit = _banded_rows(d, spread, band)[0]
+        counts = _eve_counts(_cdf(emit, tail), ue_by_state)
+        return float(_memoryless_entropy_bits(pi, emit, base.symbols, counts)) / n
 
     # entropy is monotone in the emission spread; bracket then bisect, each
-    # probe and the reported rate given by the closed form
+    # probe and the reported rate given by the closed form.  Every spread
+    # probed lies in [1e-3, 1], where no weight within the band underflows,
+    # so a band's emission rows are positive exactly within it and its CDF
+    # tails are the band's own
     for band in (2, 1, 3, 4):
-        if not entropy_of(1e-3, band) <= entropy_per_sample <= entropy_of(1.0, band):
+        tail = _inf_tail(d <= band)
+        if not entropy_of(1e-3, band, tail) <= entropy_per_sample \
+                <= entropy_of(1.0, band, tail):
             continue
-        spread = _bisect(lambda x: entropy_of(x, band), entropy_per_sample,
-                         1e-3, 1.0, lambda a, b: math.sqrt(a * b))
-        achieved_entropy = entropy_of(spread, band)
+        spread, achieved_entropy = _bisect(lambda x: entropy_of(x, band, tail),
+                                           entropy_per_sample, 1e-3, 1.0,
+                                           lambda a, b: math.sqrt(a * b))
         if abs(achieved_entropy - entropy_per_sample) / entropy_per_sample <= CALIBRATION_REL_TOL:
             break
     else:
         raise CalibrationError(
             "calibration failed: no emission spread reaches the entropy target")
 
-    ub_down, ub_up = np.sort(ub[idx > 0]), np.sort(ub[idx < levels - 1])
+    # Bob errs down only off the lowest state and up only off the highest
+    ub_grouped = ub[order]
+    ub_down, ub_up = np.sort(ub_grouped[starts[0]:]), np.sort(ub_grouped[:starts[-1]])
 
     def word_error_of(q: float) -> float:
-        return _bob_error_count(_family_bob_error(q), ub_down, ub_up) / n
+        return _bob_error_count(q, ub_down, ub_up) / n
 
     if not word_error_of(1e-5) <= word_error_per_word <= word_error_of(0.49):
         raise CalibrationError("calibration failed: word error target out of reach")
-    q = _bisect(word_error_of, word_error_per_word, 1e-5, 0.49, lambda a, b: 0.5 * (a + b))
-    achieved_we = word_error_of(q)
+    q, achieved_we = _bisect(word_error_of, word_error_per_word, 1e-5, 0.49,
+                             lambda a, b: 0.5 * (a + b))
     if abs(achieved_we - word_error_per_word) / word_error_per_word > CALIBRATION_REL_TOL:
         raise CalibrationError(
             f"calibration failed: word error {achieved_we:.5f} misses "
             f"{word_error_per_word:.5f} by more than {CALIBRATION_REL_TOL:.0%}")
 
-    cfg = family_config(levels=levels, decay=1.0, spread=spread, band=band,
-                        q=q, n=n_samples, seed=seed)
     calibration = {
         "target_entropy_per_sample_bits": entropy_per_sample,
         "achieved_entropy_per_sample_bits": achieved_entropy,
@@ -430,4 +491,6 @@ def calibrate_to_reference_rates(target_entropy_rate: float,
         "levels": levels,
         "measure_seed": seed,
     }
-    return replace(cfg, calibration=calibration)
+    return ChannelConfig(model=replace(base, emit=_banded_rows(d, spread, band)[0]),
+                         bob_error=_family_bob_error(q), n=n_samples, seed=seed,
+                         calibration=calibration)

@@ -165,6 +165,22 @@ def pearson_significance(x, y, alpha: float = 0.05):
     return r, _pearson_p_value(r, n) < alpha
 
 
+def _probe(x: np.ndarray, y: np.ndarray, alpha: float, lag: int, x_name: str,
+           y_name: str):
+    """pearson_significance of one correlation probe between samples of the
+    traces x_name and y_name; when a side holds a single level, the
+    ValueError names its trace and the probe's lag."""
+    try:
+        return pearson_significance(x, y, alpha)
+    except ValueError:
+        for name, v in ((x_name, x), (y_name, y)):
+            if v.size and v.min() == v.max():
+                raise ValueError(f"zero-variance input: the {name} samples of the lag-{lag} "
+                                 f"probe hold a single level ({v[0]:g}); the correlation "
+                                 "probes need two") from None
+        raise
+
+
 def lag_correlation_profile(trace: MeasurementTrace, max_lag: int, rows: int,
                             alpha: float = 0.05, seed: int = 0) -> CorrelationReport:
     """Correlate X_i against X_{i-k} for k = 0..max_lag over random anchors.
@@ -183,7 +199,7 @@ def lag_correlation_profile(trace: MeasurementTrace, max_lag: int, rows: int,
     matrix = levels[lag_idx]
     rs, sig = [], []
     for k in range(max_lag + 1):
-        r, s = pearson_significance(matrix[:, 0], matrix[:, k], alpha)
+        r, s = _probe(matrix[:, 0], matrix[:, k], alpha, k, trace.node_id, trace.node_id)
         rs.append(r)
         sig.append(bool(s))
     return CorrelationReport(list(range(max_lag + 1)), rs, sig)
@@ -228,7 +244,8 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     experiments, lags up to ``max_lag`` (at least 1) in both correlation
     probes, and an HMM over ``levels`` levels.  Sub-tests that lack data
     are skipped and recorded in details rather than failing the suite, but
-    a trace holding one level fails it: the correlation probes need two.
+    a trace holding one level fails it, as does a correlation probe whose
+    samples of one trace hold one level: the correlation probes need two.
     Stage (e) fits the model estimate-entropy and fit-growth fit, so
     ``stable_entropy`` is estimate-entropy's estimate at the same slice.
 
@@ -298,8 +315,8 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     y = eve.levels.astype(float)
     cross = {}
     for lag in range(1, max_lag + 1):
-        r_fwd, sig_fwd = pearson_significance(y[:-lag], x[lag:], alpha)
-        r_bwd, sig_bwd = pearson_significance(y[lag:], x[:-lag], alpha)
+        r_fwd, sig_fwd = _probe(y[:-lag], x[lag:], alpha, lag, "eve", "alice")
+        r_bwd, sig_bwd = _probe(y[lag:], x[:-lag], alpha, lag, "eve", "alice")
         cross[lag] = {"r_forward": r_fwd, "significant_forward": bool(sig_fwd),
                       "r_backward": r_bwd, "significant_backward": bool(sig_bwd)}
     r0, sig0 = pearson_significance(y, x, alpha)

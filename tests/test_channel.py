@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import physkey.channel
-from physkey.channel import (_COUNT_MAX, ChannelConfig, _bisect, _bob_error_count,
-                             _bob_levels, _cdf, _count_le, _draw, _eve_counts, _eve_levels,
-                             _memoryless_entropy_bits, _offset_cdf, _sample_chain,
-                             _sorted_by_state, calibrate_to_reference_rates, family_config,
+from physkey.channel import (_COUNT_MAX, ChannelConfig, _banded_rows, _bisect,
+                             _bob_error_count, _bob_levels, _cdf, _count_le, _distances, _draw,
+                             _eve_counts, _eve_levels, _inf_tail, _memoryless_entropy_bits,
+                             _memoryless_law, _offset_cdf, _sample_chain, _sorted_by_state,
+                             _state_order, calibrate_to_reference_rates, family_config,
                              measure_rates, simulate_run)
 from physkey.errors import CalibrationError, ImpossibleObservationError
 from physkey.hmm import SLICE_LEN, HmmModel, entropy_profile_batch, \
@@ -19,6 +20,13 @@ from physkey.hmm import SLICE_LEN, HmmModel, entropy_profile_batch, \
 from physkey.stats import lag_correlation_profile, pearson_significance
 
 from .oracles import choice_simulate_run, walk_chain
+
+
+def closed_form_bits(model, ue_by_state):
+    # the spread probe's closed form for a memoryless model, its CDF tails
+    # taken from the emission rows themselves
+    counts = _eve_counts(_cdf(model.emit), ue_by_state)
+    return _memoryless_entropy_bits(_memoryless_law(model), model.emit, model.symbols, counts)
 
 
 def two_state_config(n=1000, seed=0, q=0.1):
@@ -193,7 +201,10 @@ class TestDrawHelpers:
         u = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75])
                                         | st.floats(0.0, 1.0, exclude_max=True),
                                         min_size=n, max_size=n)), dtype=float)
-        grouped = _sorted_by_state(idx, u, levels)
+        order, starts = _state_order(idx, levels)
+        assert order.tolist() == np.argsort(idx, kind="stable").tolist()
+        assert starts.tolist() == np.bincount(idx, minlength=levels).cumsum()[:-1].tolist()
+        grouped = _sorted_by_state(u, order, starts)
         masked = [np.sort(u[idx == s]) for s in range(levels)]
         assert len(grouped) == levels
         for g, m in zip(grouped, masked):
@@ -233,7 +244,7 @@ class TestCalibration:
         # draw, bitwise, and measure_rates' kernel mean agrees with it
         idx, ue, _ = _draw(cfg.model, seed, 10_000)
         ue_by_state = [np.sort(ue[idx == s]) for s in range(9)]
-        closed = float(_memoryless_entropy_bits(cfg.model, _eve_counts(cfg.model, ue_by_state)))
+        closed = float(closed_form_bits(cfg.model, ue_by_state))
         assert cal["achieved_entropy_per_sample_bits"] == closed / 10_000
         rates = measure_rates(cfg, seed=seed)
         assert rates["per_sample_entropy_bits"] == \
@@ -253,8 +264,8 @@ class TestCalibration:
         assert len(calls) == 0
 
     def test_models_validated_a_fixed_number_of_times(self, monkeypatch):
-        # the base model, the returned config and its copy with the
-        # calibration dict; no probe builds or validates a config
+        # the returned config, built once with its calibration dict; neither
+        # the base model nor any probe builds or validates a config
         calls = []
 
         def spy(model):
@@ -264,10 +275,12 @@ class TestCalibration:
         monkeypatch.setattr(physkey.channel, "validate_model", spy)
         cfg = calibrate_to_reference_rates(0.1248, 0.0054, levels=9, seed=2026)
         assert cfg.calibration == TestSeededOutputs.CALIBRATIONS[2026]
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("seed", [0, 2026])
-    @pytest.mark.parametrize("q", [0.0, 1e-5, 0.023456787109375002, 0.25, 0.49])
+    # at q = 0.08 the offset probabilities sum to 1 - 2^-53, so the
+    # thresholds depend on the order they are summed and normalised in
+    @pytest.mark.parametrize("q", [0.0, 1e-5, 0.023456787109375002, 0.08, 0.25, 0.49])
     def test_error_count_matches_word_error_rate(self, seed, q):
         # the sorted-uniform count against Bob's errors in the simulated run,
         # and in Bob's levels at uniforms on and just below both CDF
@@ -284,8 +297,12 @@ class TestCalibration:
         alice = np.r_[run.alice.levels, idx[2000:] - 8]
         bob = np.r_[run.bob.levels,
                     _bob_levels(cfg.model, cfg.bob_error, alice[2000:], ub[2000:])]
-        count = _bob_error_count(cfg.bob_error, np.sort(ub[idx > 0]), np.sort(ub[idx < 8]))
+        count = _bob_error_count(q, np.sort(ub[idx > 0]), np.sort(ub[idx < 8]))
         assert count == np.count_nonzero(alice != bob)
+        # each direction alone, so a miss at one threshold cannot offset one at the other
+        down = _bob_error_count(q, np.sort(ub[idx > 0]), ub[:0])
+        up = _bob_error_count(q, ub[:0], np.sort(ub[idx < 8]))
+        assert (down, up) == (np.count_nonzero(bob < alice), np.count_nonzero(bob > alice))
 
     @pytest.mark.parametrize("seed", [2026, 1177726414, 284816770, 1888305565, 1, 2])
     @pytest.mark.parametrize("band,target", [(2, 0.9984), (3, 1.5)])
@@ -303,14 +320,13 @@ class TestCalibration:
 
         def closed(spread):
             model = family_config(levels=9, spread=spread, band=band).model
-            bits = _memoryless_entropy_bits(model, _eve_counts(model, ue_by_state))
-            return float(bits) / idx.size
+            return float(closed_form_bits(model, ue_by_state)) / idx.size
 
         def geometric(a, b):
             return math.sqrt(a * b)
 
-        assert _bisect(closed, target, 1e-3, 1.0, geometric) == \
-            _bisect(kernel, target, 1e-3, 1.0, geometric)
+        assert _bisect(closed, target, 1e-3, 1.0, geometric)[0] == \
+            _bisect(kernel, target, 1e-3, 1.0, geometric)[0]
 
     def test_zero_entropy_target_fails(self):
         with pytest.raises(CalibrationError, match="calibration failed"):
@@ -319,6 +335,24 @@ class TestCalibration:
     def test_unreachable_entropy_fails(self):
         with pytest.raises(CalibrationError, match="calibration failed"):
             calibrate_to_reference_rates(0.9, 0.0054, levels=3)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_sample_count_below_one_fails_before_drawing(self, monkeypatch, n_samples):
+        monkeypatch.setattr(physkey.channel, "_draw", lambda *args: pytest.fail("drew a run"))
+        with pytest.raises(CalibrationError, match=r"^calibration failed: n_samples must be "
+                                                   rf">= 1, got {n_samples}$"):
+            calibrate_to_reference_rates(0.1248, 0.0054, n_samples=n_samples)
+
+    @pytest.mark.parametrize("levels", [2, 5, 9, 17, 256])
+    @pytest.mark.parametrize("band", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spread", [1e-3, 1.0])
+    def test_band_mask_is_the_emission_support(self, levels, band, spread):
+        # calibration takes each band's CDF tails from the band itself; at
+        # both ends of the searched spreads no weight within it underflows
+        d = _distances(levels)
+        emit = _banded_rows(d, spread, band)[0]
+        assert ((emit > 0) == (d <= band)).all()
+        assert (_inf_tail(d <= band) == _inf_tail(emit)).all()
 
 
 class TestClosedFormEntropy:
@@ -329,26 +363,29 @@ class TestClosedFormEntropy:
         model = family_config(levels=levels, spread=spread, band=band).model
         obs = np.random.default_rng(levels * 100 + band).integers(0, levels, size=(20, 100))
         counts = np.stack([np.bincount(row, minlength=levels) for row in obs])
-        np.testing.assert_allclose(_memoryless_entropy_bits(model, counts),
+        np.testing.assert_allclose(_memoryless_entropy_bits(model.pi, model.emit,
+                                                            model.symbols, counts),
                                    entropy_profile_batch(model, obs, [100])[:, 0],
                                    rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("levels", range(2, 33))
     def test_every_iid_family_member_is_in_the_domain(self, levels):
         # the stationary law of a chain with equal rows is that row, exactly
-        _memoryless_entropy_bits(family_config(levels=levels).model, np.ones(levels))
+        model = family_config(levels=levels).model
+        _memoryless_entropy_bits(_memoryless_law(model), model.emit, model.symbols,
+                                 np.ones(levels))
 
     def test_refuses_a_chain_with_memory(self):
         model = family_config(levels=5, decay=0.5).model
         with pytest.raises(ValueError, match="transition row equal to pi"):
-            _memoryless_entropy_bits(model, np.ones(5))
+            _memoryless_law(model)
 
     def test_refuses_equal_rows_that_are_not_pi(self):
         row = [0.5, 0.3, 0.2]
         model = HmmModel(states=(-2, -1, 0), symbols=(-2, -1, 0), pi=[0.2, 0.3, 0.5],
                          trans=[row] * 3, emit=np.eye(3))
         with pytest.raises(ValueError, match="transition row equal to pi"):
-            _memoryless_entropy_bits(model, np.ones(3))
+            _memoryless_law(model)
 
     def test_impossible_symbol_raises_as_the_kernel(self):
         # no state emits symbol 0
@@ -357,13 +394,13 @@ class TestClosedFormEntropy:
                          emit=[[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         obs = np.array([[0, 1, 0, 0], [1, 1, 2, 0]])
         counts = np.stack([np.bincount(row, minlength=3) for row in obs])
-        assert _memoryless_entropy_bits(model, counts[0]) == \
+        assert _memoryless_entropy_bits(model.pi, model.emit, model.symbols, counts[0]) == \
             pytest.approx(entropy_profile_batch(model, obs[:1], [4])[0, 0], abs=1e-12)
         with pytest.raises(ImpossibleObservationError, match="impossible observation"):
             entropy_profile_batch(model, obs, [4])
         with pytest.raises(ImpossibleObservationError,
                            match="impossible observation sequence: symbol 0 "):
-            _memoryless_entropy_bits(model, counts)
+            _memoryless_entropy_bits(model.pi, model.emit, model.symbols, counts)
 
     @pytest.mark.parametrize("seed", [0, 2026])
     def test_counts_bin_as_eve_draws(self, seed):
@@ -376,7 +413,7 @@ class TestClosedFormEntropy:
         ue = np.r_[ue, np.c_[cum, np.full(9, np.nextafter(1.0, 0.0))].ravel()]
         ue_by_state = [np.sort(ue[idx == s]) for s in range(9)]
         levels = _eve_levels(model, idx, ue)
-        assert _eve_counts(model, ue_by_state).tolist() == \
+        assert _eve_counts(_cdf(model.emit), ue_by_state).tolist() == \
             np.bincount(levels - model.symbols[0], minlength=9).tolist()
 
     def test_rate_matches_calibration(self, calibrated_config):
@@ -385,7 +422,7 @@ class TestClosedFormEntropy:
         model = calibrated_config.model
         idx, ue, _ = _draw(model, cal["measure_seed"], 10_000)
         ue_by_state = [np.sort(ue[idx == s]) for s in range(9)]
-        rate = float(_memoryless_entropy_bits(model, _eve_counts(model, ue_by_state))) / 10_000
+        rate = float(closed_form_bits(model, ue_by_state)) / 10_000
         assert rate == pytest.approx(cal["achieved_entropy_per_sample_bits"], rel=1e-12)
 
 
@@ -426,10 +463,47 @@ class TestSeededOutputs:
                    "levels": 9, "measure_seed": 77115417},
     }
 
+    # other level counts and targets, keyed (levels, entropy rate, word error
+    # rate, seed): band 2 at 5 levels, and band 4 at 17 levels, where no
+    # spread in bands 2, 1 or 3 reaches 2.4 bits per sample
+    OTHER_CALIBRATIONS = {
+        (5, 0.1248, 0.0054, 2026): {
+            "target_entropy_per_sample_bits": 0.9984,
+            "achieved_entropy_per_sample_bits": 0.996915784925622,
+            "target_word_error_per_word": 0.0432,
+            "achieved_word_error_per_word": 0.0434,
+            "spread": 0.4572526698969311, "band": 2, "q": 0.025370810546875004,
+            "levels": 5, "measure_seed": 2026},
+        (17, 0.3, 0.01, 2026): {
+            "target_entropy_per_sample_bits": 2.4,
+            "achieved_entropy_per_sample_bits": 2.4074900640601493,
+            "target_word_error_per_word": 0.08,
+            "achieved_word_error_per_word": 0.0801,
+            "spread": 0.8167880496440614, "band": 4, "q": 0.042118515625000005,
+            "levels": 17, "measure_seed": 2026},
+    }
+
+    @staticmethod
+    def assert_family_member(cfg):
+        # the returned config is the family member its calibration names
+        cal = cfg.calibration
+        member = family_config(levels=cal["levels"], spread=cal["spread"], band=cal["band"],
+                               q=cal["q"], seed=cal["measure_seed"])
+        assert cfg.to_dict() == replace(member, calibration=cal).to_dict()
+
     @pytest.mark.parametrize("seed", sorted(CALIBRATIONS))
     def test_calibration(self, seed):
         cfg = calibrate_to_reference_rates(0.1248, 0.0054, levels=9, seed=seed)
         assert cfg.calibration == self.CALIBRATIONS[seed]
+        self.assert_family_member(cfg)
+
+    @pytest.mark.parametrize("key", sorted(OTHER_CALIBRATIONS))
+    def test_other_calibration(self, key):
+        levels, entropy_rate, word_error_rate, seed = key
+        cfg = calibrate_to_reference_rates(entropy_rate, word_error_rate, levels=levels,
+                                           seed=seed)
+        assert cfg.calibration == self.OTHER_CALIBRATIONS[key]
+        self.assert_family_member(cfg)
 
     def test_markov_run(self):
         run = simulate_run(family_config(levels=4, decay=0.5, spread=0.3, band=1, q=0.1,

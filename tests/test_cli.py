@@ -640,6 +640,20 @@ class TestValidateAssumptions:
                                 "the correlation probes need two\n")
         assert captured.out == ""
 
+    def test_rare_level_trace_fails_closed(self, run_dir, capsys):
+        # one -1 among 4,000 zeros: the lag profile's random anchors miss it
+        alice = np.zeros(4000, dtype=np.int64)
+        alice[10] = -1
+        trace_to_file(make_trace(alice, "alice")).save(run_dir / "alice.csv")
+        code = main(["validate-assumptions", "--alice", str(run_dir / "alice.csv"),
+                     "--eve", str(run_dir / "eve.csv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error: zero-variance input: the alice samples of the lag-0 "
+                                "probe hold a single level (0); the correlation probes need "
+                                "two\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command, option", [
         ("estimate-entropy", ["--smoothing", "0"]), ("fit-growth", ["--smoothing", "0"]),
         ("validate-assumptions", ["--lag-csv", "x"])])

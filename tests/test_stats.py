@@ -456,6 +456,16 @@ class TestValidateAssumptions:
                                              "the correlation probes need two$"):
             validate_assumptions(traces["alice"], traces["eve"], levels=9)
 
+    def test_single_level_probe_slice_names_trace_and_lag(self, rng):
+        # Eve's one -1 is her last sample, which no forward cross-lag probe reads
+        eve = np.zeros(2000, dtype=np.int64)
+        eve[-1] = -1
+        alice = make_trace(rng.integers(-8, 1, size=2000), "alice")
+        with pytest.raises(ValueError, match=r"^zero-variance input: the eve samples of the "
+                                             r"lag-1 probe hold a single level \(0\); "
+                                             "the correlation probes need two$"):
+            validate_assumptions(alice, make_trace(eve, "eve"), levels=9)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, rng, alpha):
         t = make_trace(rng.integers(-8, 1, size=2000), "alice")

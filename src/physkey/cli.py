@@ -184,9 +184,8 @@ def _cmd_fit_growth(args) -> int:
 
 def _cmd_validate_assumptions(args) -> int:
     aligned, report = _load_aligned({"alice": args.alice, "eve": args.eve}, args.levels)
-    result = stats.validate_assumptions(
-        aligned["alice"], aligned["eve"], alpha=args.alpha, trials=args.trials,
-        slice_len=args.slice, max_lag=args.max_lag, levels=args.levels, seed=args.seed)
+    result = stats.validate_assumptions(aligned["alice"], aligned["eve"],
+                                        slice_len=args.slice, levels=args.levels)
     doc = result.to_dict()
     doc["ingest"] = report
     _emit(doc)
@@ -274,12 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-assumptions", help="run the channel assumption suite")
     p.add_argument("--alice", required=True)
     p.add_argument("--eve", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=200)
     p.add_argument("--slice", type=int, default=hmm.SLICE_LEN)
-    p.add_argument("--max-lag", type=int, default=6)
     p.add_argument("--levels", type=int, default=LEVELS)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_validate_assumptions)
 
     p = sub.add_parser("plan", help="choose sample count and code for a key length")

@@ -234,13 +234,15 @@ def plan_parameters(l: int, lambda_: float, c: float,
     each condition that fails.  The code covers n residue words of
     ``RESIDUE_BITS`` bits.  A given ``n`` replaces the planned sample count;
     the code and the report are then sized for it.  Raises ValueError unless
-    a float holds l, lambda_ and c are finite and >= 0 and max_level_offset
+    l >= 1 fits a float, lambda_ and c are finite and >= 0 and max_level_offset
     is None or >= 0, and InfeasiblePlanError when the fitted lines cannot
     satisfy the conditions at any n, or when no supported code fits the chosen n.
     """
     _check_security_targets(("lambda", lambda_), ("c", c))
     if abs(l) > sys.float_info.max:  # an int compares with a float exactly
         raise ValueError(f"l of {l.bit_length()} bits does not fit a float")
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
     if max_level_offset is not None and max_level_offset < 0:
         raise ValueError(f"max_level_offset must be >= 0, got {max_level_offset}")
     if entropy_fit.slope <= 0:

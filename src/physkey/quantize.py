@@ -60,18 +60,10 @@ class BitString:
             return NotImplemented
         return len(self) == len(other) and bool(np.all(self._bits == other._bits))
 
-    def __hash__(self) -> int:
-        return hash((len(self), self._bits.tobytes()))
-
     def __repr__(self) -> str:
         if len(self) <= 32:
             return f"BitString({''.join(str(b) for b in self._bits)})"
         return f"BitString(len={len(self)})"
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return BitString(np.bitwise_xor(self._bits, other._bits))
 
     def to_hex(self) -> str:
         """Serialize as ``len:hex`` (MSB-first, zero-padded final byte)."""

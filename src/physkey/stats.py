@@ -30,6 +30,8 @@ import numpy as np
 from . import hmm
 from .traces import MeasurementTrace, assert_aligned
 
+ALPHA = 0.05  # the suite's significance level, in every one of its tests
+MAX_LAG = 6  # the longest lag of both of the suite's correlation probes
 LAG_ROWS = 2000  # the suite's lag-profile anchors and longest transition window
 MIN_COND_SAMPLES = 8  # fewest samples per side of a window or conditional K-S test
 
@@ -234,18 +236,18 @@ def _random_halves(rng: np.random.Generator, counts: np.ndarray, draws: int):
 
 
 def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
-                         alpha: float = 0.05, trials: int = 200,
-                         slice_len: int = hmm.SLICE_LEN, max_lag: int = 6,
+                         trials: int = 200, slice_len: int = hmm.SLICE_LEN,
                          levels: int, seed: int = 0) -> AssumptionReport:
     """Run the assumption suite on an aligned (alice, eve) trace pair.
 
     ``trials`` K-S partitions per test (a tenth of them for the
     conditional-observation test), ``slice_len``-sample entropy
-    experiments, lags up to ``max_lag`` (at least 1) in both correlation
-    probes, and an HMM over ``levels`` levels.  Sub-tests that lack data
-    are skipped and recorded in details rather than failing the suite, but
-    a trace holding one level fails it, as does a correlation probe whose
-    samples of one trace hold one level: the correlation probes need two.
+    experiments, lags up to MAX_LAG in both correlation probes, every test
+    at level ALPHA, and an HMM over ``levels`` levels.  Sub-tests that lack
+    data are skipped and recorded in details rather than failing the suite,
+    but a correlation probe whose samples of one trace hold one level fails
+    it: the probes need two.  So does a trace holding one level, which the
+    lag-0 probe names for alice and the lag-1 cross-lag probe for eve.
     Stage (e) fits the model estimate-entropy and fit-growth fit, so
     ``stable_entropy`` is estimate-entropy's estimate at the same slice.
 
@@ -257,24 +259,15 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     n = len(alice)
     if slice_len < 1:
         raise ValueError(f"slice_len must be at least 1, got {slice_len}")
-    if not 0 < alpha < 1:  # NaN fails too
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be at least 1, got {max_lag}")
     if n < 20 * slice_len:
         raise ValueError(f"need at least {20 * slice_len} samples, got {n}")
-    for name, trace in (("alice", alice), ("eve", eve)):
-        if trace.levels.min() == trace.levels.max():
-            raise ValueError(f"{name} trace holds a single level ({trace.levels[0]}); "
-                             "the correlation probes need two")
     rng = hmm.seeded_rng(seed)
     details: dict = {}
 
     # (a) memorylessness probe: lag profile of Alice's own samples
-    profile = lag_correlation_profile(alice, max_lag=max_lag,
-                                      rows=LAG_ROWS, alpha=alpha,
+    profile = lag_correlation_profile(alice, max_lag=MAX_LAG, rows=LAG_ROWS, alpha=ALPHA,
                                       seed=int(rng.integers(2 ** 32)))
 
     # the K-S tests count levels: xc and yc rank each sample among its
@@ -283,7 +276,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     lx, ly = int(xc.max()) + 1, int(yc.max()) + 1
 
     # (b) identical distribution: K-S on random half partitions
-    rejects = _ks_counts(*_random_halves(rng, np.bincount(xc), trials), alpha)[2]
+    rejects = _ks_counts(*_random_halves(rng, np.bincount(xc), trials), ALPHA)[2]
     identical_rate = float(rejects.mean())
 
     # (c) stationary transitions: successor samples from two disjoint time
@@ -295,7 +288,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
         s1 = int(rng.integers(0, n - 2 * w - 1))
         s2 = int(rng.integers(s1 + w, n - w - 1))
         windows[:, t] = [np.bincount(xc[s + 1:s + w + 1], minlength=lx) for s in (s1, s2)]
-    transition_rate = float(_ks_counts(*windows, alpha)[2].mean())
+    transition_rate = float(_ks_counts(*windows, ALPHA)[2].mean())
 
     # (d) stationary observation: per conditioning level x, Y | X = x (row x
     # of a half's count table) across a random half of the (x, y) pairs,
@@ -304,7 +297,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     c1, c2 = (h.reshape(-1, ly) for h in _random_halves(rng, joint, max(1, trials // 10)))
     kept = (c1.sum(axis=1) >= MIN_COND_SAMPLES) & (c2.sum(axis=1) >= MIN_COND_SAMPLES)
     tests = int(kept.sum())
-    rejects = _ks_counts(c1[kept], c2[kept], alpha)[2]
+    rejects = _ks_counts(c1[kept], c2[kept], ALPHA)[2]
     observation_rate = float(rejects.mean()) if tests else 0.0
     details["stationary_observation_tests"] = tests
     details["stationary_observation_skipped"] = kept.size - tests
@@ -314,12 +307,12 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     x = alice.levels.astype(float)
     y = eve.levels.astype(float)
     cross = {}
-    for lag in range(1, max_lag + 1):
-        r_fwd, sig_fwd = _probe(y[:-lag], x[lag:], alpha, lag, "eve", "alice")
-        r_bwd, sig_bwd = _probe(y[lag:], x[:-lag], alpha, lag, "eve", "alice")
+    for lag in range(1, MAX_LAG + 1):
+        r_fwd, sig_fwd = _probe(y[:-lag], x[lag:], ALPHA, lag, "eve", "alice")
+        r_bwd, sig_bwd = _probe(y[lag:], x[:-lag], ALPHA, lag, "eve", "alice")
         cross[lag] = {"r_forward": r_fwd, "significant_forward": bool(sig_fwd),
                       "r_backward": r_bwd, "significant_backward": bool(sig_bwd)}
-    r0, sig0 = pearson_significance(y, x, alpha)
+    r0, sig0 = pearson_significance(y, x, ALPHA)
     details["cross_lag"] = {"lag0_r": r0, "lag0_significant": bool(sig0),
                             "nonzero_lags": cross}
 
@@ -339,6 +332,6 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
         stationary_transition_rejection_rate=transition_rate,
         stationary_observation_rejection_rate=observation_rate,
         stable_entropy=stable,
-        alpha=alpha,
+        alpha=ALPHA,
         details=details,
     )

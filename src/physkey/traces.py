@@ -7,8 +7,9 @@ and rssi (signed dBm) in int64 and ``<node>`` any text without ``,`` or
 ``\\n``.  A file is one node's trace: every row carries the first row's
 node id and frame type, and each row's seq is above the previous row's.
 Empty lines are skipped.  ``TraceFile.parse`` splits lines on ``\\n`` only;
-``TraceFile.load`` reads the file with universal newlines, so a CRLF or CR
-file loads as its LF twin.
+``TraceFile.load`` decodes the file as UTF-8 with universal newlines, so a
+CRLF or CR file loads as its LF twin, and a byte that is not UTF-8 is a
+``PhyskeyError`` naming ``path:line`` and the byte's offset.
 
 A parsed ``TraceFile`` holds seq and rssi as int64 arrays in file order
 and the one node id and frame type; ``load_trace`` reads a file as its one
@@ -106,7 +107,16 @@ class TraceFile:
 
     @classmethod
     def load(cls, path) -> "TraceFile":
-        return cls.parse(Path(path).read_text(), str(path))
+        raw = Path(path).read_bytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len(raw[:exc.start + 1].splitlines())  # a bad byte is never a newline
+            raise PhyskeyError(f"{path}:{line}: byte {raw[exc.start]:#04x} at offset "
+                               f"{exc.start} is not UTF-8") from None
+        if "\r" in text:  # universal newlines; an LF file skips two copies
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return cls.parse(text, str(path))
 
     @property
     def rows(self) -> list:

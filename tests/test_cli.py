@@ -172,24 +172,18 @@ def case(label, *values):
     case("extra4", "fit-growth", ["--step", "-10"], "checkpoint"),
     case("extra5", "validate-assumptions", ["--slice", "0"], "at least 1"),
     case("extra6", "fit-growth", ["--step", "0"], "--step must be at least 1"),
-    case("extra7", "validate-assumptions", ["--trials", "0"], "trials must be at least 1"),
-    case("extra8", "validate-assumptions", ["--max-lag", "0"], "max_lag must be at least 1"),
-    case("extra9", "validate-assumptions", ["--max-lag", "-2"], "max_lag must be at least 1"),
     case("extra10", "estimate-entropy", ["--levels", "0"], "--levels must be at least 2"),
     case("extra11", "estimate-entropy", ["--levels", "1"], "--levels must be at least 2"),
     case("extra12", "fit-growth", ["--levels", "0"], "--levels must be at least 2"),
     case("extra13", "fit-growth", ["--levels", "1"], "--levels must be at least 2"),
     case("extra14", "validate-assumptions", ["--levels", "0"], "--levels must be at least 2"),
     case("extra15", "validate-assumptions", ["--levels", "1"], "--levels must be at least 2"),
-    case("extra20", "validate-assumptions", ["--alpha", "1.5"], "alpha must be in (0, 1)"),
-    case("extra21", "validate-assumptions", ["--alpha", "nan"], "alpha must be in (0, 1)"),
     case("extra22", "fit-growth", ["--step", "101"],
          "--step must be at least 1 and at most --slice-samples // 2 = 100"),
     case("extra23", "fit-growth", ["--slice-samples", "30", "--step", "16"],
          "at most --slice-samples // 2 = 15 to place two checkpoints, got 16"),
     case("extra24", "simulate", ["--seed", "-1"], "--seed must be >= 0, got -1"),
     case("extra25", "extract-key", ["--seed", "-1"], "--seed must be >= 0, got -1"),
-    case("extra26", "validate-assumptions", ["--seed", "-1"], "--seed must be >= 0, got -1"),
     case("extra27", "estimate-entropy", ["--levels", "257"],
          "--levels must be at most 256, got 257"),
     case("extra28", "fit-growth", ["--levels", "257"], "--levels must be at most 256, got 257"),
@@ -251,6 +245,19 @@ def test_file_without_rows_fails_closed(run_dir, capsys, command, body):
     assert captured.err == f"error: {path}: no data rows\n" and captured.out == ""
 
 
+def test_file_not_utf8_fails_closed(run_dir, capsys):
+    # line 3's rssi becomes the byte 0xff, which opens no UTF-8 character
+    path = run_dir / "alice.csv"
+    raw = path.read_bytes()
+    start = raw.index(b"\n1,alice,PING,") + len(b"\n1,alice,PING,")
+    path.write_bytes(raw[:start] + b"\xff" + raw[raw.index(b"\n", start):])
+    code = main(["estimate-entropy", "--alice", str(path), "--eve", str(run_dir / "eve.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {path}:3: byte 0xff at offset {start} is not UTF-8\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, target, message", [
     ("simulate", "physkey.channel.simulate_run", ""),
     ("validate-assumptions", "physkey.stats.validate_assumptions",
@@ -264,7 +271,7 @@ def test_out_of_memory_fails_closed(run_dir, capsys, monkeypatch, command, targe
     args = {"simulate": ["--config", run_dir / "ch.json", "--out", run_dir / "sim",
                          "--n", 10 ** 12],
             "validate-assumptions": ["--alice", run_dir / "alice.csv",
-                                     "--eve", run_dir / "eve.csv", "--trials", 10 ** 10]}
+                                     "--eve", run_dir / "eve.csv"]}
     code = main([command, *map(str, args[command])])
     captured = capsys.readouterr()
     assert code == 1
@@ -389,6 +396,16 @@ def config_with(path, value):
     case("doc42", "simulate", "--config",
          config_with(("bob_error",), {"-1": 0.02, "-0": 0.96, "1": 0.02}),
          "bob_error key '-0' is not an integer offset"),
+    # calibration targets no channel of the family reaches
+    case("doc43", "simulate", "--config",
+         {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.2}},
+         "calibration failed: word error target >= 1 per word"),
+    case("doc44", "simulate", "--config",
+         {"calibrate": {"entropy_rate": 0.1248, "word_error_rate": 0.11}},
+         "calibration failed: word error target out of reach"),
+    case("doc45", "simulate", "--config",
+         {"calibrate": {"entropy_rate": 0.39, "word_error_rate": 0.0054}},
+         "calibration failed: no emission spread reaches the entropy target"),
     # raw text, not a document: nesting too deep for the JSON decoder
     *[pytest.param(command, flag, "[" * 100_000, "maximum recursion depth exceeded",
                    id=f"{command}-{flag}-deeply-nested")
@@ -593,6 +610,31 @@ def test_oversized_key_length_fails_closed(run_dir, capsys, command, l):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["plan", "extract-key"])
+@pytest.mark.parametrize("l", ["0", "-5"])
+def test_key_length_below_one_fails_closed(run_dir, capsys, command, l):
+    extra = {"plan": [],
+             "extract-key": ["--alice", run_dir / "alice.csv", "--bob", run_dir / "bob.csv",
+                             "--seed", "21"]}[command]
+    code = main([command, *map(str, extra), "--l", l, "--lambda", "80", "--c", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: l must be >= 1, got {l}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fits, reason", [
+    case("fits0", {"g": {"slope": 0, "intercept": 0}, "e": {"slope": 0.04, "intercept": 0}},
+         "entropy fit must have positive slope")])
+def test_infeasible_fitted_line_fails_closed(tmp_path, capsys, fits, reason):
+    (tmp_path / "f.json").write_text(json.dumps(fits))
+    code = main(["plan", "--l", "64", "--lambda", "40", "--c", "0.5",
+                 "--fits", str(tmp_path / "f.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {reason}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("fits", [
     {"g": {"slope": 1, "intercept": 0}, "e": {"slope": 0.01, "intercept": 1e308}},
     {"g": {"slope": 1e-320, "intercept": 0}, "e": {"slope": 0, "intercept": 0}}])
@@ -611,13 +653,13 @@ class TestValidateAssumptions:
     def test_report_and_lag_csv(self, run_dir, capsys):
         code, out = invoke(capsys, "validate-assumptions",
                            "--alice", run_dir / "alice.csv",
-                           "--eve", run_dir / "eve.csv",
-                           "--trials", "30", "--max-lag", "3",
-                           "--levels", "9", "--seed", "4")
+                           "--eve", run_dir / "eve.csv", "--levels", "9")
         assert code == 0
         doc = json.loads(out)
+        assert doc["alpha"] == 0.05
         assert doc["identical_distribution_rejection_rate"] <= 0.10
-        assert len(doc["markov_lag_profile"]["lags"]) == 4
+        assert doc["markov_lag_profile"]["lags"] == list(range(7))
+        assert list(doc["details"]["cross_lag"]["nonzero_lags"]) == [str(k) for k in range(1, 7)]
 
     def test_stable_entropy_is_the_estimate(self, run_dir, capsys):
         # the suite's stage (e) fits the model estimate-entropy fits
@@ -625,19 +667,22 @@ class TestValidateAssumptions:
                   "--slice", "100"]
         code, estimate = invoke(capsys, "estimate-entropy", *traces)
         assert code == 0
-        code, report = invoke(capsys, "validate-assumptions", *traces, "--trials", "10")
+        code, report = invoke(capsys, "validate-assumptions", *traces)
         assert code == 0
         assert json.loads(report)["stable_entropy"] == json.loads(estimate)["estimate"]
 
     @pytest.mark.parametrize("role", ["alice", "eve"])
     def test_single_level_trace_fails_closed(self, run_dir, capsys, role):
+        # Alice's lag profile probes her at lag 0, the cross-lag probe Eve from lag 1
         trace_to_file(make_trace(np.full(4000, -2), role)).save(run_dir / f"{role}.csv")
         code = main(["validate-assumptions", "--alice", str(run_dir / "alice.csv"),
                      "--eve", str(run_dir / "eve.csv")])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == (f"error: {role} trace holds a single level (-2); "
-                                "the correlation probes need two\n")
+        lag = {"alice": 0, "eve": 1}[role]
+        assert captured.err == (f"error: zero-variance input: the {role} samples of the "
+                                f"lag-{lag} probe hold a single level (-2); the correlation "
+                                "probes need two\n")
         assert captured.out == ""
 
     def test_rare_level_trace_fails_closed(self, run_dir, capsys):
@@ -656,7 +701,9 @@ class TestValidateAssumptions:
 
     @pytest.mark.parametrize("command, option", [
         ("estimate-entropy", ["--smoothing", "0"]), ("fit-growth", ["--smoothing", "0"]),
-        ("validate-assumptions", ["--lag-csv", "x"])])
+        ("validate-assumptions", ["--lag-csv", "x"]), ("validate-assumptions", ["--alpha", "0.05"]),
+        ("validate-assumptions", ["--trials", "200"]), ("validate-assumptions", ["--max-lag", "6"]),
+        ("validate-assumptions", ["--seed", "0"])])
     def test_removed_option_is_a_usage_error(self, run_dir, command, option):
         roles = ["alice", "bob", "eve"] if command == "fit-growth" else ["alice", "eve"]
         traces = [a for role in roles for a in (f"--{role}", run_dir / f"{role}.csv")]
@@ -705,9 +752,6 @@ class TestSeededOutputs:
                        "e9ec3bb844b2e4dfcfca0f4f0ab6d1ff0da4248e13c43e9061678aa6f29c4e8b"),
         "validate-assumptions": (
             [], "93a3a5c0e90095e229978a99ac442922397bb04ac18235e336428ba93146ee09"),
-        "validate-assumptions --trials 37 --seed 9": (
-            ["--trials", "37", "--seed", "9"],
-            "ee6b07e5bd5662af0c859996045510d27ea665326badca6e394273bebee1cd54"),
         "ingest": ([], "c7ba80cbb61e398f32e1b2468fbde2e4f4036ca3f6293aa6d0c13615534da30b"),
         "extract-key": (
             ["--l", "16", "--lambda", "2", "--c", "0.05", "--seed", "21"],

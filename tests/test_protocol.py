@@ -383,6 +383,19 @@ class TestExchange:
             "no level for the recovered residues: residue of sample 7 is 0, and no "
             "level in 0..8 within 3 of magnitude 4 has it")
 
+    def test_offset_of_5_aliases_to_another_key(self, rng):
+        # residues repeat every 8 magnitudes: Bob recovers Alice's residue 0
+        # of magnitude 8 exactly, takes magnitude 0, within 3 of his 3, for
+        # it and extracts another key
+        levels = rng.integers(-8, 1, size=400)
+        alice, bob = levels.copy(), levels.copy()
+        alice[17], bob[17] = -8, -3
+        res = run_exchange(make_trace(alice, "alice"), make_trace(bob, "bob"),
+                           plan_parameters(16, 2, 0.05, n=400), seed=9)
+        assert not res.success and res.bob_key is not None
+        assert res.bob_key != res.alice_key
+        assert res.failure_reason == "key mismatch after reconciliation"
+
     def test_traces_too_short(self, rng):
         levels = rng.integers(-8, 1, size=50)
         t = make_trace(levels, "alice")

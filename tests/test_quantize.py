@@ -182,6 +182,3 @@ class TestBitString:
     def test_bad_padding_rejected(self):
         with pytest.raises(ValueError, match="padding"):
             BitString.from_hex("4:ff")
-
-    def test_xor(self):
-        assert (bits("0110") ^ bits("0011")) == bits("0101")

@@ -448,12 +448,16 @@ class TestValidateAssumptions:
 
     @pytest.mark.parametrize("flat", ["alice", "eve"])
     def test_single_level_trace_rejected(self, rng, flat):
-        # the correlation probes divide by each trace's variance
+        # the correlation probes divide by each trace's variance: Alice's
+        # lag profile probes her first, at lag 0, and the cross-lag probe
+        # Eve, from lag 1
         traces = {role: make_trace(rng.integers(-8, 1, size=2000), role)
                   for role in ("alice", "eve")}
         traces[flat] = make_trace(np.zeros(2000, dtype=np.int64), flat)
-        with pytest.raises(ValueError, match=rf"^{flat} trace holds a single level \(0\); "
-                                             "the correlation probes need two$"):
+        lag = {"alice": 0, "eve": 1}[flat]
+        with pytest.raises(ValueError, match=rf"^zero-variance input: the {flat} samples of "
+                                             rf"the lag-{lag} probe hold a single level "
+                                             r"\(0\); the correlation probes need two$"):
             validate_assumptions(traces["alice"], traces["eve"], levels=9)
 
     def test_single_level_probe_slice_names_trace_and_lag(self, rng):
@@ -466,13 +470,6 @@ class TestValidateAssumptions:
                                              "the correlation probes need two$"):
             validate_assumptions(alice, make_trace(eve, "eve"), levels=9)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
-    def test_alpha_outside_unit_interval_rejected(self, rng, alpha):
-        t = make_trace(rng.integers(-8, 1, size=2000), "alice")
-        e = make_trace(rng.integers(-8, 1, size=2000), "eve")
-        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-            validate_assumptions(t, e, alpha=alpha, levels=9)
-
     def test_options_are_keywords(self, rng):
         t = make_trace(rng.integers(-8, 1, size=2000), "alice")
         e = make_trace(rng.integers(-8, 1, size=2000), "eve")
@@ -482,6 +479,14 @@ class TestValidateAssumptions:
             validate_assumptions(t, e, trails=5, levels=9)  # misspelt option
         with pytest.raises(TypeError):
             validate_assumptions(t, e)  # the level count has no default
+
+    @pytest.mark.parametrize("option", [{"alpha": 0.05}, {"max_lag": 6}])
+    def test_thresholds_are_not_options(self, rng, option):
+        # the suite runs every test at ALPHA and both probes to MAX_LAG
+        t = make_trace(rng.integers(-8, 1, size=2000), "alice")
+        e = make_trace(rng.integers(-8, 1, size=2000), "eve")
+        with pytest.raises(TypeError):
+            validate_assumptions(t, e, levels=9, **option)
 
     def test_report_serializes(self, calibrated_config):
         import json
@@ -529,8 +534,8 @@ class TestSeededOutputs:
             "3f1ba1804f50313d2d3245a0b7eac82ee8a90f1ccc6aefd4902d2ac59ba8c11d"),
         "chain-with-memory": (
             partial(simulated_pair, levels=5, decay=0.5, n=3000, seed=12),
-            {"trials": 37, "max_lag": 3, "levels": 5, "seed": 9},
-            "ab7c966e7184c24a63cafc16a4c207c0aa403d22efefb5a611b727e48ad632a1"),
+            {"trials": 37, "levels": 5, "seed": 9},
+            "c76960ae8d533ce78971000414a806fa1b16e308908a95441f7d439a88a86f92"),
         "reference-trials": (
             partial(simulated_pair, levels=9, n=10_000, seed=13),
             {"trials": 200, "levels": 9, "seed": 0},

@@ -15,9 +15,11 @@ desk-scale reference for small models.
 One private kernel steps both recursions over the rows of an (r, n) matrix
 of symbol indices at once and reports their prefix values at requested
 lengths.  Its Viterbi scores are state-major, one (k, r) array, and one
-max-plus step maps them to each state's best predecessor score by reducing
-the leading axis of a (k, k, r) array, elementwise over (k, r) slabs; the
-forward recursion keeps its (r, k) rows for one matrix product per step.
+max-plus step maps them to each state's best predecessor score: the scores
+repeated k times plus log2 a widened once per batch to (k, k * r) is one
+contiguous add, reduced over its leading axis.  The forward recursion keeps
+its (r, k) rows for one matrix product per step, and log2 P is one cumsum of
+the step scales' log2 after the last step.
 The single-sequence functions, the growth profiles and the sampled
 estimator call the kernel; the exact enumeration calls only the max-plus
 step, growing each observation prefix once.  Observations are int64 arrays
@@ -31,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +44,9 @@ from .traces import MeasurementTrace, assert_aligned
 _ROW_TOL = 1e-9
 ENUMERATION_GUARD = 10 ** 6
 SLICE_LEN = 100  # samples per entropy experiment in the reference deployment
-MAX_LEVELS = 256  # largest level count: the kernel's (k, k, r) step is then 52 MB at r = 100
+# largest level count: the kernel's widened log2 a and one step's candidates
+# are then two (k, k, r) blocks, 105 MB at r = 100
+MAX_LEVELS = 256
 
 
 def json_int(value) -> int:
@@ -227,7 +231,8 @@ class EntropyEstimate:
     n_experiments: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "per_experiment_bits": list(self.per_experiment_bits)}
 
 
 @dataclass(frozen=True)
@@ -250,9 +255,24 @@ class LinearFit:
                    json_float(d.get("residual_sum_squares", 0.0)))
 
 
-def _viterbi_step(delta: np.ndarray, log_a: np.ndarray) -> np.ndarray:
-    """out[j, c] = max_i(delta[i, c] + log2 a_ij) over state-major (k, r) scores."""
-    return (delta[:, None, :] + log_a[:, :, None]).max(axis=0)
+def _widen(log_a: np.ndarray, r: int) -> np.ndarray:
+    """log2 a_ij at [i, j * r + c] for every c < r: the (k, k * r) block one
+    ``_viterbi_step`` over r score columns adds."""
+    return np.repeat(log_a, r, axis=1)
+
+
+def _viterbi_step(delta: np.ndarray, wide_log_a: np.ndarray) -> np.ndarray:
+    """out[j, c] = max_i(delta[i, c] + log2 a_ij) over state-major (k, r)
+    scores, given ``wide_log_a = _widen(log2 a, r)``.
+
+    Each score row repeated k times lines up with ``wide_log_a``, so the
+    candidates are one contiguous (k, k * r) add, reduced over its leading
+    axis: the same maxima of the same sums as a broadcast (k, k, r) add.
+    """
+    k, r = delta.shape
+    cand = delta.repeat(k, axis=0).reshape(k, k * r)
+    cand += wide_log_a
+    return cand.max(axis=0).reshape(k, r)
 
 
 def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[int]):
@@ -265,6 +285,11 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
     log2 P of each row's prefix at each checkpoint, two (r, c) arrays.  At
     the first step t where some row's probability is 0, raises
     ImpossibleObservationError naming t, with the first such row as ``row``.
+
+    Each step's scales fill one row of an (n, r) array; log2 P is their
+    running log2 sum, one cumsum in step order.  A row whose scale is 0 turns
+    to NaN from then on without touching the other rows, so the scales are
+    searched for the first zero once, after the last step.
     """
     if obs_matrix.ndim != 2 or obs_matrix.size < 1:
         raise ValueError("observations must be a non-empty 2-d matrix of symbol indices")
@@ -273,27 +298,32 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
     with np.errstate(divide="ignore"):
         log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
     r, n = obs_matrix.shape
-    log_star, log_p = np.zeros((2, r, len(checkpoints)))
+    wide_log_a = _widen(log_a, r)
+    log_star = np.empty((r, len(checkpoints)))
+    scales = np.empty((n, r))
+    trans, emit_rows = model.trans, model.emit.T.copy()  # emit_rows[y] = b_.(y)
     pos = 0
-    log_fwd = np.zeros(r)
-    for t in range(n):
-        if t == 0:
-            delta = log_pi[:, None] + log_b[:, obs_matrix[:, 0]]      # (k, r)
-            alpha = model.pi[None, :] * model.emit[:, obs_matrix[:, 0]].T
-        else:
-            delta = _viterbi_step(delta, log_a) + log_b[:, obs_matrix[:, t]]
-            alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
-        scale = alpha.sum(axis=1)
-        if not scale.all():
-            raise ImpossibleObservationError(
-                f"impossible observation sequence: zero probability at step {t}",
-                row=int(np.argmin(scale)))
-        alpha /= scale[:, None]
-        log_fwd += np.log2(scale)
-        if pos < len(checkpoints) and checkpoints[pos] == t + 1:
-            log_star[:, pos] = delta.max(axis=0)
-            log_p[:, pos] = log_fwd
-            pos += 1
+    with np.errstate(invalid="ignore"):  # 0 / 0 in a row that died
+        for t, y in enumerate(obs_matrix.T):
+            if t == 0:
+                delta = log_pi[:, None] + log_b[:, y]                       # (k, r)
+                alpha = model.pi * emit_rows[y]                             # (r, k)
+            else:
+                delta = _viterbi_step(delta, wide_log_a)
+                delta += log_b[:, y]
+                alpha = alpha @ trans
+                alpha *= emit_rows[y]
+            scale = alpha.sum(axis=1, out=scales[t])
+            alpha /= scale[:, None]
+            if pos < len(checkpoints) and checkpoints[pos] == t + 1:
+                log_star[:, pos] = delta.max(axis=0)
+                pos += 1
+    dead = scales == 0
+    if dead.any():
+        t, row = divmod(int(dead.argmax()), r)  # the earliest step, then the first row
+        raise ImpossibleObservationError(
+            f"impossible observation sequence: zero probability at step {t}", row=row)
+    log_p = np.cumsum(np.log2(scales), axis=0)[np.asarray(checkpoints, dtype=np.intp) - 1].T
     return log_star, log_p
 
 
@@ -361,7 +391,8 @@ def exact_avg_conditional_min_entropy(model: HmmModel, n: int) -> float:
         log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
     delta = log_pi[:, None] + log_b                                 # (k, m)
     for _ in range(n - 1):
-        delta = (_viterbi_step(delta, log_a)[:, :, None] + log_b[:, None, :]).reshape(model.k, -1)
+        step = _viterbi_step(delta, _widen(log_a, delta.shape[1]))
+        delta = (step[:, :, None] + log_b[:, None, :]).reshape(model.k, -1)
     logs = delta.max(axis=0)
     top = logs.max()
     if top == -np.inf:

@@ -23,7 +23,7 @@ so each of the suite's three K-S tests is one array pass.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -144,7 +144,12 @@ class AssumptionReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as JSON-ready dicts: the nested reports converted,
+        ``details`` the report's own dict."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "markov_lag_profile": {f.name: list(getattr(self.markov_lag_profile, f.name))
+                                       for f in fields(CorrelationReport)},
+                "stable_entropy": self.stable_entropy.to_dict()}
 
 
 def pearson_significance(x, y, alpha: float = 0.05):
@@ -235,6 +240,21 @@ def _random_halves(rng: np.random.Generator, counts: np.ndarray, draws: int):
     return halves, counts - halves
 
 
+def _window_counts(codes: np.ndarray, starts: np.ndarray, w: int, levels: int) -> np.ndarray:
+    """Level histograms of windows: out[..., v] counts the i in [s, s + w)
+    with codes[i] = v, for every start s of ``starts`` (with s + w <= n) and
+    every v < ``levels``.
+
+    Each sample's key v * n + i sorts the positions of level 0, then those
+    of level 1, ..., so a window's count of v is the number of keys in
+    [v * n + s, v * n + s + w): two searches.  Memory is O(n + starts x levels).
+    """
+    n = codes.size
+    keys = np.sort(codes * n + np.arange(n))
+    lo = starts[..., None] + np.arange(levels) * n
+    return np.searchsorted(keys, lo + w) - np.searchsorted(keys, lo)
+
+
 def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
                          trials: int = 200, slice_len: int = hmm.SLICE_LEN,
                          levels: int, seed: int = 0) -> AssumptionReport:
@@ -283,11 +303,11 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     # windows drawn fresh each trial (fresh windows keep the trials
     # decorrelated, so the rejection rate concentrates near its level)
     w = max(MIN_COND_SAMPLES, min(LAG_ROWS, n // 8))
-    windows = np.empty((2, trials, lx), dtype=np.int64)
+    starts = np.empty((2, trials), dtype=np.int64)
     for t in range(trials):
         s1 = int(rng.integers(0, n - 2 * w - 1))
-        s2 = int(rng.integers(s1 + w, n - w - 1))
-        windows[:, t] = [np.bincount(xc[s + 1:s + w + 1], minlength=lx) for s in (s1, s2)]
+        starts[:, t] = s1, int(rng.integers(s1 + w, n - w - 1))
+    windows = _window_counts(xc, starts + 1, w, lx)
     transition_rate = float(_ks_counts(*windows, ALPHA)[2].mean())
 
     # (d) stationary observation: per conditioning level x, Y | X = x (row x

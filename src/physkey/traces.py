@@ -7,14 +7,16 @@ and rssi (signed dBm) in int64 and ``<node>`` any text without ``,`` or
 ``\\n``.  A file is one node's trace: every row carries the first row's
 node id and frame type, and each row's seq is above the previous row's.
 Empty lines are skipped.  ``TraceFile.parse`` splits lines on ``\\n`` only;
-``TraceFile.load`` decodes the file as UTF-8 with universal newlines, so a
-CRLF or CR file loads as its LF twin, and a byte that is not UTF-8 is a
-``PhyskeyError`` naming ``path:line`` and the byte's offset.
+``TraceFile.load`` parses the bytes it read with universal newlines, so a
+CRLF or CR file loads as its LF twin, and a byte that is not UTF-8 (checked
+only in a file with a non-ASCII byte) is a ``PhyskeyError`` naming
+``path:line`` and the byte's offset.
 
 A parsed ``TraceFile`` holds seq and rssi as int64 arrays in file order
 and the one node id and frame type; ``load_trace`` reads a file as its one
 ``MeasurementTrace``, under the name the caller gives it.  Parsing works
-on the UTF-8 bytes of the body in one pass per column: the positions of
+on the UTF-8 bytes of the body, a view of the bytes read with no copy when
+they end in a newline, in one pass per column: the positions of
 commas and newlines bound every line and cell, the digits of every seq
 (or rssi) cell are gathered and summed together, and node and frame
 cells are compared bytewise with the first row's.  The same pass marks
@@ -34,6 +36,7 @@ from .quantize import BITS_PER_SAMPLE
 
 FRAME_TYPES = ("PING", "PONG", "OBS")
 CSV_HEADER = "seq,node_id,frame_type,rssi"
+_HEADER_LINE = f"{CSV_HEADER}\n".encode()
 
 
 @dataclass(frozen=True)
@@ -94,29 +97,36 @@ class TraceFile:
 
     @classmethod
     def parse(cls, text: str, path: str = "") -> "TraceFile":
-        where = path or "<string>"
-        header, _, body = text.partition("\n")
-        if header != CSV_HEADER:
-            raise PhyskeyError(f"{where}: missing header {CSV_HEADER!r}")
-        *columns, bad = _columns(body.encode("utf-8", "surrogatepass"))
-        if bad.any():
-            k = int(bad.argmax())
-            line = body.split("\n", k + 1)[k]
-            raise PhyskeyError(f"{where}:{k + 2}: row {line!r} is not {CSV_HEADER} ({_CELLS})")
-        return cls(*columns)
+        return cls._parse(text.encode("utf-8", "surrogatepass"), path or "<string>")
 
     @classmethod
     def load(cls, path) -> "TraceFile":
         raw = Path(path).read_bytes()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = len(raw[:exc.start + 1].splitlines())  # a bad byte is never a newline
-            raise PhyskeyError(f"{path}:{line}: byte {raw[exc.start]:#04x} at offset "
-                               f"{exc.start} is not UTF-8") from None
-        if "\r" in text:  # universal newlines; an LF file skips two copies
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return cls.parse(text, str(path))
+        if not raw.isascii():  # only a file with a byte above 0x7f can fail to decode
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = len(raw[:exc.start + 1].splitlines())  # a bad byte is never a newline
+                raise PhyskeyError(f"{path}:{line}: byte {raw[exc.start]:#04x} at offset "
+                                   f"{exc.start} is not UTF-8") from None
+        if b"\r" in raw:  # universal newlines; an LF file skips two copies
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return cls._parse(raw, str(path))
+
+    @classmethod
+    def _parse(cls, raw: bytes, where: str) -> "TraceFile":
+        """The trace CSV whose UTF-8 bytes are raw; where names it in errors."""
+        if not raw.endswith(b"\n"):
+            raw += b"\n"  # a newline ends every line
+        if not raw.startswith(_HEADER_LINE):
+            raise PhyskeyError(f"{where}: missing header {CSV_HEADER!r}")
+        body = np.frombuffer(raw, np.uint8, offset=len(_HEADER_LINE))
+        *columns, starts, ends, bad = _columns(body)
+        if bad.any():
+            k = int(bad.argmax())
+            line = body[starts[k]:ends[k]].tobytes().decode("utf-8", "surrogatepass")
+            raise PhyskeyError(f"{where}:{k + 2}: row {line!r} is not {CSV_HEADER} ({_CELLS})")
+        return cls(*columns)
 
     @property
     def rows(self) -> list:
@@ -140,31 +150,39 @@ _DIGITS = 19
 _POW10 = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.uint64)
 
 
-def _columns(raw: bytes) -> tuple:
-    """(seq, rssi, node_id, frame_type, bad) of the lines of raw, the UTF-8
-    text after the header line: the first row's node_id and frame_type (None
-    with no rows), and a mask of every line that is neither empty nor a row
+def _columns(b: np.ndarray) -> tuple:
+    """(seq, rssi, node_id, frame_type, starts, ends, bad) of the lines of b,
+    the UTF-8 bytes after the header line, each line ended by a newline: the
+    first row's node_id and frame_type (None with no rows), where each line
+    starts and ends, and a mask of every line that is neither empty nor a row
     of the grammar.
 
     Commas and newlines never occur inside a multi-byte UTF-8 character, so
-    their byte positions bound every line and cell.
+    their byte positions bound every line and cell.  When line k holds
+    commas 3k to 3k + 2, as in every file ``trace_to_file`` writes, the cells
+    come from the comma positions as they are; otherwise each line's commas
+    are counted by a search.
     """
-    b = np.frombuffer(raw + b"\n", np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))  # a newline ends every line
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate(([0], ends + 1))[:-1]
     commas = np.flatnonzero(b == ord(","))
-    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
-    rows = per_line == 3
+    if (commas.size == 3 * ends.size and (commas[::3] >= starts).all()
+            and (commas[2::3] < ends).all()):
+        rows = np.ones(ends.size, bool)
+        cut = commas.reshape(-1, 3)
+    else:
+        per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+        rows = per_line == 3
+        cut = commas[np.repeat(rows, per_line)].reshape(-1, 3)
     bad = ~rows & (ends > starts)
-    cut = commas[np.repeat(rows, per_line)].reshape(-1, 3)
     seq, bad_seq = _integers(b, starts[rows], cut[:, 0])
-    node_id, other_node = _unlike_first(raw, b, cut[:, 0] + 1, cut[:, 1])
-    frame_type, other_frame = _unlike_first(raw, b, cut[:, 1] + 1, cut[:, 2])
+    node_id, other_node = _unlike_first(b, cut[:, 0] + 1, cut[:, 1])
+    frame_type, other_frame = _unlike_first(b, cut[:, 1] + 1, cut[:, 2])
     rssi, bad_rssi = _integers(b, cut[:, 2] + 1, ends[rows])
     bad_seq[1:] |= seq[1:] <= seq[:-1]  # neighbours: a difference overflows int64
     bad[rows] = (bad_seq | bad_rssi | other_node | other_frame
                  | (frame_type not in FRAME_TYPES))
-    return seq, rssi, node_id, frame_type, bad
+    return seq, rssi, node_id, frame_type, starts, ends, bad
 
 
 def _integers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -189,12 +207,12 @@ def _integers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return values.view(np.int64), bad
 
 
-def _unlike_first(raw: bytes, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """(first, differs): the text of the first cell raw[lo:hi] (None with no
+def _unlike_first(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(first, differs): the text of the first cell b[lo:hi] (None with no
     cells) and a mask of the cells whose bytes differ from it."""
     if not lo.size:
         return None, np.zeros(0, bool)
-    first = raw[lo[0]:hi[0]]
+    first = b[lo[0]:hi[0]].tobytes()
     differs = hi - lo != len(first)
     for k, byte in enumerate(first, start=-len(first)):
         differs |= b[hi + k] != byte  # as in _integers, a wrapped position is outside its cell
@@ -236,11 +254,15 @@ def ingest_traces(traces: dict, magnitude: int = BITS_PER_SAMPLE):
     if magnitude < 1:
         raise PhyskeyError(f"magnitude must be at least 1 (2 levels), got {magnitude}")
 
-    # sequence numbers are strictly increasing, so each trace's are unique
+    # sequence numbers are strictly increasing, so each trace's are unique;
+    # traces that all hold the same seqs (the files of one simulated run)
+    # keep every sample with no set algebra
     first, *others = traces.values()
     kept = first.seqs
-    for trace in others:
-        kept = np.intersect1d(kept, trace.seqs, assume_unique=True)
+    shared = all(np.array_equal(trace.seqs, kept) for trace in others)
+    if not shared:
+        for trace in others:
+            kept = np.intersect1d(kept, trace.seqs, assume_unique=True)
     if not kept.size:
         raise PhyskeyError("empty sequence-number intersection across traces")
 
@@ -248,7 +270,7 @@ def ingest_traces(traces: dict, magnitude: int = BITS_PER_SAMPLE):
     dropped = {}
     clamped = 0
     for role, trace in traces.items():
-        mask = np.isin(trace.seqs, kept)
+        mask = slice(None) if shared else np.isin(trace.seqs, kept)
         levels = trace.levels[mask]
         dropped[role] = len(trace) - levels.size
         clamped += int(np.count_nonzero((levels < -magnitude) | (levels > 0)))

@@ -109,6 +109,80 @@ def scalar_forward_log2(model, obs) -> float:
     return log_p
 
 
+def broadcast_recursions(model, obs_matrix: np.ndarray, checkpoints):
+    """log2 P* and log2 P of every row of an (r, n) index matrix at each
+    checkpoint, as the package's kernel computed them before its max-plus
+    step became one contiguous add: each step broadcasts a (k, k, r) sum,
+    adds log2 of the step's scales to a running total, and raises at the
+    first step with a zero scale, naming the first such row.  The reference
+    for ``hmm._recursions``, which must match it bit for bit."""
+    from physkey.errors import ImpossibleObservationError
+
+    with np.errstate(divide="ignore"):
+        log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
+    r, n = obs_matrix.shape
+    log_star, log_p = np.zeros((2, r, len(checkpoints)))
+    pos = 0
+    log_fwd = np.zeros(r)
+    for t in range(n):
+        if t == 0:
+            delta = log_pi[:, None] + log_b[:, obs_matrix[:, 0]]
+            alpha = model.pi[None, :] * model.emit[:, obs_matrix[:, 0]].T
+        else:
+            delta = ((delta[:, None, :] + log_a[:, :, None]).max(axis=0)
+                     + log_b[:, obs_matrix[:, t]])
+            alpha = (alpha @ model.trans) * model.emit[:, obs_matrix[:, t]].T
+        scale = alpha.sum(axis=1)
+        if not scale.all():
+            raise ImpossibleObservationError(
+                f"impossible observation sequence: zero probability at step {t}",
+                row=int(np.argmin(scale)))
+        alpha /= scale[:, None]
+        log_fwd += np.log2(scale)
+        if pos < len(checkpoints) and checkpoints[pos] == t + 1:
+            log_star[:, pos] = delta.max(axis=0)
+            log_p[:, pos] = log_fwd
+            pos += 1
+    return log_star, log_p
+
+
+def sample_hmm(model, rows: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(rows, n) symbol indices drawn from the model itself, so every row
+    has positive probability."""
+    def draw(probs):  # one index per row of probs
+        return (rng.random((len(probs), 1)) >= np.cumsum(probs, axis=1)[:, :-1]).sum(axis=1)
+
+    state = draw(np.broadcast_to(model.pi, (rows, model.k)))
+    obs = np.empty((rows, n), dtype=np.int64)
+    for t in range(n):
+        if t:
+            state = draw(model.trans[state])
+        obs[:, t] = draw(model.emit[state])
+    return obs
+
+
+def intersecting_ingest(traces: dict, magnitude: int):
+    """``ingest_traces`` by set algebra alone: the seqs every trace holds by
+    repeated intersection, each trace masked by membership in them, levels
+    clamped into [-magnitude, 0].  Returns (aligned, report) as it does."""
+    from physkey.traces import MeasurementTrace
+
+    kept = list(traces.values())[0].seqs
+    for trace in traces.values():
+        kept = np.intersect1d(kept, trace.seqs)
+    aligned, dropped, clamped = {}, {}, 0
+    for role, trace in traces.items():
+        mask = np.isin(trace.seqs, kept)
+        levels = trace.levels[mask]
+        dropped[role] = len(trace) - levels.size
+        clamped += int(np.count_nonzero((levels < -magnitude) | (levels > 0)))
+        aligned[role] = MeasurementTrace(trace.seqs[mask], np.clip(levels, -magnitude, 0),
+                                         trace.node_id, trace.frame_type)
+    return aligned, {"kept": int(kept.size), "dropped": dropped, "clamped": clamped,
+                     "magnitude": magnitude,
+                     "eve_ids": [role for role in traces if role not in ("alice", "bob")]}
+
+
 def random_model(rng: np.random.Generator, k: int, m: int):
     """Random fully-supported stochastic model (all probabilities positive)."""
     from physkey.hmm import HmmModel

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from physkey.errors import CalibrationError, ImpossibleObservationError
 from physkey.channel import calibrate_to_reference_rates, family_config
-from physkey.hmm import (MAX_LEVELS, HmmModel, _recursions,
+from physkey.hmm import (MAX_LEVELS, SLICE_LEN, HmmModel, _recursions,
                          conditional_min_entropy_given_obs, entropy_profile_batch,
                          estimate_avg_conditional_min_entropy,
                          exact_avg_conditional_min_entropy, fit_hmm_from_traces,
@@ -19,9 +20,9 @@ from physkey.hmm import (MAX_LEVELS, HmmModel, _recursions,
                          viterbi_max_joint)
 from physkey.traces import make_trace
 
-from .oracles import (brute_exact_avg_bits, brute_forward, brute_viterbi,
-                      memoryless_exact_bits, random_model, scalar_forward_log2,
-                      scalar_viterbi_log2)
+from .oracles import (broadcast_recursions, brute_exact_avg_bits, brute_forward,
+                      brute_viterbi, memoryless_exact_bits, random_model, sample_hmm,
+                      scalar_forward_log2, scalar_viterbi_log2)
 
 
 @pytest.fixture()
@@ -374,6 +375,67 @@ class TestSeededOutputs:
         assert info.value.row == 3
         assert self.digest(model, obs[[0, 1, 2, 4, 5]], [5, 11, 25]) == \
             "95ed0a1f3da9b53258031472c7c6e9b007cb2b3baef554f773ece6d0dbebbff9"
+
+
+class TestContiguousStep:
+    """The kernel against the broadcast kernel it replaced
+    (``oracles.broadcast_recursions``): the same floats bit for bit, or the
+    same step and row named when a row dies."""
+
+    @staticmethod
+    def outcome(kernel, model, obs, checkpoints):
+        try:
+            return kernel(model, obs, checkpoints)
+        except ImpossibleObservationError as exc:
+            return str(exc), exc.row
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_broadcast_kernel(self, data):
+        # rows drawn from the model itself all live; uniform rows over a
+        # model with zero entries often die, at any step and row
+        k, m, n = (data.draw(st.integers(1, hi)) for hi in (4, 4, 12))
+        r = data.draw(st.sampled_from([1, 3, 100]))
+        model = drawn_model(data, k, m)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        obs = (sample_hmm(model, r, n, rng) if data.draw(st.booleans())
+               else rng.integers(0, m, size=(r, n)))
+        checkpoints = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        want = self.outcome(broadcast_recursions, model, obs, checkpoints)
+        got = self.outcome(_recursions, model, obs, checkpoints)
+        if isinstance(want[0], str):
+            assert got == want
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_names_the_earliest_death_then_the_first_row(self):
+        # symbol 2 is impossible: row 2 meets it at step 3 and row 0 at step 5,
+        # rows 1 and 3 both at step 3
+        model = HmmModel(states=(0, 1), symbols=(0, 1, 2), pi=[0.5, 0.5],
+                         trans=[[0.5, 0.5], [0.5, 0.5]],
+                         emit=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+        obs = np.zeros((5, 8), dtype=np.int64)
+        obs[0, 5] = obs[1, 3] = obs[2, 3] = obs[3, 3] = obs[4, 7] = 2
+        want = ("impossible observation sequence: zero probability at step 3", 1)
+        assert self.outcome(broadcast_recursions, model, obs, [8]) == want
+        assert self.outcome(_recursions, model, obs, [8]) == want
+        assert self.outcome(_recursions, model, obs[[0, 2, 4]], [8]) == (want[0], 1)
+
+    def test_peak_memory_at_max_levels(self):
+        # the widened log2 a and one step's candidates, two (k, k, r) float
+        # blocks, and under 4 MB besides: not a third block
+        k, r = MAX_LEVELS, SLICE_LEN
+        model = HmmModel(states=tuple(range(k)), symbols=tuple(range(k)),
+                         pi=np.full(k, 1 / k), trans=np.full((k, k), 1 / k), emit=np.eye(k))
+        obs = np.arange(2 * r).reshape(r, 2) % k
+        block = k * k * r * 8
+        tracemalloc.start()
+        try:
+            _recursions(model, obs, [2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * block <= peak < 2 * block + 4 * 2 ** 20
 
 
 class TestEstimator:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -16,7 +17,7 @@ from physkey.channel import ChannelConfig, family_config, simulate_run
 from physkey.hmm import HmmModel
 from physkey.protocol import REFERENCE_ERROR_FIT
 from physkey.stats import (KsReport, _kolmogorov_sf, _ks_counts, _pearson_p_value,
-                           _random_halves, binomial_cdf, ks_two_sample,
+                           _random_halves, _window_counts, binomial_cdf, ks_two_sample,
                            lag_correlation_profile, pearson_significance,
                            validate_assumptions)
 from physkey.traces import MeasurementTrace, make_trace
@@ -348,6 +349,36 @@ class TestRandomHalves:
         assert counts.size == 9 and (counts >= 50).all()
         for level in range(counts.size):
             assert not ks_two_sample(drawn[:, level], permuted[:, level], 0.001).reject
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize("n, levels, w", [(50, 2, 8), (1000, 9, 125), (3000, 256, 400)])
+    def test_equals_per_window_bincounts(self, n, levels, w):
+        # random starts in a (2, trials) array, plus the windows at both ends
+        rng = np.random.default_rng(n)
+        codes = rng.integers(0, levels, size=n)
+        codes[rng.integers(0, n, size=n // 3)] = levels - 1  # one frequent level
+        starts = rng.integers(0, n - w + 1, size=(2, 30))
+        starts[:, :2] = [[0, n - w], [n - w, 0]]
+        got = _window_counts(codes, starts, w, levels)
+        want = np.array([[np.bincount(codes[s:s + w], minlength=levels) for s in row]
+                         for row in starts])
+        assert got.shape == (2, 30, levels)
+        assert np.array_equal(got, want)
+
+    def test_memory_is_linear_in_samples_and_in_windows_by_levels(self):
+        # an (n, levels) cumulative table would be 102 MB here
+        n, levels, w = 50_000, 256, 2000
+        rng = np.random.default_rng(0)
+        codes = rng.integers(0, levels, size=n)
+        starts = rng.integers(0, n - w + 1, size=(2, 200))
+        tracemalloc.start()
+        try:
+            _window_counts(codes, starts, w, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * (n + starts.size * levels)
 
 
 class TestDownsample:

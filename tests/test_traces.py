@@ -10,6 +10,8 @@ from physkey.traces import (CSV_HEADER, FRAME_TYPES, MeasurementTrace, TraceFile
                             assert_aligned, ingest_traces, load_trace, make_trace,
                             trace_to_file)
 
+from .oracles import intersecting_ingest
+
 SAMPLE = """seq,node_id,frame_type,rssi
 1,alice,PING,-3
 2,alice,PING,-4
@@ -103,6 +105,49 @@ class TestTraceFile:
         body = text.partition(newline)[2]
         with pytest.raises(PhyskeyError, match="^t.csv:2: row "):
             TraceFile.parse(f"{CSV_HEADER}\n{body}", "t.csv")
+
+
+class TestLoad:
+    """TraceFile.load parses the bytes it read; parse keeps its text API."""
+
+    @pytest.mark.parametrize("name, raw", [
+        ("no final newline", SAMPLE.rstrip("\n").encode()),
+        ("CRLF", SAMPLE.replace("\n", "\r\n").encode()),
+        ("CR", SAMPLE.replace("\n", "\r").encode()),
+        ("CRLF, no final newline", SAMPLE.rstrip("\n").replace("\n", "\r\n").encode())])
+    def test_loads_as_its_lf_twin(self, tmp_path, name, raw):
+        (tmp_path / "t.csv").write_bytes(raw)
+        got, want = TraceFile.load(tmp_path / "t.csv"), TraceFile.parse(SAMPLE)
+        assert (got.node_id, got.frame_type) == (want.node_id, want.frame_type)
+        assert np.array_equal(got.seq, want.seq) and np.array_equal(got.rssi, want.rssi)
+
+    @pytest.mark.parametrize("raw", [CSV_HEADER.encode(), f"{CSV_HEADER}\n".encode(),
+                                     f"{CSV_HEADER}\r\n\r\n".encode()])
+    def test_header_only_file_loads_without_rows(self, tmp_path, raw):
+        (tmp_path / "t.csv").write_bytes(raw)
+        tf = TraceFile.load(tmp_path / "t.csv")
+        assert (tf.node_id, tf.frame_type, tf.seq.size, tf.rssi.size) == (None, None, 0, 0)
+
+    def test_non_ascii_node_id_loads(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes(SAMPLE.replace("alice", "\u00e9ve").encode())
+        assert TraceFile.load(tmp_path / "t.csv").node_id == "\u00e9ve"
+
+    @pytest.mark.parametrize("bad, line", [(b"\xff", 3), (b"\xc3(", 3), (b"\xed\xa0\x80", 3)])
+    def test_non_utf8_byte_names_path_line_and_offset(self, tmp_path, bad, line):
+        lines = SAMPLE.encode().split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(b"alice", b"al" + bad + b"ice")
+        raw = b"\r\n".join(lines)
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        offset = raw.index(bad)
+        with pytest.raises(PhyskeyError, match=f"^{re.escape(str(path))}:{line}: byte "
+                                               f"{bad[0]:#04x} at offset {offset} is not UTF-8$"):
+            TraceFile.load(path)
+
+    def test_bad_row_names_its_line_and_text(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes(SAMPLE.replace("3,alice", "3,\u00e9").encode())
+        with pytest.raises(PhyskeyError, match=f":4: row '3,\u00e9,PING,-2' is not "):
+            TraceFile.load(tmp_path / "t.csv")
 
 
 class TestLoadTrace:
@@ -230,6 +275,34 @@ class TestIngest:
         assert report["kept"] == 1  # alice {0,1,2} & bob {1,2,3} & eve {1,3} & eve2 {1,2}
         assert all(np.array_equal(t.seqs, [1]) for t in aligned.values())
         assert report["eve_ids"] == ["eve", "eve2"]
+
+    @pytest.mark.parametrize("gap, kept", [(None, 10), ("drop 0", 9), ("drop 4", 9),
+                                           ("drop 9", 9), ("shift 4", 4), ("shift 9", 9)])
+    def test_equals_set_algebra(self, gap, kept):
+        # an aligned trio skips the set algebra; with one seq missing from
+        # bob, or bob's seqs shifted by 1 from one index on (same length,
+        # other seqs), it takes it; either way the oracle's report and arrays
+        rng = np.random.default_rng(3)
+        trio = {role: MeasurementTrace(np.arange(10) * 3 + 5, rng.integers(-11, 2, size=10),
+                                       role, "PING")
+                for role in ("alice", "bob", "eve")}
+        if gap is not None:
+            how, at = gap.split()
+            seqs, levels = trio["bob"].seqs, trio["bob"].levels
+            if how == "drop":
+                seqs, levels = np.delete(seqs, int(at)), np.delete(levels, int(at))
+            else:
+                seqs = seqs + (np.arange(10) >= int(at))
+            trio["bob"] = MeasurementTrace(seqs, levels, "bob", "PING")
+        aligned, report = ingest_traces(trio, magnitude=8)
+        want_aligned, want_report = intersecting_ingest(trio, magnitude=8)
+        assert report == want_report
+        assert report["kept"] == kept
+        for role, want in want_aligned.items():
+            got = aligned[role]
+            assert (got.node_id, got.frame_type) == (want.node_id, want.frame_type)
+            assert np.array_equal(got.seqs, want.seqs)
+            assert np.array_equal(got.levels, want.levels)
 
     def test_order_insensitive(self):
         t = self.trio()

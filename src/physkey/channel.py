@@ -198,9 +198,19 @@ def _draw(model: HmmModel, seed: int, n: int):
 
 
 def _eve_levels(model: HmmModel, idx: np.ndarray, ue: np.ndarray) -> np.ndarray:
-    """Eve's symbol at each step, drawn from the emission row of the state."""
+    """Eve's symbol at each step, drawn from the emission row of the state.
+
+    Her symbol index is the first column of the state's _cdf row above her
+    uniform, which, the row being non-decreasing, is the number of its
+    columns at or below the uniform.  The last column is +inf, so only the
+    first m - 1 are counted, one comparison pass each, as _count_le does;
+    no (n, m) block of CDF rows is gathered.
+    """
     symbol_vals = np.array(model.symbols, dtype=np.int64)
-    return symbol_vals[(ue[:, None] < _cdf(model.emit)[idx]).argmax(axis=1)]
+    counts = np.zeros(idx.shape, dtype=np.min_scalar_type(model.m - 1))
+    for column in _cdf(model.emit)[:, :-1].T:
+        counts += column[idx] <= ue
+    return symbol_vals[counts]
 
 
 def _offset_cdf(bob_error: dict):

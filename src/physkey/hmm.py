@@ -47,6 +47,9 @@ SLICE_LEN = 100  # samples per entropy experiment in the reference deployment
 # largest level count: the kernel's widened log2 a and one step's candidates
 # are then two (k, k, r) blocks, 105 MB at r = 100
 MAX_LEVELS = 256
+# floats in one such block, the most the exact enumeration's last step
+# may put in each of its two (k, k * m^(n-1)) blocks
+BLOCK_GUARD = MAX_LEVELS ** 2 * 100
 
 
 def json_int(value) -> int:
@@ -379,7 +382,8 @@ def exact_avg_conditional_min_entropy(model: HmmModel, n: int) -> float:
     Enumeration is guarded at m^n <= 1e6; intended as a desk-scale reference
     for validating the sampled estimator.  The Viterbi scores of all m^t
     length-t prefixes are one lexicographic (k, m^t) array: each prefix is
-    stepped once, then extended by every symbol.
+    stepped once, then extended by every symbol.  The last step's two
+    (k, k * m^(n-1)) blocks are guarded at BLOCK_GUARD floats each.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -387,6 +391,12 @@ def exact_avg_conditional_min_entropy(model: HmmModel, n: int) -> float:
     if total > ENUMERATION_GUARD:
         raise ValueError(
             f"enumeration too large: {model.m}^{n} = {total} > {ENUMERATION_GUARD}")
+    block = model.k ** 2 * model.m ** (n - 1)
+    if block > BLOCK_GUARD:
+        raise ValueError(
+            f"enumeration too large: its last step holds two ({model.k}, "
+            f"{model.k} * {model.m}^{n - 1}) blocks of {block} floats each, "
+            f"> {BLOCK_GUARD}")
     with np.errstate(divide="ignore"):
         log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
     delta = log_pi[:, None] + log_b                                 # (k, m)

@@ -9,6 +9,9 @@ negation embed alike.
 The exchange reconciles a shorter string: ``residue_words`` keeps only
 |level| mod 8 in 3-bit reflected Gray code, which is enough for a party
 whose own level lies within 3 of it (``residue_levels``).
+
+Every per-sample encoding is a table over the magnitudes 0..m, built once
+at import from the rule that defines it; quantizing a trace is one gather.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ RESIDUE_BITS = 3
 RESIDUE_MODULUS = 1 << RESIDUE_BITS
 MAX_RESIDUE_OFFSET = (RESIDUE_MODULUS - 1) // 2
 
+# a residue word's bits, MSB first, as the weights that read it as a number
+_WORD_WEIGHTS = (1 << np.arange(RESIDUE_BITS - 1, -1, -1)).astype(np.uint8)
+
 _HEX_FORM = re.compile(r"(0|[1-9][0-9]*):((?:[0-9a-f]{2})*)")
 
 
@@ -40,12 +46,13 @@ class BitString:
 
     def __init__(self, bits: Iterable[int] | np.ndarray):
         arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
-        arr = arr.astype(np.uint8)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        if arr.size and not np.all((arr == 0) | (arr == 1)):
+        # checked before the cast, which would wrap 256 to 0 and cut 1.7 to 1
+        if arr.size and not (arr.max() <= 1 if arr.dtype.kind in "ub"
+                             else np.all((arr == 0) | (arr == 1))):
             raise ValueError("bits must be 0 or 1")
-        self._bits = arr
+        self._bits = arr.astype(np.uint8)
         self._bits.setflags(write=False)
 
     @property
@@ -91,34 +98,59 @@ def embed_unary(x: int) -> BitString:
     return embed_trace([x])
 
 
+def _word_bits(codes: np.ndarray) -> np.ndarray:
+    # the RESIDUE_BITS-bit words of codes, MSB first, one row per code
+    return ((codes[:, None] & _WORD_WEIGHTS) > 0).astype(np.uint8)
+
+
+def _gray(r):
+    return r ^ (r >> 1)
+
+
+def _encoding_tables():
+    """Every per-sample encoding as a table over the magnitudes 0..m, one
+    row each: the unary word (m bits), the Gray residue word and the bits
+    of it a +1 or a -1 move flips (RESIDUE_BITS bits each), and, for each
+    received residue word read as a number MSB first, the magnitude within
+    MAX_RESIDUE_OFFSET that has it (-1 where none in 0..m does), with the
+    residue each word names."""
+    mag = np.arange(BITS_PER_SAMPLE + 1)
+    # column j of a unary word holds 1 where magnitude >= m - j
+    unary = (mag[:, None] >= BITS_PER_SAMPLE - np.arange(BITS_PER_SAMPLE)).astype(np.uint8)
+    r = mag % RESIDUE_MODULUS
+    up = _gray(r) ^ _gray((r + 1) % RESIDUE_MODULUS)
+    down = _gray(r) ^ _gray((r - 1) % RESIDUE_MODULUS)
+    flips = np.where(mag < BITS_PER_SAMPLE, up, 0) | np.where(mag > 0, down, 0)
+    # a Gray word's binary digits are the running xor of its bits, MSB first
+    words = np.arange(RESIDUE_MODULUS)
+    named = np.bitwise_xor.accumulate(_word_bits(words), axis=1) @ _WORD_WEIGHTS
+    offset = (named[None, :] - mag[:, None] + MAX_RESIDUE_OFFSET) % RESIDUE_MODULUS \
+        - MAX_RESIDUE_OFFSET
+    found = mag[:, None] + offset
+    found[(offset > MAX_RESIDUE_OFFSET) | (found < 0) | (found > BITS_PER_SAMPLE)] = -1
+    return unary, _word_bits(_gray(r)), _word_bits(flips).astype(bool), found.ravel(), named
+
+
+# rows are gathered with take(axis=0), several times faster than fancy
+# indexing for rows this short; _RECOVERED is flat, entry 8 * magnitude +
+# received word
+_UNARY, _RESIDUE, _NEIGHBOR, _RECOVERED, _NAMED = _encoding_tables()
+
+
 def _magnitudes(levels) -> np.ndarray:
-    # |level| of every sample, each checked against the max magnitude
+    # |level| of every sample, each checked against the max magnitude; the
+    # unsigned view also refuses the int64 minimum, whose abs stays negative
     arr = np.asarray(levels, dtype=np.int64)
     mag = np.abs(arr)
-    bad = np.nonzero(mag > BITS_PER_SAMPLE)[0]
-    if bad.size:
-        i = int(bad[0])
+    if mag.size and mag.view(np.uint64).max() > BITS_PER_SAMPLE:
+        i = int(np.argmax(mag.view(np.uint64) > BITS_PER_SAMPLE))
         raise ValueError(f"level out of range at sample {i}: |{arr[i]}| > {BITS_PER_SAMPLE}")
     return mag
 
 
 def embed_trace(levels) -> BitString:
     """Concatenate per-sample embeddings; n levels give n * m bits."""
-    mag = _magnitudes(levels)
-    # column j of the body holds 1 where magnitude >= m - j
-    cols = np.arange(BITS_PER_SAMPLE)
-    body = (mag[:, None] >= (BITS_PER_SAMPLE - cols)[None, :]).astype(np.uint8)
-    return BitString(body.reshape(-1))
-
-
-def _word_bits(codes: np.ndarray) -> np.ndarray:
-    # the RESIDUE_BITS-bit words of codes, MSB first, one row per code
-    shifts = np.arange(RESIDUE_BITS - 1, -1, -1)
-    return ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
-def _gray(r):
-    return r ^ (r >> 1)
+    return BitString(_UNARY.take(_magnitudes(levels), axis=0).reshape(-1))
 
 
 def residue_words(levels) -> BitString:
@@ -129,7 +161,7 @@ def residue_words(levels) -> BitString:
     in at most that many bits, and a +1 or a -1 move flips one bit each,
     not the same one.
     """
-    return BitString(_word_bits(_gray(_magnitudes(levels) % RESIDUE_MODULUS)).reshape(-1))
+    return BitString(_RESIDUE.take(_magnitudes(levels), axis=0).reshape(-1))
 
 
 def residue_neighbor_bits(levels) -> np.ndarray:
@@ -141,12 +173,7 @@ def residue_neighbor_bits(levels) -> np.ndarray:
     A copy of the string that differs from the levels' words only by
     off-by-one levels differs from it only at these positions.
     """
-    mag = _magnitudes(levels)
-    r = mag % RESIDUE_MODULUS
-    up = _gray(r) ^ _gray((r + 1) % RESIDUE_MODULUS)
-    down = _gray(r) ^ _gray((r - 1) % RESIDUE_MODULUS)
-    flips = np.where(mag < BITS_PER_SAMPLE, up, 0) | np.where(mag > 0, down, 0)
-    return np.flatnonzero(_word_bits(flips))
+    return np.flatnonzero(_NEIGHBOR.take(_magnitudes(levels), axis=0))
 
 
 def residue_levels(words: BitString, levels) -> np.ndarray:
@@ -160,16 +187,12 @@ def residue_levels(words: BitString, levels) -> np.ndarray:
     mag = _magnitudes(levels)
     if len(words) != RESIDUE_BITS * mag.size:
         raise ValueError(f"{len(words)} residue bits for {mag.size} levels")
-    # a Gray word's binary digits are the running xor of its bits, MSB first
-    binary = np.bitwise_xor.accumulate(words.bits.reshape(-1, RESIDUE_BITS), axis=1)
-    r = binary.astype(np.int64) @ (1 << np.arange(RESIDUE_BITS - 1, -1, -1))
-    offset = (r - mag + MAX_RESIDUE_OFFSET) % RESIDUE_MODULUS - MAX_RESIDUE_OFFSET
-    found = mag + offset
-    bad = np.flatnonzero((offset > MAX_RESIDUE_OFFSET) | (found < 0)
-                         | (found > BITS_PER_SAMPLE))
+    received = words.bits.reshape(-1, RESIDUE_BITS) @ _WORD_WEIGHTS
+    found = _RECOVERED.take(mag * RESIDUE_MODULUS + received)
+    bad = np.flatnonzero(found < 0)
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"residue of sample {i} is {r[i]}, and no level in "
+        raise ValueError(f"residue of sample {i} is {_NAMED[received[i]]}, and no level in "
                          f"0..{BITS_PER_SAMPLE} within {MAX_RESIDUE_OFFSET} of "
                          f"magnitude {mag[i]} has it")
     return found

@@ -322,6 +322,72 @@ def residue_neighbor_bits_brute_force(levels) -> list:
     return found
 
 
+def _arith_magnitudes(levels) -> np.ndarray:
+    mag = np.abs(np.asarray(levels, dtype=np.int64))
+    bad = np.nonzero(mag > 8)[0]
+    if bad.size:
+        raise ValueError(f"level out of range at sample {int(bad[0])}")
+    return mag
+
+
+def _arith_word_bits(codes) -> np.ndarray:
+    return ((codes[:, None] >> np.arange(2, -1, -1)[None, :]) & 1).astype(np.uint8)
+
+
+def _arith_gray(r):
+    return r ^ (r >> 1)
+
+
+def arith_embed_trace(levels) -> np.ndarray:
+    """The unary bits of levels, computed per sample: column j of a
+    sample's word holds 1 where its magnitude is >= 8 - j."""
+    mag = _arith_magnitudes(levels)
+    return (mag[:, None] >= (8 - np.arange(8))[None, :]).astype(np.uint8).reshape(-1)
+
+
+def arith_residue_words(levels) -> np.ndarray:
+    """The Gray residue bits of levels, computed per sample."""
+    return _arith_word_bits(_arith_gray(_arith_magnitudes(levels) % 8)).reshape(-1)
+
+
+def arith_residue_neighbor_bits(levels) -> np.ndarray:
+    """The positions a +1 or a -1 move flips, from each sample's residue
+    and its neighbours' Gray codes."""
+    mag = _arith_magnitudes(levels)
+    r = mag % 8
+    up = _arith_gray(r) ^ _arith_gray((r + 1) % 8)
+    down = _arith_gray(r) ^ _arith_gray((r - 1) % 8)
+    flips = np.where(mag < 8, up, 0) | np.where(mag > 0, down, 0)
+    return np.flatnonzero(_arith_word_bits(flips))
+
+
+def arith_residue_levels(word_bits, levels) -> np.ndarray:
+    """The magnitude within 3 of each |level| whose Gray residue word is
+    given, by decoding the words and wrapping the offset into -3..4;
+    ValueError, with residue_levels' message, naming the first sample where
+    the offset is 4 or the level falls outside 0..8."""
+    mag = _arith_magnitudes(levels)
+    binary = np.bitwise_xor.accumulate(np.asarray(word_bits).reshape(-1, 3), axis=1)
+    r = binary.astype(np.int64) @ np.array([4, 2, 1])
+    offset = (r - mag + 3) % 8 - 3
+    found = mag + offset
+    bad = np.flatnonzero((offset > 3) | (found < 0) | (found > 8))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"residue of sample {i} is {r[i]}, and no level in "
+                         f"0..8 within 3 of magnitude {mag[i]} has it")
+    return found
+
+
+def argmax_eve_levels(model, idx, ue) -> np.ndarray:
+    """Eve's symbols as the first column of each state's _cdf row above
+    her uniform, found by argmax over a gathered (n, m) block of rows."""
+    from physkey.channel import _cdf
+
+    symbol_vals = np.array(model.symbols, dtype=np.int64)
+    return symbol_vals[(ue[:, None] < _cdf(model.emit)[idx]).argmax(axis=1)]
+
+
 def decimal_binomial_cdf(k: int, n: int, p: float) -> float:
     """P[Binomial(n, p) <= k] as the sum of its k + 1 probabilities in
     60-digit decimal arithmetic, from the exact binary value of p; each term

@@ -19,7 +19,7 @@ from physkey.hmm import SLICE_LEN, HmmModel, entropy_profile_batch, \
     estimate_avg_conditional_min_entropy, slice_experiments, validate_model
 from physkey.stats import lag_correlation_profile, pearson_significance
 
-from .oracles import choice_simulate_run, walk_chain
+from .oracles import argmax_eve_levels, choice_simulate_run, walk_chain
 
 
 def closed_form_bits(model, ue_by_state):
@@ -134,6 +134,34 @@ class TestSimulate:
         symbols = _eve_levels(model, states, np.full(levels, np.nextafter(1.0, 0.0)))
         cols = [model.symbols.index(v) for v in symbols]
         assert (model.emit[states, cols] > 0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.floats(1e-3, 1.0), st.integers(0, 4),
+           st.integers(0, 2 ** 32 - 1), st.integers(0, 300))
+    @example(9, 0.3, 1, 0, 2325)
+    @example(2, 1e-3, 0, 1, 0)
+    def test_eve_counts_match_argmax_draw(self, levels, spread, band, seed, n):
+        # banded rows (band 0 is the identity) hold zero-probability symbols;
+        # uniforms fall on every CDF entry, at 0 and just below 1 as well
+        model = family_config(levels=levels, spread=spread, band=band).model
+        rng = np.random.default_rng(seed)
+        idx = np.r_[rng.integers(0, levels, n), np.repeat(np.arange(levels), levels + 2)]
+        edges = np.c_[np.zeros(levels), np.cumsum(model.emit, axis=1),
+                      np.full(levels, np.nextafter(1.0, 0.0))]
+        ue = np.r_[rng.random(n), edges.ravel()]
+        assert _eve_levels(model, idx, ue).tolist() == \
+            argmax_eve_levels(model, idx, ue).tolist()
+
+    def test_eve_skips_a_symbol_no_state_emits(self):
+        # symbol 1 has probability 0 in every row, and symbol 3 is never drawn
+        model = HmmModel(states=(0, 1), symbols=(-5, 1, 2, 7), pi=[0.5, 0.5],
+                         trans=[[0.5, 0.5]] * 2,
+                         emit=[[0.5, 0.0, 0.5, 0.0], [0.25, 0.0, 0.75, 0.0]])
+        idx = np.array([0, 0, 0, 1, 1, 1, 1])
+        ue = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 0.2, 0.25, 0.9, 0.999])
+        got = _eve_levels(model, idx, ue)
+        assert got.tolist() == [-5, 2, 2, -5, 2, 2, 2]
+        assert got.tolist() == argmax_eve_levels(model, idx, ue).tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 2325, 10_000])
     def test_iid_chain_matches_per_sample_walk(self, n):

@@ -283,6 +283,23 @@ class TestExactAverage:
         with pytest.raises(ValueError, match="enumeration too large"):
             exact_avg_conditional_min_entropy(uniform2, 21)
 
+    def test_block_guard(self):
+        # 2^19 sequences pass the m^n guard, but the last step would hold two
+        # (256, 256 * 2^18) float64 blocks, 137 GB each
+        k = 256
+        model = HmmModel(states=tuple(range(k)), symbols=(0, 1), pi=np.full(k, 1 / k),
+                         trans=np.full((k, k), 1 / k), emit=np.full((k, 2), 0.5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^enumeration too large: its last step holds "
+                                                 r"two \(256, 256 \* 2\^18\) blocks of "
+                                                 r"17179869184 floats each, > 6553600$"):
+                exact_avg_conditional_min_entropy(model, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("trans, bits", [([[0.6, 0.4], [0.2, 0.8]], 0.27566),
                                              ([[1.0, 0.0], [0.2, 0.8]], 0.11569)])
     def test_zero_probabilities_match_enumeration(self, trans, bits):

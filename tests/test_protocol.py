@@ -396,6 +396,17 @@ class TestExchange:
         assert res.bob_key != res.alice_key
         assert res.failure_reason == "key mismatch after reconciliation"
 
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_int64_minimum_level_refused(self, side):
+        # ingest clamps levels, so only a library caller can pass one; its
+        # abs stays negative, and it once embedded as magnitude 0
+        levels = {"alice": np.zeros(20, dtype=np.int64), "bob": np.zeros(20, dtype=np.int64)}
+        levels[side][0] = -2 ** 63
+        with pytest.raises(ValueError, match=r"^level out of range at sample 0: "
+                                             r"\|-9223372036854775808\| > 8$"):
+            run_exchange(make_trace(levels["alice"], "alice"), make_trace(levels["bob"], "bob"),
+                         flat_params(20), seed=8)
+
     def test_traces_too_short(self, rng):
         levels = rng.integers(-8, 1, size=50)
         t = make_trace(levels, "alice")

@@ -7,7 +7,11 @@ from physkey.quantize import (BITS_PER_SAMPLE, BitString, embed_trace, embed_una
                               hamming_distance, residue_levels, residue_neighbor_bits,
                               residue_words)
 
-from .oracles import gray_residue_word, residue_neighbor_bits_brute_force
+from .oracles import (arith_embed_trace, arith_residue_levels, arith_residue_neighbor_bits,
+                      arith_residue_words, gray_residue_word,
+                      residue_neighbor_bits_brute_force)
+
+INT64_MIN = -2 ** 63
 
 
 def bits(s: str) -> BitString:
@@ -35,6 +39,12 @@ class TestEmbedUnary:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             embed_unary(-9)
+
+    def test_int64_minimum_out_of_range(self):
+        # its abs stays negative, so a signed "> 8" test passed it
+        with pytest.raises(ValueError, match=r"^level out of range at sample 0: "
+                                             r"\|-9223372036854775808\| > 8$"):
+            embed_trace([INT64_MIN, -3])
 
 
 class TestEmbedTrace:
@@ -105,6 +115,76 @@ class TestResidueWords:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="6 residue bits for 3 levels"):
             residue_levels(residue_words([1, 2]), [1, 2, 3])
+
+    def test_int64_minimum_out_of_range(self):
+        for levels in ([INT64_MIN, -3], np.array([INT64_MIN, -3])):
+            with pytest.raises(ValueError, match=r"^level out of range at sample 0: "
+                                                 r"\|-9223372036854775808\| > 8$"):
+                residue_words(levels)
+            with pytest.raises(ValueError, match="^level out of range at sample 0: "):
+                residue_neighbor_bits(levels)
+            with pytest.raises(ValueError, match="^level out of range at sample 0: "):
+                residue_levels(residue_words([0, 3]), levels)
+
+
+LEVEL_LISTS = st.lists(st.integers(-BITS_PER_SAMPLE, BITS_PER_SAMPLE), max_size=40)
+
+
+class TestTablesMatchArithmetic:
+    """Each table lookup against the per-sample arithmetic it replaced."""
+
+    @given(LEVEL_LISTS)
+    @settings(max_examples=300)
+    def test_embed_trace(self, levels):
+        assert embed_trace(levels).bits.tolist() == arith_embed_trace(levels).tolist()
+
+    @given(LEVEL_LISTS)
+    @settings(max_examples=300)
+    def test_residue_words(self, levels):
+        assert residue_words(levels).bits.tolist() == arith_residue_words(levels).tolist()
+
+    @given(LEVEL_LISTS)
+    @settings(max_examples=300)
+    def test_residue_neighbor_bits(self, levels):
+        assert residue_neighbor_bits(levels).tolist() == \
+            arith_residue_neighbor_bits(levels).tolist()
+
+    @staticmethod
+    def assert_same_recovery(words, levels):
+        # equal magnitudes, or the same message naming the same first sample
+        try:
+            want = arith_residue_levels(words.bits, levels).tolist()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                residue_levels(words, levels)
+            assert str(got.value) == str(exc)
+        else:
+            assert residue_levels(words, levels).tolist() == want
+
+    @given(st.lists(st.tuples(st.integers(-BITS_PER_SAMPLE, BITS_PER_SAMPLE),
+                              st.integers(-5, 5)), max_size=40))
+    @settings(max_examples=500)
+    def test_residue_levels(self, pairs):
+        # Alice's magnitude lies up to 5 from Bob's, so her residue may be 4
+        # away or name a level past either end of 0..8
+        words = BitString([b for bob, off in pairs
+                           for b in gray_residue_word((abs(bob) + off) % 8)])
+        self.assert_same_recovery(words, [bob for bob, _ in pairs])
+
+    def test_every_pair_of_magnitude_and_word(self):
+        # the table's whole domain, one sample at a time and as one array
+        levels = [b for b in MAGNITUDES for _ in range(8)]
+        words = BitString([int(c) for _ in MAGNITUDES for w in range(8)
+                           for c in format(w, "03b")])
+        for i, level in enumerate(levels):
+            self.assert_same_recovery(BitString(words.bits[3 * i:3 * i + 3]), [level])
+        self.assert_same_recovery(words, levels)
+
+    def test_empty_arrays(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert len(embed_trace(empty)) == len(residue_words(empty)) == 0
+        assert residue_neighbor_bits(empty).size == 0
+        assert residue_levels(BitString([]), empty).size == 0
 
 
 class TestResidueNeighborBits:
@@ -182,3 +262,23 @@ class TestBitString:
     def test_bad_padding_rejected(self):
         with pytest.raises(ValueError, match="padding"):
             BitString.from_hex("4:ff")
+
+    @pytest.mark.parametrize("raw", [[256], [1.7], np.array([257]), [0, 2], [-1],
+                                     np.array([0, 256], dtype=np.uint16), [float("nan")]])
+    def test_values_checked_before_the_cast(self, raw):
+        # a cast to uint8 first wrapped 256 to 0 and 257 to 1 and cut 1.7 to 1
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            BitString(raw)
+
+    @pytest.mark.parametrize("raw", [[True, False], np.array([1, 0, 1], dtype=np.uint8),
+                                     [0, 1, 1], np.array([0.0, 1.0]), []])
+    def test_zero_one_values_load(self, raw):
+        b = BitString(raw)
+        assert b.bits.dtype == np.uint8
+        assert b.bits.tolist() == [int(x) for x in raw]
+
+    def test_copies_its_input(self):
+        raw = np.array([0, 1], dtype=np.uint8)
+        b = BitString(raw)
+        raw[0] = 1
+        assert b.bits.tolist() == [0, 1] and not b.bits.flags.writeable

@@ -16,10 +16,12 @@ One private kernel steps both recursions over the rows of an (r, n) matrix
 of symbol indices at once and reports their prefix values at requested
 lengths.  Its Viterbi scores are state-major, one (k, r) array, and one
 max-plus step maps them to each state's best predecessor score: the scores
-repeated k times plus log2 a widened once per batch to (k, k * r) is one
+repeated k times plus log2 a widened once per batch to (k, k, r) is one
 contiguous add, reduced over its leading axis.  The forward recursion keeps
 its (r, k) rows for one matrix product per step, and log2 P is one cumsum of
-the step scales' log2 after the last step.
+the step scales' log2 after the last step.  Every array a step writes is
+allocated once per batch, so a step is a fixed handful of numpy calls, each
+into an ``out=`` buffer; on arrays this small their dispatch is the cost.
 The single-sequence functions, the growth profiles and the sampled
 estimator call the kernel; the exact enumeration calls only the max-plus
 step, growing each observation prefix once.  Observations are int64 arrays
@@ -39,6 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ImpossibleObservationError
+from .quantize import int64_samples
 from .traces import MeasurementTrace, assert_aligned
 
 _ROW_TOL = 1e-9
@@ -192,10 +195,10 @@ def obs_from_values(model: HmmModel, values: Iterable[int]) -> np.ndarray:
     """Map raw symbol values (e.g. an eavesdropper trace) to a 1-d int64
     array of alphabet indices.
 
-    Raises ValueError naming the first value that is not in the alphabet.
+    Raises ValueError naming the first value that is not a whole number or
+    not in the alphabet.
     """
-    vals = np.asarray(values if isinstance(values, np.ndarray) else list(values))
-    vals = vals.astype(np.int64, copy=False)
+    vals = int64_samples(values if isinstance(values, np.ndarray) else list(values), "symbol")
     ranked, index = _alphabet_lookup(model.symbols)
     # slot of the last alphabet entry <= each value; slot 0 holds the first
     # entry again, which a value below the whole alphabet cannot equal
@@ -259,23 +262,24 @@ class LinearFit:
 
 
 def _widen(log_a: np.ndarray, r: int) -> np.ndarray:
-    """log2 a_ij at [i, j * r + c] for every c < r: the (k, k * r) block one
-    ``_viterbi_step`` over r score columns adds."""
-    return np.repeat(log_a, r, axis=1)
+    """log2 a_ij at [i, j, c] for every c < r: the contiguous (k, k, r)
+    block one ``_viterbi_step`` over r score columns adds."""
+    return np.repeat(log_a, r, axis=1).reshape(len(log_a), -1, r)
 
 
-def _viterbi_step(delta: np.ndarray, wide_log_a: np.ndarray) -> np.ndarray:
+def _viterbi_step(delta: np.ndarray, wide_log_a: np.ndarray, cand: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """out[j, c] = max_i(delta[i, c] + log2 a_ij) over state-major (k, r)
-    scores, given ``wide_log_a = _widen(log2 a, r)``.
+    scores, given ``wide_log_a = _widen(log2 a, r)`` and ``cand``, a (k, k, r)
+    buffer the candidates fill; a new array when ``out`` is None.
 
-    Each score row repeated k times lines up with ``wide_log_a``, so the
-    candidates are one contiguous (k, k * r) add, reduced over its leading
-    axis: the same maxima of the same sums as a broadcast (k, k, r) add.
+    Each score row copied k times lines up with ``wide_log_a``, so the
+    candidates are one contiguous add, reduced over its leading axis: the
+    same maxima of the same sums as a broadcast (k, k, r) add.
     """
-    k, r = delta.shape
-    cand = delta.repeat(k, axis=0).reshape(k, k * r)
-    cand += wide_log_a
-    return cand.max(axis=0).reshape(k, r)
+    np.copyto(cand, delta[:, None, :])
+    np.add(cand, wide_log_a, out=cand)
+    return np.maximum.reduce(cand, axis=0, out=out)
 
 
 def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[int]):
@@ -293,33 +297,49 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
     running log2 sum, one cumsum in step order.  A row whose scale is 0 turns
     to NaN from then on without touching the other rows, so the scales are
     searched for the first zero once, after the last step.
+
+    The steps read a contiguous (n, r) copy of the matrix, gather emissions
+    with ``take``, and write into buffers made once per batch: the (k, k, r)
+    candidate block ``_viterbi_step`` fills, and two each of delta and alpha,
+    which trade places after each step.  No float operation or its order
+    differs from a kernel that allocates every step's arrays afresh.
     """
     if obs_matrix.ndim != 2 or obs_matrix.size < 1:
         raise ValueError("observations must be a non-empty 2-d matrix of symbol indices")
+    if obs_matrix.dtype.kind not in "iu":  # a cast would cut 0.5 to 0; bools would mask
+        raise ValueError(f"observation indices must be integers, got dtype {obs_matrix.dtype}")
     if obs_matrix.min() < 0 or obs_matrix.max() >= model.m:
         raise ValueError(f"observation index out of range [0, {model.m})")
     with np.errstate(divide="ignore"):
         log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
     r, n = obs_matrix.shape
+    k = model.k
     wide_log_a = _widen(log_a, r)
     log_star = np.empty((r, len(checkpoints)))
     scales = np.empty((n, r))
+    scale_cols = scales[:, :, None]
+    steps = np.ascontiguousarray(obs_matrix.T, dtype=np.intp)  # steps[t] = y_t of every row
     trans, emit_rows = model.trans, model.emit.T.copy()  # emit_rows[y] = b_.(y)
+    cand = np.empty_like(wide_log_a)
+    delta, delta_next = np.empty((2, k, r))
+    alpha, alpha_next = np.empty((2, r, k))
     pos = 0
     with np.errstate(invalid="ignore"):  # 0 / 0 in a row that died
-        for t, y in enumerate(obs_matrix.T):
+        for t, y in enumerate(steps):
             if t == 0:
-                delta = log_pi[:, None] + log_b[:, y]                       # (k, r)
-                alpha = model.pi * emit_rows[y]                             # (r, k)
+                np.add(log_pi[:, None], log_b.take(y, axis=1), out=delta)      # (k, r)
+                np.multiply(model.pi, emit_rows.take(y, axis=0), out=alpha)   # (r, k)
             else:
-                delta = _viterbi_step(delta, wide_log_a)
-                delta += log_b[:, y]
-                alpha = alpha @ trans
-                alpha *= emit_rows[y]
-            scale = alpha.sum(axis=1, out=scales[t])
-            alpha /= scale[:, None]
+                _viterbi_step(delta, wide_log_a, cand, out=delta_next)
+                np.add(delta_next, log_b.take(y, axis=1), out=delta_next)
+                np.matmul(alpha, trans, out=alpha_next)
+                np.multiply(alpha_next, emit_rows.take(y, axis=0), out=alpha_next)
+                delta, delta_next = delta_next, delta
+                alpha, alpha_next = alpha_next, alpha
+            np.divide(alpha, np.add.reduce(alpha, axis=1, keepdims=True, out=scale_cols[t]),
+                      out=alpha)
             if pos < len(checkpoints) and checkpoints[pos] == t + 1:
-                log_star[:, pos] = delta.max(axis=0)
+                np.maximum.reduce(delta, axis=0, out=log_star[:, pos])
                 pos += 1
     dead = scales == 0
     if dead.any():
@@ -333,7 +353,7 @@ def _recursions(model: HmmModel, obs_matrix: np.ndarray, checkpoints: Sequence[i
 def _row(obs: np.ndarray):
     """A 1-d index sequence as the kernel's one-row matrix, and its length
     as the one checkpoint."""
-    row = np.asarray(obs, dtype=np.int64)[None, ...]
+    row = np.asarray(obs)[None, ...]
     return row, [row.shape[-1]]
 
 
@@ -401,7 +421,8 @@ def exact_avg_conditional_min_entropy(model: HmmModel, n: int) -> float:
         log_pi, log_a, log_b = np.log2(model.pi), np.log2(model.trans), np.log2(model.emit)
     delta = log_pi[:, None] + log_b                                 # (k, m)
     for _ in range(n - 1):
-        step = _viterbi_step(delta, _widen(log_a, delta.shape[1]))
+        wide_log_a = _widen(log_a, delta.shape[1])
+        step = _viterbi_step(delta, wide_log_a, np.empty_like(wide_log_a))
         delta = (step[:, :, None] + log_b[:, None, :]).reshape(model.k, -1)
     logs = delta.max(axis=0)
     top = logs.max()
@@ -442,6 +463,18 @@ def level_states(levels: int) -> tuple:
     return tuple(range(-(levels - 1), 1))
 
 
+def check_level_range(levels: int, **traces: MeasurementTrace) -> tuple:
+    """``level_states(levels)``, once every (non-empty) trace, named by its
+    keyword, holds only those levels; a level outside them raises ValueError."""
+    states = level_states(levels)
+    lo = states[0]
+    for name, tr in traces.items():
+        if tr.levels.min() < lo or tr.levels.max() > 0:
+            raise ValueError(
+                f"{name} trace has levels outside [{lo}, 0]; clamp during ingestion")
+    return states
+
+
 def fit_hmm_from_traces(hidden: MeasurementTrace, observed: MeasurementTrace,
                         levels: int) -> HmmModel:
     """Counting estimators for pi, transitions and emissions from paired traces.
@@ -454,14 +487,9 @@ def fit_hmm_from_traces(hidden: MeasurementTrace, observed: MeasurementTrace,
     assert_aligned(hidden, observed)
     if len(hidden) < 2:
         raise ValueError("need at least 2 aligned samples to count transitions")
-    states = level_states(levels)
+    states = check_level_range(levels, hidden=hidden, observed=observed)
     k = m = levels
     lo = states[0]
-
-    for name, tr in (("hidden", hidden), ("observed", observed)):
-        if tr.levels.min() < lo or tr.levels.max() > 0:
-            raise ValueError(
-                f"{name} trace has levels outside [{lo}, 0]; clamp during ingestion")
 
     h = hidden.levels - lo
     o = observed.levels - lo

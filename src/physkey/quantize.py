@@ -137,10 +137,37 @@ def _encoding_tables():
 _UNARY, _RESIDUE, _NEIGHBOR, _RECOVERED, _NAMED = _encoding_tables()
 
 
+def int64_samples(values, what: str = "level", copy: bool = False) -> np.ndarray:
+    """``values`` as an int64 array, checked before the cast, which would
+    cut 1.7 to 1 and read the string '3' as 3.
+
+    An integer array an int64 holds passes on its dtype alone.  A float or
+    uint64 array must hold whole numbers an int64 holds; an array of any
+    other kind (bools, strings, objects) is refused whole.  The ValueError
+    names the first sample that fails, as ``what``.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "i" or arr.dtype.kind == "u" and arr.dtype.itemsize < 8:
+        return arr.astype(np.int64, copy=copy)
+    flat = arr.reshape(-1)
+    if arr.dtype.kind not in "fu":
+        if arr.size:
+            raise ValueError(f"{what} at sample 0 is {flat[:1].tolist()[0]!r}: {arr.dtype} "
+                             "arrays hold no int64 integers")
+        return np.zeros(arr.shape, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # NaN, inf and the too large cast to junk
+        ints = arr.astype(np.int64)
+    bad = (ints != arr).reshape(-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{what} at sample {i} is not an int64 integer: {flat[i].item()!r}")
+    return ints
+
+
 def _magnitudes(levels) -> np.ndarray:
     # |level| of every sample, each checked against the max magnitude; the
     # unsigned view also refuses the int64 minimum, whose abs stays negative
-    arr = np.asarray(levels, dtype=np.int64)
+    arr = int64_samples(levels)
     mag = np.abs(arr)
     if mag.size and mag.view(np.uint64).max() > BITS_PER_SAMPLE:
         i = int(np.argmax(mag.view(np.uint64) > BITS_PER_SAMPLE))

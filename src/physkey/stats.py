@@ -247,12 +247,27 @@ def _window_counts(codes: np.ndarray, starts: np.ndarray, w: int, levels: int) -
 
     Each sample's key v * n + i sorts the positions of level 0, then those
     of level 1, ..., so a window's count of v is the number of keys in
-    [v * n + s, v * n + s + w): two searches.  Memory is O(n + starts x levels).
+    [v * n + s, v * n + s + w): two searches.  With the starts sorted, the
+    needles v * n + s ascend level by level, and each search walks the keys
+    once; the counts are scattered back to the starts' own order.  Memory is
+    O(n + starts x levels).
     """
     n = codes.size
     keys = np.sort(codes * n + np.arange(n))
-    lo = starts[..., None] + np.arange(levels) * n
-    return np.searchsorted(keys, lo + w) - np.searchsorted(keys, lo)
+    flat = starts.reshape(-1)
+    order = np.argsort(flat)
+    lo = np.arange(levels)[:, None] * n + flat[order]  # (levels, starts), ascending
+    out = np.empty((flat.size, levels), dtype=np.intp)
+    out[order] = (np.searchsorted(keys, lo + w) - np.searchsorted(keys, lo)).T
+    return out.reshape(*starts.shape, levels)
+
+
+def _ranks(levels: np.ndarray) -> np.ndarray:
+    """Each sample's rank among the distinct values of ``levels`` (the
+    inverse ``np.unique`` returns), from one bincount over their range."""
+    shifted = levels - levels.min()
+    present = np.bincount(shifted) > 0
+    return (np.cumsum(present) - 1)[shifted]
 
 
 def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
@@ -269,7 +284,8 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     it: the probes need two.  So does a trace holding one level, which the
     lag-0 probe names for alice and the lag-1 cross-lag probe for eve.
     Stage (e) fits the model estimate-entropy and fit-growth fit, so
-    ``stable_entropy`` is estimate-entropy's estimate at the same slice.
+    ``stable_entropy`` is estimate-entropy's estimate at the same slice;
+    that model's level range is checked first, before any stage.
 
     A partition is a multivariate hypergeometric draw of one random half's
     counts, and the complement (one sample larger when n is odd), so tests
@@ -283,6 +299,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
         raise ValueError(f"trials must be at least 1, got {trials}")
     if n < 20 * slice_len:
         raise ValueError(f"need at least {20 * slice_len} samples, got {n}")
+    hmm.check_level_range(levels, alice=alice, eve=eve)  # so the ranks' bincount is short
     rng = hmm.seeded_rng(seed)
     details: dict = {}
 
@@ -292,7 +309,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
 
     # the K-S tests count levels: xc and yc rank each sample among its
     # trace's distinct values, which is all a K-S statistic depends on
-    xc, yc = (np.unique(t.levels, return_inverse=True)[1] for t in (alice, eve))
+    xc, yc = _ranks(alice.levels), _ranks(eve.levels)
     lx, ly = int(xc.max()) + 1, int(yc.max()) + 1
 
     # (b) identical distribution: K-S on random half partitions

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PhyskeyError
-from .quantize import BITS_PER_SAMPLE
+from .quantize import BITS_PER_SAMPLE, int64_samples
 
 FRAME_TYPES = ("PING", "PONG", "OBS")
 CSV_HEADER = "seq,node_id,frame_type,rssi"
@@ -49,8 +49,8 @@ class MeasurementTrace:
     frame_type: str = "OBS"
 
     def __post_init__(self):
-        seqs = np.array(self.seqs, dtype=np.int64)
-        levels = np.array(self.levels, dtype=np.int64)
+        seqs = int64_samples(self.seqs, "seq", copy=True)
+        levels = int64_samples(self.levels, copy=True)
         if seqs.shape != levels.shape or seqs.ndim != 1:
             raise ValueError("seqs and levels must be equal-length 1-d arrays")
         if np.any(seqs[1:] <= seqs[:-1]):  # neighbours: a difference overflows int64
@@ -66,7 +66,7 @@ class MeasurementTrace:
 
 def make_trace(levels, node_id: str = "node", frame_type: str = "OBS") -> MeasurementTrace:
     """Build a trace with sequence numbers 0, 1, .. from a level array."""
-    levels = np.asarray(levels, dtype=np.int64)
+    levels = np.asarray(levels)
     return MeasurementTrace(np.arange(levels.size), levels, node_id, frame_type)
 
 

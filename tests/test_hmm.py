@@ -410,14 +410,17 @@ class TestContiguousStep:
     @given(st.data())
     def test_matches_the_broadcast_kernel(self, data):
         # rows drawn from the model itself all live; uniform rows over a
-        # model with zero entries often die, at any step and row
-        k, m, n = (data.draw(st.integers(1, hi)) for hi in (4, 4, 12))
+        # model with zero entries often die, at any step and row.  The
+        # checkpoints: the first step, the last, every step, or any set
+        k, m, n = (data.draw(st.integers(1, hi)) for hi in (9, 9, 12))
         r = data.draw(st.sampled_from([1, 3, 100]))
         model = drawn_model(data, k, m)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         obs = (sample_hmm(model, r, n, rng) if data.draw(st.booleans())
                else rng.integers(0, m, size=(r, n)))
-        checkpoints = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        checkpoints = sorted(data.draw(st.one_of(
+            st.sampled_from([[1], [n], list(range(1, n + 1))]),
+            st.sets(st.integers(1, n), min_size=1))))
         want = self.outcome(broadcast_recursions, model, obs, checkpoints)
         got = self.outcome(_recursions, model, obs, checkpoints)
         if isinstance(want[0], str):
@@ -438,6 +441,20 @@ class TestContiguousStep:
         assert self.outcome(_recursions, model, obs, [8]) == want
         assert self.outcome(_recursions, model, obs[[0, 2, 4]], [8]) == (want[0], 1)
 
+    @pytest.mark.parametrize("step", range(6))
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_a_dead_row_is_named_after_any_number_of_swaps(self, step, row):
+        # the step's buffers trade places each step: a row that dies at an
+        # odd or an even step is named at that step, as the broadcast kernel does
+        model = HmmModel(states=(0, 1, 2), symbols=(0, 1, 2), pi=[0.2, 0.3, 0.5],
+                         trans=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+                         emit=[[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.5, 0.5, 0.0]])
+        obs = np.tile([0, 1, 1, 0, 1, 0], (3, 1))
+        obs[row, step] = 2
+        want = (f"impossible observation sequence: zero probability at step {step}", row)
+        assert self.outcome(broadcast_recursions, model, obs, [6]) == want
+        assert self.outcome(_recursions, model, obs, [1, 6]) == want
+
     def test_peak_memory_at_max_levels(self):
         # the widened log2 a and one step's candidates, two (k, k, r) float
         # blocks, and under 4 MB besides: not a third block
@@ -453,6 +470,40 @@ class TestContiguousStep:
         finally:
             tracemalloc.stop()
         assert 2 * block <= peak < 2 * block + 4 * 2 ** 20
+
+
+class TestObservationDtype:
+    """Observations are integer index arrays: a float or bool one is refused
+    by its dtype, before a cast could cut 0.5 to 0 or a bool could mask."""
+
+    def test_fractional_sequence_refused(self, two_state):
+        with pytest.raises(ValueError, match=r"^observation indices must be integers, "
+                                             r"got dtype float64$"):
+            conditional_min_entropy_given_obs(two_state, [0.5, 1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_every_entry_point_names_the_dtype(self, two_state, dtype):
+        obs = np.zeros((2, 3), dtype=dtype)
+        calls = (lambda: entropy_profile_batch(two_state, obs, [3]),
+                 lambda: estimate_avg_conditional_min_entropy(two_state, obs),
+                 lambda: conditional_min_entropy_given_obs(two_state, obs[0]),
+                 lambda: viterbi_max_joint(two_state, obs[0]),
+                 lambda: forward_likelihood(two_state, obs[0]))
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"got dtype {np.dtype(dtype)}$"):
+                call()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+    def test_integer_dtypes_give_the_same_bits(self, two_state, dtype):
+        obs = np.array([[0, 1, 1, 0, 1], [1, 1, 0, 0, 0]])
+        want = entropy_profile_batch(two_state, obs, [2, 5])
+        assert np.array_equal(entropy_profile_batch(two_state, obs.astype(dtype), [2, 5]), want)
+
+    def test_symbol_values_are_whole_numbers(self, two_state):
+        with pytest.raises(ValueError,
+                           match=r"^symbol at sample 1 is not an int64 integer: 0\.5$"):
+            obs_from_values(two_state, [1, 0.5])
+        assert obs_from_values(two_state, np.array([1.0, 0.0])).tolist() == [1, 0]
 
 
 class TestEstimator:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,27 @@ class TestResidueWords:
                 residue_neighbor_bits(levels)
             with pytest.raises(ValueError, match="^level out of range at sample 0: "):
                 residue_levels(residue_words([0, 3]), levels)
+
+
+class TestIntegerLevels:
+    """Every encoding checks its levels before the int64 cast."""
+
+    ENCODINGS = [embed_trace, residue_words, residue_neighbor_bits,
+                 lambda levels: residue_levels(residue_words([0, 0]), levels)]
+
+    @pytest.mark.parametrize("levels, message", [
+        ([1.7, 0], "level at sample 0 is not an int64 integer: 1.7"),
+        (np.array([2.9, 1]), "level at sample 0 is not an int64 integer: 2.9"),
+        ([0, np.nan], "level at sample 1 is not an int64 integer: nan"),
+        (["3", "0"], "level at sample 0 is '3': <U1 arrays hold no int64 integers")])
+    def test_refused_naming_the_first_bad_sample(self, levels, message):
+        for encode in self.ENCODINGS:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                encode(levels)
+
+    def test_whole_floats_encode_as_their_integers(self):
+        assert embed_trace(np.array([3.0, -1.0])) == embed_trace([3, -1])
+        assert residue_words(np.array([5.0, 0.0])) == residue_words(np.array([5, 0], np.uint8))
 
 
 LEVEL_LISTS = st.lists(st.integers(-BITS_PER_SAMPLE, BITS_PER_SAMPLE), max_size=40)

@@ -17,7 +17,7 @@ from physkey.channel import ChannelConfig, family_config, simulate_run
 from physkey.hmm import HmmModel
 from physkey.protocol import REFERENCE_ERROR_FIT
 from physkey.stats import (KsReport, _kolmogorov_sf, _ks_counts, _pearson_p_value,
-                           _random_halves, _window_counts, binomial_cdf, ks_two_sample,
+                           _random_halves, _ranks, _window_counts, binomial_cdf, ks_two_sample,
                            lag_correlation_profile, pearson_significance,
                            validate_assumptions)
 from physkey.traces import MeasurementTrace, make_trace
@@ -366,6 +366,17 @@ class TestWindowCounts:
         assert got.shape == (2, 30, levels)
         assert np.array_equal(got, want)
 
+    def test_unsorted_and_repeated_starts(self):
+        # the searches run over sorted starts; each count goes back to its start
+        rng = np.random.default_rng(3)
+        n, levels, w = 200, 5, 40
+        codes = rng.integers(0, levels, size=n)
+        starts = np.array([[160, 7, 7, 0, 99, 7], [0, 160, 3, 160, 99, 12]])
+        got = _window_counts(codes, starts, w, levels)
+        want = np.array([[np.bincount(codes[s:s + w], minlength=levels) for s in row]
+                         for row in starts])
+        assert np.array_equal(got, want)
+
     def test_memory_is_linear_in_samples_and_in_windows_by_levels(self):
         # an (n, levels) cumulative table would be 102 MB here
         n, levels, w = 50_000, 256, 2000
@@ -379,6 +390,24 @@ class TestWindowCounts:
         finally:
             tracemalloc.stop()
         assert peak < 64 * (n + starts.size * levels)
+
+
+class TestRanks:
+    @pytest.mark.parametrize("levels", [
+        [-8, -8, -3, 0, -3, -5],    # gaps between the levels
+        [-4], [0, 0, 0],            # a single value
+        [-7, -1, -7, -2, -1, -9],   # negative only
+        [5, -3, 17, 5, -3, 0]])     # both signs, unsorted
+    def test_equal_the_unique_inverse(self, levels):
+        levels = np.array(levels, dtype=np.int64)
+        got = _ranks(levels)
+        assert np.array_equal(got, np.unique(levels, return_inverse=True)[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-300, 300), min_size=1, max_size=60))
+    def test_equal_the_unique_inverse_on_drawn_levels(self, levels):
+        levels = np.array(levels, dtype=np.int64)
+        assert np.array_equal(_ranks(levels), np.unique(levels, return_inverse=True)[1])
 
 
 class TestDownsample:
@@ -500,6 +529,23 @@ class TestValidateAssumptions:
                                              r"lag-1 probe hold a single level \(0\); "
                                              "the correlation probes need two$"):
             validate_assumptions(alice, make_trace(eve, "eve"), levels=9)
+
+    @pytest.mark.parametrize("role, level", [("alice", 3), ("eve", -9), ("alice", 2 ** 62)])
+    def test_levels_outside_the_model_refused_first(self, rng, role, level):
+        # checked before any stage, so the ranks' bincount spans at most
+        # ``levels`` values: a level of 2^62 allocates nothing for its span
+        traces = {r: rng.integers(-8, 1, size=2000) for r in ("alice", "eve")}
+        traces[role][7] = level
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^{role} trace has levels outside "
+                                                 r"\[-8, 0\]; clamp during ingestion$"):
+                validate_assumptions(make_trace(traces["alice"], "alice"),
+                                     make_trace(traces["eve"], "eve"), levels=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_options_are_keywords(self, rng):
         t = make_trace(rng.integers(-8, 1, size=2000), "alice")

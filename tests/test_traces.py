@@ -35,6 +35,49 @@ class TestTrace:
             assert_aligned(a, c)
 
 
+class TestIntegerSamples:
+    """Levels and seqs are checked before their int64 cast, which would cut
+    1.7 to 1 and read the string '3' as 3; the error names the first sample."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_trace([1.7, -0.5]), "level at sample 0 is not an int64 integer: 1.7"),
+        (lambda: make_trace([0, -1, np.nan]), "level at sample 2 is not an int64 integer: nan"),
+        (lambda: make_trace([0, np.inf]), "level at sample 1 is not an int64 integer: inf"),
+        (lambda: make_trace(["3"]),
+         "level at sample 0 is '3': <U1 arrays hold no int64 integers"),
+        (lambda: make_trace([True, False]),
+         "level at sample 0 is True: bool arrays hold no int64 integers"),
+        (lambda: make_trace([1, 2 ** 70]),
+         "level at sample 0 is 1: object arrays hold no int64 integers"),
+        (lambda: MeasurementTrace([0.5, 1.5], [0, -1]),
+         "seq at sample 0 is not an int64 integer: 0.5"),
+        (lambda: MeasurementTrace(np.array([1, 2 ** 64 - 1], dtype=np.uint64), [0, -1]),
+         "seq at sample 1 is not an int64 integer: 18446744073709551615"),
+        (lambda: MeasurementTrace([0, 1], [0, 2.0 ** 63]),
+         "level at sample 1 is not an int64 integer: 9.223372036854776e+18"),
+    ])
+    def test_refused_by_name(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize("levels", [
+        [0, -3, 2], np.array([0, -3, 2], dtype=np.int8), np.array([0, 3, 2], dtype=np.uint32),
+        np.array([0.0, -3.0, 2.0]), np.array([-2.0 ** 63, 0.0])])
+    def test_whole_numbers_load(self, levels):
+        trace = make_trace(levels)
+        assert trace.levels.dtype == np.int64 and trace.seqs.dtype == np.int64
+        assert trace.levels.tolist() == np.asarray(levels).astype(np.int64).tolist()
+
+    def test_empty_trace_loads(self):
+        assert len(make_trace([])) == 0
+
+    def test_copies_its_input(self):
+        levels = np.array([0, -1, -2])
+        trace = make_trace(levels)
+        levels[0] = -5
+        assert trace.levels.tolist() == [0, -1, -2]
+
+
 class TestTraceFile:
     def test_parse(self):
         tf = TraceFile.parse(SAMPLE)

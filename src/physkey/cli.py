@@ -184,8 +184,7 @@ def _cmd_fit_growth(args) -> int:
 
 def _cmd_validate_assumptions(args) -> int:
     aligned, report = _load_aligned({"alice": args.alice, "eve": args.eve}, args.levels)
-    result = stats.validate_assumptions(aligned["alice"], aligned["eve"],
-                                        slice_len=args.slice, levels=args.levels)
+    result = stats.validate_assumptions(aligned["alice"], aligned["eve"], levels=args.levels)
     doc = result.to_dict()
     doc["ingest"] = report
     _emit(doc)
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-assumptions", help="run the channel assumption suite")
     p.add_argument("--alice", required=True)
     p.add_argument("--eve", required=True)
-    p.add_argument("--slice", type=int, default=hmm.SLICE_LEN)
     p.add_argument("--levels", type=int, default=LEVELS)
     p.set_defaults(func=_cmd_validate_assumptions)
 

@@ -31,6 +31,7 @@ from . import hmm
 from .traces import MeasurementTrace, assert_aligned
 
 ALPHA = 0.05  # the suite's significance level, in every one of its tests
+TRIALS = 200  # random partitions per K-S test of the suite (a tenth for test (d))
 MAX_LAG = 6  # the longest lag of both of the suite's correlation probes
 LAG_ROWS = 2000  # the suite's lag-profile anchors and longest transition window
 MIN_COND_SAMPLES = 8  # fewest samples per side of a window or conditional K-S test
@@ -153,7 +154,8 @@ class AssumptionReport:
 
 
 def pearson_significance(x, y, alpha: float = 0.05):
-    """Sample Pearson r with two-sided t-test significance at level alpha."""
+    """Sample Pearson r with two-sided t-test significance at level alpha;
+    a non-finite sample is refused by its index."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -161,15 +163,34 @@ def pearson_significance(x, y, alpha: float = 0.05):
     n = x.size
     if n < 3:
         raise ValueError("need at least 3 points")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below, by sample
+        xc = x - x.mean()
+        yc = y - y.mean()
+        vx = float(xc @ xc)
+        vy = float(yc @ yc)
+    # a non-finite sample makes its variance NaN, and finite variances bound
+    # the covariance, so r is finite when both are
+    if not (math.isfinite(vx) and math.isfinite(vy)):
+        bad = _first_marked(lambda v: ~np.isfinite(v), x=x, y=y)
+        raise ValueError(f"non-finite sample: {bad}" if bad else
+                         "samples too large: their variance overflows a float")
     if vx == 0.0 or vy == 0.0:
         raise ValueError("zero-variance input")
-    r = float(xc @ yc) / math.sqrt(vx * vy)
-    r = max(-1.0, min(1.0, r))
+    scale = math.sqrt(vx * vy)
+    if not 0.0 < scale < math.inf:  # the product left the float range
+        scale = math.sqrt(vx) * math.sqrt(vy)
+    r = max(-1.0, min(1.0, float(xc @ yc) / scale))
     return r, _pearson_p_value(r, n) < alpha
+
+
+def _first_marked(mark, **samples: np.ndarray) -> str:
+    """"name[i] = value" of the first entry of the samples, in argument
+    order, that ``mark`` marks, or "" if it marks none."""
+    for name, v in samples.items():
+        bad = np.flatnonzero(mark(v))
+        if bad.size:
+            return f"{name}[{bad[0]}] = {v[bad[0]]}"
+    return ""
 
 
 def _probe(x: np.ndarray, y: np.ndarray, alpha: float, lag: int, x_name: str,
@@ -196,6 +217,10 @@ def lag_correlation_profile(trace: MeasurementTrace, max_lag: int, rows: int,
     (X_i, X_{i-1}, ..., X_{i-max_lag}) at uniformly random anchors i, then
     correlates column 0 against every other column.
     """
+    if max_lag < 1:
+        raise ValueError(f"max_lag must be at least 1, got {max_lag}")
+    if rows < 3:
+        raise ValueError(f"rows must be at least 3, got {rows}")
     levels = trace.levels.astype(float)
     n = levels.size
     if n <= max_lag + 1:
@@ -217,6 +242,9 @@ def ks_two_sample(x, y, alpha: float = 0.05) -> KsReport:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 8 or y.size < 8:
         raise ValueError("each sample needs at least 8 points")
+    bad = _first_marked(np.isnan, x=x, y=y)  # ranks order infinities, not NaN
+    if bad:
+        raise ValueError(f"NaN sample: {bad}; a K-S test ranks its samples")
     _, rank = np.unique(np.concatenate([x, y]), return_inverse=True)
     cx, cy = (np.bincount(r, minlength=rank.max() + 1) for r in np.split(rank, [x.size]))
     (d,), (p,), (reject,) = _ks_counts(cx[None], cy[None], alpha)
@@ -271,20 +299,20 @@ def _ranks(levels: np.ndarray) -> np.ndarray:
 
 
 def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
-                         trials: int = 200, slice_len: int = hmm.SLICE_LEN,
-                         levels: int, seed: int = 0) -> AssumptionReport:
+                         levels: int) -> AssumptionReport:
     """Run the assumption suite on an aligned (alice, eve) trace pair.
 
-    ``trials`` K-S partitions per test (a tenth of them for the
-    conditional-observation test), ``slice_len``-sample entropy
+    One fixed configuration, of which the caller sets only the HMM's
+    ``levels``: TRIALS K-S partitions per test (a tenth of them for the
+    conditional-observation test), hmm.SLICE_LEN-sample entropy
     experiments, lags up to MAX_LAG in both correlation probes, every test
-    at level ALPHA, and an HMM over ``levels`` levels.  Sub-tests that lack
+    at level ALPHA, and a generator seeded with 0.  Sub-tests that lack
     data are skipped and recorded in details rather than failing the suite,
     but a correlation probe whose samples of one trace hold one level fails
     it: the probes need two.  So does a trace holding one level, which the
     lag-0 probe names for alice and the lag-1 cross-lag probe for eve.
     Stage (e) fits the model estimate-entropy and fit-growth fit, so
-    ``stable_entropy`` is estimate-entropy's estimate at the same slice;
+    ``stable_entropy`` is estimate-entropy's estimate at hmm.SLICE_LEN;
     that model's level range is checked first, before any stage.
 
     A partition is a multivariate hypergeometric draw of one random half's
@@ -293,14 +321,10 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     """
     assert_aligned(alice, eve)
     n = len(alice)
-    if slice_len < 1:
-        raise ValueError(f"slice_len must be at least 1, got {slice_len}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if n < 20 * slice_len:
-        raise ValueError(f"need at least {20 * slice_len} samples, got {n}")
+    if n < 20 * hmm.SLICE_LEN:
+        raise ValueError(f"need at least {20 * hmm.SLICE_LEN} samples, got {n}")
     hmm.check_level_range(levels, alice=alice, eve=eve)  # so the ranks' bincount is short
-    rng = hmm.seeded_rng(seed)
+    rng = hmm.seeded_rng(0)
     details: dict = {}
 
     # (a) memorylessness probe: lag profile of Alice's own samples
@@ -313,15 +337,15 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     lx, ly = int(xc.max()) + 1, int(yc.max()) + 1
 
     # (b) identical distribution: K-S on random half partitions
-    rejects = _ks_counts(*_random_halves(rng, np.bincount(xc), trials), ALPHA)[2]
+    rejects = _ks_counts(*_random_halves(rng, np.bincount(xc), TRIALS), ALPHA)[2]
     identical_rate = float(rejects.mean())
 
     # (c) stationary transitions: successor samples from two disjoint time
     # windows drawn fresh each trial (fresh windows keep the trials
     # decorrelated, so the rejection rate concentrates near its level)
     w = max(MIN_COND_SAMPLES, min(LAG_ROWS, n // 8))
-    starts = np.empty((2, trials), dtype=np.int64)
-    for t in range(trials):
+    starts = np.empty((2, TRIALS), dtype=np.int64)
+    for t in range(TRIALS):
         s1 = int(rng.integers(0, n - 2 * w - 1))
         starts[:, t] = s1, int(rng.integers(s1 + w, n - w - 1))
     windows = _window_counts(xc, starts + 1, w, lx)
@@ -331,7 +355,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     # of a half's count table) across a random half of the (x, y) pairs,
     # one row per (draw, x); levels short of samples on either side are skipped
     joint = np.bincount(xc * ly + yc, minlength=lx * ly)  # cell x * ly + y
-    c1, c2 = (h.reshape(-1, ly) for h in _random_halves(rng, joint, max(1, trials // 10)))
+    c1, c2 = (h.reshape(-1, ly) for h in _random_halves(rng, joint, TRIALS // 10))
     kept = (c1.sum(axis=1) >= MIN_COND_SAMPLES) & (c2.sum(axis=1) >= MIN_COND_SAMPLES)
     tests = int(kept.sum())
     rejects = _ks_counts(c1[kept], c2[kept], ALPHA)[2]
@@ -356,7 +380,7 @@ def validate_assumptions(alice: MeasurementTrace, eve: MeasurementTrace, *,
     # (e) stable entropy: per-slice conditional min-entropy spread under the
     # counting-fitted model estimate-entropy and fit-growth use
     model = hmm.fit_hmm_from_traces(alice, eve, levels=levels)
-    experiments = hmm.slice_experiments(model, eve.levels, slice_len)
+    experiments = hmm.slice_experiments(model, eve.levels, hmm.SLICE_LEN)
     stable = hmm.estimate_avg_conditional_min_entropy(model, experiments)
     details["levels"] = levels
     details["n_slices"] = len(experiments)

@@ -170,7 +170,6 @@ def case(label, *values):
     case("extra2", "fit-growth", ["--slice-samples", "0"], "at least 1"),
     case("extra3", "fit-growth", ["--step", "500"], "checkpoint"),
     case("extra4", "fit-growth", ["--step", "-10"], "checkpoint"),
-    case("extra5", "validate-assumptions", ["--slice", "0"], "at least 1"),
     case("extra6", "fit-growth", ["--step", "0"], "--step must be at least 1"),
     case("extra10", "estimate-entropy", ["--levels", "0"], "--levels must be at least 2"),
     case("extra11", "estimate-entropy", ["--levels", "1"], "--levels must be at least 2"),
@@ -663,9 +662,9 @@ class TestValidateAssumptions:
 
     def test_stable_entropy_is_the_estimate(self, run_dir, capsys):
         # the suite's stage (e) fits the model estimate-entropy fits
-        traces = ["--alice", run_dir / "alice.csv", "--eve", run_dir / "eve.csv",
-                  "--slice", "100"]
-        code, estimate = invoke(capsys, "estimate-entropy", *traces)
+        # at its one slice length, 100
+        traces = ["--alice", run_dir / "alice.csv", "--eve", run_dir / "eve.csv"]
+        code, estimate = invoke(capsys, "estimate-entropy", *traces, "--slice", "100")
         assert code == 0
         code, report = invoke(capsys, "validate-assumptions", *traces)
         assert code == 0
@@ -703,7 +702,7 @@ class TestValidateAssumptions:
         ("estimate-entropy", ["--smoothing", "0"]), ("fit-growth", ["--smoothing", "0"]),
         ("validate-assumptions", ["--lag-csv", "x"]), ("validate-assumptions", ["--alpha", "0.05"]),
         ("validate-assumptions", ["--trials", "200"]), ("validate-assumptions", ["--max-lag", "6"]),
-        ("validate-assumptions", ["--seed", "0"])])
+        ("validate-assumptions", ["--seed", "0"]), ("validate-assumptions", ["--slice", "100"])])
     def test_removed_option_is_a_usage_error(self, run_dir, command, option):
         roles = ["alice", "bob", "eve"] if command == "fit-growth" else ["alice", "eve"]
         traces = [a for role in roles for a in (f"--{role}", run_dir / f"{role}.csv")]

@@ -16,7 +16,7 @@ from physkey.protocol import (REFERENCE_ENTROPY_FIT, REFERENCE_ERROR_FIT,
                               correctness_bound, entropy_ledger, plan_parameters,
                               run_exchange, alice_messages)
 from physkey.quantize import BitString
-from physkey.stats import binomial_cdf, lag_correlation_profile, validate_assumptions
+from physkey.stats import binomial_cdf, lag_correlation_profile
 from physkey.traces import make_trace
 
 
@@ -626,12 +626,10 @@ class TestBlockwiseFeasibility:
 
 @pytest.mark.parametrize("call", [
     lambda run, seed: measure_rates(family_config(levels=9), n_samples=100, seed=seed),
-    lambda run, seed: validate_assumptions(run.alice, run.eve, trials=5, slice_len=10,
-                                           levels=9, seed=seed),
     lambda run, seed: lag_correlation_profile(run.alice, max_lag=2, rows=10, seed=seed),
     lambda run, seed: run_exchange(run.alice, run.bob, plan_parameters(16, 2, 0.05, n=400),
                                    seed=seed),
-], ids=["measure_rates", "validate_assumptions", "lag_correlation_profile", "run_exchange"])
+], ids=["measure_rates", "lag_correlation_profile", "run_exchange"])
 def test_negative_seed_fails_closed(call):
     # the arguments work with seed 0, so only the seed is at fault
     run = simulate_run(family_config(levels=9, n=400, seed=3))

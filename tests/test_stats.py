@@ -139,6 +139,27 @@ class TestPearson:
         with pytest.raises(ValueError, match="zero-variance"):
             pearson_significance([1.0] * 10, list(range(10)), 0.05)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, bad):
+        # a NaN r would clamp to 1.0 and pass as a significant correlation
+        y = np.arange(10.0)
+        y[4] = bad
+        with pytest.raises(ValueError, match=rf"^non-finite sample: y\[4\] = {bad}$"):
+            pearson_significance(np.arange(10.0), y, 0.05)
+        with pytest.raises(ValueError, match=rf"^non-finite sample: x\[4\] = {bad}$"):
+            pearson_significance(y, y[::-1], 0.05)  # x's is the first named
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_variance_product_outside_the_float_range(self, scale):
+        # vx * vy overflows to inf (r was 0.0) or underflows to 0 (r divided by it)
+        x = np.array([1.0, -1.0, 0.0, 0.5]) * scale
+        assert pearson_significance(x, x, 0.05)[0] == pytest.approx(1.0)
+        assert pearson_significance(x, -x, 0.05)[0] == pytest.approx(-1.0)
+
+    def test_overflowing_variance_refused(self):
+        with pytest.raises(ValueError, match="^samples too large: their variance overflows"):
+            pearson_significance([1e200, -1e200, 3.0], [1.0, 2.0, 3.0], 0.05)
+
     def test_false_positive_calibration(self):
         rng = np.random.default_rng(31)
         alpha = 0.05
@@ -188,6 +209,16 @@ class TestLagProfile:
         prof = lag_correlation_profile(trace, max_lag=4, rows=500, seed=1)
         assert len(prof.lags) == len(prof.r) == len(prof.significant) == 5
 
+    @pytest.mark.parametrize("options, reason", [
+        ({"max_lag": -1, "rows": 100}, "max_lag must be at least 1, got -1"),
+        ({"max_lag": 0, "rows": 100}, "max_lag must be at least 1, got 0"),
+        ({"max_lag": 2, "rows": -1}, "rows must be at least 3, got -1"),
+        ({"max_lag": 2, "rows": 2}, "rows must be at least 3, got 2")])
+    def test_too_few_lags_or_rows_refused(self, rng, options, reason):
+        trace = make_trace(rng.integers(-8, 1, size=2000), "alice")
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            lag_correlation_profile(trace, **options)
+
 
 class TestKs:
     def test_identical_multiset(self):
@@ -212,6 +243,15 @@ class TestKs:
     def test_minimum_size(self):
         with pytest.raises(ValueError, match="at least 8"):
             ks_two_sample([1.0] * 7, [1.0] * 20, 0.05)
+
+    def test_nan_sample_refused(self):
+        # a NaN has no rank: it would count as a value above every other.
+        # Infinities do rank, and TestKsOnSamples draws them
+        reason = r"; a K-S test ranks its samples$"
+        with pytest.raises(ValueError, match=r"^NaN sample: x\[0\] = nan" + reason):
+            ks_two_sample([math.nan] * 10, range(10))
+        with pytest.raises(ValueError, match=r"^NaN sample: y\[9\] = nan" + reason):
+            ks_two_sample(range(10), [*range(9), math.nan])
 
     def test_detects_shift(self, rng):
         x = rng.normal(size=500)
@@ -431,8 +471,7 @@ class TestDownsample:
 class TestValidateAssumptions:
     def test_calibrated_channel_passes(self, calibrated_config):
         run = simulate_run(replace(calibrated_config, n=4000, seed=77))
-        report = validate_assumptions(run.alice, run.eve,
-                                      trials=120, slice_len=100, levels=9, seed=3)
+        report = validate_assumptions(run.alice, run.eve, levels=9)
         alpha = report.alpha
         assert report.identical_distribution_rejection_rate <= 2 * alpha
         assert report.stationary_transition_rejection_rate <= 2 * alpha
@@ -448,8 +487,7 @@ class TestValidateAssumptions:
     def test_odd_length_trace(self, calibrated_config):
         # the complement half holds one sample more than the drawn half
         run = simulate_run(replace(calibrated_config, n=4001, seed=78))
-        report = validate_assumptions(run.alice, run.eve,
-                                      trials=120, slice_len=100, levels=9, seed=4)
+        report = validate_assumptions(run.alice, run.eve, levels=9)
         alpha = report.alpha
         assert report.identical_distribution_rejection_rate <= 2 * alpha
         assert report.stationary_transition_rejection_rate <= 2 * alpha
@@ -477,8 +515,7 @@ class TestValidateAssumptions:
         eve_t = make_trace(eve, "eve")
         # levels -5..-3 never occur: their fitted rows are uniform, with a warning
         with pytest.warns(UserWarning, match="rows default to uniform"):
-            report = validate_assumptions(alice_t, eve_t,
-                                          trials=60, slice_len=100, levels=9, seed=5)
+            report = validate_assumptions(alice_t, eve_t, levels=9)
         assert report.stationary_transition_rejection_rate > 0.5
 
     def test_independent_eve_decouples(self, calibrated_config):
@@ -486,8 +523,7 @@ class TestValidateAssumptions:
         rng = np.random.default_rng(92)
         fake_eve = MeasurementTrace(run.alice.seqs,
                                     rng.integers(-8, 1, size=6000), "eve")
-        report = validate_assumptions(run.alice, fake_eve,
-                                      trials=60, slice_len=100, levels=9, seed=6)
+        report = validate_assumptions(run.alice, fake_eve, levels=9)
         # observation law is stationary (uniform everywhere) ...
         assert report.stationary_observation_rejection_rate <= 0.10
         # ... but eve learns nothing: entropy approaches the 100 * log2(9)
@@ -495,8 +531,7 @@ class TestValidateAssumptions:
         # spent by the path maximization)
         ceiling = 100 * np.log2(9)
         assert report.stable_entropy.mean_bits >= 0.80 * ceiling
-        coupled = validate_assumptions(run.alice, run.eve,
-                                       trials=20, slice_len=100, levels=9, seed=7)
+        coupled = validate_assumptions(run.alice, run.eve, levels=9)
         assert report.stable_entropy.mean_bits \
             >= 2.0 * coupled.stable_entropy.mean_bits
 
@@ -504,7 +539,7 @@ class TestValidateAssumptions:
         t = make_trace(rng.integers(-8, 1, size=500), "alice")
         e = make_trace(rng.integers(-8, 1, size=500), "eve")
         with pytest.raises(ValueError, match="at least"):
-            validate_assumptions(t, e, slice_len=100, levels=9)
+            validate_assumptions(t, e, levels=9)
 
     @pytest.mark.parametrize("flat", ["alice", "eve"])
     def test_single_level_trace_rejected(self, rng, flat):
@@ -557,9 +592,11 @@ class TestValidateAssumptions:
         with pytest.raises(TypeError):
             validate_assumptions(t, e)  # the level count has no default
 
-    @pytest.mark.parametrize("option", [{"alpha": 0.05}, {"max_lag": 6}])
+    @pytest.mark.parametrize("option", [{"alpha": 0.05}, {"max_lag": 6}, {"trials": 200},
+                                        {"seed": 0}, {"slice_len": 100}])
     def test_thresholds_are_not_options(self, rng, option):
-        # the suite runs every test at ALPHA and both probes to MAX_LAG
+        # the suite runs every test at ALPHA, both probes to MAX_LAG, TRIALS
+        # partitions per K-S test, SLICE_LEN-sample slices and seed 0
         t = make_trace(rng.integers(-8, 1, size=2000), "alice")
         e = make_trace(rng.integers(-8, 1, size=2000), "eve")
         with pytest.raises(TypeError):
@@ -568,8 +605,7 @@ class TestValidateAssumptions:
     def test_report_serializes(self, calibrated_config):
         import json
         run = simulate_run(replace(calibrated_config, n=2000, seed=13))
-        report = validate_assumptions(run.alice, run.eve,
-                                      trials=20, slice_len=100, levels=9, seed=1)
+        report = validate_assumptions(run.alice, run.eve, levels=9)
         doc = json.dumps(report.to_dict())
         assert "stable_entropy" in doc
 
@@ -582,9 +618,9 @@ class TestValidateAssumptions:
 
         monkeypatch.setattr(physkey.stats, "_ks_counts", spy)
         run = simulate_run(family_config(levels=9, n=3000, seed=14))
-        report = validate_assumptions(run.alice, run.eve, trials=50, levels=9, seed=2)
+        report = validate_assumptions(run.alice, run.eve, levels=9)
         tests = report.details["stationary_observation_tests"]
-        assert calls == [(50, 9), (50, 9), (tests, 9)]
+        assert calls == [(200, 9), (200, 9), (tests, 9)]
 
 
 def rare_level_pair():
@@ -604,29 +640,27 @@ class TestSeededOutputs:
     """Assumption-suite reports pinned to the sha256 of their sorted-key JSON:
     a change to how the K-S tests are batched must reproduce every byte."""
 
-    REPORTS = {  # case: (trace pair, validate_assumptions options, sha256)
+    # case: (trace pair, level count, sha256); "odd-n-one-trial" keeps the
+    # id it had when the suite's trial count was an option
+    REPORTS = {
         "odd-n-one-trial": (
-            partial(simulated_pair, levels=9, n=2001, seed=11),
-            {"trials": 1, "levels": 9, "seed": 0},
-            "3f1ba1804f50313d2d3245a0b7eac82ee8a90f1ccc6aefd4902d2ac59ba8c11d"),
+            partial(simulated_pair, levels=9, n=2001, seed=11), 9,
+            "63cbfe8cc435e6b790f6fed2759466bc1903bc10018a2fede3519bad13d79353"),
         "chain-with-memory": (
-            partial(simulated_pair, levels=5, decay=0.5, n=3000, seed=12),
-            {"trials": 37, "levels": 5, "seed": 9},
-            "c76960ae8d533ce78971000414a806fa1b16e308908a95441f7d439a88a86f92"),
+            partial(simulated_pair, levels=5, decay=0.5, n=3000, seed=12), 5,
+            "2c828766772499090d3037ead23de823d1145a21db889ed0009fc9d0617b9cc9"),
         "reference-trials": (
-            partial(simulated_pair, levels=9, n=10_000, seed=13),
-            {"trials": 200, "levels": 9, "seed": 0},
+            partial(simulated_pair, levels=9, n=10_000, seed=13), 9,
             "4d524a1e768764d032e1505ac3032cf86a64704f1327012d179a9958cb5232d1"),
         "skipped-level": (
-            rare_level_pair,
-            {"trials": 40, "levels": 5, "seed": 2},
-            "635898cdae38abceb1f2bdaa3b42689f299fd25adb1043c50e839299a1decade"),
+            rare_level_pair, 5,
+            "8355a7b3549da90f5e01092ba6fa174ad10f46aa85ae80d975c6c9e71c0917ee"),
     }
 
     @pytest.mark.parametrize("case", sorted(REPORTS))
     def test_report_digest(self, case):
-        pair, options, digest = self.REPORTS[case]
-        report = validate_assumptions(*pair(), **options)
+        pair, levels, digest = self.REPORTS[case]
+        report = validate_assumptions(*pair(), levels=levels)
         doc = json.dumps(report.to_dict(), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
         assert (report.details["stationary_observation_skipped"] > 0) == (case == "skipped-level")

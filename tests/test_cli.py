@@ -702,7 +702,8 @@ class TestValidateAssumptions:
         ("estimate-entropy", ["--smoothing", "0"]), ("fit-growth", ["--smoothing", "0"]),
         ("validate-assumptions", ["--lag-csv", "x"]), ("validate-assumptions", ["--alpha", "0.05"]),
         ("validate-assumptions", ["--trials", "200"]), ("validate-assumptions", ["--max-lag", "6"]),
-        ("validate-assumptions", ["--seed", "0"]), ("validate-assumptions", ["--slice", "100"])])
+        ("validate-assumptions", ["--seed", "0"]),
+        pytest.param("validate-assumptions", ["--slice", "100"], id="slice")])
     def test_removed_option_is_a_usage_error(self, run_dir, command, option):
         roles = ["alice", "bob", "eve"] if command == "fit-growth" else ["alice", "eve"]
         traces = [a for role in roles for a in (f"--{role}", run_dir / f"{role}.csv")]

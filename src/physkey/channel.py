@@ -30,10 +30,19 @@ their CDF, one search per state into Eve's sorted uniforms for her symbol
 counts, and the closed-form entropy of a memoryless chain, a sum of
 per-symbol terms.  A q probe is Bob's two offset thresholds in float
 arithmetic and two searches into his sorted uniforms.
+
+Built once per model and kept for the last few models used (a model is
+read-only and hashes by identity): its validation, the CDFs its chain and
+Eve's draw invert and its state and symbol values as arrays, each part when
+first asked for.  Re-seeding a config with dataclasses.replace then checks
+the new seed alone.  A run maps Eve's levels from its hidden path and her
+uniforms when they are first read, so a key exchange, which reads only Alice
+and Bob, never maps them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -61,7 +70,7 @@ class ChannelConfig:
     calibration: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        violations = validate_model(self.model)
+        violations = _tables(self.model).violations
         if violations:
             raise ValueError("invalid channel model: " + "; ".join(violations))
         total = sum(self.bob_error.values())
@@ -100,13 +109,59 @@ def _offset_key(key: str) -> int:
     raise ValueError(f"bob_error key {key!r} is not an integer offset")
 
 
+class _ModelTables:
+    """What depends on one model alone, each part built when first read."""
+
+    def __init__(self, model: HmmModel):
+        self.model = model
+
+    @functools.cached_property
+    def violations(self) -> list:
+        return validate_model(self.model)
+
+    @functools.cached_property
+    def chain(self) -> tuple:
+        # the CDFs _chain_path inverts
+        return _chain_cdfs(self.model.pi, self.model.trans)
+
+    @functools.cached_property
+    def eve_columns(self) -> np.ndarray:
+        # the emission CDF's columns but its last, +inf one (_eve_levels)
+        return _cdf(self.model.emit)[:, :-1].T
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        return np.array(self.model.states, dtype=np.int64)
+
+    @functools.cached_property
+    def symbols(self) -> np.ndarray:
+        return np.array(self.model.symbols, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(model: HmmModel) -> _ModelTables:
+    # one _ModelTables per model, kept for the last 16 models
+    return _ModelTables(model)
+
+
 @dataclass(frozen=True)
 class SimulatedRun:
-    """Aligned alice/bob/eve traces from one seeded draw."""
+    """Aligned alice/bob/eve traces from one seeded draw.
+
+    Eve's trace is mapped from the draw's hidden state indices and her
+    uniforms when it is first read, and kept.
+    """
 
     alice: MeasurementTrace
     bob: MeasurementTrace
-    eve: MeasurementTrace
+    model: HmmModel
+    path: np.ndarray          # hidden state indices
+    eve_uniforms: np.ndarray
+
+    @functools.cached_property
+    def eve(self) -> MeasurementTrace:
+        return make_trace(_eve_levels(self.model, self.path, self.eve_uniforms), "eve",
+                          frame_type="OBS")
 
 
 def _inf_tail(p: np.ndarray) -> np.ndarray:
@@ -167,13 +222,23 @@ def _sample_chain(pi: np.ndarray, trans: np.ndarray, u: np.ndarray) -> np.ndarra
     each row is non-decreasing, so they put every uniform in the same bin
     and the path is identical to the walk.
     """
-    first = np.searchsorted(_cdf(pi), u[0], side="right")
-    if (trans == trans[0]).all():
-        path = _count_le(_cdf(trans[0]), u)
+    return _chain_path(*_chain_cdfs(pi, trans), u)
+
+
+def _chain_cdfs(pi: np.ndarray, trans: np.ndarray) -> tuple:
+    # _cdf(pi), then _cdf of the one row of an i.i.d. chain (every row
+    # equal), else of every row
+    return _cdf(pi), _cdf(trans[0] if (trans == trans[0]).all() else trans)
+
+
+def _chain_path(cum_pi: np.ndarray, cum_trans: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # _sample_chain's scan over the CDFs from _chain_cdfs
+    first = np.searchsorted(cum_pi, u[0], side="right")
+    if cum_trans.ndim == 1:
+        path = _count_le(cum_trans, u)
         path[0] = first
         return path
-    n, k = u.size, trans.shape[0]
-    cum_trans = _cdf(trans)
+    n, k = u.size, cum_trans.shape[0]
     table = np.empty((n, k), dtype=np.int64)
     table[0] = first
     for s in range(k):
@@ -182,7 +247,7 @@ def _sample_chain(pi: np.ndarray, trans: np.ndarray, u: np.ndarray) -> np.ndarra
     while d < n and not (table == table[:, :1]).all():
         table[d:] = np.take_along_axis(table[d:], table[:-d], axis=1)
         d *= 2
-    return table[:, 0]
+    return table[:, 0].copy()  # not a view that keeps the (n, k) table alive
 
 
 def _draw(model: HmmModel, seed: int, n: int):
@@ -193,7 +258,7 @@ def _draw(model: HmmModel, seed: int, n: int):
     uniforms not at all.
     """
     rng = seeded_rng(seed)
-    idx = _sample_chain(model.pi, model.trans, rng.random(n))
+    idx = _chain_path(*_tables(model).chain, rng.random(n))
     return idx, rng.random(n), rng.random(n)
 
 
@@ -206,11 +271,11 @@ def _eve_levels(model: HmmModel, idx: np.ndarray, ue: np.ndarray) -> np.ndarray:
     first m - 1 are counted, one comparison pass each, as _count_le does;
     no (n, m) block of CDF rows is gathered.
     """
-    symbol_vals = np.array(model.symbols, dtype=np.int64)
+    tables = _tables(model)
     counts = np.zeros(idx.shape, dtype=np.min_scalar_type(model.m - 1))
-    for column in _cdf(model.emit)[:, :-1].T:
+    for column in tables.eve_columns:
         counts += column[idx] <= ue
-    return symbol_vals[counts]
+    return tables.symbols[counts]
 
 
 def _offset_cdf(bob_error: dict):
@@ -237,13 +302,12 @@ def simulate_run(config: ChannelConfig) -> SimulatedRun:
     """Draw one run; bit-identical for a fixed config (including seed)."""
     model = config.model
     idx, ue, ub = _draw(model, config.seed, config.n)
-    alice_levels = np.array(model.states, dtype=np.int64)[idx]
+    alice_levels = _tables(model).states[idx]
     return SimulatedRun(
         alice=make_trace(alice_levels, "alice", frame_type="PING"),
         bob=make_trace(_bob_levels(model, config.bob_error, alice_levels, ub), "bob",
                        frame_type="PONG"),
-        eve=make_trace(_eve_levels(model, idx, ue), "eve", frame_type="OBS"),
-    )
+        model=model, path=idx, eve_uniforms=ue)
 
 
 def _distances(levels: int) -> np.ndarray:

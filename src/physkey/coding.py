@@ -159,6 +159,10 @@ def _bm_locator(synd, tables: GfTables, binary: bool = False):
     With binary=True the syndromes must satisfy S_2j = S_j^2; every
     discrepancy at an even-indexed syndrome is then zero, so only the steps
     at odd-indexed syndromes are run (Berlekamp's binary simplification).
+
+    The previous best polynomial has degree at most L_b, its length when it
+    was kept, so an update adds only its L_b + 1 low coefficients, shifted
+    by mshift; at step i, mshift + L_b = i + 1 - L <= n, within c.
     """
     exp, log = tables.exp, tables.log
     s = np.asarray(synd, dtype=np.int64)
@@ -167,8 +171,8 @@ def _bm_locator(synd, tables: GfTables, binary: bool = False):
     step = 2 if binary else 1
     c = np.zeros(n + 1, dtype=np.int64)  # current connection polynomial
     c[0] = 1
-    log_b = log[c]                       # logs of the previous best
-    L = 0
+    log_b = log[c[:1]]                   # logs of the previous best, degree <= L_b
+    L = L_b = 0
     mshift = 1
     log_bb = 0                           # log of the discrepancy at last length change
     for i in range(0, n, step):
@@ -176,15 +180,15 @@ def _bm_locator(synd, tables: GfTables, binary: bool = False):
         if d == 0:
             mshift += step
             continue
-        update = exp[log_b[:n + 1 - mshift] + (int(log[d]) - log_bb) % tables.order]
+        update = exp[log_b + (int(log[d]) - log_bb) % tables.order]
         if 2 * L <= i:
-            log_b = log[c]
-            c[mshift:] ^= update
-            L = i + 1 - L
+            log_b = log[c[:L + 1]]
+            c[mshift:mshift + L_b + 1] ^= update
+            L_b, L = L, i + 1 - L
             log_bb = int(log[d])
             mshift = step
         else:
-            c[mshift:] ^= update
+            c[mshift:mshift + L_b + 1] ^= update
             mshift += step
     return c[:L + 1].tolist(), L
 

@@ -84,13 +84,14 @@ def _json_floats(value):
         else json_float(value, finite=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmmModel:
     """k hidden states over m symbols: initial pi, transitions, emissions.
 
     ``states`` and ``symbols`` carry the actual signal-level values so that
     traces map to indices unambiguously; ``trans`` and ``emit`` are
-    row-stochastic.
+    row-stochastic.  A model is read-only and compares and hashes by
+    identity, so per-model tables can be cached against it.
     """
 
     states: tuple

@@ -248,6 +248,39 @@ def gf2m_power_sums(bits, js, m: int) -> np.ndarray:
                      if ones.size else 0 for j in js], dtype=np.int64)
 
 
+def full_update_bm_locator(synd, tables, binary: bool = False):
+    """Berlekamp-Massey as coding._bm_locator ran it with every update
+    spanning c from the shift to its end: (locator low degree first, degree).
+    The entries past the previous best polynomial's degree are zeros."""
+    exp, log = tables.exp, tables.log
+    s = np.asarray(synd, dtype=np.int64)
+    log_s = log[s]
+    n = s.size
+    step = 2 if binary else 1
+    c = np.zeros(n + 1, dtype=np.int64)
+    c[0] = 1
+    log_b = log[c]
+    L = 0
+    mshift = 1
+    log_bb = 0
+    for i in range(0, n, step):
+        d = int(s[i]) ^ int(np.bitwise_xor.reduce(exp[log[c[1:L + 1]] + log_s[i - L:i][::-1]]))
+        if d == 0:
+            mshift += step
+            continue
+        update = exp[log_b[:n + 1 - mshift] + (int(log[d]) - log_bb) % tables.order]
+        if 2 * L <= i:
+            log_b = log[c]
+            c[mshift:] ^= update
+            L = i + 1 - L
+            log_bb = int(log[d])
+            mshift = step
+        else:
+            c[mshift:] ^= update
+            mshift += step
+    return c[:L + 1].tolist(), L
+
+
 GENERATOR = 0x02  # alpha = x, the element whose powers field_tables lists
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from physkey.channel import (_COUNT_MAX, ChannelConfig, _banded_rows, _bisect,
 from physkey.errors import CalibrationError, ImpossibleObservationError
 from physkey.hmm import SLICE_LEN, HmmModel, entropy_profile_batch, \
     estimate_avg_conditional_min_entropy, slice_experiments, validate_model
+from physkey.protocol import plan_parameters, run_exchange
 from physkey.stats import lag_correlation_profile, pearson_significance
 
 from .oracles import argmax_eve_levels, choice_simulate_run, walk_chain
@@ -237,6 +239,63 @@ class TestDrawHelpers:
         assert len(grouped) == levels
         for g, m in zip(grouped, masked):
             assert g.dtype == m.dtype and g.tolist() == m.tolist()
+
+
+class TestPerModelState:
+    def test_reseeding_checks_the_model_once(self, monkeypatch):
+        # a config re-seeded with replace keeps its model, already checked;
+        # an equal but distinct model is checked anew
+        calls = []
+
+        def spy(model):
+            calls.append(model)
+            return validate_model(model)
+
+        monkeypatch.setattr(physkey.channel, "validate_model", spy)
+        cfg = two_state_config(n=50)
+        runs = [simulate_run(replace(cfg, seed=s)) for s in range(5)]
+        assert len(calls) == 1
+        assert runs[0].alice.levels.tolist() != runs[1].alice.levels.tolist()
+        two_state_config(n=50)
+        assert len(calls) == 2
+
+    def test_invalid_model_refused_on_every_build(self):
+        bad = HmmModel(states=(-1, 0), symbols=(-1, 0), pi=[0.5, 0.5],
+                       trans=[[0.5, 0.4], [0.1, 0.9]], emit=[[0.8, 0.2], [0.2, 0.8]])
+        assert validate_model(bad) == ["row 0 of trans sums to 0.9"]
+        message = "^" + re.escape("invalid channel model: row 0 of trans sums to 0.9") + "$"
+        good = two_state_config(n=50)
+        for _ in range(2):  # the second time, its check is the kept one
+            with pytest.raises(ValueError, match=message):
+                ChannelConfig(model=bad, bob_error=good.bob_error, n=50)
+            with pytest.raises(ValueError, match=message):
+                replace(good, model=bad)
+
+    def test_eve_mapped_on_first_read(self):
+        # decay 0.6 samples the chain by pointer doubling
+        cfg = family_config(levels=9, decay=0.6, n=2000, seed=3)
+        run = simulate_run(cfg)
+        idx, ue, _ = _draw(cfg.model, 3, 2000)
+        eve = run.eve
+        assert eve.levels.tolist() == argmax_eve_levels(cfg.model, idx, ue).tolist()
+        assert eve.seqs.tolist() == list(range(2000))
+        assert (eve.node_id, eve.frame_type) == ("eve", "OBS")
+        assert run.eve is eve
+
+    def test_exchange_never_maps_eve(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _eve_levels(*args)
+
+        monkeypatch.setattr(physkey.channel, "_eve_levels", spy)
+        params = plan_parameters(l=128, lambda_=80, c=1)
+        run = simulate_run(family_config(levels=9, spread=0.41325, n=params.n, seed=11))
+        assert run_exchange(run.alice, run.bob, params, seed=12).success
+        assert calls == []
+        assert run.eve is run.eve
+        assert len(calls) == 1
 
 
 class TestCalibration:

@@ -17,8 +17,8 @@ from physkey.extract import ExtractorSeed, extract, random_seed
 from physkey.protocol import Transcript, plan_parameters, run_exchange
 from physkey.quantize import BitString
 
-from .oracles import (alpha_power, bch_generator_product, gf2m_power_sums, peasant_mul,
-                      toeplitz_int64)
+from .oracles import (alpha_power, bch_generator_product, full_update_bm_locator,
+                      gf2m_power_sums, peasant_mul, toeplitz_int64)
 
 GF256 = field_tables(8)  # the RS code's field
 
@@ -561,6 +561,47 @@ class TestBinaryBerlekampMassey:
                 half = synd[j // 2 - 1]
                 synd[j - 1] = tables.exp[2 * tables.log[half]] if half else 0
             assert _bm_locator(synd, tables, binary=True) == _bm_locator(synd, tables)
+
+
+class TestTrimmedBerlekampMassey:
+    # each update spans only the previous best polynomial's support; the
+    # oracle spans c to its end, through zeros
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([5, 8, 13]).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(1, min(30, ((1 << m) - 2) // 2)))), st.integers(0, 2 ** 32 - 1))
+    def test_binary_syndromes_match_the_full_update(self, mt, seed):
+        m, t = mt
+        code = BchCode(m, t)
+        rng = np.random.default_rng(seed)
+        weight = int(rng.integers(0, t + 4))  # 0 to t + 3: within capacity and past it
+        err = np.zeros(code.n_sym, dtype=np.uint8)
+        err[rng.choice(code.n_sym, size=weight, replace=False)] = 1
+        synd = gf2m_power_sums(err, range(1, 2 * t + 1), m)
+        tables = field_tables(m)
+        for binary in (True, False):
+            assert _bm_locator(synd, tables, binary=binary) == \
+                full_update_bm_locator(synd, tables, binary=binary)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_rs_syndromes_match_the_full_update(self, seed):
+        # criterion 4's code: a random codeword with 0 to t + 3 word errors
+        code = RsCode(255, 229)
+        rng = np.random.default_rng(seed)
+        word = encode_codeword(rng.integers(0, 256, size=code.k_sym), code)
+        weight = int(rng.integers(0, code.t + 4))
+        word[rng.choice(code.n_sym, size=weight, replace=False)] ^= \
+            rng.integers(1, 256, size=weight)
+        synd = rs_syndrome(word, code)
+        assert _bm_locator(synd, GF256) == full_update_bm_locator(synd, GF256)
+
+    def test_arbitrary_syndromes_match_the_full_update(self, rng):
+        # vectors no error pattern of weight <= t gives, in GF(2^3) and GF(2^8)
+        for m, size in ((3, 6), (8, 26)):
+            tables = field_tables(m)
+            for _ in range(300):
+                synd = rng.integers(0, 1 << m, size=size)
+                assert _bm_locator(synd, tables) == full_update_bm_locator(synd, tables)
 
 
 def rooted_locator(roots, power, tables):

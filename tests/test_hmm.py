@@ -126,6 +126,16 @@ class TestValidate:
         assert any("pi has shape" in v for v in validate_model(bad))
 
 
+class TestModelIdentity:
+    def test_equal_models_compare_and_hash_by_identity(self, two_state):
+        twin = HmmModel(states=two_state.states, symbols=two_state.symbols,
+                        pi=two_state.pi, trans=two_state.trans, emit=two_state.emit)
+        assert two_state == two_state
+        assert not two_state == twin
+        assert two_state != twin
+        assert len({two_state, twin, two_state}) == 2
+
+
 class TestViterbi:
     def test_deterministic_chain(self):
         model = HmmModel(states=(5,), symbols=(3,), pi=[1.0], trans=[[1.0]], emit=[[1.0]])
